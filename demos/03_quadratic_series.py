@@ -10,8 +10,6 @@ yet every one of them stops being chaotic at some finite order.
 import math
 
 from qchaos import (
-    PrecisionPolicy,
-    PrecisionSelfCheckError,
     QuadraticSeed,
     build_quadratic_unitary,
     chaotic_order_fraction,
@@ -51,10 +49,7 @@ frac = chaotic_order_fraction(res.pair, 10 ** 5)
 print(f"first non-chaotic order: K = {k}")
 print(f"fraction of chaotic orders K <= 1e5: {frac:.4f} (equidistributes to 1/2)")
 
-# alpha^8 is ~2.3e8, so the mod-2 reduction would be garbage in low precision.
-# The interval self-check turns that into an error instead of silent noise:
-try:
-    build_quadratic_unitary(seed, 8, PrecisionPolicy(16))
-except PrecisionSelfCheckError as exc:
-    print(f"\n16-bit attempt correctly rejected: {exc}")
-print(f"recommended precision here: {PrecisionPolicy.recommended(seed, 8).bits} bits")
+# The residues come from exact integers, so the phases keep full float
+# accuracy at any t -- here alpha^80 has about 280 integer bits:
+far = build_quadratic_unitary(seed, 80).pair
+print(f"\nt=80: phi = {far.phi!r}, psi = {far.psi!r}, unimodular: {far.is_unimodular()}")

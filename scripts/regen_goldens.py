@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the pinned CLI outputs under tests/golden/.
 
-Each case is a CLI invocation; the emitted JSON document is stored with the
-manifest timestamp removed.  tests/test_cli.py replays every case and
-compares byte-for-byte, so regenerate only when an output format change is
-intended.
+Each case in tests/golden/cases.json is a CLI invocation; the emitted JSON
+document is stored with the manifest timestamp removed.  tests/test_cli.py
+replays the same cases and compares byte-for-byte, so regenerate only when an
+output format change is intended.  Run with ``src`` on ``PYTHONPATH``:
+
+    python scripts/regen_goldens.py [GOLDEN_DIR]
 """
 
 import json
@@ -14,36 +16,11 @@ from pathlib import Path
 
 from qchaos.cli import main
 
-CASES = {
-    "analyze_pauli_x": ["analyze", "--phi", "0", "--psi", "1", "--k-max", "4"],
-    "analyze_d4": ["analyze", "--phi", "1/4", "--psi", "5/4",
-                   "--global-phase", "1/4", "--k-max", "4"],
-    "analyze_d8": ["analyze", "--phi", "1/32", "--psi", "17/32",
-                   "--global-phase", "23/32", "--k-max", "8"],
-    "analyze_su2_half": ["analyze", "--psi", "1/2", "--k-max", "8"],
-    "scan_float_pair": ["scan", "--phi", "0.21", "--psi", "1.79", "--k-max", "12"],
-    "construct_order5": ["construct", "chaotic-order-k", "-K", "5", "--k-max", "5"],
-    "construct_order2": ["construct", "chaotic-order-k", "-K", "2", "--k-max", "4"],
-    "construct_lucas_t3": ["construct", "quadratic", "--a", "-1", "--b", "-1",
-                           "--t", "3", "--k-max", "4"],
-    "construct_traversing": ["construct", "quadratic", "--a", "-2", "--b", "-101",
-                             "--t", "8", "--k-max", "4"],
-    "construct_d4": ["construct", "rational", "1/4", "5/4",
-                     "--global-phase", "1/4", "--k-max", "4"],
-    "census_1e5_seed1": ["census", "--n", "100000", "--seed", "1"],
-    "simulate_uniform": ["simulate", "--phi", "0", "--psi", "1/2", "--basis", "x",
-                         "--steps", "100000", "--seed", "7", "--block-len", "6"],
-    "noise_window_edge": ["noise", "--psi", "3/4", "--epsilon", "0.1",
-                          "--steps", "1000", "--seed", "3"],
-    "optimize_theta_pi3": ["optimize", "--phi", "0", "--psi", "1/3",
-                           "--restarts", "8", "--seed", "1"],
-}
-
 
 def regenerate(golden_dir: Path) -> None:
-    golden_dir.mkdir(parents=True, exist_ok=True)
+    cases = json.loads((golden_dir / "cases.json").read_text())
     with tempfile.TemporaryDirectory() as tmp:
-        for name, args in CASES.items():
+        for name, args in cases.items():
             dest = Path(tmp) / f"{name}.json"
             code = main([*args, "--json", str(dest)])
             if code != 0:
@@ -53,9 +30,6 @@ def regenerate(golden_dir: Path) -> None:
             (golden_dir / f"{name}.json").write_text(
                 json.dumps(doc, indent=2, sort_keys=True) + "\n")
             print(f"wrote {name}.json")
-    (golden_dir / "cases.json").write_text(
-        json.dumps(CASES, indent=2, sort_keys=True) + "\n")
-    print(f"wrote cases.json ({len(CASES)} cases)")
 
 
 if __name__ == "__main__":

@@ -62,8 +62,6 @@ from .chaoticity import (
 )
 from .constructions import (
     IRRATIONAL_CERTIFIED,
-    PrecisionPolicy,
-    PrecisionSelfCheckError,
     QuadraticBuildResult,
     QuadraticRecipe,
     QuadraticSeed,

@@ -3,8 +3,9 @@
 Every command emits a JSON document with an embedded run manifest (command,
 resolved parameters, seed, version, timestamp).  Re-running a command with
 the same arguments reproduces the document bit-identically apart from the
-timestamp, for any --threads setting.  Exit codes: 0 success, 2 validation
-error, 3 precision-self-check failure.
+timestamp, for any --threads setting.  Flags are registered only on the
+commands they act on, so an inapplicable flag is an argparse error.  Exit
+codes: 0 success, 2 validation error.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .chaoticity import (
 )
 from .constructions import (
     IRRATIONAL_CERTIFIED,
-    PrecisionPolicy,
-    PrecisionSelfCheckError,
     QuadraticRecipe,
     RATIONAL,
     UNKNOWN,
@@ -112,6 +111,16 @@ def resolve_source(args):
     return EigenphasePair(_to_radians(phi), _to_radians(psi))
 
 
+def _resolve_built(args):
+    """(source, pair): the CLI source with a quadratic recipe built into its
+    float pair, and that source's float pair.  A rational spec stays the
+    source, so a scan of it stays exact."""
+    source = resolve_source(args)
+    if isinstance(source, QuadraticRecipe):
+        source = build_quadratic_unitary(source.seed, source.t).pair
+    return source, (source.pair() if isinstance(source, ExactUnitarySpec) else source)
+
+
 def _round_floats(obj, digits: int = 12):
     """Round every float to 12 significant digits for stable printed output."""
     if isinstance(obj, float):
@@ -159,7 +168,7 @@ def _validate_output(doc: dict) -> None:
 
 
 def _write_csv(report, args) -> None:
-    if getattr(args, "csv", None):
+    if args.csv:
         Path(args.csv).write_text(report.to_csv())
 
 
@@ -178,7 +187,7 @@ def _analysis_body(source, k_max: int, n_cap: int) -> dict:
     """Scan + per-order closed-form entropy + idempotency/rationality block."""
     built = None
     if isinstance(source, QuadraticRecipe):
-        built = source.build()
+        built = build_quadratic_unitary(source.seed, source.t)
         pair_or_spec = built.pair
         rationality = IRRATIONAL_CERTIFIED
         idem = IdempotencyResult(order=None, reason="irrational_phase")
@@ -207,8 +216,7 @@ def _analysis_body(source, k_max: int, n_cap: int) -> dict:
     }
     if built is not None:
         body["quadratic_build"] = {"classification": built.classification,
-                                   "s_t": built.s_t, "residual": built.residual,
-                                   "precision_bits": built.policy_bits}
+                                   "s_t": built.s_t}
     return body, report
 
 
@@ -217,7 +225,7 @@ def cmd_analyze(args) -> int:
     body, report = _analysis_body(source, args.k_max, args.n_cap)
     doc = {"manifest": _manifest("analyze", {
         "source": body["input"], "k_max": args.k_max, "n_cap": args.n_cap,
-    }, getattr(args, "seed", None))}
+    }, None)}
     doc.update(body)
     _emit(doc, args)
     _write_csv(report, args)
@@ -225,9 +233,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    source = resolve_source(args)
-    if isinstance(source, QuadraticRecipe):
-        source = source.build().pair
+    source, _ = _resolve_built(args)
     report = chaoticity_scan(source, args.k_max)
     doc = {
         "manifest": _manifest("scan", {"source": _source_doc(source),
@@ -255,21 +261,17 @@ def cmd_construct(args) -> int:
         params.update({"order": args.order})
         result_source = spec
     elif args.kind == "quadratic":
-        recipe = QuadraticRecipe(args.a, args.b, args.t, args.precision_bits)
-        policy = recipe.policy or PrecisionPolicy.recommended(recipe.seed, recipe.t)
-        built = build_quadratic_unitary(recipe.seed, recipe.t, policy)
-        construction = {"kind": "quadratic", "source": source_to_json(recipe),
-                        "classification": built.classification, "s_t": built.s_t,
-                        "residual": built.residual, "precision_bits": built.policy_bits,
-                        "trace_values": list(quadratic_trace_sequence(recipe.seed,
-                                                                      recipe.t).values)}
-        params.update({"a": args.a, "b": args.b, "t": args.t,
-                       "precision_bits": args.precision_bits})
+        recipe = QuadraticRecipe(args.a, args.b, args.t)
+        construction = {"kind": "quadratic", "source": source_to_json(recipe)}
+        params.update({"a": args.a, "b": args.b, "t": args.t})
         result_source = recipe
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown construction kind {args.kind!r}")
 
     body, _ = _analysis_body(result_source, args.k_max, args.n_cap)
+    if args.kind == "quadratic":  # the analysis built the pair; reuse its build
+        construction.update(body["quadratic_build"], trace_values=list(
+            quadratic_trace_sequence(recipe.seed, recipe.t).values))
     doc = {"manifest": _manifest("construct", params, None),
            "construction": construction, "analysis": body}
     _emit(doc, args)
@@ -295,10 +297,7 @@ _BASIS_CHOICES = {
 
 
 def cmd_simulate(args) -> int:
-    source = resolve_source(args)
-    if isinstance(source, QuadraticRecipe):
-        source = source.build().pair
-    pair = source.pair() if isinstance(source, ExactUnitarySpec) else source
+    _, pair = _resolve_built(args)
     u = Unitary2.from_pair(pair).matrix
     if args.basis == "optimized":
         basis = pvm_entropy_optimize(u, OptimizerOptions(seed=args.seed,
@@ -333,10 +332,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    source = resolve_source(args)
-    if isinstance(source, QuadraticRecipe):
-        source = source.build().pair
-    pair = source.pair() if isinstance(source, ExactUnitarySpec) else source
+    _, pair = _resolve_built(args)
     cfg = NoiseConfig(epsilon=args.epsilon, steps=args.steps, seed=args.seed)
     walk = noisy_phase_walk(pair, cfg)
     counts: dict[str, int] = {"chaotic": 0, "non_chaotic": 0, "boundary": 0}
@@ -370,14 +366,10 @@ def cmd_optimize(args) -> int:
     if args.unitary_json:
         u = _load_unitary_json(args.unitary_json)
     else:
-        source = resolve_source(args)
-        if isinstance(source, QuadraticRecipe):
-            source = source.build().pair
-        pair = source.pair() if isinstance(source, ExactUnitarySpec) else source
+        _, pair = _resolve_built(args)
         u = Unitary2.from_pair(pair).matrix
     opts = OptimizerOptions(restarts=args.restarts, max_iters=args.max_iters,
-                            match_tol=args.match_tol, seed=args.seed,
-                            threads=args.threads)
+                            seed=args.seed, threads=args.threads)
     result = pvm_entropy_optimize(u, opts)
     body = {
         "d": u.shape[0],
@@ -401,16 +393,19 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, seed_default=None) -> None:
-    p.add_argument("--seed", type=int, default=seed_default,
-                   help="64-bit seed; every stochastic command requires one")
+def _add_common(p: argparse.ArgumentParser, seed: bool = False, csv: bool = False,
+                out: bool = False) -> None:
+    """--json and --threads everywhere; --seed, --csv and --out where they act."""
+    if seed:
+        p.add_argument("--seed", type=int, default=0,
+                       help="64-bit seed of the command's random streams")
     p.add_argument("--json", metavar="PATH", default="-",
                    help="write the JSON document here ('-' = stdout)")
-    p.add_argument("--csv", metavar="PATH", help="also write the tabular report as CSV")
-    p.add_argument("--out", metavar="PREFIX",
-                   help="output prefix for stream/sidecar files (simulate)")
-    p.add_argument("--precision-bits", type=int, default=None,
-                   help="working precision for quadratic-seed phase reduction")
+    if csv:
+        p.add_argument("--csv", metavar="PATH", help="also write the tabular report as CSV")
+    if out:
+        p.add_argument("--out", metavar="PREFIX",
+                       help="output prefix for the stream and sidecar files")
     p.add_argument("--threads", type=int, default=1,
                    help="worker cap; results are independent of this value")
 
@@ -433,13 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     p.add_argument("--k-max", type=int, default=8)
     p.add_argument("--n-cap", type=int, default=1_000_000)
-    _add_common(p)
+    _add_common(p, csv=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("scan", help="chaoticity scan rows only")
     _add_source_args(p)
     p.add_argument("--k-max", type=int, default=8)
-    _add_common(p)
+    _add_common(p, csv=True)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("construct", help="build a unitary family member and analyze it")
@@ -472,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="uniform-psi chaotic-fraction census")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, seed_default=0)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("simulate", help="sample a measured trajectory and estimate its rate")
@@ -482,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=int, default=1,
                    help="measure after every period-th application")
     p.add_argument("--block-len", type=int, default=8)
-    _add_common(p, seed_default=0)
+    _add_common(p, seed=True, out=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("noise", help="uniform phase-noise walk with per-step verdicts")
@@ -490,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--full", action="store_true", help="include every walk step")
-    _add_common(p, seed_default=0)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("optimize", help="variational PVM entropy over measurement bases")
@@ -500,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--match-tol", type=float, default=1e-3)
-    _add_common(p, seed_default=0)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_optimize)
 
     return parser
@@ -510,9 +505,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PrecisionSelfCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

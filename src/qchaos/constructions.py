@@ -17,13 +17,14 @@ Three kinds of two-level unitaries are constructed here:
   (beta^t mod 2) pi) is a valid SU(2) eigenphase pair with certified
   irrational phases.
 
-The mod-2 reduction of alpha^t is the delicate part: the integer portion can
-carry dozens of bits while only the fractional part matters.  alpha^t is
-evaluated by interval arithmetic at a precision chosen from t and |alpha|;
-beta^t mod 2 is then recovered from the exact integer s_t as (s_t - alpha^t)
-mod 2, confining all cancellation error to the alpha^t interval.  A direct
-interval evaluation of beta^t cross-checks the result, so a precision failure
-raises instead of silently corrupting phases.
+The mod-2 reduction is done in exact integers.  With alpha^t =
+(A_t + B_t sqrt(D)) / 2^t, the integers A_t, B_t follow their own recurrence
+and math.isqrt gives the digits of B_t sqrt(D) exactly, so beta^t mod 2 is
+known to any number of bits without rounding; alpha^t mod 2 = 2 - (beta^t
+mod 2) because s_t is even.  Each phase is the residue rounded once to a
+float, times pi; the residue carries 64 guard bits past the float's 53, so
+the rounding is correct unless it lies within 2^-64 ulp of a rounding
+boundary.
 """
 
 from __future__ import annotations
@@ -32,20 +33,12 @@ import json
 import math
 from dataclasses import dataclass
 
-from mpmath import iv, mp, mpf
-
 from .phases import EigenphasePair, ExactUnitarySpec, RationalPhase
 
-#: Circular tolerance (units of pi, mod 2) for the residue self-check.
-SELF_CHECK_TOL = 2.0 ** -32
-#: Guard bits added beyond the integer-part width of alpha^t.
-DEFAULT_GUARD_BITS = 64
+#: Fraction bits of the exact residue: a float significand plus guard bits.
+_RESIDUE_BITS = 53 + 64
 
 _INV_SQRT2 = 2.0 ** -0.5
-
-
-class PrecisionSelfCheckError(ArithmeticError):
-    """The interval reduction could not certify the phases at this precision."""
 
 
 @dataclass(frozen=True)
@@ -120,55 +113,15 @@ def quadratic_trace_sequence(seed: QuadraticSeed, t_max: int) -> TraceSequence:
 
 
 @dataclass(frozen=True)
-class PrecisionPolicy:
-    """Working precision (bits) for the interval evaluation of alpha^t."""
-
-    bits: int
-
-    def __post_init__(self):
-        if self.bits < 8:
-            raise ValueError(f"precision must be at least 8 bits, got {self.bits}")
-
-    @classmethod
-    def recommended(cls, seed: QuadraticSeed, t: int,
-                    guard_bits: int = DEFAULT_GUARD_BITS) -> "PrecisionPolicy":
-        """ceil(t * log2(max(|alpha|, |beta|, 1))) plus guard bits."""
-        alpha, beta = seed.roots()
-        growth = max(abs(alpha), abs(beta), 1.0)
-        return cls(math.ceil(t * math.log2(growth)) + guard_bits)
-
-
-def _mod2(v):
-    """Residue of an mpf in [0, 2); exact at working precision away from edges."""
-    r = v - 2 * mp.floor(v / 2)
-    if r < 0:
-        r += 2
-    if r >= 2:
-        r -= 2
-    return r
-
-
-def _circ2(x: float) -> float:
-    """Distance of x from 0 on the circle of circumference 2."""
-    r = math.fmod(x, 2.0)
-    if r < 0.0:
-        r += 2.0
-    return min(r, 2.0 - r)
-
-
-@dataclass(frozen=True)
 class QuadraticBuildResult:
-    """A constructed pair plus its series classification and self-check residual."""
+    """A constructed pair plus its series classification."""
 
     pair: EigenphasePair
     classification: str  # "converging_to_identity" or "traversing"
     s_t: int
-    residual: float
-    policy_bits: int
 
 
 def build_quadratic_unitary(seed: QuadraticSeed, t: int,
-                            policy: PrecisionPolicy | None = None,
                             allow_positive_coefficients: bool = False,
                             ) -> QuadraticBuildResult:
     """SU(2) pair ((alpha^t mod 2) pi, (beta^t mod 2) pi) from a quadratic seed.
@@ -178,9 +131,8 @@ def build_quadratic_unitary(seed: QuadraticSeed, t: int,
     phases are rational and the construction loses its point).  Coefficients
     outside the a, b < 0 regime are rejected unless explicitly allowed.
 
-    Raises PrecisionSelfCheckError when the interval widths or the residue
-    cross-check exceed SELF_CHECK_TOL, which is how insufficient precision
-    shows up instead of as silent phase corruption.
+    The residue r = beta^t mod 2 is bracketed in exact integers, so psi =
+    r pi and phi = (2 - r) pi keep full float accuracy at every t.
     """
     if t < 1:
         raise ValueError(f"t must be a positive integer, got {t}")
@@ -198,38 +150,26 @@ def build_quadratic_unitary(seed: QuadraticSeed, t: int,
     if s_t % 2 != 0:
         raise ValueError(f"s_{t} = {s_t} is odd; the pair would not be unimodular")
 
-    policy = policy or PrecisionPolicy.recommended(seed, t)
-    old_prec = iv.prec
-    try:
-        iv.prec = policy.bits
-        sqrt_d = iv.sqrt(iv.mpf(seed.discriminant))
-        x = ((iv.mpf(-seed.a) + sqrt_d) / 2) ** t  # alpha^t
-        y = ((iv.mpf(-seed.a) - sqrt_d) / 2) ** t  # beta^t, for the cross-check
-        with mp.workprec(policy.bits):
-            width_x = float(mpf(x.delta.b))
-            width_y = float(mpf(y.delta.b))
-            if max(width_x, width_y) > SELF_CHECK_TOL:
-                raise PrecisionSelfCheckError(
-                    f"interval width {max(width_x, width_y):.3e} exceeds "
-                    f"{SELF_CHECK_TOL:.3e} at {policy.bits} bits; raise the precision")
-            mid_x = (mpf(x.a) + mpf(x.b)) / 2
-            r_alpha = _mod2(mid_x)
-            # beta^t mod 2 from the exact integer: cancellation stays in alpha^t
-            r_beta = _mod2(mpf(s_t) - mid_x)
-            r_beta_direct = _mod2((mpf(y.a) + mpf(y.b)) / 2)
-            residual = _circ2(float(r_alpha + r_beta_direct))
-            if residual > SELF_CHECK_TOL:
-                raise PrecisionSelfCheckError(
-                    f"residue self-check failed: alpha^t + beta^t deviates from the "
-                    f"integer {s_t} by {residual:.3e} (mod 2) at {policy.bits} bits")
-            phi = float(r_alpha) * math.pi
-            psi = float(r_beta) * math.pi
-    finally:
-        iv.prec = old_prec
-
+    a, d = seed.a, seed.discriminant
+    big_a, big_b = 1, 0  # 2^t alpha^t = A_t + B_t sqrt(D), 2^t beta^t = A_t - B_t sqrt(D)
+    for _ in range(t):
+        big_a, big_b = -a * big_a + big_b * d, big_a - a * big_b
     _, beta = seed.roots()
+    # a tiny |beta^t| needs t log2(1/|beta|) extra bits to keep 53 significant ones
+    n = _RESIDUE_BITS + (math.ceil(-t * math.log2(abs(beta))) if abs(beta) < 1.0 else 0)
+    # floor(|B_t| sqrt(D) 2^n), never exact: sqrt(D) is irrational and B_t != 0
+    root = math.isqrt(big_b * big_b * d << 2 * n)
+    floor_b = root if big_b > 0 else -root - 1  # floor(B_t sqrt(D) 2^n)
+    # floor(beta^t 2^(t+n)), using floor(-x) = -floor(x) - 1 for non-integer x
+    k = t + n
+    q = ((big_a << n) - floor_b - 1) % (2 << k)  # r lies strictly inside (q, q+1) / 2^k
+    # round through the midpoint: with the guard bits, the float rounding
+    # boundaries near r are multiples of 2^-k, so the open interval holds none
+    den = 1 << (k + 1)
+    psi = (2 * q + 1) / den * math.pi
+    phi = (2 * den - 2 * q - 1) / den * math.pi
     tag = "converging_to_identity" if abs(beta) < 1.0 else "traversing"
-    return QuadraticBuildResult(EigenphasePair(phi, psi), tag, s_t, residual, policy.bits)
+    return QuadraticBuildResult(EigenphasePair(phi, psi), tag, s_t)
 
 
 def build_rational_unitary(phase1: RationalPhase, phase2: RationalPhase,
@@ -270,23 +210,18 @@ def build_chaotic_order(k: int, prime_cap: int = 10_000) -> tuple[ExactUnitarySp
 
 @dataclass(frozen=True)
 class QuadraticRecipe:
-    """Serializable build recipe: seed coefficients, exponent, optional precision."""
+    """Serializable build recipe: seed coefficients and exponent."""
 
     a: int
     b: int
     t: int
-    precision_bits: int | None = None
 
     @property
     def seed(self) -> QuadraticSeed:
         return QuadraticSeed(self.a, self.b)
 
-    @property
-    def policy(self) -> PrecisionPolicy | None:
-        return PrecisionPolicy(self.precision_bits) if self.precision_bits else None
-
     def build(self, **kwargs) -> QuadraticBuildResult:
-        return build_quadratic_unitary(self.seed, self.t, self.policy, **kwargs)
+        return build_quadratic_unitary(self.seed, self.t, **kwargs)
 
 
 RATIONAL = "rational"
@@ -323,8 +258,7 @@ def source_to_json(obj) -> dict:
                 "m2": obj.phase2.m, "p2": obj.phase2.p,
                 "g_m": obj.global_phase.m, "g_p": obj.global_phase.p}
     if isinstance(obj, QuadraticRecipe):
-        return {"kind": "quadratic", "a": obj.a, "b": obj.b, "t": obj.t,
-                "precision_bits": obj.precision_bits}
+        return {"kind": "quadratic", "a": obj.a, "b": obj.b, "t": obj.t}
     raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -337,7 +271,5 @@ def source_from_json(doc) -> ExactUnitarySpec | QuadraticRecipe:
                                 RationalPhase(int(doc["m2"]), int(doc["p2"])),
                                 RationalPhase(int(doc.get("g_m", 0)), int(doc.get("g_p", 1))))
     if kind == "quadratic":
-        bits = doc.get("precision_bits")
-        return QuadraticRecipe(int(doc["a"]), int(doc["b"]), int(doc["t"]),
-                               int(bits) if bits else None)
+        return QuadraticRecipe(int(doc["a"]), int(doc["b"]), int(doc["t"]))
     raise ValueError(f"unknown source kind {kind!r}")

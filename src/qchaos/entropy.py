@@ -217,7 +217,6 @@ class OptimizerOptions:
 
     restarts: int = 32
     max_iters: int = 2000
-    match_tol: float = 1e-3
     xatol: float = 1e-10
     seed: int = 0
     threads: int = 1

@@ -20,7 +20,6 @@ from qchaos import (
     ExactUnitarySpec,
     IRRATIONAL_CERTIFIED,
     OptimizerOptions,
-    PrecisionPolicy,
     QuadraticSeed,
     RationalPhase,
     VerdictLabel,
@@ -76,9 +75,8 @@ def test_criterion_01_lucas_t3_pair():
 
 def test_criterion_02_traversing_quadratic():
     seed = QuadraticSeed(-2, -101)
-    policy = PrecisionPolicy(256)
-    build_quadratic_unitary(seed, 8, policy)
-    elapsed, res = best_time(lambda: build_quadratic_unitary(seed, 8, policy))
+    build_quadratic_unitary(seed, 8)
+    elapsed, res = best_time(lambda: build_quadratic_unitary(seed, 8))
     cos_psi = abs(math.cos(res.pair.psi))
     assert cos_psi == pytest.approx(0.387, abs=5e-3)
     assert verdict_of(res.pair).label is VerdictLabel.CHAOTIC
@@ -86,7 +84,7 @@ def test_criterion_02_traversing_quadratic():
     assert quadratic_trace_sequence(seed, 8).s(8) == 277376354
     assert elapsed < 1e-2
     print(f"\nACCEPTANCE 02 PASS - (-2,-101) t=8: |cos psi|={cos_psi:.6f} chaotic, "
-          f"s_8=277376354 exact, {elapsed * 1e3:.2f} ms at 256 bits")
+          f"s_8=277376354 exact, {elapsed * 1e3:.2f} ms")
 
 
 def test_criterion_03_d4_d8_exact_idempotency():

@@ -159,11 +159,38 @@ class TestConstruct:
         assert code == 2
         assert "odd" in capsys.readouterr().err
 
-    def test_low_precision_is_exit_3(self, tmp_path, capsys):
-        code, _ = run_cli(["construct", "quadratic", "--a", "-2", "--b", "-101",
-                           "--t", "8", "--precision-bits", "16"], tmp_path)
-        assert code == 3
-        assert "precision" in capsys.readouterr().err.lower()
+    def test_quadratic_is_built_once(self, tmp_path, monkeypatch):
+        import qchaos.cli
+        import qchaos.constructions
+
+        calls = []
+        build = qchaos.constructions.build_quadratic_unitary
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        # both bindings, so a build through QuadraticRecipe.build counts too
+        monkeypatch.setattr(qchaos.cli, "build_quadratic_unitary", counted)
+        monkeypatch.setattr(qchaos.constructions, "build_quadratic_unitary", counted)
+        code, doc = run_cli(["construct", "quadratic", "--a", "-1", "--b", "-1",
+                             "--t", "3"], tmp_path)
+        assert code == 0
+        assert len(calls) == 1
+        assert doc["construction"]["s_t"] == doc["analysis"]["quadratic_build"]["s_t"] == 4
+
+
+class TestFlags:
+    @pytest.mark.parametrize("args", [
+        ["analyze", "--psi", "1/2", "--precision-bits", "3"],
+        ["analyze", "--psi", "1/2", "--out", "zz"],
+        ["scan", "--psi", "1/2", "--seed", "1"],
+    ], ids=["analyze-precision-bits", "analyze-out", "scan-seed"])
+    def test_inapplicable_flag_is_exit_2(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCensus:

@@ -1,18 +1,17 @@
 """Builders: rational specs, order-K chaotic unitaries, quadratic series."""
 
+import decimal
 import json
 import math
 
-import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qchaos import (
     EigenphasePair,
     ExactUnitarySpec,
     IRRATIONAL_CERTIFIED,
-    PrecisionPolicy,
-    PrecisionSelfCheckError,
     QuadraticRecipe,
     QuadraticSeed,
     RATIONAL,
@@ -35,26 +34,40 @@ from qchaos import (
 PI = math.pi
 
 
-def mp_power_sum_check(a, b, t, s, prec=256):
+def _roots(a, b):
+    """alpha, beta as Decimals at the current context precision."""
+    root = decimal.Decimal(a * a - 4 * b).sqrt()
+    return (-a + root) / 2, (-a - root) / 2
+
+
+def _mod2(x):
+    r = x % 2  # a Decimal remainder takes the sign of the dividend
+    return r + 2 if r < 0 else r
+
+
+def dec_power_sum_check(a, b, t, s, digits=80):
     """Oracle: alpha^t + beta^t at high precision, straight from the roots.
 
     Returns (rounds_to_s, abs_error) computed inside the working precision.
     """
-    with mpmath.workprec(prec):
-        d = mpmath.mpf(a * a - 4 * b)
-        alpha = (-a + mpmath.sqrt(d)) / 2
-        beta = (-a - mpmath.sqrt(d)) / 2
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        alpha, beta = _roots(a, b)
         total = alpha ** t + beta ** t
-        return int(mpmath.nint(total)) == s, float(abs(total - s))
+        return int(total.to_integral_value()) == s, float(abs(total - s))
 
 
-def mp_phase_pair(a, b, t, prec=256):
-    """Oracle pair ((alpha^t mod 2) pi, (beta^t mod 2) pi) via plain mpmath."""
-    with mpmath.workprec(prec):
-        d = mpmath.mpf(a * a - 4 * b)
-        alpha = (-a + mpmath.sqrt(d)) / 2
-        beta = (-a - mpmath.sqrt(d)) / 2
-        return (float((alpha ** t % 2) * mpmath.pi), float((beta ** t % 2) * mpmath.pi))
+def dec_phase_pair(a, b, t, digits=120):
+    """Oracle pair ((alpha^t mod 2) pi, (beta^t mod 2) pi) in decimal arithmetic.
+
+    Each residue is rounded to a float once and then multiplied by math.pi,
+    which is how the builder forms its phases, so a correct build matches
+    this bit for bit.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        alpha, beta = _roots(a, b)
+        return (float(_mod2(alpha ** t)) * math.pi, float(_mod2(beta ** t)) * math.pi)
 
 
 class TestBuildRationalUnitary:
@@ -62,10 +75,7 @@ class TestBuildRationalUnitary:
         spec = build_rational_unitary(RationalPhase(1, 4), RationalPhase(5, 4),
                                       RationalPhase(1, 4))
         u = spec.to_unitary().matrix
-        with mpmath.workprec(120):
-            exact = [mpmath.expjpi(mpmath.mpf(1) / 4 + mpmath.mpf(1) / 4),
-                     mpmath.expjpi(mpmath.mpf(1) / 4 + mpmath.mpf(5) / 4)]
-            want = np.array([[complex(exact[0]), 0], [0, complex(exact[1])]])
+        want = np.array([[1j, 0], [0, -1j]])  # e^{i pi/2}, e^{i 3pi/2}
         assert np.max(np.abs(u - want)) <= 1e-15
         assert idempotency_order(spec).order == 4
 
@@ -141,7 +151,7 @@ class TestQuadraticTraceSequence:
             quadratic_trace_sequence(QuadraticSeed(-1, -1), 0)
 
     def test_integer_closure_against_root_powers(self):
-        # recurrence values must equal round(alpha^t + beta^t) at 256 bits
+        # recurrence values must equal round(alpha^t + beta^t) at 80 digits
         rng = np.random.default_rng(42)
         done = 0
         while done < 100:
@@ -151,9 +161,9 @@ class TestQuadraticTraceSequence:
                 continue
             seq = quadratic_trace_sequence(QuadraticSeed(a, b), 40)
             for t in (1, 5, 13, 27, 40):
-                rounds_exactly, err = mp_power_sum_check(a, b, t, seq.s(t))
+                rounds_exactly, err = dec_power_sum_check(a, b, t, seq.s(t))
                 assert rounds_exactly
-                assert err < 1e-6  # 256 bits minus up to ~227 integer bits
+                assert err < 1e-6  # 80 digits minus up to ~69 integer digits
             done += 1
 
     def test_even_minus_a_forces_all_even(self):
@@ -187,7 +197,7 @@ class TestBuildQuadraticUnitary:
         assert res.pair.psi == pytest.approx(5.5415, abs=5e-4)
         assert res.classification == "converging_to_identity"
         assert res.s_t == 4
-        oracle = mp_phase_pair(-1, -1, 3)
+        oracle = dec_phase_pair(-1, -1, 3)
         assert res.pair.phi == pytest.approx(oracle[0], abs=1e-12)
         assert res.pair.psi == pytest.approx(oracle[1], abs=1e-12)
 
@@ -195,7 +205,7 @@ class TestBuildQuadraticUnitary:
         res = build_quadratic_unitary(QuadraticSeed(-2, -101), 8)
         assert abs(math.cos(res.pair.psi)) == pytest.approx(0.387, abs=5e-3)
         assert res.classification == "traversing"
-        oracle = mp_phase_pair(-2, -101, 8)
+        oracle = dec_phase_pair(-2, -101, 8)
         assert res.pair.phi == pytest.approx(oracle[0], abs=1e-12)
         assert res.pair.psi == pytest.approx(oracle[1], abs=1e-12)
 
@@ -224,39 +234,24 @@ class TestBuildQuadraticUnitary:
             res = build_quadratic_unitary(QuadraticSeed(a, b), t)
             assert circular_distance(res.pair.phi + res.pair.psi, 0.0) <= 2 ** -30 * PI
 
-    def test_precision_monotonicity(self):
-        for (a, b), t in [((-1, -1), 3), ((-2, -101), 8), ((-6, -35), 20)]:
-            seed = QuadraticSeed(a, b)
-            base = PrecisionPolicy.recommended(seed, t)
-            lo = build_quadratic_unitary(seed, t, base).pair
-            hi = build_quadratic_unitary(seed, t, PrecisionPolicy(2 * base.bits)).pair
-            assert circular_distance(lo.phi, hi.phi) < 2 ** -40
-            assert circular_distance(lo.psi, hi.psi) < 2 ** -40
-
-    def test_insufficient_precision_is_detected(self):
-        with pytest.raises(PrecisionSelfCheckError):
-            build_quadratic_unitary(QuadraticSeed(-2, -101), 8, PrecisionPolicy(16))
-
-    def test_self_check_residual_is_tiny(self):
-        res = build_quadratic_unitary(QuadraticSeed(-2, -101), 8)
-        assert res.residual <= 2 ** -32
-
     def test_rejects_zero_t(self):
         with pytest.raises(ValueError):
             build_quadratic_unitary(QuadraticSeed(-1, -1), 0)
 
 
-class TestPrecisionPolicy:
-    def test_recommended_meets_floor(self):
-        for (a, b), t in [((-1, -1), 3), ((-2, -101), 8), ((-9, -50), 30)]:
-            seed = QuadraticSeed(a, b)
-            policy = PrecisionPolicy.recommended(seed, t)
-            alpha, _ = seed.roots()
-            assert policy.bits >= math.ceil(t * math.log2(max(abs(alpha), 1.0))) + 64
-
-    def test_rejects_tiny_precision(self):
-        with pytest.raises(ValueError):
-            PrecisionPolicy(4)
+class TestQuadraticPhasesExact:
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.integers(-40, -1), b=st.integers(-400, -1), t=st.integers(1, 60))
+    @example(a=-1, b=-1, t=60)  # beta^60 ~ 3e-13: psi is tiny, phi just below 2 pi
+    def test_phases_are_correctly_rounded(self, a, b, t):
+        d = a * a - 4 * b
+        seed = QuadraticSeed(a, b)
+        assume(math.isqrt(d) ** 2 != d and quadratic_trace_sequence(seed, t).s(t) % 2 == 0)
+        pair = build_quadratic_unitary(seed, t).pair
+        # alpha^t stays below 1e102 here, so 250 digits leave over 140 after
+        # the point; EigenphasePair maps a phase that rounds to 2 pi onto 0
+        assert pair == EigenphasePair(*dec_phase_pair(a, b, t, digits=250))
+        assert circular_distance(pair.phi + pair.psi, 0.0) <= 8 * math.ulp(2 * PI)
 
 
 class TestClassifyPhaseRationality:
@@ -286,11 +281,12 @@ class TestSourceJson:
         assert source_from_json(json.dumps(doc)) == spec
 
     def test_quadratic_round_trip(self):
-        recipe = QuadraticRecipe(-2, -101, 8, precision_bits=256)
+        recipe = QuadraticRecipe(-2, -101, 8)
         doc = source_to_json(recipe)
-        assert doc == {"kind": "quadratic", "a": -2, "b": -101, "t": 8,
-                       "precision_bits": 256}
+        assert doc == {"kind": "quadratic", "a": -2, "b": -101, "t": 8}
         assert source_from_json(doc) == recipe
+        # spec files written before precision_bits was dropped still load
+        assert source_from_json({**doc, "precision_bits": 256}) == recipe
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
