@@ -4,7 +4,9 @@
 Each case in tests/golden/cases.json is a CLI invocation; the emitted JSON
 document is stored with the manifest timestamp removed.  tests/test_cli.py
 replays the same cases and compares byte-for-byte, so regenerate only when an
-output format change is intended.  Run with ``src`` on ``PYTHONPATH``:
+output format change is intended.  Each document is validated against
+``src/qchaos/schemas/output.schema.json`` before it is written, which needs
+``jsonschema`` (the ``test`` extra).  Run with ``src`` on ``PYTHONPATH``:
 
     python scripts/regen_goldens.py [GOLDEN_DIR]
 """
@@ -14,10 +16,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import jsonschema
+
 from qchaos.cli import main
+
+SCHEMA_PATH = Path(__file__).parent.parent / "src/qchaos/schemas/output.schema.json"
 
 
 def regenerate(golden_dir: Path) -> None:
+    schema = json.loads(SCHEMA_PATH.read_text())
     cases = json.loads((golden_dir / "cases.json").read_text())
     with tempfile.TemporaryDirectory() as tmp:
         for name, args in cases.items():
@@ -26,6 +33,7 @@ def regenerate(golden_dir: Path) -> None:
             if code != 0:
                 raise SystemExit(f"case {name} exited with {code}")
             doc = json.loads(dest.read_text())
+            jsonschema.validate(doc, schema)
             doc["manifest"].pop("timestamp")
             (golden_dir / f"{name}.json").write_text(
                 json.dumps(doc, indent=2, sort_keys=True) + "\n")

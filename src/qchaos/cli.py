@@ -4,8 +4,10 @@ Every command emits a JSON document with an embedded run manifest (command,
 resolved parameters, seed, version, timestamp).  Re-running a command with
 the same arguments reproduces the document bit-identically apart from the
 timestamp, for any --threads setting.  Flags are registered only on the
-commands they act on, so an inapplicable flag is an argparse error.  Exit
-codes: 0 success, 2 validation error.
+commands they act on, so an inapplicable flag is an argparse error.  The
+documents follow ``schemas/output.schema.json``; that schema is the output
+contract, checked by the test suite rather than on every run.  Exit codes:
+0 success, 2 validation error.
 """
 
 from __future__ import annotations
@@ -112,12 +114,11 @@ def resolve_source(args):
 
 
 def _resolve_built(args):
-    """(source, pair): the CLI source with a quadratic recipe built into its
-    float pair, and that source's float pair.  A rational spec stays the
-    source, so a scan of it stays exact."""
+    """(source, pair): the CLI source as given, and its float pair, built from
+    the recipe when the source is a quadratic recipe."""
     source = resolve_source(args)
     if isinstance(source, QuadraticRecipe):
-        source = build_quadratic_unitary(source.seed, source.t).pair
+        return source, build_quadratic_unitary(source.seed, source.t).pair
     return source, (source.pair() if isinstance(source, ExactUnitarySpec) else source)
 
 
@@ -143,28 +144,14 @@ def _manifest(command: str, parameters: dict, seed: int | None) -> dict:
 
 
 def _emit(doc: dict, args) -> None:
-    doc = _round_floats(doc)
-    _validate_output(doc)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # NaN and Infinity are not JSON: allow_nan=False makes them an error
+    text = json.dumps(_round_floats(doc), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     dest = getattr(args, "json", None) or "-"
     if dest == "-":
         sys.stdout.write(text)
     else:
         Path(dest).write_text(text)
-
-
-_SCHEMA = None
-
-
-def _validate_output(doc: dict) -> None:
-    global _SCHEMA
-    if _SCHEMA is None:
-        import jsonschema
-
-        schema_path = Path(__file__).parent / "schemas" / "output.schema.json"
-        _SCHEMA = (json.loads(schema_path.read_text()), jsonschema)
-    schema, jsonschema = _SCHEMA
-    jsonschema.validate(doc, schema)
 
 
 def _write_csv(report, args) -> None:
@@ -233,8 +220,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    source, _ = _resolve_built(args)
-    report = chaoticity_scan(source, args.k_max)
+    source, pair = _resolve_built(args)
+    exact = isinstance(source, ExactUnitarySpec)  # a rational spec is scanned exactly
+    report = chaoticity_scan(source if exact else pair, args.k_max)
     doc = {
         "manifest": _manifest("scan", {"source": _source_doc(source),
                                        "k_max": args.k_max}, None),
@@ -363,6 +351,8 @@ def _load_unitary_json(path: str) -> np.ndarray:
 
 
 def cmd_optimize(args) -> int:
+    if not 0.0 <= args.match_tol < math.inf:  # also false for NaN
+        raise ValueError(f"match-tol must be finite and >= 0, got {args.match_tol}")
     if args.unitary_json:
         u = _load_unitary_json(args.unitary_json)
     else:

@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .phases import EigenphasePair, TWO_PI, require_unitary
 from .rng import stream_generator
@@ -300,11 +299,16 @@ def pvm_entropy_optimize(u, opts: OptimizerOptions | None = None) -> EntropyResu
     value can only grow as restarts increase and never depends on thread
     scheduling.  The result is best-found, not certified-global.
     """
+    import scipy.optimize  # here, so that importing qchaos loads no scipy
+
     opts = opts or OptimizerOptions()
     m = require_unitary(u)
     d = m.shape[0]
     if d not in _PLANES:
         raise ValueError(f"unsupported dimension {d}; only d in (2, 3)")
+    for name in ("restarts", "max_iters", "threads"):
+        if getattr(opts, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(opts, name)}")
     n_params = d * (d - 1)
     neg = _neg_rate_d2(m) if d == 2 else _neg_rate_generic(m, d)
 

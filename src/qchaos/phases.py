@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 TWO_PI = 2.0 * math.pi
 
@@ -215,6 +214,8 @@ def eigenphases_of(u) -> tuple[EigenphasePair, np.ndarray]:
     if max(abs(m[0, 1]), abs(m[1, 0])) <= UNITARY_TOL:
         pair = EigenphasePair(cmath.phase(m[0, 0]), cmath.phase(m[1, 1]))
         return pair, np.eye(2, dtype=complex)
+    import scipy.linalg  # here, so that importing qchaos loads no scipy
+
     t, v = scipy.linalg.schur(m, output="complex")
     pair = EigenphasePair(cmath.phase(t[0, 0]), cmath.phase(t[1, 1]))
     diag = np.diag([cmath.exp(1j * pair.phi), cmath.exp(1j * pair.psi)])

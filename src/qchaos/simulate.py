@@ -26,6 +26,7 @@ from .entropy import (
     PvmBasis,
     measurement_probabilities,
     markov_entropy_rate,
+    pvm_entropy_optimize,
     transition_matrix,
 )
 from .phases import (
@@ -212,6 +213,8 @@ def monte_carlo_chaotic_fraction(n_trials: int, seed: int,
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     sizes = [min(CENSUS_CHUNK, n_trials - start)
              for start in range(0, n_trials, CENSUS_CHUNK)]
     if threads > 1:
@@ -235,8 +238,8 @@ class NoiseConfig:
     stream: int = 0
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not 0.0 <= 2.0 * math.pi * self.epsilon < math.inf:  # the draw's range; NaN fails
+            raise ValueError(f"epsilon must be >= 0 with 2*pi*epsilon finite, got {self.epsilon}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not isinstance(self.seed, int):
@@ -281,8 +284,6 @@ def entropy_rate_experiment(pair: EigenphasePair, basis_choice: str, length: int
     if basis_choice == "x_basis":
         basis = PvmBasis.x_basis()
     elif basis_choice == "optimized":
-        from .entropy import pvm_entropy_optimize
-
         basis = pvm_entropy_optimize(u).optimal_basis
     else:
         raise ValueError(f"basis_choice must be 'x_basis' or 'optimized', got {basis_choice!r}")
@@ -302,5 +303,5 @@ def write_trajectory_outputs(prefix, outcomes: np.ndarray, sidecar: dict,
     stream_path = prefix.with_suffix(".stream")
     json_path = prefix.with_suffix(".json")
     stream_path.write_bytes(np.asarray(outcomes, dtype=np.uint8).tobytes())
-    json_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    json_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return stream_path, json_path

@@ -1,26 +1,37 @@
-"""End-to-end CLI behavior: documents, schemas, determinism, exit codes."""
+"""End-to-end CLI behavior: documents, schemas, determinism, exit codes.
 
+The CLI does not validate its output at run time; ``run_cli`` checks every
+document a command writes against the output schema instead.
+"""
+
+import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from qchaos.cli import main, parse_phase
+from qchaos.cli import _emit, main, parse_phase
 from qchaos import RationalPhase
 
-SCHEMA = json.loads(
-    (Path(__file__).parent.parent / "src" / "qchaos" / "schemas" /
-     "output.schema.json").read_text())
+SRC = Path(__file__).parent.parent / "src"
+SCHEMA = json.loads((SRC / "qchaos" / "schemas" / "output.schema.json").read_text())
 
 
 def run_cli(args, tmp_path, name="out.json"):
-    """Run a command writing JSON to a temp file; return (exit code, doc)."""
+    """Run a command writing JSON to a temp file; return (exit code, doc).
+
+    Every document of a successful run is validated against the schema."""
     dest = tmp_path / name
     code = main([*args, "--json", str(dest)])
     doc = json.loads(dest.read_text()) if dest.exists() else None
+    if code == 0:
+        jsonschema.validate(doc, SCHEMA)
     return code, doc
 
 
@@ -51,7 +62,6 @@ class TestAnalyze:
         code, doc = run_cli(["analyze", "--phi", "0", "--psi", "1", "--k-max", "4"],
                             tmp_path)
         assert code == 0
-        jsonschema.validate(doc, SCHEMA)
         assert doc["rationality"] == "rational"
         assert doc["idempotency"]["order"] == 2
         verdicts = [row["verdict"] for row in doc["scan"]]
@@ -117,9 +127,21 @@ class TestScan:
     def test_rows_only(self, tmp_path):
         code, doc = run_cli(["scan", "--psi", "1/2", "--k-max", "5"], tmp_path)
         assert code == 0
-        jsonschema.validate(doc, SCHEMA)
         assert len(doc["scan"]) == 5
         assert "rationality" not in doc
+
+    def test_quadratic_spec_json_records_recipe(self, tmp_path):
+        src = tmp_path / "src.json"
+        src.write_text(json.dumps({"kind": "quadratic", "a": -1, "b": -1, "t": 3}))
+        code, doc = run_cli(["scan", "--spec-json", str(src), "--k-max", "4"], tmp_path)
+        assert code == 0
+        source = doc["manifest"]["parameters"]["source"]
+        assert source["kind"] == "quadratic"
+        assert (source["spec"]["a"], source["spec"]["b"], source["spec"]["t"]) == (-1, -1, 3)
+        # the rows are those of the built float pair
+        _, ref = run_cli(["analyze", "--spec-json", str(src), "--k-max", "4"],
+                         tmp_path, "ref.json")
+        assert doc["scan"] == ref["scan"]
 
 
 class TestConstruct:
@@ -127,7 +149,6 @@ class TestConstruct:
         code, doc = run_cli(["construct", "chaotic-order-k", "-K", "5",
                              "--k-max", "5"], tmp_path)
         assert code == 0
-        jsonschema.validate(doc, SCHEMA)
         assert doc["construction"]["prime"] == 2
         assert doc["construction"]["source"]["m2"] == 1
         assert doc["construction"]["source"]["p2"] == 2
@@ -139,7 +160,6 @@ class TestConstruct:
         code, doc = run_cli(["construct", "quadratic", "--a", "-2", "--b", "-101",
                              "--t", "8"], tmp_path)
         assert code == 0
-        jsonschema.validate(doc, SCHEMA)
         assert doc["construction"]["s_t"] == 277376354
         psi = doc["analysis"]["phases"]["psi"]
         assert abs(math.cos(psi)) == pytest.approx(0.387, abs=5e-3)
@@ -192,12 +212,36 @@ class TestFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,message", [
+        (["noise", "--psi", "1/2", "--epsilon", "nan"], "epsilon must be >= 0"),
+        (["noise", "--psi", "1/2", "--epsilon", "inf"], "epsilon must be >= 0"),
+        (["noise", "--psi", "1/2", "--epsilon", "1e308"], "epsilon must be >= 0"),
+        (["optimize", "--psi", "1/3", "--match-tol", "nan"], "match-tol must be finite"),
+        (["optimize", "--psi", "1/3", "--match-tol", "inf"], "match-tol must be finite"),
+        (["optimize", "--psi", "1/3", "--match-tol", "-0.001"], "match-tol must be finite"),
+        (["optimize", "--psi", "1/3", "--restarts", "0"], "restarts must be >= 1"),
+        (["optimize", "--psi", "1/3", "--max-iters", "0"], "max_iters must be >= 1"),
+        (["census", "--n", "100", "--threads", "0"], "threads must be >= 1"),
+        (["census", "--n", "100", "--threads", "-3"], "threads must be >= 1"),
+    ], ids=["noise-epsilon-nan", "noise-epsilon-inf", "noise-epsilon-huge",
+            "optimize-match-tol-nan", "optimize-match-tol-inf", "optimize-match-tol-negative",
+            "optimize-restarts-0", "optimize-max-iters-0", "census-threads-0",
+            "census-threads-negative"])
+    def test_out_of_range_value_is_exit_2(self, args, message, tmp_path, capsys):
+        code, doc = run_cli(args, tmp_path)
+        assert code == 2 and doc is None
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_float_is_never_dumped(self, tmp_path):
+        with pytest.raises(ValueError):
+            _emit({"value": math.nan}, argparse.Namespace(json=str(tmp_path / "x.json")))
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestCensus:
     def test_band_and_schema(self, tmp_path):
         code, doc = run_cli(["census", "--n", "100000", "--seed", "1"], tmp_path)
         assert code == 0
-        jsonschema.validate(doc, SCHEMA)
         assert 0.4953 <= doc["census"]["fraction"] <= 0.5047
 
     def test_threads_do_not_change_output(self, tmp_path):
@@ -214,7 +258,6 @@ class TestSimulate:
                              "--steps", "100000", "--seed", "7", "--block-len", "6"],
                             tmp_path)
         assert code == 0
-        jsonschema.validate(doc, SCHEMA)
         assert doc["predicted_rate"] == 1.0
         assert abs(doc["empirical_rate"] - 1.0) < 0.01
 
@@ -245,7 +288,6 @@ class TestNoise:
         code, doc = run_cli(["noise", "--psi", "3/4", "--epsilon", "0.1",
                              "--steps", "1000", "--seed", "3"], tmp_path)
         assert code == 0
-        jsonschema.validate(doc, SCHEMA)
         counts = doc["noise"]["verdict_counts"]
         assert counts["chaotic"] > 0 and counts["non_chaotic"] > 0
         assert sum(counts.values()) == 1000
@@ -264,7 +306,6 @@ class TestOptimize:
         code, doc = run_cli(["optimize", "--phi", "0", "--psi", "1/3",
                              "--restarts", "8", "--seed", "1"], tmp_path)
         assert code == 0
-        jsonschema.validate(doc, SCHEMA)
         body = doc["optimize"]
         assert body["matches_closed_form"] is True
         assert body["abs_diff"] <= 1e-3
@@ -307,6 +348,28 @@ class TestDeterminism:
         _, a = run_cli(args, tmp_path, "a.json")
         _, b = run_cli(args, tmp_path, "b.json")
         assert stripped(a) == stripped(b)
+
+
+IMPORT_PROBE = """
+import sys
+import qchaos.cli
+
+def heavy():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema"))
+
+after_import = heavy()
+code = qchaos.cli.main(["analyze", "--psi", "1/2", "--json", sys.argv[1]])
+print(repr((code, after_import, heavy())))
+"""
+
+
+class TestImports:
+    def test_cli_loads_neither_scipy_nor_jsonschema(self, tmp_path):
+        """Only the optimizer needs scipy, and only the tests need jsonschema."""
+        out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "a.json")],
+                             env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout.strip() == repr((0, [], []))
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
