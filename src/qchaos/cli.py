@@ -113,13 +113,16 @@ def resolve_source(args):
     return EigenphasePair(_to_radians(phi), _to_radians(psi))
 
 
-def _resolve_built(args):
-    """(source, pair): the CLI source as given, and its float pair, built from
-    the recipe when the source is a quadratic recipe."""
-    source = resolve_source(args)
+def _built(source):
+    """(target, pair, build) of a source: what a scan runs on (a rational spec
+    itself, so that its scan stays exact, otherwise the float pair), the float
+    pair, and the quadratic build when the source is a recipe, else None."""
     if isinstance(source, QuadraticRecipe):
-        return source, build_quadratic_unitary(source.seed, source.t).pair
-    return source, (source.pair() if isinstance(source, ExactUnitarySpec) else source)
+        build = build_quadratic_unitary(source.seed, source.t)
+        return build.pair, build.pair, build
+    if isinstance(source, ExactUnitarySpec):
+        return source, source.pair(), None
+    return source, source, None
 
 
 def _round_floats(obj, digits: int = 12):
@@ -172,25 +175,20 @@ def _source_doc(source) -> dict:
 
 def _analysis_body(source, k_max: int, n_cap: int) -> dict:
     """Scan + per-order closed-form entropy + idempotency/rationality block."""
-    built = None
-    if isinstance(source, QuadraticRecipe):
-        built = build_quadratic_unitary(source.seed, source.t)
-        pair_or_spec = built.pair
+    target, pair, built = _built(source)
+    if built is not None:
         rationality = IRRATIONAL_CERTIFIED
         idem = IdempotencyResult(order=None, reason="irrational_phase")
         projective = None
     elif isinstance(source, ExactUnitarySpec):
-        pair_or_spec = source
         rationality = RATIONAL
         idem = idempotency_order(source, n_cap)
         projective = projective_idempotency_order(source, n_cap)
     else:
-        pair_or_spec = source
         rationality = UNKNOWN
         idem = IdempotencyResult(order=None, reason="unknown_phase_rationality")
         projective = None
-    report = chaoticity_scan(pair_or_spec, k_max)
-    pair = pair_or_spec.pair() if isinstance(pair_or_spec, ExactUnitarySpec) else pair_or_spec
+    report = chaoticity_scan(target, k_max)
     body = {
         "input": _source_doc(source),
         "phases": {"phi": pair.phi, "psi": pair.psi},
@@ -220,9 +218,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    source, pair = _resolve_built(args)
-    exact = isinstance(source, ExactUnitarySpec)  # a rational spec is scanned exactly
-    report = chaoticity_scan(source if exact else pair, args.k_max)
+    source = resolve_source(args)
+    report = chaoticity_scan(_built(source)[0], args.k_max)
     doc = {
         "manifest": _manifest("scan", {"source": _source_doc(source),
                                        "k_max": args.k_max}, None),
@@ -285,7 +282,7 @@ _BASIS_CHOICES = {
 
 
 def cmd_simulate(args) -> int:
-    _, pair = _resolve_built(args)
+    _, pair, _ = _built(resolve_source(args))
     u = Unitary2.from_pair(pair).matrix
     if args.basis == "optimized":
         basis = pvm_entropy_optimize(u, OptimizerOptions(seed=args.seed,
@@ -320,7 +317,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    _, pair = _resolve_built(args)
+    _, pair, _ = _built(resolve_source(args))
     cfg = NoiseConfig(epsilon=args.epsilon, steps=args.steps, seed=args.seed)
     walk = noisy_phase_walk(pair, cfg)
     counts: dict[str, int] = {"chaotic": 0, "non_chaotic": 0, "boundary": 0}
@@ -356,7 +353,7 @@ def cmd_optimize(args) -> int:
     if args.unitary_json:
         u = _load_unitary_json(args.unitary_json)
     else:
-        _, pair = _resolve_built(args)
+        _, pair, _ = _built(resolve_source(args))
         u = Unitary2.from_pair(pair).matrix
     opts = OptimizerOptions(restarts=args.restarts, max_iters=args.max_iters,
                             seed=args.seed, threads=args.threads)

@@ -220,6 +220,14 @@ class OptimizerOptions:
     seed: int = 0
     threads: int = 1
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+
 
 # Plane pairs acted on by successive Givens-with-phase factors, per dimension.
 _PLANES = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
@@ -306,9 +314,6 @@ def pvm_entropy_optimize(u, opts: OptimizerOptions | None = None) -> EntropyResu
     d = m.shape[0]
     if d not in _PLANES:
         raise ValueError(f"unsupported dimension {d}; only d in (2, 3)")
-    for name in ("restarts", "max_iters", "threads"):
-        if getattr(opts, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(opts, name)}")
     n_params = d * (d - 1)
     neg = _neg_rate_d2(m) if d == 2 else _neg_rate_generic(m, d)
 

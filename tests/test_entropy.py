@@ -221,6 +221,11 @@ class TestMarkovEntropyRate:
 
 
 class TestOptimizer:
+    @pytest.mark.parametrize("field", ["restarts", "max_iters", "threads"])
+    def test_options_reject_counts_below_one(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            OptimizerOptions(**{field: 0})
+
     def test_identity_gives_zero(self):
         res = pvm_entropy_optimize(np.eye(2), OptimizerOptions(restarts=4))
         assert res.value == pytest.approx(0.0, abs=1e-9)
