@@ -2,16 +2,20 @@
 
 Drawing psi uniformly on [0, 2*pi) and completing the SU(2) pair, the chaotic
 condition |cos psi| <= 2^(-1/2) carves out intervals of total measure pi, so
-the chaotic fraction is a binomial experiment around 1/2.  Uniform phase
+the chaotic fraction is a binomial experiment around 1/2 (``boundary``
+draws, within the rounding band of sqrt(2), are not counted).  Uniform phase
 noise phi -> phi + lambda, psi -> psi - lambda keeps the pair in SU(2) but
-can push it across the boundary when the margin is small.
+can push it across the boundary when the margin is small.  The walk comes
+back as arrays: per-step phases, |tr| and verdict codes.
 """
 
 import math
 
+import numpy as np
+
 from qchaos import (
     NoiseConfig,
-    VerdictLabel,
+    VERDICT_LABELS,
     make_su2_from_psi,
     monte_carlo_chaotic_fraction,
     noisy_phase_walk,
@@ -32,10 +36,8 @@ assert again == monte_carlo_chaotic_fraction(10 ** 5, seed=1)
 def walk_summary(psi_over_pi, eps, steps=2000, seed=5):
     base = make_su2_from_psi(psi_over_pi * math.pi)
     walk = noisy_phase_walk(base, NoiseConfig(epsilon=eps, steps=steps, seed=seed))
-    counts = {label: 0 for label in VerdictLabel}
-    for _, verdict in walk:
-        counts[verdict.label] += 1
-    return {k.value: v for k, v in counts.items() if v}
+    counts = np.bincount(walk.codes, minlength=len(VERDICT_LABELS))
+    return {label.value: int(n) for label, n in zip(VERDICT_LABELS, counts) if n}
 
 
 print("\nnoise on a deep-in-the-window unitary (psi = pi/2, margin pi/4):")

@@ -24,7 +24,6 @@ from .phases import (
     power_eigenphases,
     rational_phase_order,
     require_unitary,
-    trace_magnitude,
 )
 from .entropy import (
     EntropyResult,
@@ -48,15 +47,19 @@ from .chaoticity import (
     IdempotencyCapError,
     IdempotencyResult,
     SQRT2,
+    VERDICT_LABELS,
     Verdict,
     VerdictLabel,
+    boundary_half_width,
     chaotic_order_fraction,
     chaoticity_scan,
     exact_theta_fraction,
     first_nonchaotic_order,
     idempotency_order,
+    order_verdicts,
     projective_idempotency_order,
     theta_at_order,
+    trace_magnitude,
     verdict_at_order,
     verdict_of,
 )

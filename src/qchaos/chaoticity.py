@@ -1,9 +1,11 @@
 """Chaoticity verdicts, order-K scans and exact idempotency detection.
 
 A qubit unitary is chaotic (its PVM entropy attains the 1-bit maximum) exactly
-when |tr U| <= sqrt(2); chaoticity to order K is the same test on U^K.  The
-threshold is sensitive, so verdicts are tri-state: inside, outside, or within
-BOUNDARY_TOL of sqrt(2).
+when |tr U| <= sqrt(2); chaoticity to order K is the same test on U^K.  Every
+verdict comes from one kernel, ``order_verdicts``: rational specs are decided
+exactly from integers (``boundary`` only at |tr| = sqrt(2) exactly), float
+pairs within ``boundary_half_width(K)`` of sqrt(2) are ``boundary``, and
+``boundary`` never counts as chaotic.
 
 Idempotency (U^n = I, strictly, global phase included) is decidable only for
 exact rational phases; floating pairs are never declared idempotent.
@@ -17,21 +19,21 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import eta, qubit_entropy_closed, theta_of
+from .entropy import qubit_entropy_of_theta
 from .phases import (
     EigenphasePair,
     ExactUnitarySpec,
     RationalPhase,
-    power_eigenphases,
+    TWO_PI,
     rational_phase_order,
-    trace_magnitude,
 )
 
 SQRT2 = math.sqrt(2.0)
-#: Half-width of the boundary band around sqrt(2).
+#: Half-width of the boundary band around sqrt(2), before rounding is added.
 BOUNDARY_TOL = 1e-9
 
 
@@ -39,6 +41,12 @@ class VerdictLabel(str, enum.Enum):
     CHAOTIC = "chaotic"
     NON_CHAOTIC = "non_chaotic"
     BOUNDARY = "boundary"
+
+
+#: The labels indexed by the kernel's verdict codes: how many of the two band
+#: edges sqrt(2) - w and sqrt(2) + w the trace magnitude has reached.
+VERDICT_LABELS = (VerdictLabel.CHAOTIC, VerdictLabel.BOUNDARY, VerdictLabel.NON_CHAOTIC)
+CHAOTIC, BOUNDARY, NON_CHAOTIC = range(3)
 
 
 @dataclass(frozen=True)
@@ -50,56 +58,101 @@ class Verdict:
     def margin(self) -> float:
         return abs(self.trace_mag - SQRT2)
 
-    @property
-    def is_chaotic(self) -> bool:
-        return self.label is VerdictLabel.CHAOTIC
 
-    @classmethod
-    def from_trace_mag(cls, tm: float) -> "Verdict":
-        if tm < SQRT2 - BOUNDARY_TOL:
-            return cls(VerdictLabel.CHAOTIC, tm)
-        if tm > SQRT2 + BOUNDARY_TOL:
-            return cls(VerdictLabel.NON_CHAOTIC, tm)
-        return cls(VerdictLabel.BOUNDARY, tm)
+def boundary_half_width(k):
+    """Half-width of the float-pair band around sqrt(2) at order K.
+
+    A phase in [0, 2*pi) is within half an ulp, 2*pi*2^-53, of the value it
+    stands for; K multiplies that and rounding K*phi adds as much again, so
+    d = fmod(K*phi) - fmod(K*psi) (fmod is exact) is off by 2*K*2*pi*2^-52.
+    |tr| = 2|cos(d/2)| is 1-Lipschitz in d, and the subtraction, the cosine
+    and sqrt(2) itself add at most 4 ulps (2^-52 each) near sqrt(2).
+    """
+    return BOUNDARY_TOL + (2.0 * TWO_PI * k + 4.0) * 2.0 ** -52
+
+
+class OrderVerdicts(NamedTuple):
+    """theta_K (None for raw differences), |tr U^K| and verdict codes (indices
+    into VERDICT_LABELS)."""
+
+    theta: np.ndarray | None
+    trace_mag: np.ndarray
+    codes: np.ndarray
+
+
+def _theta_units(spec: ExactUnitarySpec, ks: np.ndarray) -> tuple[np.ndarray, int]:
+    """(t, L) with theta_K = t*pi/L, L = lcm(p1, p2), from residues mod 2L.
+
+    Both phases are integers a_i mod 2L in units of pi/L; (K mod 2L)*a_i stays
+    below 2^62 when 2L <= 2^31, and is taken in Python integers otherwise.
+    """
+    big = math.lcm(spec.phase1.p, spec.phase2.p)
+    two = 2 * big
+    r = (ks if two <= 1 << 31 else ks.astype(object)) % two
+    d = np.abs(r * (spec.phase1.m * (big // spec.phase1.p)) % two
+               - r * (spec.phase2.m * (big // spec.phase2.p)) % two)
+    return np.minimum(d, two - d), big
+
+
+def order_verdicts(source, ks=1) -> OrderVerdicts:
+    """The trace/verdict kernel: theta_K, |tr U^K| and verdict codes per order K.
+
+    ``source`` is an ExactUnitarySpec (chaotic iff 2t > L, boundary iff
+    2t = L; |tr| is exactly 2 at t = 0 and 0 at t = L), an EigenphasePair
+    (d = fmod(K*phi) - fmod(K*psi)), or an array of differences d = phi - psi
+    of U^K, as the census and the noise walk pass with K = 1 (theta is then
+    None).  In every case |tr| = 2|cos(d/2)|.
+    """
+    ks = np.asarray(ks)
+    if ks.min() < 1:
+        raise ValueError(f"order must be a positive integer, got {ks.min()}")
+    exact = isinstance(source, ExactUnitarySpec)
+    if exact:
+        t, big = _theta_units(source, ks)
+        d = theta = np.asarray(t / big, dtype=float) * math.pi
+    elif isinstance(source, EigenphasePair):
+        kf = ks.astype(float)
+        d = np.fmod(kf * source.phi, TWO_PI) - np.fmod(kf * source.psi, TWO_PI)
+        theta = np.minimum(np.abs(d), TWO_PI - np.abs(d))
+    else:
+        d, theta = np.asarray(source, dtype=float), None
+    trace_mag = 2.0 * np.abs(np.cos(d / 2.0))
+    if exact:  # 2t - L has the sign of sqrt(2) - |tr|
+        trace_mag = np.where(t == big, 0.0, trace_mag)
+        margin, w = 2 * t - big, 0
+    else:
+        margin, w = SQRT2 - trace_mag, boundary_half_width(ks.astype(float))
+    codes = (margin <= w).astype(np.int8) + (margin < -w)
+    return OrderVerdicts(theta, trace_mag, codes)
+
+
+def verdict_at_order(u, k: int) -> Verdict:
+    """Chaoticity verdict of U^k; u is an EigenphasePair or ExactUnitarySpec."""
+    res = order_verdicts(u, [k])
+    return Verdict(VERDICT_LABELS[res.codes[0]], float(res.trace_mag[0]))
 
 
 def verdict_of(pair: EigenphasePair) -> Verdict:
     """Tri-state chaoticity verdict from the sqrt(2) trace test."""
-    return Verdict.from_trace_mag(trace_magnitude(pair))
+    return verdict_at_order(pair, 1)
+
+
+def trace_magnitude(pair: EigenphasePair) -> float:
+    """|e^{i phi} + e^{i psi}| = 2 |cos((phi - psi)/2)|, in [0, 2]; global phases drop out."""
+    return verdict_at_order(pair, 1).trace_mag
 
 
 def exact_theta_fraction(spec: ExactUnitarySpec, k: int) -> Fraction:
     """theta/pi of the k-th power of an exact spec, as an exact Fraction in [0, 1]."""
     if k < 1:
         raise ValueError(f"order must be a positive integer, got {k}")
-    f1, f2 = spec.phase_fractions()
-    d = abs((k * f1) % 2 - (k * f2) % 2)
-    return min(d, 2 - d)
-
-
-def _trace_mag_from_theta_fraction(tf: Fraction) -> float:
-    # theta = tf*pi; trace magnitude 2*cos(theta/2) is exact at both endpoints
-    if tf == 0:
-        return 2.0
-    if tf == 1:
-        return 0.0
-    return 2.0 * math.cos(float(tf) * math.pi / 2.0)
+    t, big = _theta_units(spec, np.asarray([k]))
+    return Fraction(int(t[0]), big)
 
 
 def theta_at_order(u, k: int) -> float:
     """theta of the k-th power, exact for rational specs (pi comes out exact)."""
-    if isinstance(u, ExactUnitarySpec):
-        return float(exact_theta_fraction(u, k)) * math.pi
-    return theta_of(power_eigenphases(u, k))
-
-
-def verdict_at_order(u, k: int) -> Verdict:
-    """Chaoticity verdict of U^k; u is an EigenphasePair or ExactUnitarySpec."""
-    if isinstance(u, ExactUnitarySpec):
-        return Verdict.from_trace_mag(_trace_mag_from_theta_fraction(exact_theta_fraction(u, k)))
-    if k < 1:
-        raise ValueError(f"order must be a positive integer, got {k}")
-    return verdict_of(power_eigenphases(u, k))
+    return float(order_verdicts(u, [k]).theta[0])
 
 
 @dataclass(frozen=True)
@@ -131,41 +184,19 @@ class ChaoticityReport:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["K", "theta", "H", "trace_mag", "verdict"])
-        for r in self.records:
-            w.writerow([r.k, repr(r.theta), repr(r.entropy_bits),
-                        repr(r.trace_mag), r.verdict.value])
+        w.writerows(r.to_json_row().values() for r in self.records)  # floats as repr
         return buf.getvalue()
-
-
-def _exact_record(spec: ExactUnitarySpec, k: int) -> ChaoticityRecord:
-    tf = exact_theta_fraction(spec, k)
-    tm = _trace_mag_from_theta_fraction(tf)
-    # branch on theta >= pi/2 exactly; the closed form is continuous there
-    if tf >= Fraction(1, 2):
-        h = 1.0
-    elif tf == 0:
-        h = 0.0
-    else:
-        c = math.cos(float(tf) * math.pi / 2.0) ** 2
-        h = eta(c) + eta(1.0 - c)
-    return ChaoticityRecord(k, float(tf) * math.pi, h, tm, Verdict.from_trace_mag(tm).label)
 
 
 def chaoticity_scan(u, k_max: int) -> ChaoticityReport:
     """Scan orders 1..k_max; exact phase reduction when u is an ExactUnitarySpec."""
     if k_max < 1:
         raise ValueError(f"k_max must be a positive integer, got {k_max}")
-    records = []
-    if isinstance(u, ExactUnitarySpec):
-        records = [_exact_record(u, k) for k in range(1, k_max + 1)]
-    else:
-        for k in range(1, k_max + 1):
-            pk = power_eigenphases(u, k)
-            tm = trace_magnitude(pk)
-            records.append(ChaoticityRecord(k, theta_of(pk),
-                                            qubit_entropy_closed(pk).value, tm,
-                                            Verdict.from_trace_mag(tm).label))
-    return ChaoticityReport(tuple(records))
+    res = order_verdicts(u, np.arange(1, k_max + 1))
+    return ChaoticityReport(tuple(
+        ChaoticityRecord(k, th, qubit_entropy_of_theta(th), tm, VERDICT_LABELS[c])
+        for k, th, tm, c in zip(range(1, k_max + 1), res.theta.tolist(),
+                                res.trace_mag.tolist(), res.codes.tolist())))
 
 
 class IdempotencyCapError(ValueError):
@@ -190,11 +221,6 @@ class IdempotencyResult:
         return self.order is not None
 
 
-def _fraction_order(fr: Fraction) -> int:
-    """Smallest n >= 1 with n*fr an even integer (fr in units of pi)."""
-    return rational_phase_order(RationalPhase.from_fraction(fr % 2))
-
-
 def idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000) -> IdempotencyResult:
     """Exact minimal n with U^n = I, global phase included.
 
@@ -206,8 +232,8 @@ def idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000) -> Idempot
     """
     if n_cap < 1:
         raise ValueError(f"n_cap must be a positive integer, got {n_cap}")
-    c1, c2 = spec.combined_fractions()
-    order = math.lcm(_fraction_order(c1), _fraction_order(c2))
+    g = spec.global_phase
+    order = math.lcm(rational_phase_order(g + spec.phase1), rational_phase_order(g + spec.phase2))
     if order > n_cap:
         raise IdempotencyCapError(order, n_cap)
     return IdempotencyResult(order=order,
@@ -218,8 +244,7 @@ def projective_idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000)
     """Smallest n with U^n proportional to the identity (global phase ignored)."""
     if n_cap < 1:
         raise ValueError(f"n_cap must be a positive integer, got {n_cap}")
-    f1, f2 = spec.phase_fractions()
-    order = _fraction_order((f1 - f2) % 2)
+    order = rational_phase_order(spec.phase1 + RationalPhase(-spec.phase2.m, spec.phase2.p))
     if order > n_cap:
         raise IdempotencyCapError(order, n_cap)
     return order
@@ -228,9 +253,12 @@ def projective_idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000)
 _SCAN_CHUNK = 1 << 16
 
 
-def _trace_mags(pair: EigenphasePair, ks: np.ndarray) -> np.ndarray:
-    # |tr U^K| = 2|cos(K*(phi-psi)/2)|; the mod-2pi reduction drops out under |cos|
-    return 2.0 * np.abs(np.cos(ks * (0.5 * (pair.phi - pair.psi))))
+def _chunked_codes(u, k_max: int):
+    """(first order, verdict codes) for orders 1..k_max, a chunk at a time."""
+    if k_max < 1:
+        raise ValueError(f"order bound must be a positive integer, got {k_max}")
+    for start in range(1, k_max + 1, _SCAN_CHUNK):
+        yield start, order_verdicts(u, np.arange(start, min(start + _SCAN_CHUNK, k_max + 1))).codes
 
 
 def first_nonchaotic_order(pair: EigenphasePair, k_bound: int) -> int | None:
@@ -239,22 +267,14 @@ def first_nonchaotic_order(pair: EigenphasePair, k_bound: int) -> int | None:
     None is not a proof of chaoticity to all orders; it only reports that no
     violation was seen below the bound.
     """
-    if k_bound < 1:
-        raise ValueError(f"k_bound must be a positive integer, got {k_bound}")
-    for start in range(1, k_bound + 1, _SCAN_CHUNK):
-        ks = np.arange(start, min(start + _SCAN_CHUNK, k_bound + 1), dtype=float)
-        hits = np.nonzero(_trace_mags(pair, ks) > SQRT2 + BOUNDARY_TOL)[0]
+    for start, codes in _chunked_codes(pair, k_bound):
+        hits = np.flatnonzero(codes == NON_CHAOTIC)
         if hits.size:
             return start + int(hits[0])
     return None
 
 
 def chaotic_order_fraction(pair: EigenphasePair, k_max: int) -> float:
-    """Fraction of orders K in 1..k_max with a strictly chaotic verdict."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be a positive integer, got {k_max}")
-    count = 0
-    for start in range(1, k_max + 1, _SCAN_CHUNK):
-        ks = np.arange(start, min(start + _SCAN_CHUNK, k_max + 1), dtype=float)
-        count += int(np.sum(_trace_mags(pair, ks) < SQRT2 - BOUNDARY_TOL))
-    return count / k_max
+    """Fraction of orders K in 1..k_max with a chaotic (not boundary) verdict."""
+    return sum(int(np.count_nonzero(codes == CHAOTIC))
+               for _, codes in _chunked_codes(pair, k_max)) / k_max

@@ -4,7 +4,9 @@ Every command emits a JSON document with an embedded run manifest (command,
 resolved parameters, seed, version, timestamp).  Re-running a command with
 the same arguments reproduces the document bit-identically apart from the
 timestamp, for any --threads setting.  Flags are registered only on the
-commands they act on, so an inapplicable flag is an argparse error.  The
+commands they act on, so an inapplicable flag is an argparse error; --threads
+is taken by census, optimize and simulate (which run worker pools) and by
+noise, whose determinism is checked across thread counts like theirs.  The
 documents follow ``schemas/output.schema.json``; that schema is the output
 contract, checked by the test suite rather than on every run.  Exit codes:
 0 success, 2 validation error.
@@ -23,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .chaoticity import (
+    VERDICT_LABELS,
     IdempotencyResult,
     chaoticity_scan,
     idempotency_order,
@@ -84,11 +87,6 @@ def parse_phase(text: str):
         return mod_2pi(float(text) * math.pi)
 
 
-def _su2_completion(ph: RationalPhase) -> RationalPhase:
-    """The phase that makes (phi, psi) unimodular: phi = (2 - psi/pi) * pi."""
-    return RationalPhase.from_fraction((2 - ph.fraction) % 2)
-
-
 def _to_radians(v) -> float:
     return v.radians() if isinstance(v, RationalPhase) else v
 
@@ -102,9 +100,9 @@ def resolve_source(args):
     psi = parse_phase(args.psi) if getattr(args, "psi", None) is not None else None
     if psi is None:
         raise ValueError("a unitary source is required: --psi, --phi/--psi or --spec-json")
-    if phi is None:  # SU(2) completion from the single phase
+    if phi is None:  # SU(2) completion from the single phase: phi = -psi mod 2*pi
         if isinstance(psi, RationalPhase):
-            return ExactUnitarySpec(_su2_completion(psi), psi,
+            return ExactUnitarySpec(RationalPhase(-psi.m, psi.p), psi,
                                     g if isinstance(g, RationalPhase) else RationalPhase(0))
         return make_su2_from_psi(psi)
     if (isinstance(phi, RationalPhase) and isinstance(psi, RationalPhase)
@@ -231,32 +229,26 @@ def cmd_scan(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    params: dict = {"kind": args.kind}
+    construction: dict = {"kind": args.kind}
     if args.kind == "rational":
-        spec = build_rational_unitary(parse_phase(args.phase1), parse_phase(args.phase2),
-                                      parse_phase(args.global_phase) if args.global_phase
-                                      else RationalPhase(0))
-        construction = {"kind": "rational", "source": source_to_json(spec)}
-        params.update(construction["source"])
-        result_source = spec
+        source = build_rational_unitary(parse_phase(args.phase1), parse_phase(args.phase2),
+                                        parse_phase(args.global_phase) if args.global_phase
+                                        else RationalPhase(0))
+        params = source_to_json(source)
     elif args.kind == "chaotic-order-k":
-        spec, prime = build_chaotic_order(args.order)
-        construction = {"kind": "chaotic-order-k", "order": args.order, "prime": prime,
-                        "source": source_to_json(spec)}
-        params.update({"order": args.order})
-        result_source = spec
-    elif args.kind == "quadratic":
-        recipe = QuadraticRecipe(args.a, args.b, args.t)
-        construction = {"kind": "quadratic", "source": source_to_json(recipe)}
-        params.update({"a": args.a, "b": args.b, "t": args.t})
-        result_source = recipe
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown construction kind {args.kind!r}")
+        source, prime = build_chaotic_order(args.order)
+        construction.update(order=args.order, prime=prime)
+        params = {"order": args.order}
+    else:  # argparse allows only the three kinds
+        source = QuadraticRecipe(args.a, args.b, args.t)
+        params = {"a": args.a, "b": args.b, "t": args.t}
+    construction["source"] = source_to_json(source)
+    params["kind"] = args.kind
 
-    body, _ = _analysis_body(result_source, args.k_max, args.n_cap)
+    body, _ = _analysis_body(source, args.k_max, args.n_cap)
     if args.kind == "quadratic":  # the analysis built the pair; reuse its build
         construction.update(body["quadratic_build"], trace_values=list(
-            quadratic_trace_sequence(recipe.seed, recipe.t).values))
+            quadratic_trace_sequence(source.seed, source.t).values))
     doc = {"manifest": _manifest("construct", params, None),
            "construction": construction, "analysis": body}
     _emit(doc, args)
@@ -320,9 +312,8 @@ def cmd_noise(args) -> int:
     _, pair, _ = _built(resolve_source(args))
     cfg = NoiseConfig(epsilon=args.epsilon, steps=args.steps, seed=args.seed)
     walk = noisy_phase_walk(pair, cfg)
-    counts: dict[str, int] = {"chaotic": 0, "non_chaotic": 0, "boundary": 0}
-    for _, verdict in walk:
-        counts[verdict.label.value] += 1
+    labels = [label.value for label in VERDICT_LABELS]
+    counts = dict(zip(labels, np.bincount(walk.codes, minlength=len(labels)).tolist()))
     doc = {
         "manifest": _manifest("noise", {"phi": pair.phi, "psi": pair.psi,
                                         "epsilon": args.epsilon, "steps": args.steps},
@@ -335,8 +326,10 @@ def cmd_noise(args) -> int:
         },
     }
     if args.full:
-        doc["noise"]["walk"] = [{"phi": p.phi, "psi": p.psi, "trace_mag": v.trace_mag,
-                                 "verdict": v.label.value} for p, v in walk]
+        doc["noise"]["walk"] = [
+            {"phi": p, "psi": q, "trace_mag": tm, "verdict": labels[c]}
+            for p, q, tm, c in zip(walk.phi.tolist(), walk.psi.tolist(),
+                                   walk.trace_mag.tolist(), walk.codes.tolist())]
     _emit(doc, args)
     return 0
 
@@ -381,8 +374,8 @@ def cmd_optimize(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = False, csv: bool = False,
-                out: bool = False) -> None:
-    """--json and --threads everywhere; --seed, --csv and --out where they act."""
+                out: bool = False, threads: bool = False) -> None:
+    """--json everywhere; --seed, --csv, --out and --threads where they act."""
     if seed:
         p.add_argument("--seed", type=int, default=0,
                        help="64-bit seed of the command's random streams")
@@ -393,8 +386,9 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = False, csv: bool = Fals
     if out:
         p.add_argument("--out", metavar="PREFIX",
                        help="output prefix for the stream and sidecar files")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap; results are independent of this value")
+    if threads:
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker cap; results are independent of this value")
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
@@ -426,35 +420,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a unitary family member and analyze it")
     kinds = p.add_subparsers(dest="kind", required=True)
-
     pr = kinds.add_parser("rational", help="exact rational-phase unitary")
     pr.add_argument("phase1", help="first inner phase, units of pi (e.g. 1/4)")
     pr.add_argument("phase2", help="second inner phase, units of pi")
     pr.add_argument("--global-phase", help="prefactor phase, units of pi")
-    pr.add_argument("--k-max", type=int, default=8)
-    pr.add_argument("--n-cap", type=int, default=1_000_000)
-    _add_common(pr)
-    pr.set_defaults(func=cmd_construct)
-
     pk = kinds.add_parser("chaotic-order-k", help="unitary chaotic at a prescribed order")
     pk.add_argument("--order", "-K", type=int, required=True)
-    pk.add_argument("--k-max", type=int, default=8)
-    pk.add_argument("--n-cap", type=int, default=1_000_000)
-    _add_common(pk)
-    pk.set_defaults(func=cmd_construct)
-
     pq = kinds.add_parser("quadratic", help="non-idempotent pair from a quadratic seed")
-    pq.add_argument("--a", type=int, required=True)
-    pq.add_argument("--b", type=int, required=True)
-    pq.add_argument("--t", type=int, required=True)
-    pq.add_argument("--k-max", type=int, default=8)
-    pq.add_argument("--n-cap", type=int, default=1_000_000)
-    _add_common(pq)
-    pq.set_defaults(func=cmd_construct)
+    for name in ("--a", "--b", "--t"):
+        pq.add_argument(name, type=int, required=True)
+    for p in (pr, pk, pq):
+        p.add_argument("--k-max", type=int, default=8)
+        p.add_argument("--n-cap", type=int, default=1_000_000)
+        _add_common(p)
+        p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("census", help="uniform-psi chaotic-fraction census")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, seed=True)
+    _add_common(p, seed=True, threads=True)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("simulate", help="sample a measured trajectory and estimate its rate")
@@ -464,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=int, default=1,
                    help="measure after every period-th application")
     p.add_argument("--block-len", type=int, default=8)
-    _add_common(p, seed=True, out=True)
+    _add_common(p, seed=True, out=True, threads=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("noise", help="uniform phase-noise walk with per-step verdicts")
@@ -472,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--full", action="store_true", help="include every walk step")
-    _add_common(p, seed=True)
+    _add_common(p, seed=True, threads=True)
     p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("optimize", help="variational PVM entropy over measurement bases")
@@ -482,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--match-tol", type=float, default=1e-3)
-    _add_common(p, seed=True)
+    _add_common(p, seed=True, threads=True)
     p.set_defaults(func=cmd_optimize)
 
     return parser

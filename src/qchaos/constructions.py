@@ -33,12 +33,11 @@ import json
 import math
 from dataclasses import dataclass
 
+from .chaoticity import CHAOTIC, order_verdicts
 from .phases import EigenphasePair, ExactUnitarySpec, RationalPhase
 
 #: Fraction bits of the exact residue: a float significand plus guard bits.
 _RESIDUE_BITS = 53 + 64
-
-_INV_SQRT2 = 2.0 ** -0.5
 
 
 @dataclass(frozen=True)
@@ -192,18 +191,17 @@ def build_chaotic_order(k: int, prime_cap: int = 10_000) -> tuple[ExactUnitarySp
     """Rational-phase unitary whose k-th power is chaotic, plus the prime used.
 
     Takes the smallest prime p2 not dividing k with |cos(pi k / p2)| <= 1/sqrt(2)
-    and sets psi = pi/p2, phi = (2 p2 - 1) pi / p2 (the SU(2) completion).  The
-    result is exactly rational, hence idempotent of some finite order.
+    and sets psi = pi/p2, phi = (2 p2 - 1) pi / p2 (the SU(2) completion); the
+    test is the exact rational verdict at order k.  The result is exactly
+    rational, hence idempotent of some finite order.
     """
     if k < 1:
         raise ValueError(f"order must be a positive integer, got {k}")
     for p in _primes(prime_cap):
         if k % p == 0:
             continue
-        # reduce k mod 2p exactly before the cosine; no precision loss for huge k
-        r = k % (2 * p)
-        if abs(math.cos(math.pi * r / p)) <= _INV_SQRT2:
-            spec = ExactUnitarySpec(RationalPhase(2 * p - 1, p), RationalPhase(1, p))
+        spec = ExactUnitarySpec(RationalPhase(2 * p - 1, p), RationalPhase(1, p))
+        if order_verdicts(spec, [k]).codes[0] == CHAOTIC:
             return spec, p
     raise ValueError(f"no qualifying prime below {prime_cap} for order {k}")
 

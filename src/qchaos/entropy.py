@@ -121,13 +121,17 @@ class EntropyResult:
                 raise ValueError(f"qubit entropy cannot exceed 1 bit, got {self.value}")
 
 
+def qubit_entropy_of_theta(th: float) -> float:
+    """Closed-form qubit PVM entropy in bits from the eigenphase distance theta."""
+    if th >= math.pi / 2.0:
+        return 1.0
+    c = math.cos(0.5 * th) ** 2
+    return eta(c) + eta(1.0 - c)
+
+
 def qubit_entropy_closed(pair: EigenphasePair) -> EntropyResult:
     """Closed-form PVM entropy of a qubit unitary with the given eigenphases."""
-    th = theta_of(pair)
-    if th >= math.pi / 2.0:
-        return EntropyResult(1.0, method="closed_form")
-    c = math.cos(0.5 * th) ** 2
-    return EntropyResult(eta(c) + eta(1.0 - c), method="closed_form")
+    return EntropyResult(qubit_entropy_of_theta(theta_of(pair)), method="closed_form")
 
 
 def require_density_matrix(rho, tol: float = GRAM_TOL) -> np.ndarray:
@@ -325,11 +329,8 @@ def pvm_entropy_optimize(u, opts: OptimizerOptions | None = None) -> EntropyResu
         )
         return -float(res.fun), res.x
 
-    if opts.threads > 1:
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            results = list(pool.map(run_restart, range(opts.restarts)))
-    else:
-        results = [run_restart(r) for r in range(opts.restarts)]
+    with ThreadPoolExecutor(max_workers=opts.threads) as pool:
+        results = list(pool.map(run_restart, range(opts.restarts)))
 
     best_value, best_x = -1.0, None
     for value, x in results:  # earliest restart wins ties: deterministic merge

@@ -26,16 +26,12 @@ PHASE_TOL = 1e-12
 UNITARY_TOL = 1e-12
 
 
-def mod_2pi(x: float) -> float:
-    """Reduce a finite angle (radians) to [0, 2*pi)."""
-    if not math.isfinite(x):
+def mod_2pi(x):
+    """Reduce a finite angle (radians), or an array of them, to [0, 2*pi)."""
+    if not np.isfinite(x).all():
         raise ValueError(f"angle must be finite, got {x!r}")
-    r = math.fmod(x, TWO_PI)
-    if r < 0.0:
-        r += TWO_PI
-    if r >= TWO_PI:  # fmod rounding can land exactly on 2*pi
-        r -= TWO_PI
-    return r
+    r = x % TWO_PI  # fmod, plus 2*pi where that is negative (-0.0 becomes 0.0)
+    return r - TWO_PI * (r >= TWO_PI)  # r + 2*pi can round up to 2*pi
 
 
 def circular_distance(x: float, y: float) -> float:
@@ -231,11 +227,3 @@ def power_eigenphases(pair: EigenphasePair, k: int) -> EigenphasePair:
         raise ValueError(f"power must be a positive integer, got {k}")
     return EigenphasePair(math.fmod(k * pair.phi, TWO_PI), math.fmod(k * pair.psi, TWO_PI))
 
-
-def trace_magnitude(pair: EigenphasePair) -> float:
-    """|e^{i phi} + e^{i psi}| = 2 |cos((phi - psi)/2)|, in [0, 2].
-
-    Unaffected by any unit-modulus global prefactor, so this is already the
-    trace magnitude of the unimodular representative.
-    """
-    return 2.0 * abs(math.cos(0.5 * (pair.phi - pair.psi)))

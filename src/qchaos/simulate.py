@@ -6,7 +6,8 @@ samples such trajectories reproducibly (every draw comes from a counter-based
 stream keyed by the caller's seed), estimates entropy rates from the sampled
 symbols with a plug-in conditional block estimator, runs the uniform-phase
 chaoticity census, and applies the uniform phase-noise model that perturbs
-(phi, psi) to (phi + lambda, psi - lambda).
+(phi, psi) to (phi + lambda, psi - lambda), returned as arrays.  The census
+and the noise walk take their verdicts from ``chaoticity.order_verdicts``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chaoticity import BOUNDARY_TOL, SQRT2, Verdict, verdict_of
+from .chaoticity import CHAOTIC, order_verdicts
 from .entropy import (
     PvmBasis,
     measurement_probabilities,
@@ -199,17 +200,18 @@ class CensusResult:
 
 def _census_chunk(seed: int, chunk: int, size: int) -> int:
     psis = stream_generator(seed, chunk).uniform(0.0, TWO_PI, size)
-    # trace magnitude of the SU(2) pair built from psi is 2|cos(psi)|;
-    # boundary verdicts count as chaotic (the criterion is <=)
-    return int(np.sum(2.0 * np.abs(np.cos(psis)) <= SQRT2 + BOUNDARY_TOL))
+    # the SU(2) pair of psi has phi - psi = -2 psi mod 2*pi, and |tr| is even
+    # and 2*pi-periodic in it, so d = 2 psi gives |tr| = 2|cos psi| exactly
+    return int(np.count_nonzero(order_verdicts(2.0 * psis).codes == CHAOTIC))
 
 
 def monte_carlo_chaotic_fraction(n_trials: int, seed: int,
                                  threads: int = 1) -> CensusResult:
     """Draw psi uniform on [0, 2*pi), build the SU(2) pair, count chaotic verdicts.
 
-    Trials are split into fixed chunks with one counter-based stream each, so
-    the count is identical for any thread count.
+    ``boundary`` verdicts are not counted.  Trials are split into fixed chunks
+    with one counter-based stream each, so the count is identical for any
+    thread count.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -217,13 +219,8 @@ def monte_carlo_chaotic_fraction(n_trials: int, seed: int,
         raise ValueError(f"threads must be >= 1, got {threads}")
     sizes = [min(CENSUS_CHUNK, n_trials - start)
              for start in range(0, n_trials, CENSUS_CHUNK)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(lambda c: _census_chunk(seed, c, sizes[c]),
-                                   range(len(sizes))))
-    else:
-        counts = [_census_chunk(seed, c, sizes[c]) for c in range(len(sizes))]
-    chaotic = sum(counts)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        chaotic = sum(pool.map(lambda c: _census_chunk(seed, c, sizes[c]), range(len(sizes))))
     return CensusResult(n_trials, chaotic, chaotic / n_trials,
                         3.0 * math.sqrt(0.25 / n_trials))
 
@@ -246,9 +243,17 @@ class NoiseConfig:
             raise ValueError("seed is mandatory and must be an integer")
 
 
-def noisy_phase_walk(base: EigenphasePair,
-                     cfg: NoiseConfig) -> list[tuple[EigenphasePair, Verdict]]:
-    """Per-step perturbed pairs ((phi+lambda) mod 2*pi, (psi-lambda) mod 2*pi).
+class NoiseWalk(NamedTuple):
+    """Per-step phases, |tr| and verdict codes (indices into VERDICT_LABELS)."""
+
+    phi: np.ndarray
+    psi: np.ndarray
+    trace_mag: np.ndarray
+    codes: np.ndarray
+
+
+def noisy_phase_walk(base: EigenphasePair, cfg: NoiseConfig) -> NoiseWalk:
+    """Per-step perturbed phases ((phi+lambda) mod 2*pi, (psi-lambda) mod 2*pi).
 
     lambda is drawn uniformly from [-epsilon*pi, epsilon*pi] each step; the
     perturbation cancels in the phase sum, so a unimodular base stays
@@ -256,11 +261,10 @@ def noisy_phase_walk(base: EigenphasePair,
     """
     half = cfg.epsilon * math.pi
     lambdas = stream_generator(cfg.seed, cfg.stream).uniform(-half, half, cfg.steps)
-    walk = []
-    for lam in lambdas:
-        pair = EigenphasePair(mod_2pi(base.phi + lam), mod_2pi(base.psi - lam))
-        walk.append((pair, verdict_of(pair)))
-    return walk
+    phi = mod_2pi(base.phi + lambdas)
+    psi = mod_2pi(base.psi - lambdas)
+    verdicts = order_verdicts(phi - psi)
+    return NoiseWalk(phi, psi, verdicts.trace_mag, verdicts.codes)
 
 
 class EntropyRateExperiment(NamedTuple):

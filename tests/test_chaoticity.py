@@ -1,12 +1,14 @@
 """Verdicts, order scans, exact idempotency, Kronecker-style order search."""
 
 import csv
+import decimal
 import io
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qchaos import (
     BOUNDARY_TOL,
@@ -16,6 +18,7 @@ from qchaos import (
     RationalPhase,
     SQRT2,
     TWO_PI,
+    VERDICT_LABELS,
     VerdictLabel,
     build_quadratic_unitary,
     build_rational_unitary,
@@ -23,7 +26,9 @@ from qchaos import (
     chaoticity_scan,
     exact_theta_fraction,
     first_nonchaotic_order,
+    boundary_half_width,
     idempotency_order,
+    order_verdicts,
     power_eigenphases,
     projective_idempotency_order,
     QuadraticSeed,
@@ -289,3 +294,126 @@ class TestChaoticFractionEquidistribution:
         # psi = pi/2 spec: orders cycle with period 4 -> exactly half chaotic
         pair = EigenphasePair(3 * PI / 2, PI / 2)
         assert chaotic_order_fraction(pair, 10 ** 4) == pytest.approx(0.5, abs=1e-12)
+
+
+class TestOrderVerdicts:
+    def test_large_denominators_stay_exact(self):
+        # 2 lcm(p1, p2) exceeds 2^31, so the residues are Python integers
+        spec = ExactUnitarySpec(RationalPhase(3, 1_000_003), RationalPhase(5, 999_983))
+        f1, f2 = spec.phase_fractions()
+        for k in (1, 12345, 10 ** 18 + 9, 10 ** 40 + 3):
+            d = abs((k * f1) % 2 - (k * f2) % 2)
+            tf = min(d, 2 - d)
+            assert exact_theta_fraction(spec, k) == tf
+            want = VerdictLabel.CHAOTIC if 2 * tf > 1 else VerdictLabel.NON_CHAOTIC
+            assert verdict_at_order(spec, k).label is want
+
+    def test_exact_boundary_is_exactly_half_pi(self):
+        res = order_verdicts(D8, [1, 2, 8])  # theta = pi/2, pi, 0
+        assert [VERDICT_LABELS[c] for c in res.codes] == [
+            VerdictLabel.BOUNDARY, VerdictLabel.CHAOTIC, VerdictLabel.NON_CHAOTIC]
+        assert res.trace_mag[1] == 0.0 and res.trace_mag[2] == 2.0
+
+    def test_vectorized_matches_per_order_calls(self):
+        ks = np.arange(1, 200)
+        for u in (LUCAS_T3, D8):
+            res = order_verdicts(u, ks)
+            for k, th, tm, c in zip(ks.tolist(), res.theta, res.trace_mag, res.codes):
+                v = verdict_at_order(u, k)
+                assert (VERDICT_LABELS[c], tm, th) == (v.label, v.trace_mag,
+                                                       theta_at_order(u, k))
+
+
+_PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097494459230781640628620899"
+
+
+def lucas_reference(k: int, digits: int = 60):
+    """(2|cos(K (sqrt 5 - 3) pi)|, sqrt 2) to ``digits`` significant digits.
+
+    The Lucas t=3 pair is ((sqrt 5 - 2) pi, (4 - sqrt 5) pi), so
+    (phi - psi)/2 = (sqrt 5 - 3) pi exactly.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        y = abs((k * (ctx.sqrt(decimal.Decimal(5)) - 3)) % 1)
+        x = decimal.Decimal(_PI_DIGITS) * min(y, 1 - y)  # |cos(pi y)| = cos(pi z)
+        x2, term, total, n = x * x, decimal.Decimal(1), decimal.Decimal(1), 0
+        while abs(term) > decimal.Decimal(10) ** -digits:
+            n += 2
+            term = -term * x2 / (n * (n - 1))
+            total += term
+        return 2 * total, ctx.sqrt(decimal.Decimal(2))
+
+
+class TestRoundingAwareBand:
+    @pytest.mark.parametrize("scale", [10 ** 10, 10 ** 14, 10 ** 15])
+    def test_lucas_labels_never_contradict_the_exact_trace(self, scale):
+        # a band that ignores K labels 27/1000 of these orders near 1e14 and
+        # 278/1000 near 1e15 opposite to the exact trace
+        ks = np.random.default_rng(7).integers(scale, 2 * scale, 1000).tolist()
+        wrong, boundary = [], 0
+        for k in ks:
+            tr, sqrt2 = lucas_reference(k)
+            v = verdict_at_order(LUCAS_T3, k)
+            if v.label is VerdictLabel.BOUNDARY:
+                boundary += 1
+            elif v.label is not (VerdictLabel.CHAOTIC if tr < sqrt2
+                                 else VerdictLabel.NON_CHAOTIC):
+                wrong.append(k)
+            if scale <= 10 ** 10:  # the band widens; the trace itself is unchanged
+                pk = power_eigenphases(LUCAS_T3, k)
+                assert v.trace_mag == 2.0 * abs(math.cos(0.5 * (pk.phi - pk.psi)))
+        assert wrong == []
+        if scale == 10 ** 15:  # the band exceeds sqrt(2): nothing can be decided
+            assert boundary == len(ks)
+
+    def test_half_width_grows_with_order(self):
+        assert boundary_half_width(1) - BOUNDARY_TOL < 4e-15
+        assert boundary_half_width(12) - BOUNDARY_TOL < 4e-14
+        assert boundary_half_width(10 ** 15) > SQRT2
+
+
+_rational = st.builds(RationalPhase, st.integers(-400, 400), st.integers(1, 60))
+_specs = st.builds(ExactUnitarySpec, _rational, _rational, _rational)
+_angles = st.floats(0.0, TWO_PI, exclude_max=True)
+# orders up to 1e5 keep the rounding of RationalPhase.radians() (two roundings
+# per phase, one more than the band assumes) well inside BOUNDARY_TOL
+_orders = st.integers(1, 10 ** 5)
+
+
+class TestKernelProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_specs, g=_rational, k=_orders)
+    def test_exact_swap_and_global_phase_invariance(self, spec, g, k):
+        v = verdict_at_order(spec, k)
+        swapped = ExactUnitarySpec(spec.phase2, spec.phase1, spec.global_phase)
+        shifted = ExactUnitarySpec(spec.phase1 + g, spec.phase2 + g, g)
+        assert verdict_at_order(swapped, k) == v  # label and |tr|, bit for bit
+        assert verdict_at_order(shifted, k) == v
+
+    @settings(max_examples=200, deadline=None)
+    @given(phi=_angles, psi=_angles, shift=_angles, k=_orders)
+    def test_float_swap_and_global_phase_invariance(self, phi, psi, shift, k):
+        pair = EigenphasePair(phi, psi)
+        v = verdict_at_order(pair, k)
+        assert verdict_at_order(pair.swapped(), k) == v
+        # the shift is rounded into both phases, so it may move |tr| by a few
+        # K-scaled ulps: inside the band, never across it
+        shifted = verdict_at_order(EigenphasePair(phi + shift, psi + shift), k)
+        assert abs(shifted.trace_mag - v.trace_mag) <= 2 * boundary_half_width(k)
+        assert {shifted.label, v.label} != {VerdictLabel.CHAOTIC, VerdictLabel.NON_CHAOTIC}
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=_specs, k=_orders)
+    def test_exact_and_float_paths_agree_outside_the_band(self, spec, k):
+        floaty = verdict_at_order(spec.pair(), k)
+        assume(floaty.label is not VerdictLabel.BOUNDARY)
+        assert verdict_at_order(spec, k).label is floaty.label
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_specs, j=st.integers(1, 50))
+    def test_trace_is_exactly_two_at_multiples_of_the_idempotency_order(self, spec, j):
+        n = idempotency_order(spec, n_cap=10 ** 12).order
+        res = order_verdicts(spec, n * np.arange(1, j + 1))
+        assert np.all(res.codes == VERDICT_LABELS.index(VerdictLabel.NON_CHAOTIC))
+        assert np.all(res.trace_mag == 2.0)

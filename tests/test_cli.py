@@ -205,7 +205,14 @@ class TestFlags:
         ["analyze", "--psi", "1/2", "--precision-bits", "3"],
         ["analyze", "--psi", "1/2", "--out", "zz"],
         ["scan", "--psi", "1/2", "--seed", "1"],
-    ], ids=["analyze-precision-bits", "analyze-out", "scan-seed"])
+        ["analyze", "--psi", "1/2", "--threads", "2"],
+        ["scan", "--psi", "1/2", "--threads", "2"],
+        ["construct", "rational", "1/4", "5/4", "--threads", "2"],
+        ["construct", "chaotic-order-k", "-K", "5", "--threads", "2"],
+        ["construct", "quadratic", "--a", "-1", "--b", "-1", "--t", "3", "--threads", "2"],
+    ], ids=["analyze-precision-bits", "analyze-out", "scan-seed", "analyze-threads",
+            "scan-threads", "construct-rational-threads", "construct-order-k-threads",
+            "construct-quadratic-threads"])
     def test_inapplicable_flag_is_exit_2(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
             main(args)
@@ -383,7 +390,12 @@ def golden_cases():
 class TestGoldenFiles:
     @pytest.mark.parametrize("name,args", golden_cases(), ids=lambda v: str(v)[:40])
     def test_matches_pinned_output(self, name, args, tmp_path):
+        """The written bytes, with only manifest.timestamp dropped, equal the golden file."""
         code, doc = run_cli(args, tmp_path)
         assert code == 0
-        want = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-        assert stripped(doc) == json.dumps(want, sort_keys=True)
+        text = (tmp_path / "out.json").read_text()
+        canonical = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert text == canonical  # so re-dumping drops the timestamp line and nothing else
+        del doc["manifest"]["timestamp"]
+        assert (json.dumps(doc, indent=2, sort_keys=True) + "\n"
+                == (GOLDEN_DIR / f"{name}.json").read_text())

@@ -13,6 +13,7 @@ from qchaos import (
     TrajectoryConfig,
     TWO_PI,
     Unitary2,
+    VERDICT_LABELS,
     VerdictLabel,
     circular_distance,
     empirical_entropy_rate,
@@ -164,7 +165,7 @@ class TestCensus:
         res = monte_carlo_chaotic_fraction(n, seed=13)
         psis = stream_generator(13, 0).uniform(0.0, TWO_PI, n)
         explicit = sum(
-            verdict_of(make_su2_from_psi(p)).label is not VerdictLabel.NON_CHAOTIC
+            verdict_of(make_su2_from_psi(p)).label is VerdictLabel.CHAOTIC
             for p in psis)
         assert res.chaotic_count == explicit
 
@@ -177,27 +178,28 @@ class TestNoisyPhaseWalk:
     def test_zero_epsilon_is_constant(self):
         base = make_su2_from_psi(PI / 2)
         walk = noisy_phase_walk(base, NoiseConfig(epsilon=0.0, steps=50, seed=1))
-        assert all(p == base for p, _ in walk)
-        assert len({v.label for _, v in walk}) == 1
+        assert all(EigenphasePair(p, q) == base
+                   for p, q in zip(walk.phi.tolist(), walk.psi.tolist()))
+        assert len(set(walk.codes.tolist())) == 1
 
     def test_boundary_base_alternates(self):
         base = make_su2_from_psi(3 * PI / 4)  # edge of the chaotic window
         walk = noisy_phase_walk(base, NoiseConfig(epsilon=0.1, steps=1000, seed=3))
-        labels = {v.label for _, v in walk}
+        labels = {VERDICT_LABELS[c] for c in walk.codes}
         assert VerdictLabel.CHAOTIC in labels
         assert VerdictLabel.NON_CHAOTIC in labels
 
     def test_small_noise_stays_chaotic(self):
         base = make_su2_from_psi(PI / 2)  # center of the window
         walk = noisy_phase_walk(base, NoiseConfig(epsilon=0.01, steps=1000, seed=5))
-        assert all(v.label is VerdictLabel.CHAOTIC for _, v in walk)
+        assert all(VERDICT_LABELS[c] is VerdictLabel.CHAOTIC for c in walk.codes)
 
     def test_unimodular_invariant_at_every_step(self):
         base = make_su2_from_psi(1.234)
         for eps in (0.0, 0.01, 0.5, 1.0):
             walk = noisy_phase_walk(base, NoiseConfig(epsilon=eps, steps=200, seed=7))
-            for pair, _ in walk:
-                assert circular_distance(pair.phi + pair.psi, 0.0) <= 1e-12
+            for phi, psi in zip(walk.phi.tolist(), walk.psi.tolist()):
+                assert circular_distance(phi + psi, 0.0) <= 1e-12
 
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
