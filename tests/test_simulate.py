@@ -201,6 +201,17 @@ class TestNoisyPhaseWalk:
             for phi, psi in zip(walk.phi.tolist(), walk.psi.tolist()):
                 assert circular_distance(phi + psi, 0.0) <= 1e-12
 
+    def test_matches_per_step_reference(self):
+        # the arrays equal a scalar loop over the same draws, bit for bit
+        base = EigenphasePair(0.3, 4.1)
+        walk = noisy_phase_walk(base, NoiseConfig(epsilon=1.5, steps=300, seed=9))
+        lambdas = stream_generator(9, 0).uniform(-1.5 * PI, 1.5 * PI, 300)
+        for i, lam in enumerate(lambdas.tolist()):
+            pair = EigenphasePair(base.phi + lam, base.psi - lam)
+            assert (walk.phi[i], walk.psi[i]) == (pair.phi, pair.psi)
+            assert walk.trace_mag[i] == 2.0 * abs(math.cos(0.5 * (pair.phi - pair.psi)))
+            assert VERDICT_LABELS[walk.codes[i]] is verdict_of(pair).label
+
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
             NoiseConfig(epsilon=-0.1, steps=10, seed=0)
