@@ -21,7 +21,6 @@ from .phases import (
     eigenphases_of,
     make_su2_from_psi,
     mod_2pi,
-    power_eigenphases,
     rational_phase_order,
     require_unitary,
 )

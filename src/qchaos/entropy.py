@@ -225,6 +225,8 @@ class OptimizerOptions:
     threads: int = 1
 
     def __post_init__(self):
+        if not 0.0 <= self.xatol < math.inf:  # also false for NaN
+            raise ValueError(f"xatol must be finite and >= 0, got {self.xatol}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
@@ -290,15 +292,123 @@ def _neg_rate_d2(u: np.ndarray):
     return neg
 
 
-def _neg_rate_generic(u: np.ndarray, d: int):
+def _neg_rate_d3(u: np.ndarray):
+    """Scalar-arithmetic objective for d = 3: no basis or array is built per call.
+
+    V is the product of the three plane factors of ``basis_from_angles``, and
+    the rate sums eta(|(V^dag U V)_jl|^2) entry by entry.
+    """
+    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = (
+        [complex(z) for z in row] for row in u)
+    log2 = math.log2
+
     def neg(x):
-        v = basis_from_angles(d, x).vectors
-        w = v.conj().T @ u @ v
-        p = np.clip(np.abs(w) ** 2, 0.0, 1.0)
-        nz = p > 0.0
-        return float(np.sum(p[nz] * np.log2(p[nz])) / d)
+        t0, f0, t1, f1, t2, f2 = x
+        (c0, s0), (c1, s1), (c2, s2) = ((math.cos(t), math.sin(t)) for t in (t0, t1, t2))
+        e0, e1, e2 = cmath.exp(1j * f0), cmath.exp(1j * f1), cmath.exp(1j * f2)
+        a0, a1, a2 = -e0 * s0, -e1 * s1, -e2 * s2  # the (i, j) entry of each factor
+        b0, b1, b2 = s0 / e0, s1 / e1, s2 / e2  # the (j, i) entry
+        # (G01 @ G02) @ G12, column by column
+        cols = ((c0 * c1, b0 * c1, b1),
+                (a0 * c2 + c0 * a1 * b2, c0 * c2 + b0 * a1 * b2, c1 * b2),
+                (a0 * a2 + c0 * a1 * c2, c0 * a2 + b0 * a1 * c2, c1 * c2))
+        conj = [(v0.conjugate(), v1.conjugate(), v2.conjugate()) for v0, v1, v2 in cols]
+        total = 0.0
+        for v0, v1, v2 in cols:
+            w0 = u00 * v0 + u01 * v1 + u02 * v2  # (U V)_il for this column l
+            w1 = u10 * v0 + u11 * v1 + u12 * v2
+            w2 = u20 * v0 + u21 * v1 + u22 * v2
+            for r0, r1, r2 in conj:
+                p = abs(r0 * w0 + r1 * w1 + r2 * w2) ** 2
+                if 0.0 < p < 1.0:  # eta is 0 at 0 and at 1, and p > 1 is rounding
+                    total += p * log2(p)
+        return total / 3.0
 
     return neg
+
+
+# Nelder-Mead coefficients and initial-simplex steps, as scipy's defaults.
+_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
+_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+
+
+def _by_value(sim, fsim):
+    """Vertices and values in np.argsort order of the values."""
+    order = np.array(fsim).argsort().tolist()  # np.argsort, without its list wrapper
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _toward(xbar, worst, c):
+    """The point (1 + c) * xbar - c * worst."""
+    return [(1 + c) * a - c * w for a, w in zip(xbar, worst)]
+
+
+def _nelder_mead(f, x0, xatol: float, fatol: float, max_iters: int):
+    """Minimize f from x0 by Nelder-Mead (1965); returns (fun, x, nfev, nit).
+
+    Repeats scipy.optimize.minimize(method="Nelder-Mead") step for step, with
+    its default coefficients, initial simplex and convergence test, in plain
+    floats: on 3 or 7 vertices numpy's per-call overhead outweighs the
+    objective.  Vertices are ordered with np.argsort, as scipy orders them,
+    because that sort need not keep ties in place and the order of tied
+    vertices steers every later step.
+    """
+    n = len(x0)
+    sim = [list(x0)]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + _NM_NONZDELT) * y[k] if y[k] != 0 else _NM_ZDELT
+        sim.append(y)
+    fsim = [f(x) for x in sim]
+    nfev = n + 1
+    sim, fsim = _by_value(sim, fsim)
+    sim, fsim = _by_value(sim, fsim)  # scipy sorts the first simplex twice
+    nit = 1
+    while nit < max_iters:
+        best = sim[0]
+        if (all(abs(a - b) <= xatol for x in sim[1:] for a, b in zip(x, best))
+                and all(abs(fsim[0] - fx) <= fatol for fx in fsim[1:])):
+            break
+        xbar = best
+        for x in sim[1:-1]:  # row by row, as numpy reduces over the first axis
+            xbar = [a + b for a, b in zip(xbar, x)]
+        xbar = [a / n for a in xbar]
+        worst = sim[-1]
+        xr = _toward(xbar, worst, _NM_RHO)
+        fxr = f(xr)
+        nfev += 1
+        shrink = False
+        if fxr < fsim[0]:
+            xe = _toward(xbar, worst, _NM_RHO * _NM_CHI)
+            fxe = f(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = _toward(xbar, worst, _NM_PSI * _NM_RHO)
+            fxc = f(xc)
+            nfev += 1
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = [(1 - _NM_PSI) * a + _NM_PSI * w for a, w in zip(xbar, worst)]
+            fxcc = f(xcc)
+            nfev += 1
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = [b + _NM_SIGMA * (a - b) for a, b in zip(sim[j], best)]
+                fsim[j] = f(sim[j])
+            nfev += n
+        nit += 1
+        sim, fsim = _by_value(sim, fsim)
+    return fsim[0], sim[0], nfev, nit
 
 
 def pvm_entropy_optimize(u, opts: OptimizerOptions | None = None) -> EntropyResult:
@@ -306,28 +416,25 @@ def pvm_entropy_optimize(u, opts: OptimizerOptions | None = None) -> EntropyResu
 
     Multi-start Nelder-Mead on the plane-rotation angles: the objective is
     non-smooth where transition probabilities hit 0, so derivative-free
-    descent is the robust choice at this dimension.  Restart r draws its
+    descent is the robust choice at this dimension.  Both the simplex steps
+    (``_nelder_mead``, scipy's algorithm) and the d = 2 and d = 3 objectives
+    run in plain Python floats, so no scipy is imported.  Restart r draws its
     start from a counter-based stream keyed by (opts.seed, r), so the best
     value can only grow as restarts increase and never depends on thread
     scheduling.  The result is best-found, not certified-global.
     """
-    import scipy.optimize  # here, so that importing qchaos loads no scipy
-
     opts = opts or OptimizerOptions()
     m = require_unitary(u)
     d = m.shape[0]
     if d not in _PLANES:
         raise ValueError(f"unsupported dimension {d}; only d in (2, 3)")
     n_params = d * (d - 1)
-    neg = _neg_rate_d2(m) if d == 2 else _neg_rate_generic(m, d)
+    neg = (_neg_rate_d2 if d == 2 else _neg_rate_d3)(m)
 
     def run_restart(r: int):
-        x0 = stream_generator(opts.seed, r).uniform(0.0, TWO_PI, n_params)
-        res = scipy.optimize.minimize(
-            neg, x0, method="Nelder-Mead",
-            options={"xatol": opts.xatol, "fatol": 1e-12, "maxiter": opts.max_iters},
-        )
-        return -float(res.fun), res.x
+        x0 = stream_generator(opts.seed, r).uniform(0.0, TWO_PI, n_params).tolist()
+        fun, x, _, _ = _nelder_mead(neg, x0, opts.xatol, 1e-12, opts.max_iters)
+        return -fun, x
 
     with ThreadPoolExecutor(max_workers=opts.threads) as pool:
         results = list(pool.map(run_restart, range(opts.restarts)))

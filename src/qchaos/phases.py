@@ -220,10 +220,3 @@ def eigenphases_of(u) -> tuple[EigenphasePair, np.ndarray]:
         raise ArithmeticError(f"eigendecomposition failed to reconstruct input: {err:.3e}")
     return pair, v
 
-
-def power_eigenphases(pair: EigenphasePair, k: int) -> EigenphasePair:
-    """Eigenphases of the k-th power: (k*phi mod 2*pi, k*psi mod 2*pi)."""
-    if k < 1:
-        raise ValueError(f"power must be a positive integer, got {k}")
-    return EigenphasePair(math.fmod(k * pair.phi, TWO_PI), math.fmod(k * pair.psi, TWO_PI))
-

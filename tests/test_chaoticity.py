@@ -29,7 +29,6 @@ from qchaos import (
     boundary_half_width,
     idempotency_order,
     order_verdicts,
-    power_eigenphases,
     projective_idempotency_order,
     QuadraticSeed,
     theta_at_order,
@@ -37,6 +36,8 @@ from qchaos import (
     verdict_at_order,
     verdict_of,
 )
+
+from helpers import power_eigenphases
 
 PI = math.pi
 

@@ -14,10 +14,13 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from qchaos.cli import _emit, main, parse_phase
 from qchaos import RationalPhase
+
+from helpers import random_unitary
 
 SRC = Path(__file__).parent.parent / "src"
 SCHEMA = json.loads((SRC / "qchaos" / "schemas" / "output.schema.json").read_text())
@@ -370,13 +373,39 @@ print(repr((code, after_import, heavy())))
 """
 
 
+OPTIMIZE_PROBE = """
+import sys
+import qchaos.cli
+
+code = qchaos.cli.main(sys.argv[1:])
+print(repr((code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))))
+"""
+
+
+def run_probe(probe, args):
+    out = subprocess.run([sys.executable, "-c", probe, *args],
+                         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                         text=True, timeout=60, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
 class TestImports:
     def test_cli_loads_neither_scipy_nor_jsonschema(self, tmp_path):
-        """Only the optimizer needs scipy, and only the tests need jsonschema."""
-        out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "a.json")],
-                             env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
-                             text=True, timeout=60, check=True)
-        assert out.stdout.strip() == repr((0, [], []))
+        """Only eigenphases_of needs scipy, and only the tests need jsonschema."""
+        assert run_probe(IMPORT_PROBE, [str(tmp_path / "a.json")]) == repr((0, [], []))
+
+    @pytest.mark.parametrize("case", ["pair", "unitary-json-d3"])
+    def test_optimize_loads_no_scipy(self, case, tmp_path):
+        """The optimizer runs its own Nelder-Mead: no scipy for a pair or a 3x3 unitary."""
+        if case == "pair":
+            args = ["optimize", "--phi", "0", "--psi", "1/3"]
+        else:
+            path = tmp_path / "u.json"
+            u = random_unitary(np.random.default_rng(4), 3)
+            path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in u]))
+            args = ["optimize", "--unitary-json", str(path), "--restarts", "2"]
+        args += ["--json", str(tmp_path / "a.json")]
+        assert run_probe(OPTIMIZE_PROBE, args) == repr((0, []))
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from qchaos import (
     EigenphasePair,
@@ -13,6 +15,7 @@ from qchaos import (
     TWO_PI,
     TransitionMatrix,
     Unitary2,
+    basis_from_angles,
     eta,
     markov_entropy_rate,
     measurement_probabilities,
@@ -21,6 +24,8 @@ from qchaos import (
     theta_of,
     transition_matrix,
 )
+from qchaos.entropy import _nelder_mead, _neg_rate_d2, _neg_rate_d3
+from qchaos.rng import stream_generator
 from helpers import random_orthonormal_basis, random_unitary
 
 PI = math.pi
@@ -226,6 +231,13 @@ class TestOptimizer:
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             OptimizerOptions(**{field: 0})
 
+    @pytest.mark.parametrize("xatol", [math.nan, math.inf, -1e-10])
+    def test_options_reject_bad_xatol(self, xatol):
+        # a NaN xatol never passes the convergence test: every restart would
+        # silently run to max_iters
+        with pytest.raises(ValueError, match="xatol must be finite"):
+            OptimizerOptions(xatol=xatol)
+
     def test_identity_gives_zero(self):
         res = pvm_entropy_optimize(np.eye(2), OptimizerOptions(restarts=4))
         assert res.value == pytest.approx(0.0, abs=1e-9)
@@ -285,3 +297,60 @@ class TestOptimizer:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             pvm_entropy_optimize(np.array([[1.0, 0.0], [0.0, 1.2]]))
+
+
+def restart_starts(seed, restarts, d):
+    """The start points pvm_entropy_optimize draws for restarts 0..restarts-1."""
+    return [stream_generator(seed, r).uniform(0.0, TWO_PI, d * (d - 1))
+            for r in range(restarts)]
+
+
+class TestNelderMead:
+    """_nelder_mead repeats scipy's Nelder-Mead bit for bit, restart by restart."""
+
+    def assert_matches_scipy(self, neg, starts):
+        for x0 in starts:
+            for cap in (1, 2, 300, 2000):
+                ref = scipy.optimize.minimize(
+                    neg, x0, method="Nelder-Mead",
+                    options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": cap})
+                fun, x, nfev, nit = _nelder_mead(neg, x0.tolist(), 1e-10, 1e-12, cap)
+                assert ((float(fun).hex(), [v.hex() for v in x], nfev, nit)
+                        == (float(ref.fun).hex(), [v.hex() for v in ref.x.tolist()],
+                            ref.nfev, ref.nit))
+
+    @settings(max_examples=25, deadline=None)
+    @given(phi=st.floats(0.0, TWO_PI), psi=st.floats(0.0, TWO_PI),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_d2_random_pairs(self, phi, psi, seed):
+        u = Unitary2.from_pair(EigenphasePair(phi, psi)).matrix
+        self.assert_matches_scipy(_neg_rate_d2(u), restart_starts(seed, 2, 2))
+
+    def test_golden_theta_pi_third(self):
+        # the optimize_theta_pi3 golden case: --phi 0 --psi 1/3 --restarts 8 --seed 1
+        u = Unitary2.from_pair(EigenphasePair(0.0, PI / 3)).matrix
+        self.assert_matches_scipy(_neg_rate_d2(u), restart_starts(1, 8, 2))
+
+    @pytest.mark.parametrize("u", [np.diag([1.0, -1.0]), np.eye(2)],
+                             ids=["theta-pi-plateau", "identity"])
+    def test_d2_ties(self, u):
+        self.assert_matches_scipy(_neg_rate_d2(u), restart_starts(0, 8, 2))
+
+    def test_d3_identity_ties(self):
+        # every basis gives rate 0 exactly, so each simplex is all ties
+        self.assert_matches_scipy(_neg_rate_d3(np.eye(3)), restart_starts(0, 3, 3))
+
+    @pytest.mark.parametrize("seed", [3, 17, 29, 41])
+    def test_d3_haar(self, seed):
+        u = random_unitary(np.random.default_rng(seed), 3)
+        self.assert_matches_scipy(_neg_rate_d3(u), restart_starts(seed, 3, 3))
+
+
+class TestObjectiveD3:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           angles=st.lists(st.floats(-20.0, 20.0), min_size=6, max_size=6))
+    def test_matches_public_rate(self, seed, angles):
+        u = random_unitary(np.random.default_rng(seed), 3)
+        ref = -markov_entropy_rate(transition_matrix(u, basis_from_angles(3, angles)))
+        assert abs(_neg_rate_d3(u)(angles) - ref) <= 1e-13

@@ -15,12 +15,11 @@ from qchaos import (
     eigenphases_of,
     make_su2_from_psi,
     mod_2pi,
-    power_eigenphases,
     rational_phase_order,
     trace_magnitude,
 )
 
-from helpers import random_unitary
+from helpers import power_eigenphases, random_unitary
 
 PI = math.pi
 
