@@ -368,31 +368,24 @@ def heavy():
     return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema"))
 
 after_import = heavy()
-code = qchaos.cli.main(["analyze", "--psi", "1/2", "--json", sys.argv[1]])
+code = qchaos.cli.main(sys.argv[1:])
 print(repr((code, after_import, heavy())))
 """
 
 
-OPTIMIZE_PROBE = """
-import sys
-import qchaos.cli
-
-code = qchaos.cli.main(sys.argv[1:])
-print(repr((code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))))
-"""
-
-
-def run_probe(probe, args):
-    out = subprocess.run([sys.executable, "-c", probe, *args],
+def heavy_modules(args):
+    """(exit code, scipy/jsonschema modules after import, and after the command)."""
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args],
                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
                          text=True, timeout=60, check=True)
-    return out.stdout.strip().splitlines()[-1]
+    return out.stdout.strip()
 
 
 class TestImports:
     def test_cli_loads_neither_scipy_nor_jsonschema(self, tmp_path):
         """Only eigenphases_of needs scipy, and only the tests need jsonschema."""
-        assert run_probe(IMPORT_PROBE, [str(tmp_path / "a.json")]) == repr((0, [], []))
+        args = ["analyze", "--psi", "1/2", "--json", str(tmp_path / "a.json")]
+        assert heavy_modules(args) == repr((0, [], []))
 
     @pytest.mark.parametrize("case", ["pair", "unitary-json-d3"])
     def test_optimize_loads_no_scipy(self, case, tmp_path):
@@ -404,8 +397,7 @@ class TestImports:
             u = random_unitary(np.random.default_rng(4), 3)
             path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in u]))
             args = ["optimize", "--unitary-json", str(path), "--restarts", "2"]
-        args += ["--json", str(tmp_path / "a.json")]
-        assert run_probe(OPTIMIZE_PROBE, args) == repr((0, []))
+        assert heavy_modules([*args, "--json", str(tmp_path / "a.json")]) == repr((0, [], []))
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
