@@ -4,7 +4,8 @@ Measuring only every K-th application of U turns the question "is U chaotic"
 into "is U^K chaotic", i.e. |tr(U^K)| <= sqrt(2).  Pauli operators pass at
 every odd K and fail at every even K because their square is the identity.
 Rational-phase unitaries let us prescribe both the idempotency order and a
-chaotic order.
+chaotic order.  No unitary is chaotic at every order, though: the first
+non-chaotic order is always at most 4.
 """
 
 import math
@@ -15,6 +16,7 @@ from qchaos import (
     build_chaotic_order,
     build_rational_unitary,
     chaoticity_scan,
+    first_nonchaotic_order,
     idempotency_order,
     projective_idempotency_order,
 )
@@ -53,3 +55,13 @@ for name, spec in [("D4", d4), ("D8", d8)]:
 
 # Idempotency of order n forces H_K = 0 at every multiple of n: U^n = I has
 # trace magnitude exactly 2, the scans above show it landing on 2.0 exactly.
+
+# The order of chaoticity is bounded.  With theta = phi - psi, order K is
+# non-chaotic iff K*theta lands within pi/2 of 0 (mod 2*pi).  If K = 1, 2, 3
+# all miss that, theta = pi/2 (mod pi), and then 4*theta = 0: U^4 is
+# proportional to the identity.  So the first non-chaotic order is <= 4, and
+# first_nonchaotic_order only ever evaluates K = 1..4.
+print("\nfirst non-chaotic order (searching up to K = 10^4):")
+for label, theta in [("0.3", 0.3), ("3*pi/4", 3 * PI / 4), ("pi/2", PI / 2)]:
+    k = first_nonchaotic_order(EigenphasePair(theta, 0.0), 10 ** 4)
+    print(f"  theta = {label:7s} -> K = {k}")

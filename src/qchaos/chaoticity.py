@@ -163,28 +163,37 @@ class ChaoticityRecord:
     trace_mag: float
     verdict: VerdictLabel
 
-    def to_json_row(self) -> dict:
-        return {"K": self.k, "theta": self.theta, "H": self.entropy_bits,
-                "trace_mag": self.trace_mag, "verdict": self.verdict.value}
-
 
 @dataclass(frozen=True)
 class ChaoticityReport:
-    """Per-order scan: theta_K, H_K, |tr U^K| and the verdict for K = 1..K_max."""
+    """Per-order columns for K = 1..K_max: theta_K, H_K, |tr U^K| and verdict codes."""
 
-    records: tuple[ChaoticityRecord, ...]
+    theta: np.ndarray
+    entropy_bits: np.ndarray
+    trace_mag: np.ndarray
+    codes: np.ndarray
 
     def record(self, k: int) -> ChaoticityRecord:
-        return self.records[k - 1]
+        return ChaoticityRecord(k, float(self.theta[k - 1]), float(self.entropy_bits[k - 1]),
+                                float(self.trace_mag[k - 1]), VERDICT_LABELS[self.codes[k - 1]])
 
-    def to_json_rows(self) -> list[dict]:
-        return [r.to_json_row() for r in self.records]
+    @property
+    def records(self) -> tuple[ChaoticityRecord, ...]:
+        return tuple(map(self.record, range(1, len(self.codes) + 1)))
+
+    def columns(self) -> dict[str, list]:
+        """The scan rows' columns as Python scalars, keyed as in a JSON row."""
+        labels = [label.value for label in VERDICT_LABELS]
+        return {"K": list(range(1, len(self.codes) + 1)), "theta": self.theta.tolist(),
+                "H": self.entropy_bits.tolist(), "trace_mag": self.trace_mag.tolist(),
+                "verdict": list(map(labels.__getitem__, self.codes.tolist()))}
 
     def to_csv(self) -> str:
+        cols = self.columns()
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["K", "theta", "H", "trace_mag", "verdict"])
-        w.writerows(r.to_json_row().values() for r in self.records)  # floats as repr
+        w.writerow(cols)
+        w.writerows(zip(*cols.values()))  # floats as repr
         return buf.getvalue()
 
 
@@ -193,10 +202,10 @@ def chaoticity_scan(u, k_max: int) -> ChaoticityReport:
     if k_max < 1:
         raise ValueError(f"k_max must be a positive integer, got {k_max}")
     res = order_verdicts(u, np.arange(1, k_max + 1))
-    return ChaoticityReport(tuple(
-        ChaoticityRecord(k, th, qubit_entropy_of_theta(th), tm, VERDICT_LABELS[c])
-        for k, th, tm, c in zip(range(1, k_max + 1), res.theta.tolist(),
-                                res.trace_mag.tolist(), res.codes.tolist())))
+    entropy = np.ones(k_max)  # the closed form is 1 for theta >= pi/2
+    low = np.flatnonzero(res.theta < math.pi / 2.0)
+    entropy[low] = list(map(qubit_entropy_of_theta, res.theta[low].tolist()))
+    return ChaoticityReport(res.theta, entropy, res.trace_mag, res.codes)
 
 
 class IdempotencyCapError(ValueError):
@@ -250,31 +259,33 @@ def projective_idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000)
     return order
 
 
+def first_nonchaotic_order(pair, k_bound: int) -> int | None:
+    """Smallest K <= k_bound with a non-chaotic verdict; no unitary has one above 4.
+
+    Proof: with d = phi - psi, order K is non_chaotic iff K*d lies within pi/2
+    of 0 mod 2*pi, beyond the boundary band.  If K = 1, 2, 3 all miss that, d
+    lies in [pi/2, 3*pi/2]; 2*d confines it to [pi/2, 3*pi/4] u [5*pi/4, 3*pi/2],
+    and 3*d to pi/2 or 3*pi/2, within the band.  So d = pi/2 (mod pi), 4*d = 0
+    (mod 2*pi) and |tr U^4| = 2 to within a few band widths.  Exact specs need
+    no band.  Hence only K = 1..min(4, k_bound) are evaluated, and None means
+    that k_bound < 4 and no order up to it is non-chaotic.
+    """
+    if k_bound < 1:
+        raise ValueError(f"order bound must be a positive integer, got {k_bound}")
+    codes = order_verdicts(pair, np.arange(1, min(4, k_bound) + 1)).codes
+    hits = np.flatnonzero(codes == NON_CHAOTIC)
+    return int(hits[0]) + 1 if hits.size else None
+
+
 _SCAN_CHUNK = 1 << 16
 
 
-def _chunked_codes(u, k_max: int):
-    """(first order, verdict codes) for orders 1..k_max, a chunk at a time."""
+def chaotic_order_fraction(pair: EigenphasePair, k_max: int) -> float:
+    """Fraction of orders K in 1..k_max with a chaotic (not boundary) verdict,
+    counted _SCAN_CHUNK orders at a time."""
     if k_max < 1:
         raise ValueError(f"order bound must be a positive integer, got {k_max}")
-    for start in range(1, k_max + 1, _SCAN_CHUNK):
-        yield start, order_verdicts(u, np.arange(start, min(start + _SCAN_CHUNK, k_max + 1))).codes
-
-
-def first_nonchaotic_order(pair: EigenphasePair, k_bound: int) -> int | None:
-    """Smallest K <= k_bound with a non-chaotic verdict, or None if none found.
-
-    None is not a proof of chaoticity to all orders; it only reports that no
-    violation was seen below the bound.
-    """
-    for start, codes in _chunked_codes(pair, k_bound):
-        hits = np.flatnonzero(codes == NON_CHAOTIC)
-        if hits.size:
-            return start + int(hits[0])
-    return None
-
-
-def chaotic_order_fraction(pair: EigenphasePair, k_max: int) -> float:
-    """Fraction of orders K in 1..k_max with a chaotic (not boundary) verdict."""
-    return sum(int(np.count_nonzero(codes == CHAOTIC))
-               for _, codes in _chunked_codes(pair, k_max)) / k_max
+    chunks = (np.arange(s, min(s + _SCAN_CHUNK, k_max + 1))
+              for s in range(1, k_max + 1, _SCAN_CHUNK))
+    return sum(int(np.count_nonzero(order_verdicts(pair, ks).codes == CHAOTIC))
+               for ks in chunks) / k_max

@@ -4,12 +4,13 @@ Every command emits a JSON document with an embedded run manifest (command,
 resolved parameters, seed, version, timestamp).  Re-running a command with
 the same arguments reproduces the document bit-identically apart from the
 timestamp, for any --threads setting.  Flags are registered only on the
-commands they act on, so an inapplicable flag is an argparse error; --threads
-is taken by census, optimize and simulate (which run worker pools) and by
-noise, whose determinism is checked across thread counts like theirs.  The
-documents follow ``schemas/output.schema.json``; that schema is the output
-contract, checked by the test suite rather than on every run.  Exit codes:
-0 success, 2 validation error.
+commands they act on, except --threads: it acts only on census, and optimize,
+simulate and noise accept it without effect.  ``jsontext.dumps`` writes every
+document, floats at 12 significant digits, with the scan rows and the full
+noise walk written from their columns.  The documents follow
+``schemas/output.schema.json``; that schema is the output contract, checked
+by the test suite rather than on every run.  Exit codes: 0 success,
+2 validation error.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .entropy import (
     qubit_entropy_closed,
     transition_matrix,
 )
+from .jsontext import Rows, dumps
 from .phases import (
     EigenphasePair,
     ExactUnitarySpec,
@@ -123,17 +125,6 @@ def _built(source):
     return source, source, None
 
 
-def _round_floats(obj, digits: int = 12):
-    """Round every float to 12 significant digits for stable printed output."""
-    if isinstance(obj, float):
-        return float(f"{obj:.{digits}g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
-    return obj
-
-
 def _manifest(command: str, parameters: dict, seed: int | None) -> dict:
     return {
         "command": command,
@@ -145,9 +136,7 @@ def _manifest(command: str, parameters: dict, seed: int | None) -> dict:
 
 
 def _emit(doc: dict, args) -> None:
-    # NaN and Infinity are not JSON: allow_nan=False makes them an error
-    text = json.dumps(_round_floats(doc), indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
+    text = dumps(doc)  # raises ValueError on NaN and infinities
     dest = getattr(args, "json", None) or "-"
     if dest == "-":
         sys.stdout.write(text)
@@ -195,7 +184,7 @@ def _analysis_body(source, k_max: int, n_cap: int) -> dict:
                         "inner_denominator_lcm": idem.inner_denominator_lcm},
         "projective_order": projective,
         "entropy_bits": qubit_entropy_closed(pair).value,
-        "scan": report.to_json_rows(),
+        "scan": Rows(report.columns()),
     }
     if built is not None:
         body["quadratic_build"] = {"classification": built.classification,
@@ -221,7 +210,7 @@ def cmd_scan(args) -> int:
     doc = {
         "manifest": _manifest("scan", {"source": _source_doc(source),
                                        "k_max": args.k_max}, None),
-        "scan": report.to_json_rows(),
+        "scan": Rows(report.columns()),
     }
     _emit(doc, args)
     _write_csv(report, args)
@@ -302,8 +291,7 @@ def cmd_simulate(args) -> int:
         "abs_diff": abs(empirical - predicted) if empirical is not None else None,
     }
     if args.out:
-        sidecar = _round_floats({k: v for k, v in doc.items()})
-        write_trajectory_outputs(args.out, outcomes, sidecar)
+        write_trajectory_outputs(args.out, outcomes, doc)
     _emit(doc, args)
     return 0
 
@@ -326,10 +314,9 @@ def cmd_noise(args) -> int:
         },
     }
     if args.full:
-        doc["noise"]["walk"] = [
-            {"phi": p, "psi": q, "trace_mag": tm, "verdict": labels[c]}
-            for p, q, tm, c in zip(walk.phi.tolist(), walk.psi.tolist(),
-                                   walk.trace_mag.tolist(), walk.codes.tolist())]
+        doc["noise"]["walk"] = Rows(
+            phi=walk.phi.tolist(), psi=walk.psi.tolist(), trace_mag=walk.trace_mag.tolist(),
+            verdict=list(map(labels.__getitem__, walk.codes.tolist())))
     _emit(doc, args)
     return 0
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,7 +221,7 @@ class OptimizerOptions:
     max_iters: int = 2000
     xatol: float = 1e-10
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # inert: the restarts run in one thread (see pvm_entropy_optimize)
 
     def __post_init__(self):
         if not 0.0 <= self.xatol < math.inf:  # also false for NaN
@@ -420,8 +419,8 @@ def pvm_entropy_optimize(u, opts: OptimizerOptions | None = None) -> EntropyResu
     (``_nelder_mead``, scipy's algorithm) and the d = 2 and d = 3 objectives
     run in plain Python floats, so no scipy is imported.  Restart r draws its
     start from a counter-based stream keyed by (opts.seed, r), so the best
-    value can only grow as restarts increase and never depends on thread
-    scheduling.  The result is best-found, not certified-global.
+    value can only grow as restarts increase.  Restarts run in order in one
+    thread (``opts.threads`` has no effect).  Best-found, not certified-global.
     """
     opts = opts or OptimizerOptions()
     m = require_unitary(u)
@@ -431,18 +430,12 @@ def pvm_entropy_optimize(u, opts: OptimizerOptions | None = None) -> EntropyResu
     n_params = d * (d - 1)
     neg = (_neg_rate_d2 if d == 2 else _neg_rate_d3)(m)
 
-    def run_restart(r: int):
+    best_value, best_x = -1.0, None
+    for r in range(opts.restarts):  # the earliest restart wins ties
         x0 = stream_generator(opts.seed, r).uniform(0.0, TWO_PI, n_params).tolist()
         fun, x, _, _ = _nelder_mead(neg, x0, opts.xatol, 1e-12, opts.max_iters)
-        return -fun, x
-
-    with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-        results = list(pool.map(run_restart, range(opts.restarts)))
-
-    best_value, best_x = -1.0, None
-    for value, x in results:  # earliest restart wins ties: deterministic merge
-        if value > best_value:
-            best_value, best_x = value, x
+        if -fun > best_value:
+            best_value, best_x = -fun, x
     best_value = max(0.0, min(best_value, float(math.log2(d))))
     return EntropyResult(best_value, optimal_basis=basis_from_angles(d, best_x),
                          method="optimized")

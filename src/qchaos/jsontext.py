@@ -1,0 +1,50 @@
+"""The one JSON writer of qchaos documents: for string-keyed ``doc``, ``dumps(doc)``
+equals ``json.dumps(doc', indent=2, sort_keys=True, allow_nan=False) + "\\n"``,
+doc' being doc with every float rounded to 12 significant digits and every
+``Rows`` table expanded into its row objects.  A table is written from its columns,
+one %-template per row.  NaN and infinities raise ValueError."""
+
+import json
+import math
+
+_scalar = json.JSONEncoder(allow_nan=False).encode  # str, int, bool, None, float
+
+
+class Rows(dict):
+    """A JSON list of flat objects held as columns: key -> one value per row."""
+
+
+def _column(col: list, level: int) -> list[str]:
+    """JSON texts of a column: floats checked once, then rounded one by one."""
+    kinds = set(map(type, col))
+    if kinds == {float} and all(map(math.isfinite, col)):
+        return [repr(float(f"{v:.12g}")) for v in col]
+    if kinds == {str}:
+        return list(map({s: _scalar(s) for s in set(col)}.__getitem__, col))
+    if kinds == {int}:
+        return list(map(int.__repr__, col))
+    return [_value(v, level) for v in col]
+
+
+def _join(items: list[str], level: int, ends: str) -> str:
+    pad = "\n" + "  " * (level + 1)
+    return ends[0] + pad + ("," + pad).join(items) + pad[:-2] + ends[1] if items else ends
+
+
+def _value(obj, level: int) -> str:
+    if isinstance(obj, Rows):  # one template, itself an object of %s values, per row
+        keys = sorted(obj)
+        row = _join([_scalar(k).replace("%", "%%") + ": %s" for k in keys], level + 1, "{}")
+        cells = zip(*(_column(obj[k], level + 2) for k in keys), strict=True)
+        return _join(list(map(row.__mod__, cells)), level, "[]")
+    if isinstance(obj, dict):
+        return _join([_scalar(k) + ": " + _value(v, level + 1)
+                      for k, v in sorted(obj.items())], level, "{}")
+    if isinstance(obj, (list, tuple)):
+        return _join([_value(v, level + 1) for v in obj], level, "[]")
+    return _scalar(float(f"{obj:.12g}") if isinstance(obj, float) else obj)
+
+
+def dumps(doc) -> str:
+    """The document's text: two-space indent, sorted keys, final newline."""
+    return _value(doc, 0) + "\n"

@@ -13,7 +13,6 @@ and the noise walk take their verdicts from ``chaoticity.order_verdicts``.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,6 +29,7 @@ from .entropy import (
     pvm_entropy_optimize,
     transition_matrix,
 )
+from .jsontext import dumps
 from .phases import (
     EigenphasePair,
     ExactUnitarySpec,
@@ -307,5 +307,5 @@ def write_trajectory_outputs(prefix, outcomes: np.ndarray, sidecar: dict,
     stream_path = prefix.with_suffix(".stream")
     json_path = prefix.with_suffix(".json")
     stream_path.write_bytes(np.asarray(outcomes, dtype=np.uint8).tobytes())
-    json_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    json_path.write_text(dumps(sidecar))
     return stream_path, json_path

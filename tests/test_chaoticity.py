@@ -170,8 +170,9 @@ class TestChaoticityScan:
             assert row["verdict"] == rec.verdict.value
 
     def test_json_rows_shape(self):
-        rows = chaoticity_scan(D4, 4).to_json_rows()
-        assert rows[0].keys() == {"K", "theta", "H", "trace_mag", "verdict"}
+        columns = chaoticity_scan(D4, 4).columns()
+        assert columns.keys() == {"K", "theta", "H", "trace_mag", "verdict"}
+        assert all(len(col) == 4 for col in columns.values())
 
 
 class TestExactThetaFraction:
@@ -418,3 +419,40 @@ class TestKernelProperties:
         res = order_verdicts(spec, n * np.arange(1, j + 1))
         assert np.all(res.codes == VERDICT_LABELS.index(VerdictLabel.NON_CHAOTIC))
         assert np.all(res.trace_mag == 2.0)
+
+
+def brute_first_nonchaotic(source, k_bound: int):
+    """First non-chaotic order found by evaluating every order up to k_bound."""
+    codes = order_verdicts(source, np.arange(1, k_bound + 1)).codes
+    hits = np.flatnonzero(codes == VERDICT_LABELS.index(VerdictLabel.NON_CHAOTIC))
+    return int(hits[0]) + 1 if hits.size else None
+
+
+# theta = phi - psi on and around pi/2 and 3*pi/4 (and their mirrors), from
+# inside the boundary band (about 1.4e-9 wide in angle) to well outside it
+_near = st.one_of(st.just(0.0), st.floats(-3e-9, 3e-9), st.floats(-1e-6, 1e-6))
+_banded_pairs = st.builds(
+    lambda psi, centre, eps: EigenphasePair((psi + centre + eps) % TWO_PI, psi),
+    st.one_of(st.just(0.0), _angles),
+    st.sampled_from([PI / 2, 3 * PI / 4, 5 * PI / 4, 3 * PI / 2]), _near)
+_sources = st.one_of(st.builds(EigenphasePair, _angles, _angles), _banded_pairs, _specs)
+
+
+class TestOrderBoundTheorem:
+    """No unitary is chaotic to every order: the first non-chaotic one is <= 4."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(source=_sources, k_bound=st.integers(1, 12))
+    def test_bounded_search_equals_brute_force_to_1e4(self, source, k_bound):
+        brute = brute_first_nonchaotic(source, 10 ** 4)
+        assert brute is not None and brute <= 4
+        assert first_nonchaotic_order(source, 10 ** 4) == brute
+        assert first_nonchaotic_order(source, k_bound) == (brute if brute <= k_bound else None)
+
+    @pytest.mark.parametrize("theta", [PI / 2, PI / 2 + 1e-12, PI / 2 - 1e-12, 3 * PI / 2])
+    def test_quarter_turn_reaches_four(self, theta):
+        assert first_nonchaotic_order(EigenphasePair(theta, 0.0), 10 ** 4) == 4
+
+    def test_exact_quarter_turn_reaches_four(self):
+        spec = ExactUnitarySpec(RationalPhase(1, 2), RationalPhase(0), RationalPhase(0))
+        assert first_nonchaotic_order(spec, 10 ** 4) == 4

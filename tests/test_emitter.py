@@ -1,0 +1,166 @@
+"""The document emitter against the ``json.dumps`` oracle it replaces.
+
+Every CLI document and the ``simulate --out`` sidecar go through
+``qchaos.jsontext.dumps`` (via ``cli._emit``).  Its text must equal
+``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"`` after
+rounding every float to 12 significant digits, which ``tests/helpers.py``
+keeps as ``reference_dumps``; scan and walk rows must equal the ones the old
+per-record path built, and the scan CSV the old per-record ``csv.writer``
+output.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import qchaos.cli
+from qchaos import NoiseConfig, noisy_phase_walk
+from qchaos.cli import _built, _emit, build_parser, main, resolve_source
+from qchaos.jsontext import Rows
+
+from helpers import SCAN_KEYS, reference_csv, reference_dumps, reference_scan_rows
+
+
+def emitted(doc) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit(doc, argparse.Namespace(json="-"))
+    return buf.getvalue()
+
+
+_special_floats = st.sampled_from([
+    -0.0, 0.0, 1e-5, 1e16, 1e-4, 1e12, 123456789012345.0, 0.1, 5e-324,
+    2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308])
+_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _special_floats)
+_non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+_text = st.one_of(st.text(max_size=8), st.sampled_from(
+    ['"', "\\", "%s", "%%", "%(K)s", "\n\t\r\x00", "é", "日本", " ", "\U0001f600"]))
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), _floats, _text)
+
+
+def _tables(cells):
+    """Rows tables of 0, 1 or a few rows; each column is one scalar kind or mixed."""
+    def of_size(n):
+        column = st.one_of(*(st.lists(kind, min_size=n, max_size=n) for kind in
+                             (_floats, st.integers(), _text, st.booleans(), cells)))
+        return st.dictionaries(_text, column, max_size=5).map(Rows)
+    return st.sampled_from([0, 1, 2, 7]).flatmap(of_size)
+
+
+def _documents(scalars):
+    return st.recursive(
+        st.one_of(scalars, _tables(scalars)),
+        lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                st.dictionaries(_text, inner, max_size=4)),
+        max_leaves=24)
+
+
+class TestEmitterProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(doc=_documents(_scalars))
+    def test_equals_json_dumps(self, doc):
+        assert emitted(doc) == reference_dumps(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_documents(st.one_of(_scalars, _non_finite)))
+    def test_non_finite_raises_like_json_dumps(self, doc):
+        try:
+            expected = reference_dumps(doc)
+        except ValueError:
+            with pytest.raises(ValueError):
+                emitted(doc)
+        else:
+            assert emitted(doc) == expected
+
+
+class TestEmitterExamples:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_in_a_float_column_writes_nothing(self, bad, tmp_path):
+        dest = tmp_path / "x.json"
+        table = Rows(theta=[0.5, bad, 1.0], K=[1, 2, 3])
+        with pytest.raises(ValueError):
+            _emit({"scan": table}, argparse.Namespace(json=str(dest)))
+        assert not dest.exists()
+
+    def test_ragged_columns_are_rejected(self):
+        with pytest.raises(ValueError):
+            emitted({"rows": Rows(a=[1, 2], b=[1])})
+
+
+def _target(args):
+    """The source a scan command runs on, resolved as the CLI resolves it."""
+    return _built(resolve_source(build_parser().parse_args(["scan", *args])))[0]
+
+
+SOURCES = {
+    "float": ["--phi", "0.21", "--psi", "1.79"],
+    "exact": ["--phi", "3/101", "--psi", "7/997", "--global-phase", "1/2"],
+    "quadratic": ["--spec-json", "{spec}"],
+}
+
+
+@pytest.fixture
+def source_args(request, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "quadratic", "a": -1, "b": -1, "t": 3}))
+    return [a.replace("{spec}", str(spec)) for a in SOURCES[request.param]]
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """The documents handed to the emitter, in order."""
+    docs = []
+    dumps = qchaos.cli.dumps
+    monkeypatch.setattr(qchaos.cli, "dumps", lambda doc: docs.append(doc) or dumps(doc))
+    return docs
+
+
+@pytest.mark.parametrize("source_args", list(SOURCES), indirect=True)
+def test_large_scan_is_byte_identical_to_per_record_rows(source_args, captured, tmp_path):
+    k_max = 20_000
+    dest = tmp_path / "scan.json"
+    assert main(["scan", *source_args, "--k-max", str(k_max), "--json", str(dest)]) == 0
+    old = dict(captured[0])
+    old["scan"] = [dict(zip(SCAN_KEYS, row))
+                   for row in reference_scan_rows(_target(source_args), k_max)]
+    assert dest.read_text() == reference_dumps(old)
+
+
+def test_full_noise_walk_is_byte_identical_to_per_step_rows(captured, tmp_path):
+    dest = tmp_path / "noise.json"
+    assert main(["noise", "--psi", "0.77", "--epsilon", "0.1", "--steps", "20000",
+                 "--seed", "5", "--full", "--json", str(dest)]) == 0
+    walk = noisy_phase_walk(_target(["--psi", "0.77"]),
+                            NoiseConfig(epsilon=0.1, steps=20_000, seed=5))
+    labels = ["chaotic", "boundary", "non_chaotic"]
+    old = dict(captured[0])
+    old["noise"] = dict(old["noise"], walk=[
+        {"phi": p, "psi": q, "trace_mag": tm, "verdict": labels[c]}
+        for p, q, tm, c in zip(walk.phi.tolist(), walk.psi.tolist(),
+                               walk.trace_mag.tolist(), walk.codes.tolist())])
+    assert dest.read_text() == reference_dumps(old)
+
+
+@pytest.mark.parametrize("command", ["scan", "analyze"])
+@pytest.mark.parametrize("source_args", list(SOURCES), indirect=True)
+def test_csv_is_byte_identical_to_per_record_writer(command, source_args, tmp_path):
+    k_max = 2000
+    dest = tmp_path / "scan.csv"
+    assert main([command, *source_args, "--k-max", str(k_max), "--csv", str(dest),
+                 "--json", str(tmp_path / "doc.json")]) == 0
+    assert dest.read_text() == reference_csv(_target(source_args), k_max)
+
+
+def test_simulate_sidecar_equals_document_and_oracle(captured, tmp_path):
+    doc_path = tmp_path / "doc.json"
+    assert main(["simulate", "--phi", "0.3", "--psi", "1/2", "--steps", "30000",
+                 "--seed", "3", "--out", str(tmp_path / "run"),
+                 "--json", str(doc_path)]) == 0
+    sidecar = (tmp_path / "run.json").read_text()
+    assert sidecar == reference_dumps(captured[0])
+    assert sidecar == doc_path.read_text()
