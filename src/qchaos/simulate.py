@@ -2,10 +2,10 @@
 
 Measuring a PVM after every K-th application of a unitary produces a Markov
 chain over outcome indices with transition matrix P of U^K.  This module
-samples such trajectories reproducibly (every draw comes from a counter-based
-stream keyed by the caller's seed), estimates entropy rates from the sampled
-symbols with a plug-in conditional block estimator, runs the uniform-phase
-chaoticity census, and applies the uniform phase-noise model that perturbs
+samples such trajectories reproducibly from counter-based streams keyed by the
+caller's seed (a qubit's with array code, larger d step by step), estimates
+entropy rates with a plug-in conditional block estimator, runs the
+uniform-phase chaoticity census, and applies the phase-noise model that perturbs
 (phi, psi) to (phi + lambda, psi - lambda), returned as arrays.  The census
 and the noise walk take their verdicts from ``chaoticity.order_verdicts``.
 """
@@ -77,10 +77,10 @@ class TrajectoryConfig:
     stream: int = 0
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
+        for name in ("steps", "period"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not isinstance(self.seed, int):
             raise ValueError("seed is mandatory and must be an integer")
 
@@ -102,7 +102,12 @@ def sample_trajectory(cfg: TrajectoryConfig) -> np.ndarray:
     """Outcome indices of the measured dynamics; bit-identical per (config, seed).
 
     The first outcome is a measurement of the initial state; every later one
-    follows the chain P_{i->j} = |<phi_j|U^period|phi_i>|^2.
+    follows the chain P_{i->j} = |<phi_j|U^period|phi_i>|^2: the first j with
+    u_i < cum_{x,j}, for uniform u_i and previous outcome x.  For a qubit each
+    step x -> [u_i >= cum_{x,0}] is constant 0 or 1, the identity or the flip,
+    so an outcome is the last constant step's value (the initial measurement is
+    one) XOR the parity of the flips since.  The array code makes the per-step
+    loop's float comparisons, so it gives the same stream.
     """
     u = _resolve_matrix(cfg.unitary)
     d = u.shape[0]
@@ -117,20 +122,25 @@ def sample_trajectory(cfg: TrajectoryConfig) -> np.ndarray:
     cum[:, -1] = 1.0
 
     uniforms = stream_generator(cfg.seed, cfg.stream).random(cfg.steps)
-    out = np.empty(cfg.steps, dtype=np.uint8)
     x = int(np.searchsorted(cum0, uniforms[0], side="right"))
+    if d == 2:
+        after0 = uniforms >= cum[0, 0]  # the next outcome when the last one is 0
+        after1 = uniforms >= cum[1, 0]  # ... and when it is 1
+        after0[0] = after1[0] = x
+        const = after0 == after1
+        parity = np.bitwise_xor.accumulate((after0 > after1).view(np.uint8))
+        held = after0[const].view(np.uint8) ^ parity[const]
+        held[1:] ^= held[:-1].copy()  # as jumps: their xor-accumulate holds each value
+        jumps = np.zeros_like(parity)
+        jumps[const] = held
+        return np.bitwise_xor.accumulate(jumps) ^ parity
+    out = np.empty(cfg.steps, dtype=np.uint8)
     out[0] = x
     ul = uniforms.tolist()
-    if d == 2:
-        t0, t1 = float(cum[0, 0]), float(cum[1, 0])
-        for i in range(1, cfg.steps):
-            x = 0 if ul[i] < (t0 if x == 0 else t1) else 1
-            out[i] = x
-    else:
-        rows = [row.tolist() for row in cum]
-        for i in range(1, cfg.steps):
-            x = bisect.bisect_right(rows[x], ul[i])
-            out[i] = x
+    rows = [row.tolist() for row in cum]
+    for i in range(1, cfg.steps):
+        x = bisect.bisect_right(rows[x], ul[i])
+        out[i] = x
     return out
 
 
@@ -156,9 +166,11 @@ def empirical_entropy_rate(sequence, block_len: int,
     """
     if block_len < 1:
         raise ValueError(f"block length must be >= 1, got {block_len}")
-    s = np.asarray(sequence, dtype=np.int64)
+    s = np.asarray(sequence)
     if s.ndim != 1:
         raise ValueError("sequence must be one-dimensional")
+    if s.dtype.kind not in "biu":
+        raise ValueError(f"sequence symbols must be integers, got dtype {s.dtype}")
     d = alphabet_size if alphabet_size is not None else int(s.max()) + 1
     if d < 1 or s.min() < 0 or s.max() >= d:
         raise ValueError("sequence symbols must lie in [0, alphabet_size)")
@@ -168,10 +180,13 @@ def empirical_entropy_rate(sequence, block_len: int,
             f"need at least {needed} symbols for block length {block_len} "
             f"over a {d}-letter alphabet, got {s.size}")
 
+    # Horner window codes (last symbol least significant), narrowest unsigned type
+    s = s.astype(np.min_scalar_type(d ** (block_len + 1) - 1), copy=False)
     n_win = s.size - block_len
-    codes = np.zeros(n_win, dtype=np.int64)
-    for j in range(block_len + 1):  # last symbol is the least significant digit
-        codes += s[j:j + n_win] * d ** (block_len - j)
+    codes = s[:n_win].copy()
+    for j in range(1, block_len + 1):
+        codes *= d
+        codes += s[j:j + n_win]
     counts = np.bincount(codes, minlength=d ** (block_len + 1))
 
     def block_entropy(c: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 """Shared test utilities."""
 
+import bisect
 import csv
 import io
 import json
@@ -8,8 +9,10 @@ import math
 import numpy as np
 
 from qchaos import TWO_PI, VERDICT_LABELS, EigenphasePair, order_verdicts
-from qchaos.entropy import qubit_entropy_of_theta
+from qchaos.entropy import qubit_entropy_of_theta, transition_matrix
 from qchaos.jsontext import Rows
+from qchaos.rng import stream_generator
+from qchaos.simulate import _initial_distribution, _resolve_matrix
 
 
 def random_unitary(rng, d=2):
@@ -69,3 +72,56 @@ def reference_csv(source, k_max: int) -> str:
     w.writerow(SCAN_KEYS)
     w.writerows(reference_scan_rows(source, k_max))
     return buf.getvalue()
+
+
+def reference_trajectory(cfg) -> np.ndarray:
+    """The sampler's oracle: one outcome per step, the next drawn from the row
+    of the previous one, as the per-step loop did for every dimension."""
+    u = _resolve_matrix(cfg.unitary)
+    d = u.shape[0]
+    if d != cfg.basis.d:
+        raise ValueError(f"unitary dimension {d} != basis dimension {cfg.basis.d}")
+    u_eff = np.linalg.matrix_power(u, cfg.period)
+    p = transition_matrix(u_eff, cfg.basis).entries
+
+    cum0 = np.cumsum(_initial_distribution(cfg, d))
+    cum0[-1] = 1.0
+    cum = np.cumsum(p, axis=1)
+    cum[:, -1] = 1.0
+
+    uniforms = stream_generator(cfg.seed, cfg.stream).random(cfg.steps)
+    out = np.empty(cfg.steps, dtype=np.uint8)
+    x = int(np.searchsorted(cum0, uniforms[0], side="right"))
+    out[0] = x
+    ul = uniforms.tolist()
+    if d == 2:
+        t0, t1 = float(cum[0, 0]), float(cum[1, 0])
+        for i in range(1, cfg.steps):
+            x = 0 if ul[i] < (t0 if x == 0 else t1) else 1
+            out[i] = x
+    else:
+        rows = [row.tolist() for row in cum]
+        for i in range(1, cfg.steps):
+            x = bisect.bisect_right(rows[x], ul[i])
+            out[i] = x
+    return out
+
+
+def reference_entropy_rate(sequence, block_len: int, alphabet_size: int | None = None) -> float:
+    """The estimator's oracle: window codes in int64, one temporary per digit."""
+    s = np.asarray(sequence, dtype=np.int64)
+    d = alphabet_size if alphabet_size is not None else int(s.max()) + 1
+    n_win = s.size - block_len
+    codes = np.zeros(n_win, dtype=np.int64)
+    for j in range(block_len + 1):  # last symbol is the least significant digit
+        codes += s[j:j + n_win] * d ** (block_len - j)
+    counts = np.bincount(codes, minlength=d ** (block_len + 1))
+
+    def block_entropy(c: np.ndarray) -> float:
+        n = c[c > 0].astype(float)
+        total = n.sum()
+        return math.log2(total) - float((n * np.log2(n)).sum()) / total
+
+    h_hi = block_entropy(counts)
+    h_lo = block_entropy(counts.reshape(-1, d).sum(axis=1))
+    return max(0.0, h_hi - h_lo)

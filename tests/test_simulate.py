@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qchaos import (
     EigenphasePair,
@@ -26,6 +27,13 @@ from qchaos import (
     stream_generator,
     transition_matrix,
     verdict_of,
+)
+
+from helpers import (
+    random_orthonormal_basis,
+    random_unitary,
+    reference_entropy_rate,
+    reference_trajectory,
 )
 
 PI = math.pi
@@ -103,6 +111,89 @@ class TestSampleTrajectory:
         with pytest.raises(ValueError):
             TrajectoryConfig(PAULI_X, PvmBasis.x_basis(), steps=10, seed=None)  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("field,value", [
+        ("steps", 1000.0), ("period", 2.0), ("steps", "10"), ("period", None)])
+    def test_rejects_non_integer_counts(self, field, value):
+        kw = {"steps": 10, "period": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrajectoryConfig(PAULI_X, PvmBasis.x_basis(), seed=0, **kw)
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = cfg_for(PAULI_X, PvmBasis.x_basis(), np.int64(10), seed=0, period=np.int32(2))
+        assert sample_trajectory(cfg).shape == (10,)
+
+
+def _assert_matches_reference(cfg):
+    out = sample_trajectory(cfg)
+    ref = reference_trajectory(cfg)
+    assert out.dtype == ref.dtype == np.uint8
+    assert np.array_equal(out, ref)
+    return out
+
+
+class TestSamplerMatchesPerStepLoop:
+    """The array sampler against the per-step loop, value and dtype."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(phi=st.floats(0.0, TWO_PI), psi=st.floats(0.0, TWO_PI),
+           basis=st.sampled_from(["x", "computational", "haar"]),
+           period=st.integers(1, 4), initial=st.sampled_from([None, 0, 1, "rho"]),
+           steps=st.integers(1, 20000), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_pairs(self, phi, psi, basis, period, initial, steps, seed):
+        rng = np.random.default_rng(seed)
+        pvm = {"x": PvmBasis.x_basis(), "computational": PvmBasis.computational(2),
+               "haar": PvmBasis(random_orthonormal_basis(rng))}[basis]
+        if initial == "rho":
+            v = random_orthonormal_basis(rng)
+            w = rng.random()
+            initial = w * np.outer(v[:, 0], v[:, 0].conj()) + (1 - w) * np.outer(v[:, 1], v[:, 1].conj())
+        _assert_matches_reference(cfg_for(EigenphasePair(phi, psi), pvm, steps, seed=seed,
+                                          period=period, initial=initial))
+
+    @pytest.mark.parametrize("u,basis,expected", [
+        (np.eye(2), PvmBasis.x_basis(), "identity"),
+        (PAULI_X, PvmBasis.computational(2), "flip"),
+        (np.diag([1.0, 1j]), PvmBasis.x_basis(), "constant"),
+        (EigenphasePair(0.0, PI), PvmBasis.x_basis(), None),
+    ], ids=["identity", "pauli-x", "diag-1-i", "theta-pi"])
+    @pytest.mark.parametrize("initial", [None, 0, 1])
+    def test_degenerate_chains(self, u, basis, expected, initial):
+        out = _assert_matches_reference(cfg_for(u, basis, 5000, seed=13, initial=initial))
+        if expected == "identity":
+            assert np.all(out == out[0])
+        elif expected == "flip":
+            assert np.array_equal(out, (out[0] + np.arange(5000)) % 2)
+        elif expected == "constant":
+            # t0 == t1: every step ignores the previous outcome
+            u_draws = stream_generator(13, 0).random(5000)
+            assert np.array_equal(out[1:], u_draws[1:] >= 0.5)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_draws_equal_to_the_thresholds(self, seed, monkeypatch):
+        # a draw equal to cum[x, 0] moves to outcome 1, as in the loop
+        rng = np.random.default_rng(seed)
+        pair = EigenphasePair(*rng.uniform(0.0, TWO_PI, 2))
+        basis = PvmBasis(random_orthonormal_basis(rng)) if seed % 2 else PvmBasis.x_basis()
+        cum = np.cumsum(transition_matrix(Unitary2.from_pair(pair).matrix, basis).entries, axis=1)
+        t0, t1 = cum[0, 0], cum[1, 0]
+        values = np.array([t0, t1, np.nextafter(t0, 0.0), np.nextafter(t1, 1.0), 0.0, 0.5])
+        draws = rng.choice(values, 4000)
+
+        class Fixed:
+            def random(self, n):
+                return draws[:n].copy()
+
+        for module in ("qchaos.simulate", "helpers"):
+            monkeypatch.setattr(f"{module}.stream_generator", lambda *_: Fixed())
+        _assert_matches_reference(cfg_for(pair, basis, 4000, seed=0, initial=[None, 0, 1][seed % 3]))
+
+    def test_qutrit_loop(self):
+        rng = np.random.default_rng(5)
+        basis = PvmBasis(random_orthonormal_basis(rng, 3))
+        for period, initial in ((1, None), (3, 2)):
+            _assert_matches_reference(cfg_for(random_unitary(rng, 3), basis, 3000, seed=8,
+                                              period=period, initial=initial))
+
 
 class TestEmpiricalEntropyRate:
     def test_fair_coin(self):
@@ -131,6 +222,32 @@ class TestEmpiricalEntropyRate:
     def test_rejects_bad_symbols(self):
         with pytest.raises(ValueError):
             empirical_entropy_rate(np.array([0, 1, 5]), 1, alphabet_size=2)
+
+    @pytest.mark.parametrize("sequence", [
+        np.full(1000, 0.9), np.zeros(1000), [0.0, 1.0] * 500, np.zeros(1000, dtype=complex)])
+    def test_rejects_non_integer_symbols(self, sequence):
+        with pytest.raises(ValueError, match="integers"):
+            empirical_entropy_rate(sequence, 1, alphabet_size=2)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_rejects_negative_symbols(self, dtype):
+        seq = np.tile(np.array([0, 1, -1], dtype=dtype), 400)
+        with pytest.raises(ValueError, match="lie in"):
+            empirical_entropy_rate(seq, 1, alphabet_size=2)
+
+    @pytest.mark.parametrize("d,block_len", [(2, 7), (2, 8), (3, 4), (3, 5), (2, 1), (5, 3)])
+    @pytest.mark.parametrize("kind", ["list", "int64", "uint8"])
+    def test_matches_int64_oracle(self, d, block_len, kind):
+        # d^(L+1) on either side of 2^8, where the window codes go from uint8 to uint16
+        seq = np.random.default_rng(d * 100 + block_len).integers(0, d, 100 * d ** block_len + 17)
+        arg = seq.tolist() if kind == "list" else seq.astype(kind)
+        before = np.array(arg, copy=True)
+        for alphabet in (d, None):
+            rate = empirical_entropy_rate(arg, block_len, alphabet_size=alphabet)
+            assert rate.hex() == reference_entropy_rate(seq, block_len, alphabet).hex()
+        assert np.array_equal(np.asarray(arg), before)
+        if d == 2:
+            assert empirical_entropy_rate(seq.astype(bool), block_len) == rate
 
 
 class TestCensus:
