@@ -35,8 +35,6 @@ from .entropy import (
     markov_entropy_rate,
     measurement_probabilities,
     pvm_entropy_optimize,
-    qubit_entropy_closed,
-    theta_of,
     transition_matrix,
 )
 from .chaoticity import (
@@ -57,7 +55,9 @@ from .chaoticity import (
     idempotency_order,
     order_verdicts,
     projective_idempotency_order,
+    qubit_entropy_closed,
     theta_at_order,
+    theta_of,
     trace_magnitude,
     verdict_at_order,
     verdict_of,

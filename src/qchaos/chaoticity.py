@@ -23,13 +23,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import qubit_entropy_of_theta
+from .entropy import EntropyResult, qubit_entropy_of_theta
 from .phases import (
     EigenphasePair,
     ExactUnitarySpec,
     RationalPhase,
     TWO_PI,
     rational_phase_order,
+    require_count,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -144,8 +145,7 @@ def trace_magnitude(pair: EigenphasePair) -> float:
 
 def exact_theta_fraction(spec: ExactUnitarySpec, k: int) -> Fraction:
     """theta/pi of the k-th power of an exact spec, as an exact Fraction in [0, 1]."""
-    if k < 1:
-        raise ValueError(f"order must be a positive integer, got {k}")
+    require_count("order", k)
     t, big = _theta_units(spec, np.asarray([k]))
     return Fraction(int(t[0]), big)
 
@@ -153,6 +153,16 @@ def exact_theta_fraction(spec: ExactUnitarySpec, k: int) -> Fraction:
 def theta_at_order(u, k: int) -> float:
     """theta of the k-th power, exact for rational specs (pi comes out exact)."""
     return float(order_verdicts(u, [k]).theta[0])
+
+
+def theta_of(pair: EigenphasePair) -> float:
+    """Circular distance min(|d|, 2*pi - |d|) in [0, pi] of the eigenphases: theta at K = 1."""
+    return theta_at_order(pair, 1)
+
+
+def qubit_entropy_closed(pair: EigenphasePair) -> EntropyResult:
+    """Closed-form PVM entropy of a qubit unitary with the given eigenphases."""
+    return EntropyResult(qubit_entropy_of_theta(theta_of(pair)), method="closed_form")
 
 
 @dataclass(frozen=True)
@@ -199,8 +209,7 @@ class ChaoticityReport:
 
 def chaoticity_scan(u, k_max: int) -> ChaoticityReport:
     """Scan orders 1..k_max; exact phase reduction when u is an ExactUnitarySpec."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be a positive integer, got {k_max}")
+    require_count("k_max", k_max)
     res = order_verdicts(u, np.arange(1, k_max + 1))
     entropy = np.ones(k_max)  # the closed form is 1 for theta >= pi/2
     low = np.flatnonzero(res.theta < math.pi / 2.0)
@@ -239,8 +248,7 @@ def idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000) -> Idempot
     prime p it is the commonly quoted order even though the strict order can
     differ by the global-phase contribution.
     """
-    if n_cap < 1:
-        raise ValueError(f"n_cap must be a positive integer, got {n_cap}")
+    require_count("n_cap", n_cap)
     g = spec.global_phase
     order = math.lcm(rational_phase_order(g + spec.phase1), rational_phase_order(g + spec.phase2))
     if order > n_cap:
@@ -251,8 +259,7 @@ def idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000) -> Idempot
 
 def projective_idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000) -> int:
     """Smallest n with U^n proportional to the identity (global phase ignored)."""
-    if n_cap < 1:
-        raise ValueError(f"n_cap must be a positive integer, got {n_cap}")
+    require_count("n_cap", n_cap)
     order = rational_phase_order(spec.phase1 + RationalPhase(-spec.phase2.m, spec.phase2.p))
     if order > n_cap:
         raise IdempotencyCapError(order, n_cap)
@@ -270,8 +277,7 @@ def first_nonchaotic_order(pair, k_bound: int) -> int | None:
     no band.  Hence only K = 1..min(4, k_bound) are evaluated, and None means
     that k_bound < 4 and no order up to it is non-chaotic.
     """
-    if k_bound < 1:
-        raise ValueError(f"order bound must be a positive integer, got {k_bound}")
+    require_count("order bound", k_bound)
     codes = order_verdicts(pair, np.arange(1, min(4, k_bound) + 1)).codes
     hits = np.flatnonzero(codes == NON_CHAOTIC)
     return int(hits[0]) + 1 if hits.size else None
@@ -283,8 +289,7 @@ _SCAN_CHUNK = 1 << 16
 def chaotic_order_fraction(pair: EigenphasePair, k_max: int) -> float:
     """Fraction of orders K in 1..k_max with a chaotic (not boundary) verdict,
     counted _SCAN_CHUNK orders at a time."""
-    if k_max < 1:
-        raise ValueError(f"order bound must be a positive integer, got {k_max}")
+    require_count("order bound", k_max)
     chunks = (np.arange(s, min(s + _SCAN_CHUNK, k_max + 1))
               for s in range(1, k_max + 1, _SCAN_CHUNK))
     return sum(int(np.count_nonzero(order_verdicts(pair, ks).codes == CHAOTIC))

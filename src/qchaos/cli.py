@@ -3,14 +3,14 @@
 Every command emits a JSON document with an embedded run manifest (command,
 resolved parameters, seed, version, timestamp).  Re-running a command with
 the same arguments reproduces the document bit-identically apart from the
-timestamp, for any --threads setting.  Flags are registered only on the
-commands they act on, except --threads: it acts only on census, and optimize,
-simulate and noise accept it without effect.  ``jsontext.dumps`` writes every
-document, floats at 12 significant digits, with the scan rows and the full
-noise walk written from their columns.  The documents follow
-``schemas/output.schema.json``; that schema is the output contract, checked
-by the test suite rather than on every run.  Exit codes: 0 success,
-2 validation error.
+timestamp (census's at any --threads).  A flag is registered only on the
+commands it acts on, and a flag the source would drop exits 2: a phase beside
+--spec-json or --unitary-json, or --global-phase beside an inexact phase.
+``jsontext.dumps`` writes every document, floats at 12 significant digits,
+with the scan rows and the full noise walk written from their columns.  The
+documents follow ``schemas/output.schema.json``; that schema is the output
+contract, checked by the test suite rather than on every run.  Exit codes:
+0 success, 2 validation error.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .chaoticity import (
     chaoticity_scan,
     idempotency_order,
     projective_idempotency_order,
+    qubit_entropy_closed,
 )
 from .constructions import (
     IRRATIONAL_CERTIFIED,
@@ -40,6 +41,7 @@ from .constructions import (
     build_chaotic_order,
     build_quadratic_unitary,
     build_rational_unitary,
+    classify_phase_rationality,
     quadratic_trace_sequence,
     source_from_json,
     source_to_json,
@@ -49,7 +51,6 @@ from .entropy import (
     PvmBasis,
     markov_entropy_rate,
     pvm_entropy_optimize,
-    qubit_entropy_closed,
     transition_matrix,
 )
 from .jsontext import Rows, dumps
@@ -57,9 +58,9 @@ from .phases import (
     EigenphasePair,
     ExactUnitarySpec,
     RationalPhase,
+    TWO_PI,
     Unitary2,
     eigenphases_of,
-    make_su2_from_psi,
     mod_2pi,
     require_unitary,
 )
@@ -89,28 +90,34 @@ def parse_phase(text: str):
         return mod_2pi(float(text) * math.pi)
 
 
-def _to_radians(v) -> float:
-    return v.radians() if isinstance(v, RationalPhase) else v
-
-
 def resolve_source(args):
-    """Turn CLI phase arguments into an ExactUnitarySpec, QuadraticRecipe or pair."""
-    if getattr(args, "spec_json", None):
-        return source_from_json(Path(args.spec_json).read_text())
-    g = parse_phase(args.global_phase) if getattr(args, "global_phase", None) else RationalPhase(0)
-    phi = parse_phase(args.phi) if getattr(args, "phi", None) is not None else None
-    psi = parse_phase(args.psi) if getattr(args, "psi", None) is not None else None
-    if psi is None:
+    """Turn CLI source arguments into an ExactUnitarySpec, QuadraticRecipe or
+    pair, or a matrix for --unitary-json.  Raises ValueError where the source
+    would drop a flag: a phase beside --spec-json or --unitary-json, or
+    --global-phase unless it, phi and psi are all exact."""
+    given = [n for n in ("spec_json", "unitary_json", "phi", "psi", "global_phase")
+             if getattr(args, n, None) is not None]
+    if given and given[0].endswith("_json"):
+        if len(given) > 1:
+            flags = [f"--{n.replace('_', '-')}" for n in given]
+            raise ValueError(f"{flags[0]} cannot be combined with {', '.join(flags[1:])}")
+        if given == ["spec_json"]:
+            return source_from_json(Path(args.spec_json).read_text())
+        rows = json.loads(Path(args.unitary_json).read_text())  # d x d nested [re, im] pairs
+        return require_unitary(np.array([[complex(re, im) for re, im in row] for row in rows]))
+    if "psi" not in given:
         raise ValueError("a unitary source is required: --psi, --phi/--psi or --spec-json")
+    phi, psi, g = (parse_phase(getattr(args, n)) if n in given else None
+                   for n in ("phi", "psi", "global_phase"))
     if phi is None:  # SU(2) completion from the single phase: phi = -psi mod 2*pi
-        if isinstance(psi, RationalPhase):
-            return ExactUnitarySpec(RationalPhase(-psi.m, psi.p), psi,
-                                    g if isinstance(g, RationalPhase) else RationalPhase(0))
-        return make_su2_from_psi(psi)
-    if (isinstance(phi, RationalPhase) and isinstance(psi, RationalPhase)
-            and isinstance(g, RationalPhase)):
-        return ExactUnitarySpec(phi, psi, g)
-    return EigenphasePair(_to_radians(phi), _to_radians(psi))
+        phi = RationalPhase(-psi.m, psi.p) if isinstance(psi, RationalPhase) else TWO_PI - psi
+    exact = isinstance(phi, RationalPhase) and isinstance(psi, RationalPhase)
+    if g is not None and not (exact and isinstance(g, RationalPhase)):
+        raise ValueError("--global-phase needs exact phases: --phi, --psi and itself as m/p")
+    if exact:
+        return ExactUnitarySpec(phi, psi, g or RationalPhase(0))
+    return EigenphasePair(*(v.radians() if isinstance(v, RationalPhase) else v
+                            for v in (phi, psi)))
 
 
 def _built(source):
@@ -160,21 +167,17 @@ def _source_doc(source) -> dict:
     return {"kind": "float_pair", "phi": source.phi, "psi": source.psi, "spec": None}
 
 
+_NO_ORDER_REASON = {IRRATIONAL_CERTIFIED: "irrational_phase", UNKNOWN: "unknown_phase_rationality"}
+
+
 def _analysis_body(source, k_max: int, n_cap: int) -> dict:
     """Scan + per-order closed-form entropy + idempotency/rationality block."""
     target, pair, built = _built(source)
-    if built is not None:
-        rationality = IRRATIONAL_CERTIFIED
-        idem = IdempotencyResult(order=None, reason="irrational_phase")
-        projective = None
-    elif isinstance(source, ExactUnitarySpec):
-        rationality = RATIONAL
-        idem = idempotency_order(source, n_cap)
-        projective = projective_idempotency_order(source, n_cap)
-    else:
-        rationality = UNKNOWN
-        idem = IdempotencyResult(order=None, reason="unknown_phase_rationality")
-        projective = None
+    rationality = classify_phase_rationality(source)
+    exact = rationality == RATIONAL  # an exact spec: the quadratic build rejects the rest
+    idem = (idempotency_order(source, n_cap) if exact
+            else IdempotencyResult(order=None, reason=_NO_ORDER_REASON[rationality]))
+    projective = projective_idempotency_order(source, n_cap) if exact else None
     report = chaoticity_scan(target, k_max)
     body = {
         "input": _source_doc(source),
@@ -266,8 +269,7 @@ def cmd_simulate(args) -> int:
     _, pair, _ = _built(resolve_source(args))
     u = Unitary2.from_pair(pair).matrix
     if args.basis == "optimized":
-        basis = pvm_entropy_optimize(u, OptimizerOptions(seed=args.seed,
-                                                         threads=args.threads)).optimal_basis
+        basis = pvm_entropy_optimize(u, OptimizerOptions(seed=args.seed)).optimal_basis
     else:
         basis = _BASIS_CHOICES[args.basis]()
     cfg = TrajectoryConfig(pair, basis, steps=args.steps, seed=args.seed,
@@ -321,22 +323,13 @@ def cmd_noise(args) -> int:
     return 0
 
 
-def _load_unitary_json(path: str) -> np.ndarray:
-    rows = json.loads(Path(path).read_text())
-    m = np.array([[complex(re, im) for re, im in row] for row in rows])
-    return require_unitary(m)
-
-
 def cmd_optimize(args) -> int:
     if not 0.0 <= args.match_tol < math.inf:  # also false for NaN
         raise ValueError(f"match-tol must be finite and >= 0, got {args.match_tol}")
-    if args.unitary_json:
-        u = _load_unitary_json(args.unitary_json)
-    else:
-        _, pair, _ = _built(resolve_source(args))
-        u = Unitary2.from_pair(pair).matrix
+    source = resolve_source(args)  # --unitary-json resolves to the matrix itself
+    u = source if isinstance(source, np.ndarray) else Unitary2.from_pair(_built(source)[1]).matrix
     opts = OptimizerOptions(restarts=args.restarts, max_iters=args.max_iters,
-                            seed=args.seed, threads=args.threads)
+                            seed=args.seed)
     result = pvm_entropy_optimize(u, opts)
     body = {
         "d": u.shape[0],
@@ -361,8 +354,8 @@ def cmd_optimize(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = False, csv: bool = False,
-                out: bool = False, threads: bool = False) -> None:
-    """--json everywhere; --seed, --csv, --out and --threads where they act."""
+                out: bool = False) -> None:
+    """--json everywhere; --seed, --csv and --out where they act."""
     if seed:
         p.add_argument("--seed", type=int, default=0,
                        help="64-bit seed of the command's random streams")
@@ -373,15 +366,14 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = False, csv: bool = Fals
     if out:
         p.add_argument("--out", metavar="PREFIX",
                        help="output prefix for the stream and sidecar files")
-    if threads:
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; results are independent of this value")
 
 
-def _add_source_args(p: argparse.ArgumentParser) -> None:
+def _add_source_args(p: argparse.ArgumentParser, global_phase: bool = False) -> None:
     p.add_argument("--phi", help="first eigenphase (units of pi; 'm/p' exact, 'rad:' radians)")
     p.add_argument("--psi", help="second eigenphase; alone it implies the SU(2) completion")
-    p.add_argument("--global-phase", help="scalar prefactor phase (units of pi)")
+    if global_phase:
+        p.add_argument("--global-phase",
+                       help="scalar prefactor phase (units of pi); needs exact phases")
     p.add_argument("--spec-json", metavar="PATH", help="JSON build source (rational or quadratic)")
 
 
@@ -393,14 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="scan chaoticity orders, entropy and idempotency")
-    _add_source_args(p)
+    _add_source_args(p, global_phase=True)
     p.add_argument("--k-max", type=int, default=8)
     p.add_argument("--n-cap", type=int, default=1_000_000)
     _add_common(p, csv=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("scan", help="chaoticity scan rows only")
-    _add_source_args(p)
+    _add_source_args(p, global_phase=True)
     p.add_argument("--k-max", type=int, default=8)
     _add_common(p, csv=True)
     p.set_defaults(func=cmd_scan)
@@ -424,7 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="uniform-psi chaotic-fraction census")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, seed=True, threads=True)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker cap; results are independent of this value")
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("simulate", help="sample a measured trajectory and estimate its rate")
@@ -434,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=int, default=1,
                    help="measure after every period-th application")
     p.add_argument("--block-len", type=int, default=8)
-    _add_common(p, seed=True, out=True, threads=True)
+    _add_common(p, seed=True, out=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("noise", help="uniform phase-noise walk with per-step verdicts")
@@ -442,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--full", action="store_true", help="include every walk step")
-    _add_common(p, seed=True, threads=True)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("optimize", help="variational PVM entropy over measurement bases")
@@ -452,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--match-tol", type=float, default=1e-3)
-    _add_common(p, seed=True, threads=True)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_optimize)
 
     return parser

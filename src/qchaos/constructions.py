@@ -34,10 +34,12 @@ import math
 from dataclasses import dataclass
 
 from .chaoticity import CHAOTIC, order_verdicts
-from .phases import EigenphasePair, ExactUnitarySpec, RationalPhase
+from .phases import EigenphasePair, ExactUnitarySpec, RationalPhase, require_count
 
 #: Fraction bits of the exact residue: a float significand plus guard bits.
 _RESIDUE_BITS = 53 + 64
+#: ``build_chaotic_order`` tries the primes below this bound.
+_PRIME_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -103,8 +105,7 @@ class TraceSequence:
 
 def quadratic_trace_sequence(seed: QuadraticSeed, t_max: int) -> TraceSequence:
     """s_0..s_t_max by the exact integer recurrence s_{t+1} = -a s_t - b s_{t-1}."""
-    if t_max < 1:
-        raise ValueError(f"t_max must be a positive integer, got {t_max}")
+    require_count("t_max", t_max)
     values = [2, -seed.a]
     for _ in range(t_max - 1):
         values.append(-seed.a * values[-1] - seed.b * values[-2])
@@ -133,8 +134,7 @@ def build_quadratic_unitary(seed: QuadraticSeed, t: int,
     The residue r = beta^t mod 2 is bracketed in exact integers, so psi =
     r pi and phi = (2 - r) pi keep full float accuracy at every t.
     """
-    if t < 1:
-        raise ValueError(f"t must be a positive integer, got {t}")
+    require_count("t", t)
     if not seed.in_default_regime and not allow_positive_coefficients:
         raise ValueError(
             f"seed (a={seed.a}, b={seed.b}) is outside the a, b < 0 regime; "
@@ -187,7 +187,7 @@ def _primes(cap: int):
     return [i for i in range(2, cap + 1) if sieve[i]]
 
 
-def build_chaotic_order(k: int, prime_cap: int = 10_000) -> tuple[ExactUnitarySpec, int]:
+def build_chaotic_order(k: int) -> tuple[ExactUnitarySpec, int]:
     """Rational-phase unitary whose k-th power is chaotic, plus the prime used.
 
     Takes the smallest prime p2 not dividing k with |cos(pi k / p2)| <= 1/sqrt(2)
@@ -195,15 +195,14 @@ def build_chaotic_order(k: int, prime_cap: int = 10_000) -> tuple[ExactUnitarySp
     test is the exact rational verdict at order k.  The result is exactly
     rational, hence idempotent of some finite order.
     """
-    if k < 1:
-        raise ValueError(f"order must be a positive integer, got {k}")
-    for p in _primes(prime_cap):
+    require_count("order", k)
+    for p in _primes(_PRIME_CAP):
         if k % p == 0:
             continue
         spec = ExactUnitarySpec(RationalPhase(2 * p - 1, p), RationalPhase(1, p))
         if order_verdicts(spec, [k]).codes[0] == CHAOTIC:
             return spec, p
-    raise ValueError(f"no qualifying prime below {prime_cap} for order {k}")
+    raise ValueError(f"no qualifying prime below {_PRIME_CAP} for order {k}")
 
 
 @dataclass(frozen=True)

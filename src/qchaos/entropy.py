@@ -10,7 +10,9 @@ For qubits the maximum has a closed form in terms of the eigenphase distance
 theta = min(|phi - psi|, 2*pi - |phi - psi|):
 
     H(U) = 1                                      for theta >= pi/2
-    H(U) = eta(cos^2(theta/2)) + eta(sin^2(theta/2))  otherwise.
+    H(U) = eta(cos^2(theta/2)) + eta(sin^2(theta/2))  otherwise
+
+(``qubit_entropy_of_theta``; ``chaoticity.qubit_entropy_closed`` takes a pair).
 
 For general small d the maximum is estimated by multi-start derivative-free
 ascent over a plane-rotation parametrization of the basis.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phases import EigenphasePair, TWO_PI, require_unitary
+from .phases import TWO_PI, require_count, require_unitary
 from .rng import stream_generator
 
 #: Orthonormality tolerance for measurement bases and density matrices.
@@ -61,12 +63,6 @@ def eta_array(x: np.ndarray) -> np.ndarray:
     nz = a > 0.0
     out[nz] = -a[nz] * np.log2(a[nz])
     return out
-
-
-def theta_of(pair: EigenphasePair) -> float:
-    """Circular distance of the two eigenphases: min(|d|, 2*pi - |d|), in [0, pi]."""
-    d = abs(pair.phi - pair.psi)
-    return min(d, TWO_PI - d)
 
 
 @dataclass(frozen=True)
@@ -126,11 +122,6 @@ def qubit_entropy_of_theta(th: float) -> float:
         return 1.0
     c = math.cos(0.5 * th) ** 2
     return eta(c) + eta(1.0 - c)
-
-
-def qubit_entropy_closed(pair: EigenphasePair) -> EntropyResult:
-    """Closed-form PVM entropy of a qubit unitary with the given eigenphases."""
-    return EntropyResult(qubit_entropy_of_theta(theta_of(pair)), method="closed_form")
 
 
 def require_density_matrix(rho, tol: float = GRAM_TOL) -> np.ndarray:
@@ -221,17 +212,12 @@ class OptimizerOptions:
     max_iters: int = 2000
     xatol: float = 1e-10
     seed: int = 0
-    threads: int = 1  # inert: the restarts run in one thread (see pvm_entropy_optimize)
 
     def __post_init__(self):
         if not 0.0 <= self.xatol < math.inf:  # also false for NaN
             raise ValueError(f"xatol must be finite and >= 0, got {self.xatol}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        require_count("restarts", self.restarts)
+        require_count("max_iters", self.max_iters)
 
 
 # Plane pairs acted on by successive Givens-with-phase factors, per dimension.
@@ -420,7 +406,8 @@ def pvm_entropy_optimize(u, opts: OptimizerOptions | None = None) -> EntropyResu
     run in plain Python floats, so no scipy is imported.  Restart r draws its
     start from a counter-based stream keyed by (opts.seed, r), so the best
     value can only grow as restarts increase.  Restarts run in order in one
-    thread (``opts.threads`` has no effect).  Best-found, not certified-global.
+    thread: the objective is pure Python and holds the GIL, so a worker pool
+    gave no speedup.  Best-found, not certified-global.
     """
     opts = opts or OptimizerOptions()
     m = require_unitary(u)

@@ -118,6 +118,14 @@ def rational_phase_order(ph: RationalPhase) -> int:
     return 2 * ph.p // math.gcd(ph.m, 2 * ph.p)
 
 
+def require_count(name: str, value) -> None:
+    """Reject a count that is not an integer (numpy integers pass) >= 1."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+
+
 def require_unitary(u, tol: float = UNITARY_TOL, d: int | None = None) -> np.ndarray:
     """Validate that u is a d x d unitary matrix and return it as complex ndarray.
 
@@ -177,6 +185,12 @@ class ExactUnitarySpec:
     phase1: RationalPhase
     phase2: RationalPhase
     global_phase: RationalPhase = RationalPhase(0)
+
+    def __post_init__(self):
+        for name in ("phase1", "phase2", "global_phase"):
+            value = getattr(self, name)
+            if not isinstance(value, RationalPhase):
+                raise ValueError(f"{name} must be an exact rational phase, got {value!r}")
 
     def pair(self) -> EigenphasePair:
         """The inner eigenphases as floats (global phase excluded)."""

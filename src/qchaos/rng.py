@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 
 def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """A Generator for the given (seed, stream) key; same key, same output."""
+    """A Generator for the given (seed, stream) key; same key, same output.
+    Both must lie in [0, 2^64), so that no two keys share a stream."""
     if not isinstance(seed, int) or not isinstance(stream, int):
         raise ValueError("seed and stream must be integers")
-    key = ((seed & _MASK64) << 64) | (stream & _MASK64)
+    if not (0 <= seed < 1 << 64 and 0 <= stream < 1 << 64):
+        raise ValueError(f"seed and stream must lie in [0, 2**64), got {seed} and {stream}")
+    key = (seed << 64) | stream
     return np.random.Generator(np.random.Philox(key=key))

@@ -36,6 +36,7 @@ from .phases import (
     TWO_PI,
     Unitary2,
     mod_2pi,
+    require_count,
     require_unitary,
 )
 from .rng import stream_generator
@@ -48,13 +49,19 @@ class InsufficientDataError(ValueError):
     """Sequence too short for the requested block length."""
 
 
+def _integer_symbols(sequence) -> np.ndarray:
+    """The sequence as an array of integer or bool dtype; a cast would truncate floats."""
+    s = np.asarray(sequence)
+    if s.dtype.kind not in "biu":
+        raise ValueError(f"sequence symbols must be integers, got dtype {s.dtype}")
+    return s
+
+
 def _resolve_matrix(source) -> np.ndarray:
     if isinstance(source, EigenphasePair):
         return Unitary2.from_pair(source).matrix
     if isinstance(source, ExactUnitarySpec):
         return source.to_unitary().matrix
-    if isinstance(source, Unitary2):
-        return source.matrix
     return require_unitary(source)
 
 
@@ -65,7 +72,8 @@ class TrajectoryConfig:
 
     ``initial`` is a basis index, a density matrix, or None for the maximally
     mixed state (the stationary start of any doubly stochastic chain).  The
-    seed is mandatory; there is no ambient randomness anywhere.
+    seed is mandatory; the draws come from the stream keyed (seed, 0), and
+    there is no ambient randomness anywhere.
     """
 
     unitary: object
@@ -74,13 +82,10 @@ class TrajectoryConfig:
     seed: int
     period: int = 1
     initial: object = None
-    stream: int = 0
 
     def __post_init__(self):
-        for name in ("steps", "period"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        require_count("steps", self.steps)
+        require_count("period", self.period)
         if not isinstance(self.seed, int):
             raise ValueError("seed is mandatory and must be an integer")
 
@@ -121,7 +126,7 @@ def sample_trajectory(cfg: TrajectoryConfig) -> np.ndarray:
     cum = np.cumsum(p, axis=1)
     cum[:, -1] = 1.0
 
-    uniforms = stream_generator(cfg.seed, cfg.stream).random(cfg.steps)
+    uniforms = stream_generator(cfg.seed).random(cfg.steps)
     x = int(np.searchsorted(cum0, uniforms[0], side="right"))
     if d == 2:
         after0 = uniforms >= cum[0, 0]  # the next outcome when the last one is 0
@@ -146,7 +151,7 @@ def sample_trajectory(cfg: TrajectoryConfig) -> np.ndarray:
 
 def empirical_transition_matrix(sequence, d: int | None = None) -> np.ndarray:
     """Row-normalized transition frequencies of a symbol sequence (test helper)."""
-    s = np.asarray(sequence, dtype=np.int64)
+    s = _integer_symbols(sequence).astype(np.int64)
     if d is None:
         d = int(s.max()) + 1
     counts = np.zeros((d, d))
@@ -164,13 +169,10 @@ def empirical_entropy_rate(sequence, block_len: int,
     L-block marginal is exactly consistent and the difference is a genuine
     conditional entropy in [0, log2 d].  Requires at least 100 * d^L symbols.
     """
-    if block_len < 1:
-        raise ValueError(f"block length must be >= 1, got {block_len}")
-    s = np.asarray(sequence)
+    require_count("block length", block_len)
+    s = _integer_symbols(sequence)
     if s.ndim != 1:
         raise ValueError("sequence must be one-dimensional")
-    if s.dtype.kind not in "biu":
-        raise ValueError(f"sequence symbols must be integers, got dtype {s.dtype}")
     d = alphabet_size if alphabet_size is not None else int(s.max()) + 1
     if d < 1 or s.min() < 0 or s.max() >= d:
         raise ValueError("sequence symbols must lie in [0, alphabet_size)")
@@ -228,10 +230,8 @@ def monte_carlo_chaotic_fraction(n_trials: int, seed: int,
     with one counter-based stream each, so the count is identical for any
     thread count.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    require_count("n_trials", n_trials)
+    require_count("threads", threads)
     sizes = [min(CENSUS_CHUNK, n_trials - start)
              for start in range(0, n_trials, CENSUS_CHUNK)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -242,18 +242,16 @@ def monte_carlo_chaotic_fraction(n_trials: int, seed: int,
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Uniform phase noise of half-width epsilon*pi, one draw per step."""
+    """Uniform phase noise of half-width epsilon*pi, one draw per step from stream (seed, 0)."""
 
     epsilon: float
     steps: int
     seed: int
-    stream: int = 0
 
     def __post_init__(self):
         if not 0.0 <= 2.0 * math.pi * self.epsilon < math.inf:  # the draw's range; NaN fails
             raise ValueError(f"epsilon must be >= 0 with 2*pi*epsilon finite, got {self.epsilon}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        require_count("steps", self.steps)
         if not isinstance(self.seed, int):
             raise ValueError("seed is mandatory and must be an integer")
 
@@ -275,7 +273,7 @@ def noisy_phase_walk(base: EigenphasePair, cfg: NoiseConfig) -> NoiseWalk:
     unimodular at every step.
     """
     half = cfg.epsilon * math.pi
-    lambdas = stream_generator(cfg.seed, cfg.stream).uniform(-half, half, cfg.steps)
+    lambdas = stream_generator(cfg.seed).uniform(-half, half, cfg.steps)
     phi = mod_2pi(base.phi + lambdas)
     psi = mod_2pi(base.psi - lambdas)
     verdicts = order_verdicts(phi - psi)

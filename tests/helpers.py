@@ -89,7 +89,7 @@ def reference_trajectory(cfg) -> np.ndarray:
     cum = np.cumsum(p, axis=1)
     cum[:, -1] = 1.0
 
-    uniforms = stream_generator(cfg.seed, cfg.stream).random(cfg.steps)
+    uniforms = stream_generator(cfg.seed, 0).random(cfg.steps)
     out = np.empty(cfg.steps, dtype=np.uint8)
     x = int(np.searchsorted(cum0, uniforms[0], side="right"))
     out[0] = x

@@ -149,6 +149,21 @@ class TestChaoticityScan:
         with pytest.raises(ValueError):
             chaoticity_scan(PAULI_X_PHASES, 0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: chaoticity_scan(PAULI_X_PHASES, 8.0),
+        lambda: chaoticity_scan(D4, 8.5),
+        lambda: exact_theta_fraction(D4, 2.0),
+        lambda: idempotency_order(D4, 1e6),
+        lambda: projective_idempotency_order(D4, 1e6),
+        lambda: first_nonchaotic_order(LUCAS_T3, 4.0),
+        lambda: chaotic_order_fraction(LUCAS_T3, 100.0),
+    ], ids=["scan", "scan-exact", "theta-fraction", "idempotency", "projective",
+            "first-nonchaotic", "chaotic-fraction"])
+    def test_counts_must_be_integers(self, call):
+        # unchecked, k_max = 8.5 would scan the nine orders of np.arange(1, 9.5)
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
     def test_entropy_zero_iff_theta_zero(self):
         rng = np.random.default_rng(8)
         for _ in range(20):

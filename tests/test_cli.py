@@ -213,9 +213,17 @@ class TestFlags:
         ["construct", "rational", "1/4", "5/4", "--threads", "2"],
         ["construct", "chaotic-order-k", "-K", "5", "--threads", "2"],
         ["construct", "quadratic", "--a", "-1", "--b", "-1", "--t", "3", "--threads", "2"],
+        ["optimize", "--psi", "1/3", "--threads", "2"],
+        ["simulate", "--psi", "1/2", "--steps", "100", "--threads", "2"],
+        ["noise", "--psi", "1/2", "--epsilon", "0.1", "--threads", "2"],
+        ["optimize", "--psi", "1/3", "--global-phase", "1/4"],
+        ["simulate", "--psi", "1/2", "--steps", "100", "--global-phase", "1/4"],
+        ["noise", "--psi", "1/2", "--epsilon", "0.1", "--global-phase", "1/4"],
     ], ids=["analyze-precision-bits", "analyze-out", "scan-seed", "analyze-threads",
             "scan-threads", "construct-rational-threads", "construct-order-k-threads",
-            "construct-quadratic-threads"])
+            "construct-quadratic-threads", "optimize-threads", "simulate-threads",
+            "noise-threads", "optimize-global-phase", "simulate-global-phase",
+            "noise-global-phase"])
     def test_inapplicable_flag_is_exit_2(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
             main(args)
@@ -233,14 +241,59 @@ class TestFlags:
         (["optimize", "--psi", "1/3", "--max-iters", "0"], "max_iters must be >= 1"),
         (["census", "--n", "100", "--threads", "0"], "threads must be >= 1"),
         (["census", "--n", "100", "--threads", "-3"], "threads must be >= 1"),
+        (["analyze", "--phi", "1/3", "--psi", "2/3", "--global-phase", "0.25"],
+         "--global-phase needs"),
+        (["analyze", "--phi", "0.2", "--psi", "0.5", "--global-phase", "1/4"],
+         "--global-phase needs"),
+        (["scan", "--psi", "0.5", "--global-phase", "1/4"], "--global-phase needs"),
+        (["analyze", "--psi", "1/2", "--global-phase", "rad:0.5"], "--global-phase needs"),
+        (["construct", "rational", "0.25", "5/4"], "phase1 must be an exact rational phase"),
+        (["construct", "rational", "1/4", "5/4", "--global-phase", "0.25"],
+         "global_phase must be an exact rational phase"),
+        (["census", "--n", "100", "--seed", "-1"], "must lie in [0, 2**64)"),
+        (["census", "--n", "100", "--seed", str(2 ** 64)], "must lie in [0, 2**64)"),
     ], ids=["noise-epsilon-nan", "noise-epsilon-inf", "noise-epsilon-huge",
             "optimize-match-tol-nan", "optimize-match-tol-inf", "optimize-match-tol-negative",
             "optimize-restarts-0", "optimize-max-iters-0", "census-threads-0",
-            "census-threads-negative"])
+            "census-threads-negative", "analyze-float-global-phase",
+            "analyze-float-phases-global-phase", "scan-float-completion-global-phase",
+            "analyze-radian-global-phase", "construct-rational-float-phase",
+            "construct-rational-float-global-phase", "census-seed-negative",
+            "census-seed-2-64"])
     def test_out_of_range_value_is_exit_2(self, args, message, tmp_path, capsys):
         code, doc = run_cli(args, tmp_path)
         assert code == 2 and doc is None
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "--spec-json", "{spec}", "--psi", "1/7"],
+        ["optimize", "--unitary-json", "{unitary}", "--psi", "1/3"],
+        ["scan", "--spec-json", "{spec}", "--phi", "1/3", "--global-phase", "1/4"],
+        ["optimize", "--spec-json", "{spec}", "--unitary-json", "{unitary}"],
+    ], ids=["analyze-spec-json-psi", "optimize-unitary-json-psi",
+            "scan-spec-json-phi-global-phase", "optimize-spec-json-unitary-json"])
+    def test_flag_beside_a_file_source_is_exit_2(self, args, tmp_path, capsys):
+        files = {"{spec}": tmp_path / "spec.json", "{unitary}": tmp_path / "u.json"}
+        files["{spec}"].write_text(json.dumps(
+            {"kind": "rational", "m1": 1, "p1": 4, "m2": 5, "p2": 4}))
+        files["{unitary}"].write_text(json.dumps([[[0, 0], [1, 0]], [[1, 0], [0, 0]]]))
+        code, doc = run_cli([str(files.get(a, a)) for a in args], tmp_path)
+        assert code == 2 and doc is None
+        assert "cannot be combined with" in capsys.readouterr().err
+        for flag, path in zip(args, args[1:]):  # each file alone is a valid source
+            if path in files:
+                assert run_cli([args[0], flag, str(files[path])], tmp_path)[0] == 0
+
+    @pytest.mark.parametrize("args,spec", [
+        (["analyze", "--psi", "1/2", "--global-phase", "1/4"],
+         {"m1": 3, "p1": 2, "m2": 1, "p2": 2, "g_m": 1, "g_p": 4}),
+        (["scan", "--phi", "1/3", "--psi", "2/3", "--global-phase", "-1"],
+         {"m1": 1, "p1": 3, "m2": 2, "p2": 3, "g_m": 1, "g_p": 1}),
+    ], ids=["analyze-completion", "scan-pair"])
+    def test_exact_global_phase_reaches_the_document(self, args, spec, tmp_path):
+        code, doc = run_cli(args, tmp_path)
+        assert code == 0
+        assert doc["manifest"]["parameters"]["source"]["spec"] == {"kind": "rational", **spec}
 
     def test_non_finite_float_is_never_dumped(self, tmp_path):
         with pytest.raises(ValueError):
@@ -331,13 +384,6 @@ class TestOptimize:
         assert code == 0
         assert doc["optimize"]["d"] == 3
         assert doc["optimize"]["value_bits"] >= 1.0 - 1e-6  # beats the swap chain
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        args = ["optimize", "--phi", "0", "--psi", "2/3", "--restarts", "8",
-                "--seed", "4"]
-        _, a = run_cli([*args, "--threads", "1"], tmp_path, "a.json")
-        _, b = run_cli([*args, "--threads", "4"], tmp_path, "b.json")
-        assert stripped(a) == stripped(b)
 
 
 class TestDeterminism:

@@ -173,6 +173,17 @@ class TestQuadraticTraceSequence:
                 assert all(seq.even_flags)
 
 
+class TestCountsMustBeIntegers:
+    @pytest.mark.parametrize("call", [
+        lambda: quadratic_trace_sequence(QuadraticSeed(-1, -1), 3.0),
+        lambda: build_quadratic_unitary(QuadraticSeed(-1, -1), 3.0),
+        lambda: build_chaotic_order(5.0),
+    ], ids=["trace-sequence", "quadratic-build", "chaotic-order"])
+    def test_float_count_is_rejected(self, call):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+
 class TestQuadraticSeed:
     def test_rejects_zero_coefficients(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Eigenphase pair and rational phase behavior."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -216,6 +217,13 @@ class TestUnitary2:
 
 
 class TestExactUnitarySpec:
+    @pytest.mark.parametrize("field", ["phase1", "phase2", "global_phase"])
+    @pytest.mark.parametrize("value", [0.25 * PI, Fraction(1, 4), 1])
+    def test_rejects_fields_that_are_not_rational_phases(self, field, value):
+        kw = {"phase1": RationalPhase(1, 4), "phase2": RationalPhase(5, 4), field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an exact rational phase"):
+            ExactUnitarySpec(**kw)
+
     def test_combined_fractions_include_global(self):
         spec = ExactUnitarySpec(RationalPhase(1, 4), RationalPhase(5, 4), RationalPhase(1, 4))
         c1, c2 = spec.combined_fractions()

@@ -229,6 +229,12 @@ class TestEmpiricalEntropyRate:
         with pytest.raises(ValueError, match="integers"):
             empirical_entropy_rate(sequence, 1, alphabet_size=2)
 
+    @pytest.mark.parametrize("sequence", [np.full(10, 0.9), [0.0, 1.0, 1.0]])
+    def test_transition_matrix_rejects_non_integer_symbols(self, sequence):
+        # a cast to int64 would truncate 0.9 to 0 and count 9 transitions 0 -> 0
+        with pytest.raises(ValueError, match="integers"):
+            empirical_transition_matrix(sequence, 2)
+
     @pytest.mark.parametrize("dtype", [np.int8, np.int64])
     def test_rejects_negative_symbols(self, dtype):
         seq = np.tile(np.array([0, 1, -1], dtype=dtype), 400)
@@ -290,6 +296,18 @@ class TestCensus:
         with pytest.raises(ValueError):
             monte_carlo_chaotic_fraction(0, seed=0)
 
+    @pytest.mark.parametrize("kw", [{"n_trials": 100.0}, {"n_trials": "100"},
+                                    {"threads": 2.0}, {"threads": None}])
+    def test_rejects_non_integer_counts(self, kw):
+        args = {"n_trials": 100, "seed": 1, **kw}
+        field = next(iter(kw))
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            monte_carlo_chaotic_fraction(**args)
+
+    def test_accepts_numpy_integer_counts(self):
+        assert (monte_carlo_chaotic_fraction(np.int64(1000), seed=1, threads=np.int32(2))
+                == monte_carlo_chaotic_fraction(1000, seed=1))
+
 
 class TestNoisyPhaseWalk:
     def test_zero_epsilon_is_constant(self):
@@ -332,6 +350,34 @@ class TestNoisyPhaseWalk:
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
             NoiseConfig(epsilon=-0.1, steps=10, seed=0)
+
+    @pytest.mark.parametrize("steps", [10.0, "10", None])
+    def test_rejects_non_integer_steps(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            NoiseConfig(epsilon=0.1, steps=steps, seed=1)
+
+
+class TestStreamKeys:
+    @pytest.mark.parametrize("seed,stream", [(-1, 0), (1 << 64, 0), (0, -1), (0, 1 << 64)])
+    def test_rejects_keys_outside_64_bits(self, seed, stream):
+        # reduced mod 2^64, seed -1 and seed 2^64 - 1 would share one stream
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*64\)"):
+            stream_generator(seed, stream)
+
+    def test_edges_of_the_range_are_distinct_streams(self):
+        top = (1 << 64) - 1
+        draws = {stream_generator(s, t).random(4).tobytes()
+                 for s, t in [(0, 0), (top, 0), (0, top), (top, top)]}
+        assert len(draws) == 4
+
+    def test_out_of_range_seed_fails_every_seeded_routine(self):
+        cfg = TrajectoryConfig(PAULI_X, PvmBasis.x_basis(), steps=10, seed=-1)
+        with pytest.raises(ValueError, match="must lie in"):
+            sample_trajectory(cfg)
+        with pytest.raises(ValueError, match="must lie in"):
+            noisy_phase_walk(EigenphasePair(0.0, PI), NoiseConfig(0.1, 10, seed=1 << 64))
+        with pytest.raises(ValueError, match="must lie in"):
+            monte_carlo_chaotic_fraction(10, seed=-1)
 
 
 class TestEntropyRateExperiment:
