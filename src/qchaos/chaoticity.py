@@ -99,10 +99,11 @@ def order_verdicts(source, ks=1) -> OrderVerdicts:
     """The trace/verdict kernel: theta_K, |tr U^K| and verdict codes per order K.
 
     ``source`` is an ExactUnitarySpec (chaotic iff 2t > L, boundary iff
-    2t = L; |tr| is exactly 2 at t = 0 and 0 at t = L), an EigenphasePair
-    (d = fmod(K*phi) - fmod(K*psi)), or an array of differences d = phi - psi
-    of U^K, as the census and the noise walk pass with K = 1 (theta is then
-    None).  In every case |tr| = 2|cos(d/2)|.
+    2t = L; |tr| is exactly 2 at t = 0 and 0 at t = L), an array of
+    differences d = phi - psi of U^K, as the census and the noise walk pass
+    with K = 1 (theta is then None), or any other source, read through its
+    float pair ``source.pair()`` (an EigenphasePair or a QuadraticRecipe:
+    d = fmod(K*phi) - fmod(K*psi)).  In every case |tr| = 2|cos(d/2)|.
     """
     ks = np.asarray(ks)
     if ks.min() < 1:
@@ -111,12 +112,12 @@ def order_verdicts(source, ks=1) -> OrderVerdicts:
     if exact:
         t, big = _theta_units(source, ks)
         d = theta = np.asarray(t / big, dtype=float) * math.pi
-    elif isinstance(source, EigenphasePair):
-        kf = ks.astype(float)
-        d = np.fmod(kf * source.phi, TWO_PI) - np.fmod(kf * source.psi, TWO_PI)
-        theta = np.minimum(np.abs(d), TWO_PI - np.abs(d))
+    elif isinstance(source, np.ndarray):
+        d, theta = source.astype(float), None
     else:
-        d, theta = np.asarray(source, dtype=float), None
+        pair, kf = source.pair(), ks.astype(float)
+        d = np.fmod(kf * pair.phi, TWO_PI) - np.fmod(kf * pair.psi, TWO_PI)
+        theta = np.minimum(np.abs(d), TWO_PI - np.abs(d))
     trace_mag = 2.0 * np.abs(np.cos(d / 2.0))
     if exact:  # 2t - L has the sign of sqrt(2) - |tr|
         trace_mag = np.where(t == big, 0.0, trace_mag)
@@ -128,7 +129,7 @@ def order_verdicts(source, ks=1) -> OrderVerdicts:
 
 
 def verdict_at_order(u, k: int) -> Verdict:
-    """Chaoticity verdict of U^k; u is an EigenphasePair or ExactUnitarySpec."""
+    """Chaoticity verdict of U^k; u is a source: a pair, exact spec or quadratic recipe."""
     res = order_verdicts(u, [k])
     return Verdict(VERDICT_LABELS[res.codes[0]], float(res.trace_mag[0]))
 
@@ -208,7 +209,7 @@ class ChaoticityReport:
 
 
 def chaoticity_scan(u, k_max: int) -> ChaoticityReport:
-    """Scan orders 1..k_max; exact phase reduction when u is an ExactUnitarySpec."""
+    """Scan orders 1..k_max of a source; exact phase reduction for an ExactUnitarySpec."""
     require_count("k_max", k_max)
     res = order_verdicts(u, np.arange(1, k_max + 1))
     entropy = np.ones(k_max)  # the closed form is 1 for theta >= pi/2
@@ -266,7 +267,7 @@ def projective_idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000)
     return order
 
 
-def first_nonchaotic_order(pair, k_bound: int) -> int | None:
+def first_nonchaotic_order(source, k_bound: int) -> int | None:
     """Smallest K <= k_bound with a non-chaotic verdict; no unitary has one above 4.
 
     Proof: with d = phi - psi, order K is non_chaotic iff K*d lies within pi/2
@@ -274,11 +275,11 @@ def first_nonchaotic_order(pair, k_bound: int) -> int | None:
     lies in [pi/2, 3*pi/2]; 2*d confines it to [pi/2, 3*pi/4] u [5*pi/4, 3*pi/2],
     and 3*d to pi/2 or 3*pi/2, within the band.  So d = pi/2 (mod pi), 4*d = 0
     (mod 2*pi) and |tr U^4| = 2 to within a few band widths.  Exact specs need
-    no band.  Hence only K = 1..min(4, k_bound) are evaluated, and None means
-    that k_bound < 4 and no order up to it is non-chaotic.
+    no band.  Hence only K = 1..min(4, k_bound) of the source are evaluated,
+    and None means that k_bound < 4 and no order up to it is non-chaotic.
     """
     require_count("order bound", k_bound)
-    codes = order_verdicts(pair, np.arange(1, min(4, k_bound) + 1)).codes
+    codes = order_verdicts(source, np.arange(1, min(4, k_bound) + 1)).codes
     hits = np.flatnonzero(codes == NON_CHAOTIC)
     return int(hits[0]) + 1 if hits.size else None
 
@@ -286,11 +287,11 @@ def first_nonchaotic_order(pair, k_bound: int) -> int | None:
 _SCAN_CHUNK = 1 << 16
 
 
-def chaotic_order_fraction(pair: EigenphasePair, k_max: int) -> float:
-    """Fraction of orders K in 1..k_max with a chaotic (not boundary) verdict,
-    counted _SCAN_CHUNK orders at a time."""
+def chaotic_order_fraction(source, k_max: int) -> float:
+    """Fraction of orders K in 1..k_max of a source with a chaotic (not
+    boundary) verdict, counted _SCAN_CHUNK orders at a time."""
     require_count("order bound", k_max)
     chunks = (np.arange(s, min(s + _SCAN_CHUNK, k_max + 1))
               for s in range(1, k_max + 1, _SCAN_CHUNK))
-    return sum(int(np.count_nonzero(order_verdicts(pair, ks).codes == CHAOTIC))
+    return sum(int(np.count_nonzero(order_verdicts(source, ks).codes == CHAOTIC))
                for ks in chunks) / k_max

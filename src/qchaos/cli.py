@@ -6,6 +6,9 @@ the same arguments reproduces the document bit-identically apart from the
 timestamp (census's at any --threads).  A flag is registered only on the
 commands it acts on, and a flag the source would drop exits 2: a phase beside
 --spec-json or --unitary-json, or --global-phase beside an inexact phase.
+``resolve_source`` gives a float pair, an exact spec or a quadratic recipe;
+scans run on that source itself (an exact spec is decided exactly), and the
+other commands read its float pair through ``source.pair()``.
 ``jsontext.dumps`` writes every document, floats at 12 significant digits,
 with the scan rows and the full noise walk written from their columns.  The
 documents follow ``schemas/output.schema.json``; that schema is the output
@@ -39,7 +42,6 @@ from .constructions import (
     RATIONAL,
     UNKNOWN,
     build_chaotic_order,
-    build_quadratic_unitary,
     build_rational_unitary,
     classify_phase_rationality,
     quadratic_trace_sequence,
@@ -75,19 +77,21 @@ from .simulate import (
 )
 
 
-def parse_phase(text: str):
+def parse_phase(text: str, exact: str | None = None):
     """Parse a CLI phase: 'm/p' or an integer are exact multiples of pi,
-    a decimal is a float multiple of pi, and 'rad:x' is raw radians."""
+    a decimal is a float multiple of pi, and 'rad:x' is raw radians.  With
+    ``exact``, the name of an argument that must be exact, a float phase
+    raises ValueError quoting the text as typed."""
     text = text.strip()
-    if text.startswith("rad:"):
-        return mod_2pi(float(text[4:]))
-    if "/" in text:
+    if "/" in text and not text.startswith("rad:"):
         num, den = text.split("/", 1)
         return RationalPhase(int(num), int(den))
     try:
         return RationalPhase(int(text), 1)
     except ValueError:
-        return mod_2pi(float(text) * math.pi)
+        if exact:
+            raise ValueError(f"{exact} must be an exact rational phase, got {text!r}") from None
+    return mod_2pi(float(text[4:]) if text.startswith("rad:") else float(text) * math.pi)
 
 
 def resolve_source(args):
@@ -118,18 +122,6 @@ def resolve_source(args):
         return ExactUnitarySpec(phi, psi, g or RationalPhase(0))
     return EigenphasePair(*(v.radians() if isinstance(v, RationalPhase) else v
                             for v in (phi, psi)))
-
-
-def _built(source):
-    """(target, pair, build) of a source: what a scan runs on (a rational spec
-    itself, so that its scan stays exact, otherwise the float pair), the float
-    pair, and the quadratic build when the source is a recipe, else None."""
-    if isinstance(source, QuadraticRecipe):
-        build = build_quadratic_unitary(source.seed, source.t)
-        return build.pair, build.pair, build
-    if isinstance(source, ExactUnitarySpec):
-        return source, source.pair(), None
-    return source, source, None
 
 
 def _manifest(command: str, parameters: dict, seed: int | None) -> dict:
@@ -172,13 +164,13 @@ _NO_ORDER_REASON = {IRRATIONAL_CERTIFIED: "irrational_phase", UNKNOWN: "unknown_
 
 def _analysis_body(source, k_max: int, n_cap: int) -> dict:
     """Scan + per-order closed-form entropy + idempotency/rationality block."""
-    target, pair, built = _built(source)
+    pair = source.pair()  # builds a quadratic recipe, which raises if it is invalid
     rationality = classify_phase_rationality(source)
     exact = rationality == RATIONAL  # an exact spec: the quadratic build rejects the rest
     idem = (idempotency_order(source, n_cap) if exact
             else IdempotencyResult(order=None, reason=_NO_ORDER_REASON[rationality]))
     projective = projective_idempotency_order(source, n_cap) if exact else None
-    report = chaoticity_scan(target, k_max)
+    report = chaoticity_scan(source, k_max)
     body = {
         "input": _source_doc(source),
         "phases": {"phi": pair.phi, "psi": pair.psi},
@@ -189,7 +181,8 @@ def _analysis_body(source, k_max: int, n_cap: int) -> dict:
         "entropy_bits": qubit_entropy_closed(pair).value,
         "scan": Rows(report.columns()),
     }
-    if built is not None:
+    if rationality == IRRATIONAL_CERTIFIED:  # a quadratic recipe
+        built = source.build()
         body["quadratic_build"] = {"classification": built.classification,
                                    "s_t": built.s_t}
     return body, report
@@ -209,7 +202,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_scan(args) -> int:
     source = resolve_source(args)
-    report = chaoticity_scan(_built(source)[0], args.k_max)
+    report = chaoticity_scan(source, args.k_max)
     doc = {
         "manifest": _manifest("scan", {"source": _source_doc(source),
                                        "k_max": args.k_max}, None),
@@ -223,9 +216,9 @@ def cmd_scan(args) -> int:
 def cmd_construct(args) -> int:
     construction: dict = {"kind": args.kind}
     if args.kind == "rational":
-        source = build_rational_unitary(parse_phase(args.phase1), parse_phase(args.phase2),
-                                        parse_phase(args.global_phase) if args.global_phase
-                                        else RationalPhase(0))
+        source = build_rational_unitary(parse_phase(args.phase1, "phase1"),
+                                        parse_phase(args.phase2, "phase2"),
+                                        parse_phase(args.global_phase or "0", "global_phase"))
         params = source_to_json(source)
     elif args.kind == "chaotic-order-k":
         source, prime = build_chaotic_order(args.order)
@@ -266,7 +259,7 @@ _BASIS_CHOICES = {
 
 
 def cmd_simulate(args) -> int:
-    _, pair, _ = _built(resolve_source(args))
+    pair = resolve_source(args).pair()
     u = Unitary2.from_pair(pair).matrix
     if args.basis == "optimized":
         basis = pvm_entropy_optimize(u, OptimizerOptions(seed=args.seed)).optimal_basis
@@ -299,7 +292,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    _, pair, _ = _built(resolve_source(args))
+    pair = resolve_source(args).pair()
     cfg = NoiseConfig(epsilon=args.epsilon, steps=args.steps, seed=args.seed)
     walk = noisy_phase_walk(pair, cfg)
     labels = [label.value for label in VERDICT_LABELS]
@@ -327,7 +320,7 @@ def cmd_optimize(args) -> int:
     if not 0.0 <= args.match_tol < math.inf:  # also false for NaN
         raise ValueError(f"match-tol must be finite and >= 0, got {args.match_tol}")
     source = resolve_source(args)  # --unitary-json resolves to the matrix itself
-    u = source if isinstance(source, np.ndarray) else Unitary2.from_pair(_built(source)[1]).matrix
+    u = source if isinstance(source, np.ndarray) else Unitary2.from_pair(source.pair()).matrix
     opts = OptimizerOptions(restarts=args.restarts, max_iters=args.max_iters,
                             seed=args.seed)
     result = pvm_entropy_optimize(u, opts)

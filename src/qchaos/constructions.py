@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .chaoticity import CHAOTIC, order_verdicts
 from .phases import EigenphasePair, ExactUnitarySpec, RationalPhase, require_count
 
 #: Fraction bits of the exact residue: a float significand plus guard bits.
 _RESIDUE_BITS = 53 + 64
-#: ``build_chaotic_order`` tries the primes below this bound.
+#: ``build_chaotic_order`` tries the primes below this bound, in increasing order.
 _PRIME_CAP = 10_000
 
 
@@ -178,15 +178,6 @@ def build_rational_unitary(phase1: RationalPhase, phase2: RationalPhase,
     return ExactUnitarySpec(phase1, phase2, global_phase)
 
 
-def _primes(cap: int):
-    sieve = bytearray([1]) * (cap + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(cap) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = b"\x00" * len(sieve[i * i::i])
-    return [i for i in range(2, cap + 1) if sieve[i]]
-
-
 def build_chaotic_order(k: int) -> tuple[ExactUnitarySpec, int]:
     """Rational-phase unitary whose k-th power is chaotic, plus the prime used.
 
@@ -196,8 +187,8 @@ def build_chaotic_order(k: int) -> tuple[ExactUnitarySpec, int]:
     rational, hence idempotent of some finite order.
     """
     require_count("order", k)
-    for p in _primes(_PRIME_CAP):
-        if k % p == 0:
+    for p in range(2, _PRIME_CAP):
+        if k % p == 0 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
             continue
         spec = ExactUnitarySpec(RationalPhase(2 * p - 1, p), RationalPhase(1, p))
         if order_verdicts(spec, [k]).codes[0] == CHAOTIC:
@@ -207,18 +198,27 @@ def build_chaotic_order(k: int) -> tuple[ExactUnitarySpec, int]:
 
 @dataclass(frozen=True)
 class QuadraticRecipe:
-    """Serializable build recipe: seed coefficients and exponent."""
+    """Serializable build recipe: seed coefficients and exponent.  The build
+    is kept once made; it takes no part in == or hash."""
 
     a: int
     b: int
     t: int
+    _build: QuadraticBuildResult | None = field(default=None, init=False, repr=False,
+                                                compare=False)
 
     @property
     def seed(self) -> QuadraticSeed:
         return QuadraticSeed(self.a, self.b)
 
-    def build(self, **kwargs) -> QuadraticBuildResult:
-        return build_quadratic_unitary(self.seed, self.t, **kwargs)
+    def build(self) -> QuadraticBuildResult:
+        """The build of this recipe, made on the first call and kept."""
+        if self._build is None:
+            object.__setattr__(self, "_build", build_quadratic_unitary(self.seed, self.t))
+        return self._build
+
+    def pair(self) -> EigenphasePair:
+        return self.build().pair
 
 
 RATIONAL = "rational"

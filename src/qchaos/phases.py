@@ -51,6 +51,9 @@ class EigenphasePair:
         object.__setattr__(self, "phi", mod_2pi(float(self.phi)))
         object.__setattr__(self, "psi", mod_2pi(float(self.psi)))
 
+    def pair(self) -> "EigenphasePair":
+        return self  # every source kind says its float pair through pair()
+
     def is_unimodular(self, tol: float = PHASE_TOL) -> bool:
         """True if (phi + psi) mod 2*pi = 0 within tol (the det = 1 case)."""
         return circular_distance(self.phi + self.psi, 0.0) <= tol

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -125,3 +126,16 @@ def reference_entropy_rate(sequence, block_len: int, alphabet_size: int | None =
     h_hi = block_entropy(counts)
     h_lo = block_entropy(counts.reshape(-1, d).sum(axis=1))
     return max(0.0, h_hi - h_lo)
+
+
+def reference_chaotic_order_prime(k: int) -> int:
+    """The prime ``build_chaotic_order`` must pick, by brute force: the
+    smallest prime p not dividing k with theta_k of the pair (-pi/p, pi/p)
+    above pi/2, from exact fractions of pi."""
+    for p in range(2, 10_000):
+        if k % p == 0 or any(p % q == 0 for q in range(2, p)):
+            continue
+        x = Fraction(2 * k, p) % 2  # (phi - psi)*k/pi = -2k/p mod 2, up to sign
+        if min(x, 2 - x) > Fraction(1, 2):
+            return p
+    raise ValueError(f"no qualifying prime for order {k}")

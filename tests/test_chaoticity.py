@@ -30,7 +30,9 @@ from qchaos import (
     idempotency_order,
     order_verdicts,
     projective_idempotency_order,
+    QuadraticRecipe,
     QuadraticSeed,
+    quadratic_trace_sequence,
     theta_at_order,
     trace_magnitude,
     verdict_at_order,
@@ -434,6 +436,43 @@ class TestKernelProperties:
         res = order_verdicts(spec, n * np.arange(1, j + 1))
         assert np.all(res.codes == VERDICT_LABELS.index(VerdictLabel.NON_CHAOTIC))
         assert np.all(res.trace_mag == 2.0)
+
+
+def _valid_recipe(r: QuadraticRecipe) -> bool:
+    """a, b < 0 (drawn so), a non-square discriminant and an even s_t."""
+    d = r.a * r.a - 4 * r.b
+    return math.isqrt(d) ** 2 != d and quadratic_trace_sequence(r.seed, r.t).s(r.t) % 2 == 0
+
+
+_recipes = st.builds(QuadraticRecipe, st.integers(-40, -1), st.integers(-400, -1),
+                     st.integers(1, 60)).filter(_valid_recipe)
+
+
+class TestSourceInterface:
+    """A quadratic recipe is read through its float pair, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(recipe=_recipes, ks=st.lists(_orders, min_size=1, max_size=20))
+    def test_recipe_verdicts_are_those_of_its_built_pair(self, recipe, ks):
+        got, want = order_verdicts(recipe, ks), order_verdicts(recipe.build().pair, ks)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(recipe=_recipes, k_max=st.integers(1, 300))
+    def test_recipe_scan_is_that_of_its_built_pair(self, recipe, k_max):
+        got = chaoticity_scan(recipe, k_max).columns()
+        want = chaoticity_scan(recipe.build().pair, k_max).columns()
+        assert repr(got) == repr(want)
+
+    def test_pair_is_its_own_pair(self):
+        assert LUCAS_T3.pair() is LUCAS_T3
+        assert QuadraticRecipe(-1, -1, 3).pair() == LUCAS_T3
+
+    def test_search_and_fraction_take_a_recipe(self):
+        recipe = QuadraticRecipe(-1, -1, 3)
+        assert first_nonchaotic_order(recipe, 10) == first_nonchaotic_order(LUCAS_T3, 10)
+        assert chaotic_order_fraction(recipe, 1000) == chaotic_order_fraction(LUCAS_T3, 1000)
 
 
 def brute_first_nonchaotic(source, k_bound: int):

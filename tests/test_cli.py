@@ -182,8 +182,15 @@ class TestConstruct:
         assert code == 2
         assert "odd" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "scan"])
+    def test_odd_sum_spec_json_is_validation_error(self, command, tmp_path, capsys):
+        src = tmp_path / "src.json"
+        src.write_text(json.dumps({"kind": "quadratic", "a": -1, "b": -1, "t": 4}))
+        code, doc = run_cli([command, "--spec-json", str(src)], tmp_path)
+        assert code == 2 and doc is None
+        assert "odd" in capsys.readouterr().err
+
     def test_quadratic_is_built_once(self, tmp_path, monkeypatch):
-        import qchaos.cli
         import qchaos.constructions
 
         calls = []
@@ -193,14 +200,17 @@ class TestConstruct:
             calls.append(args)
             return build(*args, **kwargs)
 
-        # both bindings, so a build through QuadraticRecipe.build counts too
-        monkeypatch.setattr(qchaos.cli, "build_quadratic_unitary", counted)
         monkeypatch.setattr(qchaos.constructions, "build_quadratic_unitary", counted)
         code, doc = run_cli(["construct", "quadratic", "--a", "-1", "--b", "-1",
                              "--t", "3"], tmp_path)
         assert code == 0
         assert len(calls) == 1
         assert doc["construction"]["s_t"] == doc["analysis"]["quadratic_build"]["s_t"] == 4
+        src = tmp_path / "src.json"
+        src.write_text(json.dumps(doc["construction"]["source"]))
+        calls.clear()
+        assert run_cli(["analyze", "--spec-json", str(src)], tmp_path, "a.json")[0] == 0
+        assert len(calls) == 1
 
 
 class TestFlags:
@@ -247,9 +257,10 @@ class TestFlags:
          "--global-phase needs"),
         (["scan", "--psi", "0.5", "--global-phase", "1/4"], "--global-phase needs"),
         (["analyze", "--psi", "1/2", "--global-phase", "rad:0.5"], "--global-phase needs"),
-        (["construct", "rational", "0.25", "5/4"], "phase1 must be an exact rational phase"),
+        (["construct", "rational", "0.25", "5/4"],
+         "phase1 must be an exact rational phase, got '0.25'"),
         (["construct", "rational", "1/4", "5/4", "--global-phase", "0.25"],
-         "global_phase must be an exact rational phase"),
+         "global_phase must be an exact rational phase, got '0.25'"),
         (["census", "--n", "100", "--seed", "-1"], "must lie in [0, 2**64)"),
         (["census", "--n", "100", "--seed", str(2 ** 64)], "must lie in [0, 2**64)"),
     ], ids=["noise-epsilon-nan", "noise-epsilon-inf", "noise-epsilon-huge",

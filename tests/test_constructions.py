@@ -31,6 +31,8 @@ from qchaos import (
     verdict_at_order,
 )
 
+from helpers import reference_chaotic_order_prime
+
 PI = math.pi
 
 
@@ -129,6 +131,12 @@ class TestBuildChaoticOrder:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             build_chaotic_order(0)
+
+    def test_prime_matches_brute_force_to_500(self):
+        for k in range(1, 501):
+            spec, p2 = build_chaotic_order(k)
+            assert p2 == reference_chaotic_order_prime(k), k
+            assert spec == ExactUnitarySpec(RationalPhase(2 * p2 - 1, p2), RationalPhase(1, p2))
 
 
 class TestQuadraticTraceSequence:
@@ -248,6 +256,39 @@ class TestBuildQuadraticUnitary:
     def test_rejects_zero_t(self):
         with pytest.raises(ValueError):
             build_quadratic_unitary(QuadraticSeed(-1, -1), 0)
+
+
+class TestQuadraticRecipe:
+    def test_build_is_made_once_and_kept(self, monkeypatch):
+        import qchaos.constructions
+
+        calls = []
+        build = qchaos.constructions.build_quadratic_unitary
+        monkeypatch.setattr(qchaos.constructions, "build_quadratic_unitary",
+                            lambda *args: calls.append(args) or build(*args))
+        recipe = QuadraticRecipe(-2, -101, 8)
+        first = recipe.build()
+        assert recipe.build() is first and recipe.pair() is first.pair
+        assert len(calls) == 1
+        assert first == build_quadratic_unitary(QuadraticSeed(-2, -101), 8)
+
+    def test_kept_build_is_not_part_of_equality_or_hash(self):
+        built, unbuilt = QuadraticRecipe(-1, -1, 3), QuadraticRecipe(-1, -1, 3)
+        built.build()
+        assert built == unbuilt and hash(built) == hash(unbuilt)
+        assert len({built, unbuilt}) == 1
+        assert built != QuadraticRecipe(-1, -1, 6)
+        assert repr(built) == "QuadraticRecipe(a=-1, b=-1, t=3)"
+
+    def test_build_takes_no_keywords(self):
+        with pytest.raises(TypeError):
+            QuadraticRecipe(-1, -1, 3).build(allow_positive_coefficients=True)
+
+    def test_invalid_recipe_raises_on_every_build(self):
+        recipe = QuadraticRecipe(-1, -1, 4)  # s_4 = 7
+        for _ in range(2):
+            with pytest.raises(ValueError, match="odd"):
+                recipe.pair()
 
 
 class TestQuadraticPhasesExact:

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import qchaos.cli
 from qchaos import NoiseConfig, noisy_phase_walk
-from qchaos.cli import _built, _emit, build_parser, main, resolve_source
+from qchaos.cli import _emit, build_parser, main, resolve_source
 from qchaos.jsontext import Rows
 
 from helpers import SCAN_KEYS, reference_csv, reference_dumps, reference_scan_rows
@@ -94,7 +94,7 @@ class TestEmitterExamples:
 
 def _target(args):
     """The source a scan command runs on, resolved as the CLI resolves it."""
-    return _built(resolve_source(build_parser().parse_args(["scan", *args])))[0]
+    return resolve_source(build_parser().parse_args(["scan", *args]))
 
 
 SOURCES = {
