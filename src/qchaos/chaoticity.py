@@ -128,6 +128,43 @@ def order_verdicts(source, ks=1) -> OrderVerdicts:
     return OrderVerdicts(theta, trace_mag, codes)
 
 
+#: The K = 1 verdict in folded form: |tr| = 2 sin(y) is below sqrt(2) - w iff
+#: y < _CHAOTIC_Y; within _EDGE of it the kernel itself decides.
+_CHAOTIC_Y = math.asin((SQRT2 - boundary_half_width(1.0)) / 2.0)
+_EDGE = 1e-12
+
+
+def _chaotic_count(d: np.ndarray) -> int:
+    """np.count_nonzero(order_verdicts(d).codes == CHAOTIC), without a cosine per entry.
+
+    For |d| < 4*pi, x = |d|/2 folds to y = ||x - pi| - pi/2| in [0, pi/2],
+    and |tr| = 2|cos x| = 2 sin y, so in real arithmetic the verdict is
+    chaotic iff y < _CHAOTIC_Y.  Entries with y < _CHAOTIC_Y - _EDGE are
+    counted and those above _CHAOTIC_Y + _EDGE are not: their true |tr| is at
+    least 2*cos(_CHAOTIC_Y)*_EDGE ~ sqrt(2)*1e-12 from the band edge
+    sqrt(2) - w, while the fold (a few ulps of 2*pi), numpy's cosine and the
+    margin subtraction round by about 1e-15, so the kernel's float verdict
+    agrees with the edge test there.  The entries within _EDGE of the edge,
+    and any with |d| >= 4*pi or NaN, go through ``order_verdicts``.
+    """
+    y = np.abs(d)
+    y *= 0.5
+    if not y.max(initial=0.0) < TWO_PI:  # also true for a NaN
+        inside = y < TWO_PI
+        return (_chaotic_count(d[inside])
+                + int(np.count_nonzero(order_verdicts(d[~inside]).codes == CHAOTIC)))
+    y -= math.pi
+    np.abs(y, out=y)
+    y -= math.pi / 2.0
+    np.abs(y, out=y)
+    lo, hi = _CHAOTIC_Y - _EDGE, _CHAOTIC_Y + _EDGE
+    below = int(np.count_nonzero(y < lo))
+    if below == np.count_nonzero(y <= hi):
+        return below
+    band = d[(y >= lo) & (y <= hi)]
+    return below + int(np.count_nonzero(order_verdicts(band).codes == CHAOTIC))
+
+
 def verdict_at_order(u, k: int) -> Verdict:
     """Chaoticity verdict of U^k; u is a source: a pair, exact spec or quadratic recipe."""
     res = order_verdicts(u, [k])
@@ -287,11 +324,23 @@ def first_nonchaotic_order(source, k_bound: int) -> int | None:
 _SCAN_CHUNK = 1 << 16
 
 
+def _chaotic_orders(source, k: int) -> int:
+    """Chaotic verdicts among orders 1..k, counted _SCAN_CHUNK orders at a time."""
+    chunks = (np.arange(s, min(s + _SCAN_CHUNK, k + 1)) for s in range(1, k + 1, _SCAN_CHUNK))
+    return sum(int(np.count_nonzero(order_verdicts(source, ks).codes == CHAOTIC))
+               for ks in chunks)
+
+
 def chaotic_order_fraction(source, k_max: int) -> float:
     """Fraction of orders K in 1..k_max of a source with a chaotic (not
-    boundary) verdict, counted _SCAN_CHUNK orders at a time."""
+    boundary) verdict.
+
+    An ExactUnitarySpec's verdicts depend on K mod 2L only (L = lcm(p1, p2)),
+    so its orders are counted over one period and over the remainder.
+    """
     require_count("order bound", k_max)
-    chunks = (np.arange(s, min(s + _SCAN_CHUNK, k_max + 1))
-              for s in range(1, k_max + 1, _SCAN_CHUNK))
-    return sum(int(np.count_nonzero(order_verdicts(source, ks).codes == CHAOTIC))
-               for ks in chunks) / k_max
+    period = k_max
+    if isinstance(source, ExactUnitarySpec):
+        period = min(k_max, 2 * math.lcm(source.phase1.p, source.phase2.p))
+    cycles, rest = divmod(k_max, period)
+    return (cycles * _chaotic_orders(source, period) + _chaotic_orders(source, rest)) / k_max

@@ -6,14 +6,17 @@ samples such trajectories reproducibly from counter-based streams keyed by the
 caller's seed (a qubit's with array code, larger d step by step), estimates
 entropy rates with a plug-in conditional block estimator, runs the
 uniform-phase chaoticity census, and applies the phase-noise model that perturbs
-(phi, psi) to (phi + lambda, psi - lambda), returned as arrays.  The census
-and the noise walk take their verdicts from ``chaoticity.order_verdicts``.
+(phi, psi) to (phi + lambda, psi - lambda), returned as arrays.  The noise
+walk takes its verdicts from ``chaoticity.order_verdicts``; the census counts
+them through ``chaoticity._chaotic_count``, an edge test on the folded phase
+that calls the kernel only within 1e-12 of the edge, with the same count.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chaoticity import CHAOTIC, order_verdicts
+from .chaoticity import _chaotic_count, order_verdicts
 from .entropy import (
     PvmBasis,
     measurement_probabilities,
@@ -216,10 +219,14 @@ class CensusResult:
 
 
 def _census_chunk(seed: int, chunk: int, size: int) -> int:
-    psis = stream_generator(seed, chunk).uniform(0.0, TWO_PI, size)
     # the SU(2) pair of psi has phi - psi = -2 psi mod 2*pi, and |tr| is even
-    # and 2*pi-periodic in it, so d = 2 psi gives |tr| = 2|cos psi| exactly
-    return int(np.count_nonzero(order_verdicts(2.0 * psis).codes == CHAOTIC))
+    # and 2*pi-periodic in it, so d = 2 psi in [0, 4*pi) gives |tr| = 2|cos psi|
+    # exactly; the edge test counts it as the kernel would.  psi drawn by
+    # uniform(0, 2*pi) is 0.0 + 2*pi*u for the stream's doubles u, so 4*pi*u
+    # is 2 psi bit for bit
+    d = stream_generator(seed, chunk).random(size)
+    d *= 2.0 * TWO_PI
+    return _chaotic_count(d)
 
 
 def monte_carlo_chaotic_fraction(n_trials: int, seed: int,
@@ -228,13 +235,14 @@ def monte_carlo_chaotic_fraction(n_trials: int, seed: int,
 
     ``boundary`` verdicts are not counted.  Trials are split into fixed chunks
     with one counter-based stream each, so the count is identical for any
-    thread count.
+    thread count; at most one worker per chunk and per CPU is started.
     """
     require_count("n_trials", n_trials)
     require_count("threads", threads)
     sizes = [min(CENSUS_CHUNK, n_trials - start)
              for start in range(0, n_trials, CENSUS_CHUNK)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(sizes), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         chaotic = sum(pool.map(lambda c: _census_chunk(seed, c, sizes[c]), range(len(sizes))))
     return CensusResult(n_trials, chaotic, chaotic / n_trials,
                         3.0 * math.sqrt(0.25 / n_trials))

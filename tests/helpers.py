@@ -10,10 +10,11 @@ from fractions import Fraction
 import numpy as np
 
 from qchaos import TWO_PI, VERDICT_LABELS, EigenphasePair, order_verdicts
+from qchaos.chaoticity import CHAOTIC
 from qchaos.entropy import qubit_entropy_of_theta, transition_matrix
 from qchaos.jsontext import Rows
 from qchaos.rng import stream_generator
-from qchaos.simulate import _initial_distribution, _resolve_matrix
+from qchaos.simulate import CENSUS_CHUNK, _initial_distribution, _resolve_matrix
 
 
 def random_unitary(rng, d=2):
@@ -106,6 +107,16 @@ def reference_trajectory(cfg) -> np.ndarray:
             x = bisect.bisect_right(rows[x], ul[i])
             out[i] = x
     return out
+
+
+def reference_census_count(n: int, seed: int) -> int:
+    """The census's oracle: psi drawn uniform on [0, 2*pi) per chunk stream, and
+    the chaotic verdicts of d = 2 psi counted by the kernel itself."""
+    count = 0
+    for chunk, start in enumerate(range(0, n, CENSUS_CHUNK)):
+        psis = stream_generator(seed, chunk).uniform(0.0, TWO_PI, min(CENSUS_CHUNK, n - start))
+        count += int(np.count_nonzero(order_verdicts(2.0 * psis).codes == CHAOTIC))
+    return count
 
 
 def reference_entropy_rate(sequence, block_len: int, alphabet_size: int | None = None) -> float:

@@ -39,6 +39,9 @@ from qchaos import (
     verdict_of,
 )
 
+from qchaos import chaoticity
+from qchaos.chaoticity import CHAOTIC, _CHAOTIC_Y, _chaotic_count
+
 from helpers import power_eigenphases
 
 PI = math.pi
@@ -510,3 +513,92 @@ class TestOrderBoundTheorem:
     def test_exact_quarter_turn_reaches_four(self):
         spec = ExactUnitarySpec(RationalPhase(1, 2), RationalPhase(0), RationalPhase(0))
         assert first_nonchaotic_order(spec, 10 ** 4) == 4
+
+
+def kernel_count(d: np.ndarray) -> int:
+    return int(np.count_nonzero(order_verdicts(d).codes == CHAOTIC))
+
+
+# the eight differences where |tr| = 2 sin(_CHAOTIC_Y), the folded edge
+_EDGES = [s * 2.0 * (c + e * _CHAOTIC_Y) for s in (1, -1) for c in (PI / 2, 3 * PI / 2)
+          for e in (1, -1)]
+
+
+def _ulps_from(x: float, n: int) -> float:
+    """x moved n ulps away from zero (towards it for n < 0)."""
+    return float((np.float64(x).view(np.int64) + np.int64(n)).view(np.float64))
+
+
+_near_edges = st.builds(
+    lambda edge, n, eps: _ulps_from(edge, n) + eps,
+    st.sampled_from(_EDGES), st.integers(-10 ** 4, 10 ** 4),
+    st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9)))
+_differences = st.floats(-4 * PI, 4 * PI, exclude_min=True, exclude_max=True)
+
+
+class TestChaoticCount:
+    """The census's edge test counts exactly what the kernel counts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.lists(st.one_of(_differences, _near_edges), min_size=1, max_size=200))
+    def test_equals_the_kernel_count(self, d):
+        d = np.array(d)
+        assert _chaotic_count(d) == kernel_count(d)
+
+    def test_edges_are_where_the_kernel_turns(self):
+        for edge in _EDGES:
+            d = np.array([_ulps_from(edge, n) for n in range(-10 ** 4, 10 ** 4 + 1)])
+            codes = order_verdicts(d).codes
+            assert 0 < kernel_count(d) < d.size and len(set(codes.tolist())) == 2
+            assert _chaotic_count(d) == kernel_count(d)
+
+    def test_out_of_range_differences(self):
+        d = np.array([4 * PI, -4 * PI, np.nextafter(4 * PI, 0.0), 5 * PI, -9 * PI, 1e6,
+                      -1e300, 1.0, PI])
+        assert _chaotic_count(d) == kernel_count(d)
+        assert _chaotic_count(d[:1]) == kernel_count(d[:1])
+
+    def test_band_entries_go_through_the_kernel(self, monkeypatch):
+        d = np.array([_EDGES[0], PI, 0.0, _EDGES[3], -_ulps_from(_EDGES[5], 3)])
+        want = kernel_count(d)
+        seen = []
+
+        def spy(source, ks=1):
+            seen.append(np.array(source))
+            return order_verdicts(source, ks)
+
+        monkeypatch.setattr(chaoticity, "order_verdicts", spy)
+        assert _chaotic_count(d) == want
+        assert [x.tolist() for x in seen] == [[d[0], d[3], d[4]]]
+
+
+_small_rational = st.builds(RationalPhase, st.integers(-100, 100), st.integers(1, 24))
+_small_specs = st.builds(ExactUnitarySpec, _small_rational, _small_rational, _small_rational)
+
+
+class TestPeriodicFraction:
+    """An exact spec's fraction is counted over one period 2L and the rest."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_small_specs, cycles=st.integers(0, 4), rest=st.integers(0, 1200))
+    def test_equals_the_brute_force_count(self, spec, cycles, rest):
+        period = 2 * math.lcm(spec.phase1.p, spec.phase2.p)
+        k_max = cycles * period + rest % period  # below, at and above multiples of 2L
+        assume(k_max >= 1)
+        codes = chaoticity_scan(spec, k_max).codes
+        brute = int(np.count_nonzero(codes == CHAOTIC))
+        assert chaotic_order_fraction(spec, k_max) == brute / k_max
+
+    def test_counts_a_period_once(self, monkeypatch):
+        spec = ExactUnitarySpec(RationalPhase(1, 3), RationalPhase(2, 5))  # 2L = 30
+        ks = np.arange(1, 10 ** 6 + 1)
+        want = np.count_nonzero(order_verdicts(spec, ks).codes == CHAOTIC) / ks.size
+        seen = []
+
+        def spy(source, ks=1):
+            seen.append(int(np.size(ks)))
+            return order_verdicts(source, ks)
+
+        monkeypatch.setattr(chaoticity, "order_verdicts", spy)
+        assert chaotic_order_fraction(spec, 10 ** 6) == want
+        assert sum(seen) == 30 + 10 ** 6 % 30

@@ -1,6 +1,7 @@
 """Trajectory sampling, entropy estimation, census and the noise model."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -29,9 +30,13 @@ from qchaos import (
     verdict_of,
 )
 
+from qchaos import simulate
+from qchaos.simulate import CENSUS_CHUNK
+
 from helpers import (
     random_orthonormal_basis,
     random_unitary,
+    reference_census_count,
     reference_entropy_rate,
     reference_trajectory,
 )
@@ -307,6 +312,58 @@ class TestCensus:
     def test_accepts_numpy_integer_counts(self):
         assert (monte_carlo_chaotic_fraction(np.int64(1000), seed=1, threads=np.int32(2))
                 == monte_carlo_chaotic_fraction(1000, seed=1))
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, maps in the
+    calling thread and starts no thread."""
+
+    workers: list = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestCensusMatchesPerChunkKernel:
+    @pytest.mark.parametrize("n", [1, CENSUS_CHUNK - 1, CENSUS_CHUNK, CENSUS_CHUNK + 1,
+                                   3 * CENSUS_CHUNK + 17])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2 ** 64 - 1])
+    def test_count_equals_the_kernel_count(self, n, seed):
+        want = reference_census_count(n, seed)
+        for threads in (1, 3):
+            assert monte_carlo_chaotic_fraction(n, seed, threads).chaotic_count == want
+
+    @pytest.mark.parametrize("seed", [0, 3, 2 ** 64 - 1])
+    def test_scaled_draws_are_twice_the_uniform_psi(self, seed):
+        # the census draws u and scales it by 4*pi in place: 2 psi bit for bit
+        d = stream_generator(seed, 2).random(CENSUS_CHUNK) * (2.0 * TWO_PI)
+        psis = stream_generator(seed, 2).uniform(0.0, TWO_PI, CENSUS_CHUNK)
+        assert d.tobytes() == (2.0 * psis).tobytes()
+
+    @pytest.mark.parametrize("threads, n, cpus, want", [
+        (100_000, 3 * CENSUS_CHUNK + 1, 8, 4),
+        (100_000, 10 * CENSUS_CHUNK, 8, 8),
+        (100_000, 10 * CENSUS_CHUNK, None, 1),
+        (100_000, 1, 8, 1),
+        (1, 10 * CENSUS_CHUNK, 8, 1),
+        (2, 10 * CENSUS_CHUNK, 8, 2),
+    ])
+    def test_workers_are_capped_by_chunks_and_cpus(self, monkeypatch, threads, n, cpus, want):
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "workers", [])
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        res = monte_carlo_chaotic_fraction(n, seed=5, threads=threads)
+        assert _RecordingPool.workers == [want]
+        assert res.chaotic_count == reference_census_count(n, 5)
 
 
 class TestNoisyPhaseWalk:
