@@ -14,9 +14,9 @@ from qchaos import (
     PvmBasis,
     eigenphases_of,
     markov_entropy_rate,
+    order_verdicts,
     pvm_entropy_optimize,
     qubit_entropy_closed,
-    theta_of,
     transition_matrix,
 )
 
@@ -36,7 +36,7 @@ for _ in range(8):
     pair, _ = eigenphases_of(u)
     closed = qubit_entropy_closed(pair).value
     found = pvm_entropy_optimize(u, opts)
-    print(f"{theta_of(pair) / np.pi:8.4f}   {closed:.9f}   {found.value:.9f}"
+    print(f"{order_verdicts(pair).theta / np.pi:8.4f}   {closed:.9f}   {found.value:.9f}"
           f"   {abs(closed - found.value):.2e}")
 
 # The optimizer also hands back the measurement basis that achieves the max.

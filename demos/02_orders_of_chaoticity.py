@@ -27,9 +27,8 @@ PI = math.pi
 def show(title, report):
     print(f"\n{title}")
     print("  K  theta/pi      H_K     |tr U^K|  verdict")
-    for r in report.records:
-        print(f"{r.k:3d}  {r.theta / PI:8.4f}  {r.entropy_bits:7.4f}"
-              f"  {r.trace_mag:8.4f}  {r.verdict.value}")
+    for k, theta, h, tm, verdict in zip(*report.columns().values()):
+        print(f"{k:3d}  {theta / PI:8.4f}  {h:7.4f}  {tm:8.4f}  {verdict}")
 
 
 show("Pauli X (phases 0, pi): chaotic at odd K only",

@@ -11,13 +11,13 @@ import math
 
 from qchaos import (
     QuadraticSeed,
+    VERDICT_LABELS,
     build_quadratic_unitary,
     chaotic_order_fraction,
     classify_phase_rationality,
     first_nonchaotic_order,
+    order_verdicts,
     quadratic_trace_sequence,
-    trace_magnitude,
-    verdict_of,
 )
 
 # The golden-ratio seed: s_t are the Lucas numbers 2, 1, 3, 4, 7, 11, ...
@@ -27,21 +27,22 @@ print("Lucas numbers:", seq.values)
 print("even at t =", seq.even_indices(), "(only those t give SU(2) pairs)")
 
 res = build_quadratic_unitary(lucas, 3)
+v = order_verdicts(res.pair)
 print(f"\nt=3: phi = {res.pair.phi:.6f}, psi = {res.pair.psi:.6f}, "
-      f"|tr| = {trace_magnitude(res.pair):.6f} -> {verdict_of(res.pair).label.value}")
+      f"|tr| = {v.trace_mag:.6f} -> {VERDICT_LABELS[v.codes]}")
 print("rationality:", classify_phase_rationality(lucas))
 
 # |beta| < 1 here, so beta^t -> 0 and the series drifts toward the identity:
 for t in (3, 6, 9, 12):
     pair = build_quadratic_unitary(lucas, t).pair
-    print(f"t={t:2d}: |tr| = {trace_magnitude(pair):.6f}")
+    print(f"t={t:2d}: |tr| = {order_verdicts(pair).trace_mag:.6f}")
 
 # A traversing series needs beta < -1.  (|a|, |b|) = (2, 101) is the workhorse:
 seed = QuadraticSeed(-2, -101)
 res = build_quadratic_unitary(seed, 8)
 print(f"\n(-2,-101) t=8 [{res.classification}]: s_8 = {res.s_t}, "
       f"|cos psi| = {abs(math.cos(res.pair.psi)):.4f} -> "
-      f"{verdict_of(res.pair).label.value}")
+      f"{VERDICT_LABELS[order_verdicts(res.pair).codes]}")
 
 # Chaotic today, non-chaotic at some finite order -- always:
 k = first_nonchaotic_order(res.pair, 10 ** 4)

@@ -37,7 +37,7 @@ def walk_summary(psi_over_pi, eps, steps=2000, seed=5):
     base = make_su2_from_psi(psi_over_pi * math.pi)
     walk = noisy_phase_walk(base, NoiseConfig(epsilon=eps, steps=steps, seed=seed))
     counts = np.bincount(walk.codes, minlength=len(VERDICT_LABELS))
-    return {label.value: int(n) for label, n in zip(VERDICT_LABELS, counts) if n}
+    return {label: int(n) for label, n in zip(VERDICT_LABELS, counts) if n}
 
 
 print("\nnoise on a deep-in-the-window unitary (psi = pi/2, margin pi/4):")

@@ -31,7 +31,6 @@ from .entropy import (
     TransitionMatrix,
     basis_from_angles,
     eta,
-    eta_array,
     markov_entropy_rate,
     measurement_probabilities,
     pvm_entropy_optimize,
@@ -39,14 +38,12 @@ from .entropy import (
 )
 from .chaoticity import (
     BOUNDARY_TOL,
-    ChaoticityRecord,
     ChaoticityReport,
     IdempotencyCapError,
     IdempotencyResult,
+    OrderVerdicts,
     SQRT2,
     VERDICT_LABELS,
-    Verdict,
-    VerdictLabel,
     boundary_half_width,
     chaotic_order_fraction,
     chaoticity_scan,
@@ -56,11 +53,6 @@ from .chaoticity import (
     order_verdicts,
     projective_idempotency_order,
     qubit_entropy_closed,
-    theta_at_order,
-    theta_of,
-    trace_magnitude,
-    verdict_at_order,
-    verdict_of,
 )
 from .constructions import (
     IRRATIONAL_CERTIFIED,

@@ -14,7 +14,6 @@ exact rational phases; floating pairs are never declared idempotent.
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import math
 from dataclasses import dataclass
@@ -38,26 +37,10 @@ SQRT2 = math.sqrt(2.0)
 BOUNDARY_TOL = 1e-9
 
 
-class VerdictLabel(str, enum.Enum):
-    CHAOTIC = "chaotic"
-    NON_CHAOTIC = "non_chaotic"
-    BOUNDARY = "boundary"
-
-
 #: The labels indexed by the kernel's verdict codes: how many of the two band
 #: edges sqrt(2) - w and sqrt(2) + w the trace magnitude has reached.
-VERDICT_LABELS = (VerdictLabel.CHAOTIC, VerdictLabel.BOUNDARY, VerdictLabel.NON_CHAOTIC)
+VERDICT_LABELS = ("chaotic", "boundary", "non_chaotic")
 CHAOTIC, BOUNDARY, NON_CHAOTIC = range(3)
-
-
-@dataclass(frozen=True)
-class Verdict:
-    label: VerdictLabel
-    trace_mag: float
-
-    @property
-    def margin(self) -> float:
-        return abs(self.trace_mag - SQRT2)
 
 
 def boundary_half_width(k):
@@ -103,9 +86,13 @@ def order_verdicts(source, ks=1) -> OrderVerdicts:
     differences d = phi - psi of U^K, as the census and the noise walk pass
     with K = 1 (theta is then None), or any other source, read through its
     float pair ``source.pair()`` (an EigenphasePair or a QuadraticRecipe:
-    d = fmod(K*phi) - fmod(K*psi)).  In every case |tr| = 2|cos(d/2)|.
+    d = fmod(K*phi) - fmod(K*psi)).  In every case |tr| = 2|cos(d/2)|.  A
+    scalar K gives shape-() results; a non-integer K or non-finite d is rejected.
     """
     ks = np.asarray(ks)
+    if ks.dtype.kind not in "iu" and not (
+            ks.dtype == object and all(isinstance(k, (int, np.integer)) for k in ks.flat)):
+        raise ValueError(f"order must be an integer, got {ks.dtype} orders")
     if ks.min() < 1:
         raise ValueError(f"order must be a positive integer, got {ks.min()}")
     exact = isinstance(source, ExactUnitarySpec)
@@ -114,6 +101,8 @@ def order_verdicts(source, ks=1) -> OrderVerdicts:
         d = theta = np.asarray(t / big, dtype=float) * math.pi
     elif isinstance(source, np.ndarray):
         d, theta = source.astype(float), None
+        if not np.isfinite(d).all():
+            raise ValueError("phase differences must be finite")
     else:
         pair, kf = source.pair(), ks.astype(float)
         d = np.fmod(kf * pair.phi, TWO_PI) - np.fmod(kf * pair.psi, TWO_PI)
@@ -145,7 +134,8 @@ def _chaotic_count(d: np.ndarray) -> int:
     sqrt(2) - w, while the fold (a few ulps of 2*pi), numpy's cosine and the
     margin subtraction round by about 1e-15, so the kernel's float verdict
     agrees with the edge test there.  The entries within _EDGE of the edge,
-    and any with |d| >= 4*pi or NaN, go through ``order_verdicts``.
+    and any with |d| >= 4*pi, go through ``order_verdicts``; a NaN or
+    infinite entry reaches it too, and it raises ValueError.
     """
     y = np.abs(d)
     y *= 0.5
@@ -165,22 +155,6 @@ def _chaotic_count(d: np.ndarray) -> int:
     return below + int(np.count_nonzero(order_verdicts(band).codes == CHAOTIC))
 
 
-def verdict_at_order(u, k: int) -> Verdict:
-    """Chaoticity verdict of U^k; u is a source: a pair, exact spec or quadratic recipe."""
-    res = order_verdicts(u, [k])
-    return Verdict(VERDICT_LABELS[res.codes[0]], float(res.trace_mag[0]))
-
-
-def verdict_of(pair: EigenphasePair) -> Verdict:
-    """Tri-state chaoticity verdict from the sqrt(2) trace test."""
-    return verdict_at_order(pair, 1)
-
-
-def trace_magnitude(pair: EigenphasePair) -> float:
-    """|e^{i phi} + e^{i psi}| = 2 |cos((phi - psi)/2)|, in [0, 2]; global phases drop out."""
-    return verdict_at_order(pair, 1).trace_mag
-
-
 def exact_theta_fraction(spec: ExactUnitarySpec, k: int) -> Fraction:
     """theta/pi of the k-th power of an exact spec, as an exact Fraction in [0, 1]."""
     require_count("order", k)
@@ -188,28 +162,10 @@ def exact_theta_fraction(spec: ExactUnitarySpec, k: int) -> Fraction:
     return Fraction(int(t[0]), big)
 
 
-def theta_at_order(u, k: int) -> float:
-    """theta of the k-th power, exact for rational specs (pi comes out exact)."""
-    return float(order_verdicts(u, [k]).theta[0])
-
-
-def theta_of(pair: EigenphasePair) -> float:
-    """Circular distance min(|d|, 2*pi - |d|) in [0, pi] of the eigenphases: theta at K = 1."""
-    return theta_at_order(pair, 1)
-
-
 def qubit_entropy_closed(pair: EigenphasePair) -> EntropyResult:
     """Closed-form PVM entropy of a qubit unitary with the given eigenphases."""
-    return EntropyResult(qubit_entropy_of_theta(theta_of(pair)), method="closed_form")
-
-
-@dataclass(frozen=True)
-class ChaoticityRecord:
-    k: int
-    theta: float
-    entropy_bits: float
-    trace_mag: float
-    verdict: VerdictLabel
+    theta = float(order_verdicts(pair).theta)
+    return EntropyResult(qubit_entropy_of_theta(theta), method="closed_form")
 
 
 @dataclass(frozen=True)
@@ -221,20 +177,11 @@ class ChaoticityReport:
     trace_mag: np.ndarray
     codes: np.ndarray
 
-    def record(self, k: int) -> ChaoticityRecord:
-        return ChaoticityRecord(k, float(self.theta[k - 1]), float(self.entropy_bits[k - 1]),
-                                float(self.trace_mag[k - 1]), VERDICT_LABELS[self.codes[k - 1]])
-
-    @property
-    def records(self) -> tuple[ChaoticityRecord, ...]:
-        return tuple(map(self.record, range(1, len(self.codes) + 1)))
-
     def columns(self) -> dict[str, list]:
         """The scan rows' columns as Python scalars, keyed as in a JSON row."""
-        labels = [label.value for label in VERDICT_LABELS]
         return {"K": list(range(1, len(self.codes) + 1)), "theta": self.theta.tolist(),
                 "H": self.entropy_bits.tolist(), "trace_mag": self.trace_mag.tolist(),
-                "verdict": list(map(labels.__getitem__, self.codes.tolist()))}
+                "verdict": list(map(VERDICT_LABELS.__getitem__, self.codes.tolist()))}
 
     def to_csv(self) -> str:
         cols = self.columns()

@@ -295,8 +295,8 @@ def cmd_noise(args) -> int:
     pair = resolve_source(args).pair()
     cfg = NoiseConfig(epsilon=args.epsilon, steps=args.steps, seed=args.seed)
     walk = noisy_phase_walk(pair, cfg)
-    labels = [label.value for label in VERDICT_LABELS]
-    counts = dict(zip(labels, np.bincount(walk.codes, minlength=len(labels)).tolist()))
+    counts = dict(zip(VERDICT_LABELS,
+                      np.bincount(walk.codes, minlength=len(VERDICT_LABELS)).tolist()))
     doc = {
         "manifest": _manifest("noise", {"phi": pair.phi, "psi": pair.psi,
                                         "epsilon": args.epsilon, "steps": args.steps},
@@ -311,7 +311,7 @@ def cmd_noise(args) -> int:
     if args.full:
         doc["noise"]["walk"] = Rows(
             phi=walk.phi.tolist(), psi=walk.psi.tolist(), trace_mag=walk.trace_mag.tolist(),
-            verdict=list(map(labels.__getitem__, walk.codes.tolist())))
+            verdict=list(map(VERDICT_LABELS.__getitem__, walk.codes.tolist())))
     _emit(doc, args)
     return 0
 

@@ -53,18 +53,6 @@ def eta(x: float) -> float:
     return -x * math.log(x) / _LOG2
 
 
-def eta_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise eta on an array, clamping to [0, 1] within ETA_CLAMP."""
-    a = np.asarray(x, dtype=float)
-    if a.min() < -ETA_CLAMP or a.max() > 1.0 + ETA_CLAMP:
-        raise ValueError("eta arguments must lie in [0, 1]")
-    a = np.clip(a, 0.0, 1.0)
-    out = np.zeros_like(a)
-    nz = a > 0.0
-    out[nz] = -a[nz] * np.log2(a[nz])
-    return out
-
-
 @dataclass(frozen=True)
 class PvmBasis:
     """Orthonormal measurement basis; columns of ``vectors`` are the states."""
@@ -187,7 +175,7 @@ def markov_entropy_rate(p) -> float:
 
     Double stochasticity makes the uniform distribution stationary, which is
     what the 1/d prefactor assumes.  Raw arrays are accepted and validated
-    within STOCHASTIC_TOL.
+    within STOCHASTIC_TOL.  Rounding in eta cannot lift the rate above log2(d).
     """
     if isinstance(p, TransitionMatrix):
         entries = p.entries
@@ -201,7 +189,7 @@ def markov_entropy_rate(p) -> float:
         if entries.min() < -ETA_CLAMP:
             raise ValueError("transition probabilities must be nonnegative")
     d = entries.shape[0]
-    return float(eta_array(entries).sum() / d)
+    return min(sum(map(eta, entries.ravel().tolist())) / d, math.log2(d))
 
 
 @dataclass(frozen=True)
@@ -403,11 +391,11 @@ def pvm_entropy_optimize(u, opts: OptimizerOptions | None = None) -> EntropyResu
     non-smooth where transition probabilities hit 0, so derivative-free
     descent is the robust choice at this dimension.  Both the simplex steps
     (``_nelder_mead``, scipy's algorithm) and the d = 2 and d = 3 objectives
-    run in plain Python floats, so no scipy is imported.  Restart r draws its
-    start from a counter-based stream keyed by (opts.seed, r), so the best
-    value can only grow as restarts increase.  Restarts run in order in one
-    thread: the objective is pure Python and holds the GIL, so a worker pool
-    gave no speedup.  Best-found, not certified-global.
+    run in plain Python floats.  Restart r draws its start from a
+    counter-based stream keyed by (opts.seed, r), so the best value can only
+    grow as restarts increase.  Restarts run in order in one thread: the
+    objective is pure Python and holds the GIL, so a worker pool gave no
+    speedup.  Best-found, not certified-global.
     """
     opts = opts or OptimizerOptions()
     m = require_unitary(u)

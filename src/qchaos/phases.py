@@ -221,19 +221,26 @@ def eigenphases_of(u) -> tuple[EigenphasePair, np.ndarray]:
 
     Returns (pair, V) with u = V @ Diag(e^{i phi}, e^{i psi}) @ V^dag and a
     reconstruction error of at most 1e-10 per entry.  Diagonal input (which
-    covers every degenerate unitary) returns the computational basis.
+    covers every degenerate unitary) returns the computational basis; other
+    input is e^{ia} (cos t - i sin t n.sigma), t in [0, pi], with eigenphases
+    a -/+ t and the n.sigma = +1 eigenvector from a half-angle formula.
     """
     m = require_unitary(u, UNITARY_TOL, d=2)
     if max(abs(m[0, 1]), abs(m[1, 0])) <= UNITARY_TOL:
         pair = EigenphasePair(cmath.phase(m[0, 0]), cmath.phase(m[1, 1]))
         return pair, np.eye(2, dtype=complex)
-    import scipy.linalg  # here, so that importing qchaos loads no scipy
-
-    t, v = scipy.linalg.schur(m, output="complex")
-    pair = EigenphasePair(cmath.phase(t[0, 0]), cmath.phase(t[1, 1]))
+    a = cmath.phase(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) / 2.0
+    w = m * cmath.exp(-1j * a)  # in SU(2)
+    sn3 = (w[1, 1].imag - w[0, 0].imag) / 2.0  # s*n3 and s*(n1 + i n2), s = sin t
+    sn12 = 1j * (w[1, 0] - w[0, 1].conjugate()) / 2.0
+    s = math.hypot(sn3, abs(sn12))
+    t = math.atan2(s, (w[0, 0] + w[1, 1]).real / 2.0)
+    v0 = np.array([s + sn3, sn12] if sn3 >= 0.0 else [sn12.conjugate(), s - sn3])
+    v0 /= np.linalg.norm(v0)
+    v = np.array([[v0[0], -v0[1].conjugate()], [v0[1], v0[0].conjugate()]])
+    pair = EigenphasePair(a - t, a + t)
     diag = np.diag([cmath.exp(1j * pair.phi), cmath.exp(1j * pair.psi)])
     err = np.max(np.abs(v @ diag @ v.conj().T - m))
     if err > 1e-10:
         raise ArithmeticError(f"eigendecomposition failed to reconstruct input: {err:.3e}")
     return pair, v
-

@@ -62,7 +62,7 @@ def reference_scan_rows(source, k_max: int) -> list[list]:
     """[K, theta, H, trace_mag, verdict] per order, built one order at a time
     as the old per-record scan did."""
     res = order_verdicts(source, np.arange(1, k_max + 1))
-    return [[k, th, qubit_entropy_of_theta(th), tm, VERDICT_LABELS[c].value]
+    return [[k, th, qubit_entropy_of_theta(th), tm, VERDICT_LABELS[c]]
             for k, th, tm, c in zip(range(1, k_max + 1), res.theta.tolist(),
                                     res.trace_mag.tolist(), res.codes.tolist())]
 

@@ -22,7 +22,6 @@ from qchaos import (
     OptimizerOptions,
     QuadraticSeed,
     RationalPhase,
-    VerdictLabel,
     build_chaotic_order,
     build_quadratic_unitary,
     build_rational_unitary,
@@ -34,14 +33,12 @@ from qchaos import (
     first_nonchaotic_order,
     idempotency_order,
     monte_carlo_chaotic_fraction,
+    order_verdicts,
     pvm_entropy_optimize,
     quadratic_trace_sequence,
     qubit_entropy_closed,
-    theta_at_order,
-    trace_magnitude,
-    verdict_at_order,
-    verdict_of,
 )
+from qchaos.chaoticity import CHAOTIC, NON_CHAOTIC
 from helpers import random_unitary
 
 PI = math.pi
@@ -63,11 +60,11 @@ def test_criterion_01_lucas_t3_pair():
     build_quadratic_unitary(seed, 3)  # warm caches before timing
     elapsed, res = best_time(lambda: build_quadratic_unitary(seed, 3))
     pair = res.pair
-    tm = trace_magnitude(pair)
+    tm = float(order_verdicts(pair).trace_mag)
     assert pair.phi == pytest.approx(0.7416, abs=5e-4)
     assert pair.psi == pytest.approx(5.5415, abs=5e-4)
     assert tm == pytest.approx(1.4747, abs=5e-4)
-    assert verdict_of(pair).label is VerdictLabel.NON_CHAOTIC
+    assert order_verdicts(pair).codes == NON_CHAOTIC
     assert elapsed < 1e-3
     print(f"\nACCEPTANCE 01 PASS - Lucas t=3: phi={pair.phi:.6f} psi={pair.psi:.6f} "
           f"|tr|={tm:.6f} non_chaotic, {elapsed * 1e6:.0f} us")
@@ -79,7 +76,7 @@ def test_criterion_02_traversing_quadratic():
     elapsed, res = best_time(lambda: build_quadratic_unitary(seed, 8))
     cos_psi = abs(math.cos(res.pair.psi))
     assert cos_psi == pytest.approx(0.387, abs=5e-3)
-    assert verdict_of(res.pair).label is VerdictLabel.CHAOTIC
+    assert order_verdicts(res.pair).codes == CHAOTIC
     assert res.s_t == 277376354
     assert quadratic_trace_sequence(seed, 8).s(8) == 277376354
     assert elapsed < 1e-2
@@ -112,9 +109,9 @@ def test_criterion_04_chaotic_order_5_construction():
     assert p2 == 2
     assert spec.phase2 == RationalPhase(1, 2)   # psi = pi/2
     assert spec.phase1 == RationalPhase(3, 2)   # phi = 3*pi/2
-    assert verdict_at_order(spec, 5).label is VerdictLabel.CHAOTIC
+    assert order_verdicts(spec, 5).codes == CHAOTIC
     assert exact_theta_fraction(spec, 5) == Fraction(1)  # theta_5 = pi, exact
-    assert theta_at_order(spec, 5) == PI
+    assert order_verdicts(spec, 5).theta == PI
     print("\nACCEPTANCE 04 PASS - order-5 construction: psi=pi/2 phi=3pi/2, "
           "chaotic at K=5 with theta_5=pi (exact)")
 
@@ -229,8 +226,8 @@ def test_criterion_09_idempotency_excludes_chaoticity():
     for spec in specs:
         n = idempotency_order(spec, n_cap=10 ** 9).order
         for k in (n, 2 * n):
-            v = verdict_at_order(spec, k)
-            assert v.label is VerdictLabel.NON_CHAOTIC
+            v = order_verdicts(spec, k)
+            assert v.codes == NON_CHAOTIC
             assert v.trace_mag == 2.0  # exact, not approximate
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

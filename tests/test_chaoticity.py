@@ -19,7 +19,6 @@ from qchaos import (
     SQRT2,
     TWO_PI,
     VERDICT_LABELS,
-    VerdictLabel,
     build_quadratic_unitary,
     build_rational_unitary,
     chaotic_order_fraction,
@@ -33,14 +32,10 @@ from qchaos import (
     QuadraticRecipe,
     QuadraticSeed,
     quadratic_trace_sequence,
-    theta_at_order,
-    trace_magnitude,
-    verdict_at_order,
-    verdict_of,
 )
 
 from qchaos import chaoticity
-from qchaos.chaoticity import CHAOTIC, _CHAOTIC_Y, _chaotic_count
+from qchaos.chaoticity import BOUNDARY, CHAOTIC, NON_CHAOTIC, _CHAOTIC_Y, _chaotic_count
 
 from helpers import power_eigenphases
 
@@ -52,28 +47,34 @@ D4 = build_rational_unitary(RationalPhase(1, 4), RationalPhase(5, 4), RationalPh
 D8 = build_rational_unitary(RationalPhase(1, 32), RationalPhase(17, 32), RationalPhase(23, 32))
 
 
-class TestVerdictOf:
+def same_verdict(a, b) -> bool:
+    """Equal codes and bit-equal trace magnitudes."""
+    return (a.codes.tolist() == b.codes.tolist()
+            and a.trace_mag.tobytes() == b.trace_mag.tobytes())
+
+
+class TestFirstOrderVerdict:
     def test_pauli_x_chaotic(self):
-        v = verdict_of(PAULI_X_PHASES)
-        assert v.label is VerdictLabel.CHAOTIC
+        v = order_verdicts(PAULI_X_PHASES)
+        assert v.codes == CHAOTIC
         assert v.trace_mag == pytest.approx(0.0, abs=1e-15)
 
     def test_identity_non_chaotic(self):
-        v = verdict_of(EigenphasePair(0.0, 0.0))
-        assert v.label is VerdictLabel.NON_CHAOTIC
+        v = order_verdicts(EigenphasePair(0.0, 0.0))
+        assert v.codes == NON_CHAOTIC
         assert v.trace_mag == 2.0
 
     def test_lucas_t3_non_chaotic(self):
-        v = verdict_of(LUCAS_T3)
-        assert v.label is VerdictLabel.NON_CHAOTIC
+        v = order_verdicts(LUCAS_T3)
+        assert v.codes == NON_CHAOTIC
         assert v.trace_mag == pytest.approx(1.4747, abs=5e-4)
 
     def test_boundary_band(self):
         # a trace magnitude within BOUNDARY_TOL of sqrt(2) must not be classified
         theta = 2 * math.acos(SQRT2 / 2)  # exactly at the threshold
-        v = verdict_of(EigenphasePair(0.0, theta))
-        assert v.label is VerdictLabel.BOUNDARY
-        assert v.margin <= BOUNDARY_TOL
+        v = order_verdicts(EigenphasePair(0.0, theta))
+        assert v.codes == BOUNDARY
+        assert abs(v.trace_mag - SQRT2) <= BOUNDARY_TOL
 
     def test_unimodular_equivalent_form(self):
         # for unimodular pairs the verdict reduces to |cos psi| <= 2^(-1/2)
@@ -81,74 +82,67 @@ class TestVerdictOf:
         for psi in rng.uniform(0, TWO_PI, 300):
             from qchaos import make_su2_from_psi
 
-            v = verdict_of(make_su2_from_psi(psi))
+            code = order_verdicts(make_su2_from_psi(psi)).codes
             chaotic_by_cos = abs(math.cos(psi)) <= 2 ** -0.5
-            if v.label is VerdictLabel.CHAOTIC:
+            if code == CHAOTIC:
                 assert chaotic_by_cos
-            elif v.label is VerdictLabel.NON_CHAOTIC:
+            elif code == NON_CHAOTIC:
                 assert not chaotic_by_cos
 
 
-class TestVerdictAtOrder:
+class TestHigherOrderVerdict:
     def test_pauli_x_even_orders_idle(self):
-        v = verdict_at_order(PAULI_X_PHASES, 2)
-        assert v.label is VerdictLabel.NON_CHAOTIC
+        v = order_verdicts(PAULI_X_PHASES, 2)
+        assert v.codes == NON_CHAOTIC
         assert v.trace_mag == pytest.approx(2.0, abs=1e-12)
 
     def test_pauli_x_odd_orders_chaotic(self):
-        assert verdict_at_order(PAULI_X_PHASES, 3).label is VerdictLabel.CHAOTIC
+        assert order_verdicts(PAULI_X_PHASES, 3).codes == CHAOTIC
 
     def test_order5_construction(self):
         pair = EigenphasePair(3 * PI / 2, PI / 2)
-        v = verdict_at_order(pair, 5)
-        assert v.label is VerdictLabel.CHAOTIC
-        from qchaos import theta_of
-
-        assert theta_of(power_eigenphases(pair, 5)) == pytest.approx(PI, abs=1e-12)
+        assert order_verdicts(pair, 5).codes == CHAOTIC
+        assert order_verdicts(power_eigenphases(pair, 5)).theta == pytest.approx(PI, abs=1e-12)
 
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
-            verdict_at_order(PAULI_X_PHASES, 0)
+            order_verdicts(PAULI_X_PHASES, 0)
         with pytest.raises(ValueError):
-            verdict_at_order(D4, 0)
+            order_verdicts(D4, 0)
 
     def test_swap_and_global_phase_invariance(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             pair = EigenphasePair(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
             k = int(rng.integers(1, 20))
-            v = verdict_at_order(pair, k)
-            assert verdict_at_order(pair.swapped(), k).label is v.label
+            v = order_verdicts(pair, k)
+            assert order_verdicts(pair.swapped(), k).codes == v.codes
             # a global phase shifts both eigenphases equally and moves |tr|
             # only through the unimodular representative, which is unchanged
             shift = rng.uniform(0, TWO_PI)
             shifted = EigenphasePair(pair.phi + shift, pair.psi + shift)
-            tm_shifted = trace_magnitude(power_eigenphases(shifted, k))
+            tm_shifted = order_verdicts(power_eigenphases(shifted, k)).trace_mag
             assert tm_shifted == pytest.approx(v.trace_mag, abs=1e-9)
 
 
 class TestChaoticityScan:
     def test_pauli_x_scan(self):
-        report = chaoticity_scan(PAULI_X_PHASES, 4)
-        labels = [r.verdict for r in report.records]
-        assert labels == [VerdictLabel.CHAOTIC, VerdictLabel.NON_CHAOTIC,
-                          VerdictLabel.CHAOTIC, VerdictLabel.NON_CHAOTIC]
-        assert report.record(2).entropy_bits == 0.0
-        assert report.record(4).entropy_bits == 0.0
-        assert report.record(1).entropy_bits == 1.0
+        cols = chaoticity_scan(PAULI_X_PHASES, 4).columns()
+        assert cols["verdict"] == ["chaotic", "non_chaotic", "chaotic", "non_chaotic"]
+        assert cols["H"] == [1.0, 0.0, 1.0, 0.0]
 
     def test_d8_scan_exact(self):
         report = chaoticity_scan(D8, 8)
-        assert report.record(8).theta == 0.0
-        assert report.record(8).entropy_bits == 0.0
-        assert report.record(8).trace_mag == 2.0
-        assert report.record(1).theta == pytest.approx(PI / 2, abs=0)
-        assert report.record(1).entropy_bits == 1.0  # boundary branch of the closed form
+        assert report.theta[7] == 0.0
+        assert report.entropy_bits[7] == 0.0
+        assert report.trace_mag[7] == 2.0
+        assert report.theta[0] == pytest.approx(PI / 2, abs=0)
+        assert report.entropy_bits[0] == 1.0  # boundary branch of the closed form
 
     def test_identity_scan(self):
         report = chaoticity_scan(EigenphasePair(0.0, 0.0), 6)
-        assert all(r.verdict is VerdictLabel.NON_CHAOTIC for r in report.records)
-        assert all(r.entropy_bits == 0.0 for r in report.records)
+        assert np.all(report.codes == NON_CHAOTIC)
+        assert np.all(report.entropy_bits == 0.0)
 
     def test_rejects_zero_kmax(self):
         with pytest.raises(ValueError):
@@ -162,8 +156,13 @@ class TestChaoticityScan:
         lambda: projective_idempotency_order(D4, 1e6),
         lambda: first_nonchaotic_order(LUCAS_T3, 4.0),
         lambda: chaotic_order_fraction(LUCAS_T3, 100.0),
+        lambda: order_verdicts(EigenphasePair(0.1, 0.2), 1.5),
+        lambda: order_verdicts(D4, 1.5),
+        lambda: order_verdicts(LUCAS_T3, np.array([1.0, 2.0])),
+        lambda: order_verdicts(D4, np.array([3, Fraction(3, 2)], dtype=object)),
     ], ids=["scan", "scan-exact", "theta-fraction", "idempotency", "projective",
-            "first-nonchaotic", "chaotic-fraction"])
+            "first-nonchaotic", "chaotic-fraction", "order-pair", "order-exact",
+            "order-float-array", "order-object-array"])
     def test_counts_must_be_integers(self, call):
         # unchecked, k_max = 8.5 would scan the nine orders of np.arange(1, 9.5)
         with pytest.raises(ValueError, match="must be an integer"):
@@ -173,21 +172,22 @@ class TestChaoticityScan:
         rng = np.random.default_rng(8)
         for _ in range(20):
             pair = EigenphasePair(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
-            for rec in chaoticity_scan(pair, 16).records:
-                assert (rec.entropy_bits == 0.0) == (rec.theta == 0.0)
-                if rec.verdict is VerdictLabel.CHAOTIC and rec.theta >= PI / 2:
-                    assert abs(rec.entropy_bits - 1.0) <= 1e-12
+            report = chaoticity_scan(pair, 16)
+            for theta, h, code in zip(report.theta, report.entropy_bits, report.codes):
+                assert (h == 0.0) == (theta == 0.0)
+                if code == CHAOTIC and theta >= PI / 2:
+                    assert abs(h - 1.0) <= 1e-12
 
     def test_csv_round_trip(self):
         report = chaoticity_scan(LUCAS_T3, 10)
         rows = list(csv.DictReader(io.StringIO(report.to_csv())))
         assert len(rows) == 10
-        for rec, row in zip(report.records, rows):
-            assert int(row["K"]) == rec.k
-            assert abs(float(row["theta"]) - rec.theta) <= 1e-12
-            assert abs(float(row["H"]) - rec.entropy_bits) <= 1e-12
-            assert abs(float(row["trace_mag"]) - rec.trace_mag) <= 1e-12
-            assert row["verdict"] == rec.verdict.value
+        for k, theta, h, tm, verdict, row in zip(*report.columns().values(), rows):
+            assert int(row["K"]) == k
+            assert abs(float(row["theta"]) - theta) <= 1e-12
+            assert abs(float(row["H"]) - h) <= 1e-12
+            assert abs(float(row["trace_mag"]) - tm) <= 1e-12
+            assert row["verdict"] == verdict == VERDICT_LABELS[report.codes[k - 1]]
 
     def test_json_rows_shape(self):
         columns = chaoticity_scan(D4, 4).columns()
@@ -198,7 +198,7 @@ class TestChaoticityScan:
 class TestExactThetaFraction:
     def test_d4_theta_is_pi(self):
         assert exact_theta_fraction(D4, 1) == Fraction(1)
-        assert theta_at_order(D4, 1) == PI
+        assert order_verdicts(D4).theta == PI
 
     def test_d8_theta_is_half_pi(self):
         assert exact_theta_fraction(D8, 1) == Fraction(1, 2)
@@ -209,8 +209,8 @@ class TestExactThetaFraction:
             spec = ExactUnitarySpec(RationalPhase(int(rng.integers(0, 64)), 32),
                                     RationalPhase(int(rng.integers(0, 64)), 32))
             k = int(rng.integers(1, 40))
-            exact = theta_at_order(spec, k)
-            floaty = theta_at_order(spec.pair(), k)
+            exact = order_verdicts(spec, k).theta
+            floaty = order_verdicts(spec.pair(), k).theta
             assert exact == pytest.approx(floaty, abs=1e-9)
 
 
@@ -273,8 +273,8 @@ class TestIdempotencyExcludesChaoticity:
         for spec in specs:
             n = idempotency_order(spec, n_cap=10 ** 9).order
             for k in (n, 2 * n):
-                v = verdict_at_order(spec, k)
-                assert v.label is VerdictLabel.NON_CHAOTIC
+                v = order_verdicts(spec, k)
+                assert v.codes == NON_CHAOTIC
                 assert v.trace_mag == 2.0  # exact, via the rational reduction
                 assert exact_theta_fraction(spec, k) == 0
 
@@ -289,12 +289,12 @@ class TestFirstNonchaoticOrder:
 
     def test_chaotic_quadratic_pair_still_fails_somewhere(self):
         pair = build_quadratic_unitary(QuadraticSeed(-2, -101), 8).pair
-        assert verdict_of(pair).label is VerdictLabel.CHAOTIC
+        assert order_verdicts(pair).codes == CHAOTIC
         k = first_nonchaotic_order(pair, 10 ** 4)
         assert k is not None
-        assert verdict_at_order(pair, k).label is VerdictLabel.NON_CHAOTIC
+        assert order_verdicts(pair, k).codes == NON_CHAOTIC
         for j in range(1, k):
-            assert verdict_at_order(pair, j).label is not VerdictLabel.NON_CHAOTIC
+            assert order_verdicts(pair, j).codes != NON_CHAOTIC
 
     def test_none_when_not_found(self):
         # Pauli X only leaves the chaotic region at even orders; bound 1 sees none
@@ -327,13 +327,12 @@ class TestOrderVerdicts:
             d = abs((k * f1) % 2 - (k * f2) % 2)
             tf = min(d, 2 - d)
             assert exact_theta_fraction(spec, k) == tf
-            want = VerdictLabel.CHAOTIC if 2 * tf > 1 else VerdictLabel.NON_CHAOTIC
-            assert verdict_at_order(spec, k).label is want
+            want = CHAOTIC if 2 * tf > 1 else NON_CHAOTIC
+            assert order_verdicts(spec, k).codes == want  # K beyond int64: object arrays
 
     def test_exact_boundary_is_exactly_half_pi(self):
         res = order_verdicts(D8, [1, 2, 8])  # theta = pi/2, pi, 0
-        assert [VERDICT_LABELS[c] for c in res.codes] == [
-            VerdictLabel.BOUNDARY, VerdictLabel.CHAOTIC, VerdictLabel.NON_CHAOTIC]
+        assert [VERDICT_LABELS[c] for c in res.codes] == ["boundary", "chaotic", "non_chaotic"]
         assert res.trace_mag[1] == 0.0 and res.trace_mag[2] == 2.0
 
     def test_vectorized_matches_per_order_calls(self):
@@ -341,9 +340,17 @@ class TestOrderVerdicts:
         for u in (LUCAS_T3, D8):
             res = order_verdicts(u, ks)
             for k, th, tm, c in zip(ks.tolist(), res.theta, res.trace_mag, res.codes):
-                v = verdict_at_order(u, k)
-                assert (VERDICT_LABELS[c], tm, th) == (v.label, v.trace_mag,
-                                                       theta_at_order(u, k))
+                one = order_verdicts(u, k)  # a scalar K gives shape-() results
+                assert one.codes.shape == one.trace_mag.shape == one.theta.shape == ()
+                assert (one.codes, one.trace_mag, one.theta) == (c, tm, th)
+
+    @pytest.mark.parametrize("d", [[np.nan], [np.inf], [-np.inf], [0.1, np.nan, 1.0]],
+                             ids=["nan", "inf", "-inf", "nan-among-finite"])
+    def test_non_finite_differences_are_rejected(self, d):
+        # both band comparisons of a NaN margin are false: it would read as chaotic
+        for call in (order_verdicts, _chaotic_count):
+            with pytest.raises(ValueError, match="must be finite"):
+                call(np.array(d))
 
 
 _PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097494459230781640628620899"
@@ -376,11 +383,10 @@ class TestRoundingAwareBand:
         wrong, boundary = [], 0
         for k in ks:
             tr, sqrt2 = lucas_reference(k)
-            v = verdict_at_order(LUCAS_T3, k)
-            if v.label is VerdictLabel.BOUNDARY:
+            v = order_verdicts(LUCAS_T3, k)
+            if v.codes == BOUNDARY:
                 boundary += 1
-            elif v.label is not (VerdictLabel.CHAOTIC if tr < sqrt2
-                                 else VerdictLabel.NON_CHAOTIC):
+            elif v.codes != (CHAOTIC if tr < sqrt2 else NON_CHAOTIC):
                 wrong.append(k)
             if scale <= 10 ** 10:  # the band widens; the trace itself is unchanged
                 pk = power_eigenphases(LUCAS_T3, k)
@@ -407,37 +413,37 @@ class TestKernelProperties:
     @settings(max_examples=200, deadline=None)
     @given(spec=_specs, g=_rational, k=_orders)
     def test_exact_swap_and_global_phase_invariance(self, spec, g, k):
-        v = verdict_at_order(spec, k)
+        v = order_verdicts(spec, k)
         swapped = ExactUnitarySpec(spec.phase2, spec.phase1, spec.global_phase)
         shifted = ExactUnitarySpec(spec.phase1 + g, spec.phase2 + g, g)
-        assert verdict_at_order(swapped, k) == v  # label and |tr|, bit for bit
-        assert verdict_at_order(shifted, k) == v
+        assert same_verdict(order_verdicts(swapped, k), v)
+        assert same_verdict(order_verdicts(shifted, k), v)
 
     @settings(max_examples=200, deadline=None)
     @given(phi=_angles, psi=_angles, shift=_angles, k=_orders)
     def test_float_swap_and_global_phase_invariance(self, phi, psi, shift, k):
         pair = EigenphasePair(phi, psi)
-        v = verdict_at_order(pair, k)
-        assert verdict_at_order(pair.swapped(), k) == v
+        v = order_verdicts(pair, k)
+        assert same_verdict(order_verdicts(pair.swapped(), k), v)
         # the shift is rounded into both phases, so it may move |tr| by a few
         # K-scaled ulps: inside the band, never across it
-        shifted = verdict_at_order(EigenphasePair(phi + shift, psi + shift), k)
+        shifted = order_verdicts(EigenphasePair(phi + shift, psi + shift), k)
         assert abs(shifted.trace_mag - v.trace_mag) <= 2 * boundary_half_width(k)
-        assert {shifted.label, v.label} != {VerdictLabel.CHAOTIC, VerdictLabel.NON_CHAOTIC}
+        assert {int(shifted.codes), int(v.codes)} != {CHAOTIC, NON_CHAOTIC}
 
     @settings(max_examples=300, deadline=None)
     @given(spec=_specs, k=_orders)
     def test_exact_and_float_paths_agree_outside_the_band(self, spec, k):
-        floaty = verdict_at_order(spec.pair(), k)
-        assume(floaty.label is not VerdictLabel.BOUNDARY)
-        assert verdict_at_order(spec, k).label is floaty.label
+        floaty = order_verdicts(spec.pair(), k).codes
+        assume(floaty != BOUNDARY)
+        assert order_verdicts(spec, k).codes == floaty
 
     @settings(max_examples=200, deadline=None)
     @given(spec=_specs, j=st.integers(1, 50))
     def test_trace_is_exactly_two_at_multiples_of_the_idempotency_order(self, spec, j):
         n = idempotency_order(spec, n_cap=10 ** 12).order
         res = order_verdicts(spec, n * np.arange(1, j + 1))
-        assert np.all(res.codes == VERDICT_LABELS.index(VerdictLabel.NON_CHAOTIC))
+        assert np.all(res.codes == NON_CHAOTIC)
         assert np.all(res.trace_mag == 2.0)
 
 
@@ -481,7 +487,7 @@ class TestSourceInterface:
 def brute_first_nonchaotic(source, k_bound: int):
     """First non-chaotic order found by evaluating every order up to k_bound."""
     codes = order_verdicts(source, np.arange(1, k_bound + 1)).codes
-    hits = np.flatnonzero(codes == VERDICT_LABELS.index(VerdictLabel.NON_CHAOTIC))
+    hits = np.flatnonzero(codes == NON_CHAOTIC)
     return int(hits[0]) + 1 if hits.size else None
 
 

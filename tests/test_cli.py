@@ -440,18 +440,20 @@ def heavy_modules(args):
 
 class TestImports:
     def test_cli_loads_neither_scipy_nor_jsonschema(self, tmp_path):
-        """Only eigenphases_of needs scipy, and only the tests need jsonschema."""
+        """scipy and jsonschema are test oracles: the package imports neither."""
         args = ["analyze", "--psi", "1/2", "--json", str(tmp_path / "a.json")]
         assert heavy_modules(args) == repr((0, [], []))
 
-    @pytest.mark.parametrize("case", ["pair", "unitary-json-d3"])
+    @pytest.mark.parametrize("case", ["pair", "unitary-json-d3", "unitary-json-d2"])
     def test_optimize_loads_no_scipy(self, case, tmp_path):
-        """The optimizer runs its own Nelder-Mead: no scipy for a pair or a 3x3 unitary."""
+        """The optimizer runs its own Nelder-Mead, and a non-diagonal 2x2 is
+        diagonalized in closed form: no scipy for a pair or a unitary."""
         if case == "pair":
             args = ["optimize", "--phi", "0", "--psi", "1/3"]
         else:
             path = tmp_path / "u.json"
-            u = random_unitary(np.random.default_rng(4), 3)
+            u = random_unitary(np.random.default_rng(4), 3 if case.endswith("d3") else 2)
+            assert abs(u[0, 1]) > 0.1  # eigenphases_of takes its non-diagonal branch
             path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in u]))
             args = ["optimize", "--unitary-json", str(path), "--restarts", "2"]
         assert heavy_modules([*args, "--json", str(tmp_path / "a.json")]) == repr((0, [], []))

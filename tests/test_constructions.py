@@ -17,19 +17,18 @@ from qchaos import (
     RATIONAL,
     RationalPhase,
     UNKNOWN,
-    VerdictLabel,
     build_chaotic_order,
     build_quadratic_unitary,
     build_rational_unitary,
     circular_distance,
     classify_phase_rationality,
     idempotency_order,
+    order_verdicts,
     quadratic_trace_sequence,
     source_from_json,
     source_to_json,
-    trace_magnitude,
-    verdict_at_order,
 )
+from qchaos.chaoticity import BOUNDARY, CHAOTIC
 
 from helpers import reference_chaotic_order_prime
 
@@ -102,11 +101,9 @@ class TestBuildChaoticOrder:
         assert p2 == 2
         assert (spec.phase2.m, spec.phase2.p) == (1, 2)   # psi = pi/2
         assert (spec.phase1.m, spec.phase1.p) == (3, 2)   # phi = 3*pi/2
-        v = verdict_at_order(spec, 5)
-        assert v.label is VerdictLabel.CHAOTIC
-        from qchaos import theta_at_order
-
-        assert theta_at_order(spec, 5) == PI
+        v = order_verdicts(spec, 5)
+        assert v.codes == CHAOTIC
+        assert v.theta == PI
 
     def test_k1(self):
         spec, p2 = build_chaotic_order(1)
@@ -115,16 +112,15 @@ class TestBuildChaoticOrder:
     def test_k2_skips_dividing_prime(self):
         spec, p2 = build_chaotic_order(2)
         assert p2 == 3  # |cos(2*pi/3)| = 1/2 <= 2^(-1/2)
-        v = verdict_at_order(spec, 2)
-        assert v.label is VerdictLabel.CHAOTIC
+        v = order_verdicts(spec, 2)
+        assert v.codes == CHAOTIC
         assert v.trace_mag == pytest.approx(1.0, abs=1e-12)
 
     def test_guarantee_up_to_100(self):
         for k in range(1, 101):
             spec, p2 = build_chaotic_order(k)
             assert k % p2 != 0
-            assert verdict_at_order(spec, k).label in (VerdictLabel.CHAOTIC,
-                                                       VerdictLabel.BOUNDARY)
+            assert order_verdicts(spec, k).codes in (CHAOTIC, BOUNDARY)
             # exactly rational, hence idempotent of some finite order
             assert idempotency_order(spec, n_cap=10 ** 9).order >= 1
 
@@ -230,7 +226,7 @@ class TestBuildQuadraticUnitary:
 
     def test_lucas_t6_drifts_toward_identity(self):
         res = build_quadratic_unitary(QuadraticSeed(-1, -1), 6)
-        assert trace_magnitude(res.pair) == pytest.approx(1.969, abs=5e-4)
+        assert order_verdicts(res.pair).trace_mag == pytest.approx(1.969, abs=5e-4)
 
     def test_rejects_odd_sum(self):
         with pytest.raises(ValueError, match="odd"):

@@ -20,8 +20,8 @@ from qchaos import (
     markov_entropy_rate,
     measurement_probabilities,
     pvm_entropy_optimize,
+    order_verdicts,
     qubit_entropy_closed,
-    theta_of,
     transition_matrix,
 )
 from qchaos.entropy import _nelder_mead, _neg_rate_d2, _neg_rate_d3
@@ -64,31 +64,28 @@ class TestEta:
                 assert mid >= (eta(x) + eta(y)) / 2 - 1e-12
 
 
-class TestThetaOf:
+class TestTheta:
     @pytest.mark.parametrize("phi,psi,want", [
         (0.0, PI, PI),
         (PI / 4, 7 * PI / 4, PI / 2),   # wraps: 2*pi - 3*pi/2
         (PI / 32, 17 * PI / 32, PI / 2),
     ])
     def test_examples(self, phi, psi, want):
-        assert theta_of(EigenphasePair(phi, psi)) == pytest.approx(want, abs=1e-15)
+        assert order_verdicts(EigenphasePair(phi, psi)).theta == pytest.approx(want, abs=1e-15)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(0.0, TWO_PI, exclude_max=True), st.floats(0.0, TWO_PI, exclude_max=True))
     def test_is_the_kernel_theta_bit_for_bit(self, phi, psi):
-        # theta_of is theta_at_order(pair, 1); it equals the direct formula exactly
+        # the kernel's theta at K = 1 equals the direct formula exactly
         d = abs(phi - psi)
-        assert theta_of(EigenphasePair(phi, psi)) == min(d, TWO_PI - d)
+        assert order_verdicts(EigenphasePair(phi, psi)).theta == min(d, TWO_PI - d)
 
     def test_consistent_with_trace_magnitude(self):
-        from qchaos import trace_magnitude
-
         rng = np.random.default_rng(3)
         for _ in range(200):
-            pair = EigenphasePair(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
-            th = theta_of(pair)
-            assert 0.0 <= th <= PI
-            assert 2.0 * math.cos(th / 2) == pytest.approx(trace_magnitude(pair), abs=1e-12)
+            v = order_verdicts(EigenphasePair(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)))
+            assert 0.0 <= v.theta <= PI
+            assert 2.0 * math.cos(v.theta / 2) == pytest.approx(v.trace_mag, abs=1e-12)
 
 
 class TestQubitEntropyClosed:
@@ -224,7 +221,7 @@ class TestMarkovEntropyRate:
         checked = 0
         while checked < 50:
             pair = EigenphasePair(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
-            if theta_of(pair) > PI / 2:
+            if order_verdicts(pair).theta > PI / 2:
                 continue
             u = Unitary2.from_pair(pair).matrix
             rate = markov_entropy_rate(transition_matrix(u, PvmBasis.x_basis()))

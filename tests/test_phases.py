@@ -5,19 +5,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from qchaos import (
     EigenphasePair,
     ExactUnitarySpec,
     RationalPhase,
     TWO_PI,
+    UNITARY_TOL,
     Unitary2,
     circular_distance,
     eigenphases_of,
     make_su2_from_psi,
     mod_2pi,
+    order_verdicts,
     rational_phase_order,
-    trace_magnitude,
 )
 
 from helpers import power_eigenphases, random_unitary
@@ -112,6 +115,45 @@ class TestEigenphasesOf:
             assert np.max(np.abs(rebuilt - u)) <= 1e-10
 
 
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _rotation(seed, a, t, polar, azimuth):
+    """e^{ia} V exp(-i t n.sigma) V^dag with a Haar-ish V drawn from seed."""
+    n = (math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth),
+         math.cos(polar))
+    w = math.cos(t) * np.eye(2) - 1j * math.sin(t) * np.tensordot(n, _PAULI, 1)
+    v = random_unitary(np.random.default_rng(seed))
+    return np.exp(1j * a) * v @ w @ v.conj().T
+
+
+_seeds = st.integers(0, 2 ** 32 - 1)
+_haar = st.builds(lambda seed: random_unitary(np.random.default_rng(seed)), _seeds)
+_near_degenerate = st.builds(
+    _rotation, _seeds, st.floats(0.0, TWO_PI), st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e),
+    st.floats(0.0, PI), st.floats(0.0, TWO_PI))
+
+
+class TestClosedFormAgainstSchur:
+    """The axis-angle eigendecomposition against scipy's complex Schur form."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(u=st.one_of(_haar, _near_degenerate))
+    def test_matches_schur(self, u):
+        assume(max(abs(u[0, 1]), abs(u[1, 0])) > UNITARY_TOL)  # not the diagonal branch
+        pair, v = eigenphases_of(u)
+        t, _ = scipy.linalg.schur(u, output="complex")
+        want = np.angle(np.diag(t))
+        for got in ([pair.phi, pair.psi], [pair.psi, pair.phi]):
+            if max(map(circular_distance, got, want)) <= 1e-14:
+                break
+        else:
+            pytest.fail(f"eigenphases {pair} differ from Schur's {want}")
+        rebuilt = v @ np.diag(np.exp(1j * np.array([pair.phi, pair.psi]))) @ v.conj().T
+        assert np.max(np.abs(rebuilt - u)) <= 1e-14
+        assert np.max(np.abs(v.conj().T @ v - np.eye(2))) <= 1e-14
+
+
 class TestRationalPhase:
     def test_normalization(self):
         ph = RationalPhase(5, 4)  # already in [0, 2)
@@ -182,10 +224,10 @@ class TestPowerEigenphases:
 
 class TestTraceMagnitude:
     def test_examples(self):
-        assert trace_magnitude(EigenphasePair(0.0, PI)) == pytest.approx(0.0, abs=1e-15)
-        assert trace_magnitude(EigenphasePair(0.0, 0.0)) == 2.0
+        assert order_verdicts(EigenphasePair(0.0, PI)).trace_mag == pytest.approx(0.0, abs=1e-15)
+        assert order_verdicts(EigenphasePair(0.0, 0.0)).trace_mag == 2.0
         lucas = EigenphasePair(0.7416294238611398, 5.541555883318446)
-        assert trace_magnitude(lucas) == pytest.approx(1.4747, abs=5e-4)
+        assert order_verdicts(lucas).trace_mag == pytest.approx(1.4747, abs=5e-4)
 
     def test_matches_matrix_trace_under_powers(self):
         rng = np.random.default_rng(5)
@@ -195,7 +237,7 @@ class TestTraceMagnitude:
             m = np.eye(2, dtype=complex)
             for k in range(1, 33):
                 m = m @ u  # repeated multiplication, not the phase shortcut
-                tm = trace_magnitude(power_eigenphases(pair, k))
+                tm = order_verdicts(power_eigenphases(pair, k)).trace_mag
                 assert tm == pytest.approx(abs(np.trace(m)), abs=1e-9)
 
 
