@@ -15,7 +15,8 @@ theta = min(|phi - psi|, 2*pi - |phi - psi|):
 (``qubit_entropy_of_theta``; ``chaoticity.qubit_entropy_closed`` takes a pair).
 
 For general small d the maximum is estimated by multi-start derivative-free
-ascent over a plane-rotation parametrization of the basis.
+ascent over a plane-rotation parametrization of the basis, every start
+advanced in lock-step as arrays.
 """
 
 from __future__ import annotations
@@ -237,30 +238,41 @@ def basis_from_angles(d: int, angles) -> PvmBasis:
     return PvmBasis(v)
 
 
-def _neg_rate_d2(u: np.ndarray):
-    """Scalar-arithmetic objective for d = 2; ~5x faster than the ndarray path."""
-    u00, u01 = complex(u[0, 0]), complex(u[0, 1])
-    u10, u11 = complex(u[1, 0]), complex(u[1, 1])
+def _neg_rates_d2(u: np.ndarray):
+    """Objective for d = 2: minus the rate at each (t, f) row of an (m, 2) array.
+
+    The basis columns are (cos t, g*) and (-g, cos t) with g = sin t e^{if}.
+    The complex products are written out in real arithmetic in the order
+    CPython's complex type evaluates them, abs and ** 2 are libm's hypot and
+    pow (np.hypot, np.float_power), and log is math.log, so every row's value
+    is bit for bit that of the same formula in Python complex scalars.
+    """
+    (u00r, u01r), (u10r, u11r) = u.real.tolist()
+    (u00i, u01i), (u10i, u11i) = u.imag.tolist()
 
     def neg(x):
-        t, f = x
-        ct, st = math.cos(t), math.sin(t)
-        ef = cmath.exp(1j * f)
-        v00, v10 = ct, st * ef.conjugate()
-        v01, v11 = -ef * st, ct
-        a = u00 * v00 + u01 * v10
-        b = u10 * v00 + u11 * v10
-        c = u00 * v01 + u01 * v11
-        e = u10 * v01 + u11 * v11
-        p00 = min(abs(v00.conjugate() * a + v10.conjugate() * b) ** 2, 1.0)
-        p10 = min(abs(v01.conjugate() * a + v11.conjugate() * b) ** 2, 1.0)
-        p01 = min(abs(v00.conjugate() * c + v10.conjugate() * e) ** 2, 1.0)
-        p11 = min(abs(v01.conjugate() * c + v11.conjugate() * e) ** 2, 1.0)
-        total = 0.0
-        for p in (p00, p01, p10, p11):
-            if p > 0.0:
-                total -= p * math.log(p)
-        return -0.5 * total / _LOG2
+        ct, st, cf, sf = np.cos(x[:, 0]), np.sin(x[:, 0]), np.cos(x[:, 1]), np.sin(x[:, 1])
+        gr, gi = st * cf, st * sf
+        # the columns of U V: a, b from (ct, g*) and c, e from (-g, ct)
+        ar = u00r * ct + (u01r * gr + u01i * gi)
+        ai = u00i * ct + (u01i * gr - u01r * gi)
+        br = u10r * ct + (u11r * gr + u11i * gi)
+        bi = u10i * ct + (u11i * gr - u11r * gi)
+        cr = (u00i * gi - u00r * gr) + u01r * ct
+        ci = -(u00r * gi + u00i * gr) + u01i * ct
+        er = (u10i * gi - u10r * gr) + u11r * ct
+        ei = -(u10r * gi + u10i * gr) + u11i * ct
+        # (V^dag U V)_jl for (j, l) = 00, 01, 10, 11
+        zr = np.stack([ct * ar + (gr * br - gi * bi), ct * cr + (gr * er - gi * ei),
+                       -(gr * ar + gi * ai) + ct * br, -(gr * cr + gi * ci) + ct * er])
+        zi = np.stack([ct * ai + (gr * bi + gi * br), ct * ci + (gr * ei + gi * er),
+                       (gi * ar - gr * ai) + ct * bi, (gi * cr - gr * ci) + ct * ei])
+        p = np.minimum(np.float_power(np.hypot(zr, zi), 2.0), 1.0)
+        logs = np.zeros_like(p)
+        pos = p > 0.0
+        logs[pos] = list(map(math.log, p[pos].tolist()))
+        terms = p * logs
+        return -0.5 * (0.0 - terms[0] - terms[1] - terms[2] - terms[3]) / _LOG2
 
     return neg
 
@@ -300,88 +312,99 @@ def _neg_rate_d3(u: np.ndarray):
     return neg
 
 
+def _batch_objective(u: np.ndarray):
+    """The objective ``_nelder_mead`` minimizes for U: rows of angles to minus their rates."""
+    if u.shape[0] == 2:
+        return _neg_rates_d2(u)
+    rate = _neg_rate_d3(u)
+    return lambda x: np.fromiter(map(rate, x.tolist()), float, len(x))
+
+
 # Nelder-Mead coefficients and initial-simplex steps, as scipy's defaults.
 _NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
 _NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+#: Restarts advanced together by one ``_nelder_mead`` call, so memory does not
+#: grow with the restart count.
+_NM_BLOCK = 1024
 
 
 def _by_value(sim, fsim):
-    """Vertices and values in np.argsort order of the values."""
-    order = np.array(fsim).argsort().tolist()  # np.argsort, without its list wrapper
-    return [sim[i] for i in order], [fsim[i] for i in order]
-
-
-def _toward(xbar, worst, c):
-    """The point (1 + c) * xbar - c * worst."""
-    return [(1 + c) * a - c * w for a, w in zip(xbar, worst)]
+    """Each simplex's vertices and values in np.argsort order of its values."""
+    order = np.argsort(fsim, axis=1)
+    rows = np.arange(len(fsim))[:, None]
+    return sim[rows, order], fsim[rows, order]
 
 
 def _nelder_mead(f, x0, xatol: float, fatol: float, max_iters: int):
-    """Minimize f from x0 by Nelder-Mead (1965); returns (fun, x, nfev, nit).
+    """Minimize f by Nelder-Mead (1965) from every row of x0 in lock-step.
 
-    Repeats scipy.optimize.minimize(method="Nelder-Mead") step for step, with
-    its default coefficients, initial simplex and convergence test, in plain
-    floats: on 3 or 7 vertices numpy's per-call overhead outweighs the
-    objective.  Vertices are ordered with np.argsort, as scipy orders them,
-    because that sort need not keep ties in place and the order of tied
-    vertices steers every later step.
+    ``f`` maps a (k, n) array of points to their k values.  Returns per-row
+    arrays (fun, x, nfev, nit).  Each row repeats
+    scipy.optimize.minimize(method="Nelder-Mead") step for step, with its
+    default coefficients, initial simplex and convergence test and the same
+    float operations in the same order.  An iteration evaluates one batch
+    per phase: the reflections, then the expansions and (inside)
+    contractions, then the shrinks.  A row leaves the batch when it
+    converges, so its nit is its own.  Vertices are ordered with np.argsort,
+    as scipy orders them, because that sort need not keep ties in place and
+    the order of tied vertices steers every later step.
     """
-    n = len(x0)
-    sim = [list(x0)]
-    for k in range(n):
-        y = list(x0)
-        y[k] = (1 + _NM_NONZDELT) * y[k] if y[k] != 0 else _NM_ZDELT
-        sim.append(y)
-    fsim = [f(x) for x in sim]
-    nfev = n + 1
-    sim, fsim = _by_value(sim, fsim)
-    sim, fsim = _by_value(sim, fsim)  # scipy sorts the first simplex twice
-    nit = 1
-    while nit < max_iters:
-        best = sim[0]
-        if (all(abs(a - b) <= xatol for x in sim[1:] for a, b in zip(x, best))
-                and all(abs(fsim[0] - fx) <= fatol for fx in fsim[1:])):
-            break
-        xbar = best
-        for x in sim[1:-1]:  # row by row, as numpy reduces over the first axis
-            xbar = [a + b for a, b in zip(xbar, x)]
-        xbar = [a / n for a in xbar]
-        worst = sim[-1]
-        xr = _toward(xbar, worst, _NM_RHO)
+    m, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    sim[:, k + 1, k] = np.where(x0 != 0, (1 + _NM_NONZDELT) * x0, _NM_ZDELT)
+    fsim = f(sim.reshape(-1, n)).reshape(m, n + 1)
+    sim, fsim = _by_value(*_by_value(sim, fsim))  # scipy sorts the first simplex twice
+    fun, x, nit = np.empty(m), np.empty((m, n)), np.empty(m, dtype=int)
+    nfev = np.full(m, n + 1)
+    live = np.arange(m)
+    it = 1
+    while it < max_iters:
+        done = (np.all(np.abs(sim[:, 1:] - sim[:, :1]) <= xatol, axis=(1, 2))
+                & np.all(np.abs(fsim[:, :1] - fsim[:, 1:]) <= fatol, axis=1))
+        if done.any():
+            out = live[done]
+            fun[out], x[out], nit[out] = fsim[done, 0], sim[done, 0], it
+            sim, fsim, live = sim[~done], fsim[~done], live[~done]
+            if not live.size:
+                break
+        xbar = sim[:, 0]
+        for j in range(1, n):  # row by row, as numpy reduces over the first axis
+            xbar = xbar + sim[:, j]
+        xbar = xbar / n
+        worst = sim[:, -1]
+        xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
         fxr = f(xr)
-        nfev += 1
-        shrink = False
-        if fxr < fsim[0]:
-            xe = _toward(xbar, worst, _NM_RHO * _NM_CHI)
-            fxe = f(xe)
-            nfev += 1
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:
-            xc = _toward(xbar, worst, _NM_PSI * _NM_RHO)
-            fxc = f(xc)
-            nfev += 1
-            if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                shrink = True
-        else:
-            xcc = [(1 - _NM_PSI) * a + _NM_PSI * w for a, w in zip(xbar, worst)]
-            fxcc = f(xcc)
-            nfev += 1
-            if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
-            else:
-                shrink = True
-        if shrink:
-            for j in range(1, n + 1):
-                sim[j] = [b + _NM_SIGMA * (a - b) for a, b in zip(sim[j], best)]
-                fsim[j] = f(sim[j])
-            nfev += n
-        nit += 1
+        nfev[live] += 1
+        expand = fxr < fsim[:, 0]
+        accept = ~expand & (fxr < fsim[:, -2])
+        contract = ~expand & ~accept & (fxr < fsim[:, -1])
+        second = ~accept
+        x2 = np.where(expand[:, None],
+                      (1 + _NM_RHO * _NM_CHI) * xbar - _NM_RHO * _NM_CHI * worst,
+                      np.where(contract[:, None],
+                               (1 + _NM_PSI * _NM_RHO) * xbar - _NM_PSI * _NM_RHO * worst,
+                               (1 - _NM_PSI) * xbar + _NM_PSI * worst))
+        f2 = np.full(fxr.shape, np.nan)
+        if second.any():
+            f2[second] = f(x2[second])
+            nfev[live[second]] += 1
+        take2 = np.where(expand, f2 < fxr,
+                         np.where(contract, f2 <= fxr, f2 < fsim[:, -1])) & second
+        shrink = second & ~take2 & ~expand
+        step = ~shrink
+        sim[step, -1] = np.where(take2[:, None], x2, xr)[step]
+        fsim[step, -1] = np.where(take2, f2, fxr)[step]
+        if shrink.any():
+            b = sim[shrink, :1]
+            pts = b + _NM_SIGMA * (sim[shrink, 1:] - b)
+            sim[shrink, 1:] = pts
+            fsim[shrink, 1:] = f(pts.reshape(-1, n)).reshape(-1, n)
+            nfev[live[shrink]] += n
+        it += 1
         sim, fsim = _by_value(sim, fsim)
-    return fsim[0], sim[0], nfev, nit
+    fun[live], x[live], nit[live] = fsim[:, 0], sim[:, 0], it
+    return fun, x, nfev, nit
 
 
 def pvm_entropy_optimize(u, opts: OptimizerOptions | None = None) -> EntropyResult:
@@ -389,13 +412,12 @@ def pvm_entropy_optimize(u, opts: OptimizerOptions | None = None) -> EntropyResu
 
     Multi-start Nelder-Mead on the plane-rotation angles: the objective is
     non-smooth where transition probabilities hit 0, so derivative-free
-    descent is the robust choice at this dimension.  Both the simplex steps
-    (``_nelder_mead``, scipy's algorithm) and the d = 2 and d = 3 objectives
-    run in plain Python floats.  Restart r draws its start from a
-    counter-based stream keyed by (opts.seed, r), so the best value can only
-    grow as restarts increase.  Restarts run in order in one thread: the
-    objective is pure Python and holds the GIL, so a worker pool gave no
-    speedup.  Best-found, not certified-global.
+    descent is the robust choice at this dimension.  Restart r draws its
+    start from a counter-based stream keyed by (opts.seed, r), so the best
+    value can only grow as restarts increase.  ``_nelder_mead`` (scipy's
+    algorithm) advances up to _NM_BLOCK restarts in lock-step as arrays; the
+    d = 2 objective is array code, the d = 3 one plain Python floats mapped
+    over the batch's rows.  Best-found, not certified-global.
     """
     opts = opts or OptimizerOptions()
     m = require_unitary(u)
@@ -403,14 +425,15 @@ def pvm_entropy_optimize(u, opts: OptimizerOptions | None = None) -> EntropyResu
     if d not in _PLANES:
         raise ValueError(f"unsupported dimension {d}; only d in (2, 3)")
     n_params = d * (d - 1)
-    neg = (_neg_rate_d2 if d == 2 else _neg_rate_d3)(m)
-
+    neg = _batch_objective(m)
     best_value, best_x = -1.0, None
-    for r in range(opts.restarts):  # the earliest restart wins ties
-        x0 = stream_generator(opts.seed, r).uniform(0.0, TWO_PI, n_params).tolist()
-        fun, x, _, _ = _nelder_mead(neg, x0, opts.xatol, 1e-12, opts.max_iters)
-        if -fun > best_value:
-            best_value, best_x = -fun, x
+    for lo in range(0, opts.restarts, _NM_BLOCK):
+        x0 = np.array([stream_generator(opts.seed, r).uniform(0.0, TWO_PI, n_params)
+                       for r in range(lo, min(lo + _NM_BLOCK, opts.restarts))])
+        fun, xs, _, _ = _nelder_mead(neg, x0, opts.xatol, 1e-12, opts.max_iters)
+        for f, x in zip(fun.tolist(), xs):  # the earliest restart wins ties
+            if -f > best_value:
+                best_value, best_x = -f, x
     best_value = max(0.0, min(best_value, float(math.log2(d))))
     return EntropyResult(best_value, optimal_basis=basis_from_angles(d, best_x),
                          method="optimized")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -218,13 +217,13 @@ class CensusResult:
                 "fraction": self.fraction, "half_width_3sigma": self.half_width_3sigma}
 
 
-def _census_chunk(seed: int, chunk: int, size: int) -> int:
+def _census_chunk(seed: int, chunk: int, buf: np.ndarray) -> int:
     # the SU(2) pair of psi has phi - psi = -2 psi mod 2*pi, and |tr| is even
     # and 2*pi-periodic in it, so d = 2 psi in [0, 4*pi) gives |tr| = 2|cos psi|
     # exactly; the edge test counts it as the kernel would.  psi drawn by
     # uniform(0, 2*pi) is 0.0 + 2*pi*u for the stream's doubles u, so 4*pi*u
     # is 2 psi bit for bit
-    d = stream_generator(seed, chunk).random(size)
+    d = stream_generator(seed, chunk).random(out=buf)
     d *= 2.0 * TWO_PI
     return _chaotic_count(d)
 
@@ -235,15 +234,26 @@ def monte_carlo_chaotic_fraction(n_trials: int, seed: int,
 
     ``boundary`` verdicts are not counted.  Trials are split into fixed chunks
     with one counter-based stream each, so the count is identical for any
-    thread count; at most one worker per chunk and per CPU is started.
+    thread count.  Each worker draws its chunks into one buffer of its own;
+    one worker runs them inline, and a pool of at most one worker per chunk
+    and per CPU is started only for more.
     """
     require_count("n_trials", n_trials)
     require_count("threads", threads)
-    sizes = [min(CENSUS_CHUNK, n_trials - start)
-             for start in range(0, n_trials, CENSUS_CHUNK)]
-    workers = min(threads, len(sizes), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chaotic = sum(pool.map(lambda c: _census_chunk(seed, c, sizes[c]), range(len(sizes))))
+    n_chunks = -(-n_trials // CENSUS_CHUNK)
+    workers = min(threads, n_chunks, os.cpu_count() or 1)
+
+    def count(first: int) -> int:  # chunks first, first + workers, ...
+        buf = np.empty(min(CENSUS_CHUNK, n_trials))
+        return sum(_census_chunk(seed, c, buf[:min(CENSUS_CHUNK, n_trials - c * CENSUS_CHUNK)])
+                   for c in range(first, n_chunks, workers))
+
+    if workers == 1:
+        chaotic = count(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chaotic = sum(pool.map(count, range(workers)))
     return CensusResult(n_trials, chaotic, chaotic / n_trials,
                         3.0 * math.sqrt(0.25 / n_trials))
 

@@ -1,6 +1,7 @@
 """Shared test utilities."""
 
 import bisect
+import cmath
 import csv
 import io
 import json
@@ -107,6 +108,35 @@ def reference_trajectory(cfg) -> np.ndarray:
             x = bisect.bisect_right(rows[x], ul[i])
             out[i] = x
     return out
+
+
+def reference_neg_rate_d2(u: np.ndarray):
+    """The d = 2 objective's oracle: minus the entropy rate at angles (t, f), in
+    Python complex scalars, with p00, p01, p10, p11 summed in that order."""
+    u00, u01 = complex(u[0, 0]), complex(u[0, 1])
+    u10, u11 = complex(u[1, 0]), complex(u[1, 1])
+
+    def neg(x):
+        t, f = x
+        ct, st = math.cos(t), math.sin(t)
+        ef = cmath.exp(1j * f)
+        v00, v10 = ct, st * ef.conjugate()
+        v01, v11 = -ef * st, ct
+        a = u00 * v00 + u01 * v10
+        b = u10 * v00 + u11 * v10
+        c = u00 * v01 + u01 * v11
+        e = u10 * v01 + u11 * v11
+        p00 = min(abs(v00.conjugate() * a + v10.conjugate() * b) ** 2, 1.0)
+        p10 = min(abs(v01.conjugate() * a + v11.conjugate() * b) ** 2, 1.0)
+        p01 = min(abs(v00.conjugate() * c + v10.conjugate() * e) ** 2, 1.0)
+        p11 = min(abs(v01.conjugate() * c + v11.conjugate() * e) ** 2, 1.0)
+        total = 0.0
+        for p in (p00, p01, p10, p11):
+            if p > 0.0:
+                total -= p * math.log(p)
+        return -0.5 * total / math.log(2.0)
+
+    return neg
 
 
 def reference_census_count(n: int, seed: int) -> int:

@@ -1,5 +1,6 @@
 """Entropy primitives, transition matrices and the variational optimizer."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -24,9 +25,15 @@ from qchaos import (
     qubit_entropy_closed,
     transition_matrix,
 )
-from qchaos.entropy import _nelder_mead, _neg_rate_d2, _neg_rate_d3
+from qchaos.entropy import (
+    _NM_BLOCK,
+    _batch_objective,
+    _nelder_mead,
+    _neg_rate_d3,
+    _neg_rates_d2,
+)
 from qchaos.rng import stream_generator
-from helpers import random_orthonormal_basis, random_unitary
+from helpers import random_orthonormal_basis, random_unitary, reference_neg_rate_d2
 
 PI = math.pi
 
@@ -303,44 +310,160 @@ def restart_starts(seed, restarts, d):
 
 
 class TestNelderMead:
-    """_nelder_mead repeats scipy's Nelder-Mead bit for bit, restart by restart."""
+    """_nelder_mead repeats scipy's Nelder-Mead bit for bit on every row of a batch."""
 
-    def assert_matches_scipy(self, neg, starts):
-        for x0 in starts:
-            for cap in (1, 2, 300, 2000):
+    def assert_matches_scipy(self, u, starts):
+        """Runs all starts as one batch per cap; returns the nit of the cap-2000 batch."""
+        scalar = reference_neg_rate_d2(u) if u.shape[0] == 2 else _neg_rate_d3(u)
+        for cap in (1, 2, 300, 2000):
+            fun, x, nfev, nit = _nelder_mead(_batch_objective(u), np.array(starts),
+                                             1e-10, 1e-12, cap)
+            for r, x0 in enumerate(starts):
                 ref = scipy.optimize.minimize(
-                    neg, x0, method="Nelder-Mead",
+                    scalar, x0, method="Nelder-Mead",
                     options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": cap})
-                fun, x, nfev, nit = _nelder_mead(neg, x0.tolist(), 1e-10, 1e-12, cap)
-                assert ((float(fun).hex(), [v.hex() for v in x], nfev, nit)
+                assert ((float(fun[r]).hex(), [v.hex() for v in x[r].tolist()],
+                         int(nfev[r]), int(nit[r]))
                         == (float(ref.fun).hex(), [v.hex() for v in ref.x.tolist()],
                             ref.nfev, ref.nit))
+        return nit.tolist()
 
     @settings(max_examples=25, deadline=None)
     @given(phi=st.floats(0.0, TWO_PI), psi=st.floats(0.0, TWO_PI),
            seed=st.integers(0, 2 ** 64 - 1))
     def test_d2_random_pairs(self, phi, psi, seed):
         u = Unitary2.from_pair(EigenphasePair(phi, psi)).matrix
-        self.assert_matches_scipy(_neg_rate_d2(u), restart_starts(seed, 2, 2))
+        self.assert_matches_scipy(u, restart_starts(seed, 2, 2))
 
     def test_golden_theta_pi_third(self):
-        # the optimize_theta_pi3 golden case: --phi 0 --psi 1/3 --restarts 8 --seed 1
+        # the optimize_theta_pi3 golden case: --phi 0 --psi 1/3 --restarts 8 --seed 1;
+        # its restarts stop at different iterations, so rows leave the batch apart
         u = Unitary2.from_pair(EigenphasePair(0.0, PI / 3)).matrix
-        self.assert_matches_scipy(_neg_rate_d2(u), restart_starts(1, 8, 2))
+        nits = self.assert_matches_scipy(u, restart_starts(1, 8, 2))
+        assert len(set(nits)) > 1 and max(nits) < 2000
 
     @pytest.mark.parametrize("u", [np.diag([1.0, -1.0]), np.eye(2)],
                              ids=["theta-pi-plateau", "identity"])
     def test_d2_ties(self, u):
-        self.assert_matches_scipy(_neg_rate_d2(u), restart_starts(0, 8, 2))
+        self.assert_matches_scipy(u, restart_starts(0, 8, 2))
 
     def test_d3_identity_ties(self):
         # every basis gives rate 0 exactly, so each simplex is all ties
-        self.assert_matches_scipy(_neg_rate_d3(np.eye(3)), restart_starts(0, 3, 3))
+        self.assert_matches_scipy(np.eye(3), restart_starts(0, 3, 3))
 
     @pytest.mark.parametrize("seed", [3, 17, 29, 41])
     def test_d3_haar(self, seed):
         u = random_unitary(np.random.default_rng(seed), 3)
-        self.assert_matches_scipy(_neg_rate_d3(u), restart_starts(seed, 3, 3))
+        nits = self.assert_matches_scipy(u, restart_starts(seed, 4, 3))
+        assert len(set(nits)) > 1
+
+    def test_blocks_equal_per_block_runs(self):
+        # 2 * _NM_BLOCK + 3 restarts run as three blocks; each row's result is
+        # the same as in one batch over all starts and in a run of its own block
+        u = random_unitary(np.random.default_rng(5), 2)
+        restarts = 2 * _NM_BLOCK + 3
+        opts = OptimizerOptions(restarts=restarts, max_iters=80, seed=11)
+        starts = np.array(restart_starts(11, restarts, 2))
+        obj = _batch_objective(u)
+        whole = _nelder_mead(obj, starts, opts.xatol, 1e-12, opts.max_iters)
+        blocks = [_nelder_mead(obj, starts[lo:lo + _NM_BLOCK], opts.xatol, 1e-12,
+                               opts.max_iters) for lo in range(0, restarts, _NM_BLOCK)]
+        assert [len(b[0]) for b in blocks] == [_NM_BLOCK, _NM_BLOCK, 3]
+        for got, want in zip(map(np.concatenate, zip(*blocks)), whole):
+            assert np.array_equal(got, want)
+        assert len(set(whole[3].tolist())) > 1  # some rows converged before the cap
+        first_best = int(np.argmin(whole[0]))  # the earliest restart wins ties
+        res = pvm_entropy_optimize(u, opts)
+        assert res.value == min(-whole[0][first_best], 1.0)
+        assert np.array_equal(res.optimal_basis.vectors,
+                              basis_from_angles(2, whole[1][first_best]).vectors)
+
+
+# float.hex of each case's value, and a sha256 prefix of the float.hex strings
+# of its basis entries, from the scalar Nelder-Mead that ran one restart at a
+# time; the lock-step batch must reproduce them bit for bit.
+PINNED_OPTIMA = {
+    "d2-golden-r1": ("0x1.9f5fd8a9063e6p-1", "8e8b6e73a1059c86"),
+    "d2-golden-r8": ("0x1.9f5fd8a9063e6p-1", "8e8b6e73a1059c86"),
+    "d2-golden-r256": ("0x1.9f5fd8a9063e7p-1", "4d5d7432a739940b"),
+    "d2-identity-r1": ("0x1.71547652b82fdp-51", "2e60b6770b1d4942"),
+    "d2-identity-r8": ("0x1.14ff58be0a23dp-50", "f2eb116987bfae3a"),
+    "d2-identity-r256": ("0x1.71547652b82fbp-50", "c55c85a2b7b64822"),
+    "d2-diag-1-m1-r1": ("0x1.0000000000000p+0", "ca89ccc8c45d1221"),
+    "d2-diag-1-m1-r8": ("0x1.0000000000000p+0", "ca89ccc8c45d1221"),
+    "d2-diag-1-m1-r256": ("0x1.0000000000000p+0", "8316ff2f780f7145"),
+    "d2-haar2-r1": ("0x1.eb95d9c6878a4p-1", "acff4c0fe136b446"),
+    "d2-haar2-r8": ("0x1.eb95d9c6878a4p-1", "acff4c0fe136b446"),
+    "d2-haar2-r256": ("0x1.eb95d9c6878a4p-1", "acff4c0fe136b446"),
+    "d2-haar17-r1": ("0x1.0000000000000p+0", "a53629e576c1ac8f"),
+    "d2-haar17-r8": ("0x1.0000000000000p+0", "a53629e576c1ac8f"),
+    "d2-haar17-r256": ("0x1.0000000000000p+0", "4aa887e366136121"),
+    "d2-haar36-r1": ("0x1.c78fc4078442bp-1", "ba65023d68698050"),
+    "d2-haar36-r8": ("0x1.c78fc4078442bp-1", "ba65023d68698050"),
+    "d2-haar36-r256": ("0x1.c78fc4078442cp-1", "a1950fe38cb99adf"),
+    "d3-haar3-48x300": ("0x1.95c01a39fbd68p+0", "7530488e365ebc4a"),
+    "d3-haar3-32x2000": ("0x1.95c01a39fbd68p+0", "7530488e365ebc4a"),
+    "d3-haar17-48x300": ("0x1.95c01a39fbd68p+0", "5076d106836ac6cc"),
+    "d3-haar17-32x2000": ("0x1.95c01a39fbd68p+0", "5076d106836ac6cc"),
+    "d3-haar29-48x300": ("0x1.95c01a39fbd68p+0", "5fa62d75faa6d217"),
+    "d3-haar29-32x2000": ("0x1.95c01a39fbd68p+0", "bf6137f6c4b77851"),
+}
+
+
+def pinned_case(name):
+    """The unitary and options of a PINNED_OPTIMA case."""
+    d, rest = name.split("-", 1)
+    kind, shape = rest.rsplit("-", 1)
+    if kind.startswith("haar"):
+        u = random_unitary(np.random.default_rng(int(kind[4:])), int(d[1]))
+    else:
+        u = {"golden": Unitary2.from_pair(EigenphasePair(0.0, PI / 3)).matrix,
+             "identity": np.eye(2), "diag-1-m1": np.diag([1.0, -1.0])}[kind]
+    if d == "d2":
+        return u, OptimizerOptions(restarts=int(shape[1:]), seed=7)
+    restarts, iters = map(int, shape.split("x"))
+    return u, OptimizerOptions(restarts=restarts, max_iters=iters, seed=int(kind[4:]))
+
+
+class TestPinnedOptima:
+    @pytest.mark.parametrize("name", sorted(PINNED_OPTIMA))
+    def test_value_and_basis_bits(self, name):
+        res = pvm_entropy_optimize(*pinned_case(name))
+        basis = " ".join(float(p).hex() for z in res.optimal_basis.vectors.ravel().tolist()
+                         for p in (z.real, z.imag))
+        assert (res.value.hex(), hashlib.sha256(basis.encode()).hexdigest()[:16]) == \
+            PINNED_OPTIMA[name]
+
+
+ANGLES = st.one_of(st.floats(-50.0, 50.0),
+                   st.sampled_from([0.0, PI / 2, -PI / 2, PI, TWO_PI, -0.0, 5e-324, 1e300]))
+QUBIT_UNITARIES = st.one_of(
+    st.integers(0, 2 ** 32 - 1).map(lambda s: random_unitary(np.random.default_rng(s))),
+    st.tuples(st.floats(0.0, TWO_PI), st.floats(0.0, TWO_PI)).map(
+        lambda ab: np.diag(np.exp(1j * np.array(ab)))),
+    st.sampled_from([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                     np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)]))
+
+
+class TestObjectiveD2:
+    @settings(max_examples=300, deadline=None)
+    @given(u=QUBIT_UNITARIES, points=st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=40))
+    def test_array_objective_equals_scalar_closure(self, u, points):
+        got = _neg_rates_d2(u)(np.array(points, dtype=float)).tolist()
+        want = list(map(reference_neg_rate_d2(u), points))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("u", [
+        random_unitary(np.random.default_rng(1)), np.diag([1.0, np.exp(0.7j)]), np.eye(2),
+        np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0),
+    ], ids=["haar", "diagonal", "identity", "pauli-x", "hadamard"])
+    def test_equals_scalar_closure_on_dense_angles(self, u):
+        # x * x and np.log differ from libm's pow and log in about 0.1 % of
+        # inputs: a dense sample shows either
+        x = np.random.default_rng(0).uniform(-50.0, 50.0, (20_000, 2))
+        got = _neg_rates_d2(u)(x)
+        want = np.array(list(map(reference_neg_rate_d2(u), x.tolist())))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestObjectiveD3:

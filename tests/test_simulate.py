@@ -1,7 +1,11 @@
 """Trajectory sampling, entropy estimation, census and the noise model."""
 
+import concurrent.futures
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,12 +361,23 @@ class TestCensusMatchesPerChunkKernel:
         (2, 10 * CENSUS_CHUNK, 8, 2),
     ])
     def test_workers_are_capped_by_chunks_and_cpus(self, monkeypatch, threads, n, cpus, want):
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", _RecordingPool)
+        # one worker runs the chunks inline and starts no pool
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "workers", [])
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         res = monte_carlo_chaotic_fraction(n, seed=5, threads=threads)
-        assert _RecordingPool.workers == [want]
+        assert _RecordingPool.workers == ([want] if want > 1 else [])
         assert res.chaotic_count == reference_census_count(n, 5)
+
+    def test_one_worker_imports_no_pool(self, tmp_path):
+        probe = ("import sys, qchaos.cli; qchaos.cli.main(sys.argv[1:]); "
+                 "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+        out = subprocess.run(
+            [sys.executable, "-c", probe, "census", "--n", str(3 * CENSUS_CHUNK), "--seed", "1",
+             "--json", str(tmp_path / "c.json")],
+            env=dict(os.environ, PYTHONPATH=str(Path(simulate.__file__).parents[1])),
+            capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestNoisyPhaseWalk:
