@@ -7,83 +7,50 @@ entropies (closed form and variational), classifies chaoticity at every
 order, decides idempotency exactly on rational phases, constructs the studied
 families of chaotic and non-idempotent unitaries, and simulates the measured
 dynamics reproducibly.
+
+``import qchaos`` loads no submodule, and so no numpy: each public name is
+imported from its submodule on first use (PEP 562).  ``python -m qchaos.cli``
+therefore reaches ``cli.py`` before numpy loads.
 """
 
-from .phases import (
-    EigenphasePair,
-    ExactUnitarySpec,
-    PHASE_TOL,
-    RationalPhase,
-    TWO_PI,
-    UNITARY_TOL,
-    Unitary2,
-    circular_distance,
-    eigenphases_of,
-    make_su2_from_psi,
-    mod_2pi,
-    rational_phase_order,
-    require_unitary,
-)
-from .entropy import (
-    EntropyResult,
-    OptimizerOptions,
-    PvmBasis,
-    TransitionMatrix,
-    basis_from_angles,
-    eta,
-    markov_entropy_rate,
-    measurement_probabilities,
-    pvm_entropy_optimize,
-    transition_matrix,
-)
-from .chaoticity import (
-    BOUNDARY_TOL,
-    ChaoticityReport,
-    IdempotencyCapError,
-    IdempotencyResult,
-    OrderVerdicts,
-    SQRT2,
-    VERDICT_LABELS,
-    boundary_half_width,
-    chaotic_order_fraction,
-    chaoticity_scan,
-    exact_theta_fraction,
-    first_nonchaotic_order,
-    idempotency_order,
-    order_verdicts,
-    projective_idempotency_order,
-    qubit_entropy_closed,
-)
-from .constructions import (
-    IRRATIONAL_CERTIFIED,
-    QuadraticBuildResult,
-    QuadraticRecipe,
-    QuadraticSeed,
-    RATIONAL,
-    TraceSequence,
-    UNKNOWN,
-    build_chaotic_order,
-    build_quadratic_unitary,
-    build_rational_unitary,
-    classify_phase_rationality,
-    quadratic_trace_sequence,
-    source_from_json,
-    source_to_json,
-)
-from .simulate import (
-    CensusResult,
-    EntropyRateExperiment,
-    InsufficientDataError,
-    NoiseConfig,
-    TrajectoryConfig,
-    empirical_entropy_rate,
-    empirical_transition_matrix,
-    entropy_rate_experiment,
-    monte_carlo_chaotic_fraction,
-    noisy_phase_walk,
-    sample_trajectory,
-    write_trajectory_outputs,
-)
-from .rng import stream_generator
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_SUBMODULE = {name: module for module, names in (
+    ("phases", "EigenphasePair ExactUnitarySpec PHASE_TOL RationalPhase TWO_PI "
+               "UNITARY_TOL Unitary2 circular_distance eigenphases_of make_su2_from_psi "
+               "mod_2pi rational_phase_order require_unitary"),
+    ("entropy", "EntropyResult OptimizerOptions PvmBasis TransitionMatrix basis_from_angles "
+                "eta markov_entropy_rate measurement_probabilities pvm_entropy_optimize "
+                "transition_matrix"),
+    ("chaoticity", "BOUNDARY_TOL ChaoticityReport IdempotencyCapError IdempotencyResult "
+                   "OrderVerdicts SQRT2 VERDICT_LABELS boundary_half_width "
+                   "chaotic_order_fraction chaoticity_scan exact_theta_fraction "
+                   "first_nonchaotic_order idempotency_order order_verdicts "
+                   "projective_idempotency_order qubit_entropy_closed"),
+    ("constructions", "IRRATIONAL_CERTIFIED QuadraticBuildResult QuadraticRecipe "
+                      "QuadraticSeed RATIONAL TraceSequence UNKNOWN build_chaotic_order "
+                      "build_quadratic_unitary build_rational_unitary "
+                      "classify_phase_rationality quadratic_trace_sequence "
+                      "source_from_json source_to_json"),
+    ("simulate", "CensusResult EntropyRateExperiment InsufficientDataError NoiseConfig "
+                 "TrajectoryConfig empirical_entropy_rate empirical_transition_matrix "
+                 "entropy_rate_experiment monte_carlo_chaotic_fraction noisy_phase_walk "
+                 "sample_trajectory write_trajectory_outputs"),
+    ("rng", "stream_generator"),
+) for name in names.split()}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

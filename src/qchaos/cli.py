@@ -14,6 +14,13 @@ with the scan rows and the full noise walk written from their columns.  The
 documents follow ``schemas/output.schema.json``; that schema is the output
 contract, checked by the test suite rather than on every run.  Exit codes:
 0 success, 2 validation error.
+
+The CLI runs OpenBLAS single-threaded unless OPENBLAS_NUM_THREADS is set:
+this module sets it to 1 before numpy loads.  ``import qchaos`` loads each
+submodule on first use, so ``python -m qchaos.cli`` and the ``qchaos``
+script reach this module before numpy.  A negative phase starts with '-',
+which argparse reads as an option: write ``--psi=-1/2``, and
+``construct rational -- -1/4 1/4``.
 """
 
 from __future__ import annotations
@@ -22,8 +29,15 @@ import argparse
 import datetime
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+# qchaos's only BLAS/LAPACK calls (transition_matrix, matrix_power, the Gram
+# and unitarity checks, basis_from_angles, eigvalsh) are on d <= 3 matrices,
+# where OpenBLAS's worker threads get no work and only spin until they time
+# out; this must run before numpy loads, and a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -73,6 +87,7 @@ from .simulate import (
     monte_carlo_chaotic_fraction,
     noisy_phase_walk,
     sample_trajectory,
+    unitary_power,
     write_trajectory_outputs,
 )
 
@@ -269,7 +284,7 @@ def cmd_simulate(args) -> int:
                            period=args.period)
     outcomes = sample_trajectory(cfg)
     predicted = markov_entropy_rate(
-        transition_matrix(np.linalg.matrix_power(u, args.period), basis))
+        transition_matrix(unitary_power(pair, args.period), basis))
     if args.steps >= 100 * 2 ** args.block_len:
         empirical = empirical_entropy_rate(outcomes, args.block_len, alphabet_size=2)
     else:
@@ -362,8 +377,10 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = False, csv: bool = Fals
 
 
 def _add_source_args(p: argparse.ArgumentParser, global_phase: bool = False) -> None:
-    p.add_argument("--phi", help="first eigenphase (units of pi; 'm/p' exact, 'rad:' radians)")
-    p.add_argument("--psi", help="second eigenphase; alone it implies the SU(2) completion")
+    p.add_argument("--phi", help="first eigenphase (units of pi; 'm/p' exact, 'rad:' "
+                   "radians); join a negative one with '=': --phi=-1/2")
+    p.add_argument("--psi", help="second eigenphase; alone it implies the SU(2) "
+                   "completion; join a negative one with '=': --psi=-1/2")
     if global_phase:
         p.add_argument("--global-phase",
                        help="scalar prefactor phase (units of pi); needs exact phases")
@@ -393,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a unitary family member and analyze it")
     kinds = p.add_subparsers(dest="kind", required=True)
     pr = kinds.add_parser("rational", help="exact rational-phase unitary")
-    pr.add_argument("phase1", help="first inner phase, units of pi (e.g. 1/4)")
+    pr.add_argument("phase1", help="first inner phase, units of pi (e.g. 1/4); put '--' "
+                    "before negative phases: rational -- -1/4 1/4")
     pr.add_argument("phase2", help="second inner phase, units of pi")
     pr.add_argument("--global-phase", help="prefactor phase, units of pi")
     pk = kinds.add_parser("chaotic-order-k", help="unitary chaotic at a prescribed order")

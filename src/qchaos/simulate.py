@@ -35,6 +35,7 @@ from .jsontext import dumps
 from .phases import (
     EigenphasePair,
     ExactUnitarySpec,
+    RationalPhase,
     TWO_PI,
     Unitary2,
     mod_2pi,
@@ -59,12 +60,23 @@ def _integer_symbols(sequence) -> np.ndarray:
     return s
 
 
-def _resolve_matrix(source) -> np.ndarray:
+def unitary_power(source, period: int = 1) -> np.ndarray:
+    """The matrix of U^period for a pair, an exact spec or a raw matrix.
+
+    A pair is powered through its phases, fmod(period*phi, 2*pi) as
+    ``order_verdicts`` reduces them, and an exact spec through its integer
+    residues, so both stay unitary at any period; a raw matrix goes through
+    ``np.linalg.matrix_power``, whose repeated squaring lets a diagonal's
+    moduli drift past UNITARY_TOL by period 10^5.
+    """
     if isinstance(source, EigenphasePair):
-        return Unitary2.from_pair(source).matrix
+        k = float(period)
+        return Unitary2.from_pair(EigenphasePair(math.fmod(k * source.phi, TWO_PI),
+                                                 math.fmod(k * source.psi, TWO_PI))).matrix
     if isinstance(source, ExactUnitarySpec):
-        return source.to_unitary().matrix
-    return require_unitary(source)
+        return ExactUnitarySpec(*(RationalPhase(int(period) * ph.m, ph.p) for ph in (
+            source.phase1, source.phase2, source.global_phase))).to_unitary().matrix
+    return np.linalg.matrix_power(require_unitary(source), period)
 
 
 @dataclass(frozen=True)
@@ -116,11 +128,10 @@ def sample_trajectory(cfg: TrajectoryConfig) -> np.ndarray:
     one) XOR the parity of the flips since.  The array code makes the per-step
     loop's float comparisons, so it gives the same stream.
     """
-    u = _resolve_matrix(cfg.unitary)
-    d = u.shape[0]
+    u_eff = unitary_power(cfg.unitary, cfg.period)
+    d = u_eff.shape[0]
     if d != cfg.basis.d:
         raise ValueError(f"unitary dimension {d} != basis dimension {cfg.basis.d}")
-    u_eff = np.linalg.matrix_power(u, cfg.period)
     p = transition_matrix(u_eff, cfg.basis).entries
 
     cum0 = np.cumsum(_initial_distribution(cfg, d))
@@ -325,8 +336,7 @@ def entropy_rate_experiment(pair: EigenphasePair, basis_choice: str, length: int
     cfg = TrajectoryConfig(pair, basis, steps=length, seed=seed, period=period)
     outcomes = sample_trajectory(cfg)
     empirical = empirical_entropy_rate(outcomes, block_len, alphabet_size=2)
-    predicted = markov_entropy_rate(
-        transition_matrix(np.linalg.matrix_power(u, period), basis))
+    predicted = markov_entropy_rate(transition_matrix(unitary_power(pair, period), basis))
     return EntropyRateExperiment(empirical, predicted, abs(empirical - predicted))
 
 

@@ -15,7 +15,7 @@ from qchaos.chaoticity import CHAOTIC
 from qchaos.entropy import qubit_entropy_of_theta, transition_matrix
 from qchaos.jsontext import Rows
 from qchaos.rng import stream_generator
-from qchaos.simulate import CENSUS_CHUNK, _initial_distribution, _resolve_matrix
+from qchaos.simulate import CENSUS_CHUNK, _initial_distribution, unitary_power
 
 
 def random_unitary(rng, d=2):
@@ -80,11 +80,10 @@ def reference_csv(source, k_max: int) -> str:
 def reference_trajectory(cfg) -> np.ndarray:
     """The sampler's oracle: one outcome per step, the next drawn from the row
     of the previous one, as the per-step loop did for every dimension."""
-    u = _resolve_matrix(cfg.unitary)
-    d = u.shape[0]
+    u_eff = unitary_power(cfg.unitary, cfg.period)
+    d = u_eff.shape[0]
     if d != cfg.basis.d:
         raise ValueError(f"unitary dimension {d} != basis dimension {cfg.basis.d}")
-    u_eff = np.linalg.matrix_power(u, cfg.period)
     p = transition_matrix(u_eff, cfg.basis).entries
 
     cum0 = np.cumsum(_initial_distribution(cfg, d))

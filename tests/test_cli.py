@@ -5,6 +5,7 @@ document a command writes against the output schema instead.
 """
 
 import argparse
+import ast
 import csv
 import json
 import math
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from qchaos.cli import _emit, main, parse_phase
-from qchaos import RationalPhase
+from qchaos import EigenphasePair, RationalPhase, eta, order_verdicts
 
 from helpers import random_unitary
 
@@ -356,6 +357,19 @@ class TestSimulate:
         assert doc["empirical_rate"] == 0.0
         assert doc["predicted_rate"] == 0.0
 
+    @pytest.mark.parametrize("period", [10 ** 5, 10 ** 9])
+    @pytest.mark.parametrize("phi,psi", [("0.3", "1.1"), ("rad:0.3", "rad:1.1")])
+    def test_large_period_predicts_the_closed_form(self, phi, psi, period, tmp_path):
+        """U^P comes from the reduced phases: repeated squaring once drifted
+        past the unitarity check at P = 10^5 and exited 2."""
+        code, doc = run_cli(["simulate", "--phi", phi, "--psi", psi, "--steps", "1000",
+                             "--period", str(period)], tmp_path)
+        assert code == 0
+        pair = EigenphasePair(parse_phase(phi), parse_phase(psi))
+        half = float(order_verdicts(pair, [period]).theta[0]) / 2.0
+        expected = eta(math.cos(half) ** 2) + eta(math.sin(half) ** 2)
+        assert doc["predicted_rate"] == pytest.approx(expected, rel=1e-9, abs=1e-14)
+
 
 class TestNoise:
     def test_alternation_near_window_edge(self, tmp_path):
@@ -430,12 +444,54 @@ print(repr((code, after_import, heavy())))
 """
 
 
+def fresh_python(*argv, **env):
+    """Run ``python argv...`` in a fresh process with src on the path and
+    OPENBLAS_NUM_THREADS unset unless given in ``env``; return it finished."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, *argv], env=dict(base, PYTHONPATH=str(SRC), **env),
+                          capture_output=True, text=True, timeout=60, check=True)
+
+
 def heavy_modules(args):
     """(exit code, scipy/jsonschema modules after import, and after the command)."""
-    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args],
-                         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
-                         text=True, timeout=60, check=True)
-    return out.stdout.strip()
+    return fresh_python("-c", IMPORT_PROBE, *args).stdout.strip()
+
+
+#: The package's public names, in the order of its submodules.
+PUBLIC_NAMES = """
+    EigenphasePair ExactUnitarySpec PHASE_TOL RationalPhase TWO_PI UNITARY_TOL Unitary2
+    circular_distance eigenphases_of make_su2_from_psi mod_2pi rational_phase_order
+    require_unitary EntropyResult OptimizerOptions PvmBasis TransitionMatrix
+    basis_from_angles eta markov_entropy_rate measurement_probabilities
+    pvm_entropy_optimize transition_matrix BOUNDARY_TOL ChaoticityReport
+    IdempotencyCapError IdempotencyResult OrderVerdicts SQRT2 VERDICT_LABELS
+    boundary_half_width chaotic_order_fraction chaoticity_scan exact_theta_fraction
+    first_nonchaotic_order idempotency_order order_verdicts projective_idempotency_order
+    qubit_entropy_closed IRRATIONAL_CERTIFIED QuadraticBuildResult QuadraticRecipe
+    QuadraticSeed RATIONAL TraceSequence UNKNOWN build_chaotic_order build_quadratic_unitary
+    build_rational_unitary classify_phase_rationality quadratic_trace_sequence
+    source_from_json source_to_json CensusResult EntropyRateExperiment
+    InsufficientDataError NoiseConfig TrajectoryConfig empirical_entropy_rate
+    empirical_transition_matrix entropy_rate_experiment monte_carlo_chaotic_fraction
+    noisy_phase_walk sample_trajectory write_trajectory_outputs stream_generator
+""".split()
+
+EXPORTS_PROBE = """
+import sys
+import qchaos
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "qchaos"))
+names = list(qchaos.__all__)
+for name in names:
+    getattr(qchaos, name)  # AttributeError if a name does not resolve
+print(repr((loaded, names, set(names) <= set(dir(qchaos)), hasattr(qchaos, "no_such_name"))))
+"""
+
+THREADS_PROBE = """
+import os
+import qchaos.cli
+status = dict(line.split(":", 1) for line in open("/proc/self/status"))
+print(repr((os.environ["OPENBLAS_NUM_THREADS"], int(status["Threads"]))))
+"""
 
 
 class TestImports:
@@ -457,6 +513,43 @@ class TestImports:
             path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in u]))
             args = ["optimize", "--unitary-json", str(path), "--restarts", "2"]
         assert heavy_modules([*args, "--json", str(tmp_path / "a.json")]) == repr((0, [], []))
+
+    def test_import_qchaos_loads_no_numpy(self):
+        """The package loads each submodule on first use, and so no numpy."""
+        loaded, *_ = ast.literal_eval(fresh_python("-c", EXPORTS_PROBE).stdout)
+        assert loaded == ["qchaos"]
+
+    def test_exports_the_public_names(self):
+        _, names, listed, unknown = ast.literal_eval(fresh_python("-c", EXPORTS_PROBE).stdout)
+        assert len(PUBLIC_NAMES) == 66
+        assert names == PUBLIC_NAMES  # and each one resolved in the probe
+        assert listed and not unknown
+
+    def test_cli_runs_openblas_on_one_thread(self):
+        """The CLI sets OPENBLAS_NUM_THREADS=1 before numpy loads, so OpenBLAS
+        starts no worker thread; a value the user set is kept."""
+        if not Path("/proc/self/status").exists():
+            pytest.skip("no /proc/self/status to count threads")
+        assert fresh_python("-c", THREADS_PROBE).stdout.strip() == repr(("1", 1))
+        preset = ast.literal_eval(fresh_python("-c", THREADS_PROBE, OPENBLAS_NUM_THREADS="2").stdout)
+        assert preset[0] == "2"
+
+    def test_module_entry_replays_a_golden_before_numpy(self, tmp_path):
+        """``python -m qchaos.cli``, the benchmark's entry, writes a golden's
+        bytes, and the package import ends before numpy starts to load."""
+        name = "analyze_su2_half"
+        args = json.loads((GOLDEN_DIR / "cases.json").read_text())[name]
+        dest = tmp_path / "out.json"
+        run = fresh_python("-X", "importtime", "-m", "qchaos.cli", *args, "--json", str(dest))
+        text = dest.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        del doc["manifest"]["timestamp"]
+        assert (json.dumps(doc, indent=2, sort_keys=True) + "\n"
+                == (GOLDEN_DIR / f"{name}.json").read_text())
+        imported = [line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert imported.index("qchaos") < imported.index("numpy")
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

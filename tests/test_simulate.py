@@ -13,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from qchaos import (
     EigenphasePair,
+    ExactUnitarySpec,
     InsufficientDataError,
     NoiseConfig,
     PvmBasis,
+    RationalPhase,
     TrajectoryConfig,
     TWO_PI,
     Unitary2,
@@ -35,7 +37,7 @@ from qchaos import (
 from qchaos.chaoticity import CHAOTIC
 
 from qchaos import simulate
-from qchaos.simulate import CENSUS_CHUNK
+from qchaos.simulate import CENSUS_CHUNK, unitary_power
 
 from helpers import (
     random_orthonormal_basis,
@@ -115,6 +117,29 @@ class TestSampleTrajectory:
         emp_a = empirical_transition_matrix(with_period, 2)
         emp_b = empirical_transition_matrix(of_power, 2)
         assert np.max(np.abs(emp_a - emp_b)) < 0.005
+
+    def test_period_one_is_the_source_matrix(self):
+        pair = EigenphasePair(0.3, 2.1)
+        spec = ExactUnitarySpec(RationalPhase(1, 3), RationalPhase(5, 7), RationalPhase(1, 4))
+        u3 = random_unitary(np.random.default_rng(5), 3)
+        assert np.array_equal(unitary_power(pair), Unitary2.from_pair(pair).matrix)
+        assert np.array_equal(unitary_power(spec), spec.to_unitary().matrix)
+        assert np.array_equal(unitary_power(u3), u3)
+        assert np.array_equal(unitary_power(u3, 5), np.linalg.matrix_power(u3, 5))
+
+    def test_exact_spec_powers_by_residues(self):
+        # every phase is a multiple of pi/84, so U^P repeats with period 2 * 84 in P
+        spec = ExactUnitarySpec(RationalPhase(1, 3), RationalPhase(5, 7), RationalPhase(1, 4))
+        big = 10 ** 18 + 5
+        assert np.array_equal(unitary_power(spec, big), unitary_power(spec, big % 168))
+        assert np.array_equal(unitary_power(spec, np.int32(2)), unitary_power(spec, 2))
+
+    @pytest.mark.parametrize("period", [10 ** 5, 10 ** 9, 10 ** 15])
+    def test_large_period_pair_matches_the_kernel(self, period):
+        pair = EigenphasePair(0.3 * PI, 1.1 * PI)
+        m = unitary_power(pair, period)  # Unitary2 checks unitarity
+        kernel = order_verdicts(pair, period)
+        assert abs(abs(np.trace(m)) - float(kernel.trace_mag)) < 1e-12
 
     def test_seed_is_mandatory(self):
         with pytest.raises(ValueError):
