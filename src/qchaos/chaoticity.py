@@ -164,8 +164,7 @@ def exact_theta_fraction(spec: ExactUnitarySpec, k: int) -> Fraction:
 
 def qubit_entropy_closed(pair: EigenphasePair) -> EntropyResult:
     """Closed-form PVM entropy of a qubit unitary with the given eigenphases."""
-    theta = float(order_verdicts(pair).theta)
-    return EntropyResult(qubit_entropy_of_theta(theta), method="closed_form")
+    return EntropyResult(float(qubit_entropy_of_theta(order_verdicts(pair).theta)))
 
 
 @dataclass(frozen=True)
@@ -193,13 +192,11 @@ class ChaoticityReport:
 
 
 def chaoticity_scan(u, k_max: int) -> ChaoticityReport:
-    """Scan orders 1..k_max of a source; exact phase reduction for an ExactUnitarySpec."""
+    """Scan orders 1..k_max of a source, H by the array closed form over all of them;
+    exact phase reduction for an ExactUnitarySpec."""
     require_count("k_max", k_max)
-    res = order_verdicts(u, np.arange(1, k_max + 1))
-    entropy = np.ones(k_max)  # the closed form is 1 for theta >= pi/2
-    low = np.flatnonzero(res.theta < math.pi / 2.0)
-    entropy[low] = list(map(qubit_entropy_of_theta, res.theta[low].tolist()))
-    return ChaoticityReport(res.theta, entropy, res.trace_mag, res.codes)
+    theta, trace_mag, codes = order_verdicts(u, np.arange(1, k_max + 1))
+    return ChaoticityReport(theta, qubit_entropy_of_theta(theta), trace_mag, codes)
 
 
 class IdempotencyCapError(ValueError):

@@ -18,15 +18,18 @@ contract, checked by the test suite rather than on every run.  Exit codes:
 The CLI runs OpenBLAS single-threaded unless OPENBLAS_NUM_THREADS is set:
 this module sets it to 1 before numpy loads.  ``import qchaos`` loads each
 submodule on first use, so ``python -m qchaos.cli`` and the ``qchaos``
-script reach this module before numpy.  A negative phase starts with '-',
-which argparse reads as an option: write ``--psi=-1/2``, and
-``construct rational -- -1/4 1/4``.
+script reach this module before numpy.  ``main()`` without an argument list,
+the process entry, first freezes the cycle collector's objects (gc.freeze), so
+exit does not tear numpy and qchaos down through it; in-process callers pass a
+list.  A negative phase starts with '-', which argparse reads as an option:
+write ``--psi=-1/2``, and ``construct rational -- -1/4 1/4``.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import gc
 import json
 import math
 import os
@@ -78,6 +81,7 @@ from .phases import (
     Unitary2,
     eigenphases_of,
     mod_2pi,
+    require_count,
     require_unitary,
 )
 from .simulate import (
@@ -274,6 +278,7 @@ _BASIS_CHOICES = {
 
 
 def cmd_simulate(args) -> int:
+    require_count("block length", args.block_len)
     pair = resolve_source(args).pair()
     u = Unitary2.from_pair(pair).matrix
     if args.basis == "optimized":
@@ -464,6 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:  # the process entry: exit then skips the collector's teardown, and
+        gc.freeze()  # loses nothing, as write_text/write_bytes are done and stdout is flushed
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

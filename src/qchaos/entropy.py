@@ -12,7 +12,7 @@ theta = min(|phi - psi|, 2*pi - |phi - psi|):
     H(U) = 1                                      for theta >= pi/2
     H(U) = eta(cos^2(theta/2)) + eta(sin^2(theta/2))  otherwise
 
-(``qubit_entropy_of_theta``; ``chaoticity.qubit_entropy_closed`` takes a pair).
+(``qubit_entropy_of_theta``, the array closed form; ``qubit_entropy_closed`` takes a pair).
 
 For general small d the maximum is estimated by multi-start derivative-free
 ascent over a plane-rotation parametrization of the basis, every start
@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -105,12 +106,18 @@ class EntropyResult:
                 raise ValueError(f"qubit entropy cannot exceed 1 bit, got {self.value}")
 
 
-def qubit_entropy_of_theta(th: float) -> float:
-    """Closed-form qubit PVM entropy in bits from the eigenphase distance theta."""
-    if th >= math.pi / 2.0:
-        return 1.0
-    c = math.cos(0.5 * th) ** 2
-    return eta(c) + eta(1.0 - c)
+def qubit_entropy_of_theta(theta: np.ndarray) -> np.ndarray:
+    """Closed-form qubit PVM entropy in bits per eigenphase distance theta, bit for bit
+    1 or eta(c) + eta(1 - c), c = cos(theta/2) ** 2: cos, the square and log are
+    libm's value by value, since np.log and x * x round differently on some inputs."""
+    low = theta < math.pi / 2.0
+    c = np.fromiter(map(pow, map(math.cos, (0.5 * theta[low]).tolist()), repeat(2.0)), float)
+    p = np.stack([c, 1.0 - c])
+    terms, pos = np.zeros_like(p), p > 0.0  # eta(0) = 0
+    terms[pos] = -p[pos] * np.fromiter(map(math.log, p[pos].tolist()), float) / _LOG2
+    h = np.ones(theta.shape)
+    h[low] = terms[0] + terms[1]
+    return h
 
 
 def require_density_matrix(rho, tol: float = GRAM_TOL) -> np.ndarray:

@@ -1,8 +1,8 @@
 """The one JSON writer of qchaos documents: for string-keyed ``doc``, ``dumps(doc)``
 equals ``json.dumps(doc', indent=2, sort_keys=True, allow_nan=False) + "\\n"``,
 doc' being doc with every float rounded to 12 significant digits and every
-``Rows`` table expanded into its row objects.  A table is written from its columns,
-one %-template per row.  NaN and infinities raise ValueError."""
+``Rows`` table expanded into its row objects.  A table is written from its columns:
+one %-template per row, one %.12g format per float column.  NaN and inf raise ValueError."""
 
 import json
 import math
@@ -15,10 +15,13 @@ class Rows(dict):
 
 
 def _column(col: list, level: int) -> list[str]:
-    """JSON texts of a column: floats checked once, then rounded one by one."""
+    """JSON texts of a column.  A finite float column is %.12g-formatted at once: a piece
+    is repr(float(piece)) unless it has an exponent (%g and repr part ways at 1e12, 1e16
+    and on subnormals) or lacks repr's '.' (1.0, -0.0)."""
     kinds = set(map(type, col))
     if kinds == {float} and all(map(math.isfinite, col)):
-        return [repr(float(f"{v:.12g}")) for v in col]
+        return [repr(float(s)) if "e" in s else s if "." in s else s + ".0"
+                for s in ("%.12g\n" * len(col) % tuple(col)).split()]
     if kinds == {str}:
         return list(map({s: _scalar(s) for s in set(col)}.__getitem__, col))
     if kinds == {int}:

@@ -66,8 +66,8 @@ def unitary_power(source, period: int = 1) -> np.ndarray:
     A pair is powered through its phases, fmod(period*phi, 2*pi) as
     ``order_verdicts`` reduces them, and an exact spec through its integer
     residues, so both stay unitary at any period; a raw matrix goes through
-    ``np.linalg.matrix_power``, whose repeated squaring lets a diagonal's
-    moduli drift past UNITARY_TOL by period 10^5.
+    ``np.linalg.matrix_power``, whose repeated squaring drifts past UNITARY_TOL
+    by period 10^5, and for period > 1 back to its polar factor W V^dag.
     """
     if isinstance(source, EigenphasePair):
         k = float(period)
@@ -76,7 +76,8 @@ def unitary_power(source, period: int = 1) -> np.ndarray:
     if isinstance(source, ExactUnitarySpec):
         return ExactUnitarySpec(*(RationalPhase(int(period) * ph.m, ph.p) for ph in (
             source.phase1, source.phase2, source.global_phase))).to_unitary().matrix
-    return np.linalg.matrix_power(require_unitary(source), period)
+    m = np.linalg.matrix_power(require_unitary(source), period)
+    return m if period == 1 else np.matmul(*np.linalg.svd(m)[::2])  # SVD W S V^dag
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import numpy as np
 
 from qchaos import TWO_PI, VERDICT_LABELS, EigenphasePair, order_verdicts
 from qchaos.chaoticity import CHAOTIC
-from qchaos.entropy import qubit_entropy_of_theta, transition_matrix
+from qchaos.entropy import eta, transition_matrix
 from qchaos.jsontext import Rows
 from qchaos.rng import stream_generator
 from qchaos.simulate import CENSUS_CHUNK, _initial_distribution, unitary_power
@@ -59,11 +59,20 @@ def reference_dumps(doc) -> str:
     return json.dumps(round_floats(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def reference_entropy_of_theta(th: float) -> float:
+    """The closed form's scalar oracle: 1 for theta >= pi/2, else eta(c) + eta(1 - c)
+    with c = cos(theta/2) ** 2, one Python float at a time."""
+    if th >= math.pi / 2.0:
+        return 1.0
+    c = math.cos(0.5 * th) ** 2
+    return eta(c) + eta(1.0 - c)
+
+
 def reference_scan_rows(source, k_max: int) -> list[list]:
     """[K, theta, H, trace_mag, verdict] per order, built one order at a time
     as the old per-record scan did."""
     res = order_verdicts(source, np.arange(1, k_max + 1))
-    return [[k, th, qubit_entropy_of_theta(th), tm, VERDICT_LABELS[c]]
+    return [[k, th, reference_entropy_of_theta(th), tm, VERDICT_LABELS[c]]
             for k, th, tm, c in zip(range(1, k_max + 1), res.theta.tolist(),
                                     res.trace_mag.tolist(), res.codes.tolist())]
 

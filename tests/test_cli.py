@@ -7,6 +7,7 @@ document a command writes against the output schema instead.
 import argparse
 import ast
 import csv
+import gc
 import json
 import math
 import os
@@ -357,6 +358,15 @@ class TestSimulate:
         assert doc["empirical_rate"] == 0.0
         assert doc["predicted_rate"] == 0.0
 
+    @pytest.mark.parametrize("steps", ["10", "200"])
+    def test_invalid_block_len_is_exit_2_at_any_step_count(self, steps, tmp_path, capsys):
+        """The check runs before the estimator's step-count gate: 10 steps,
+        too few for any estimate, once wrote "block_len": -3 and exited 0."""
+        code, doc = run_cli(["simulate", "--psi", "1/2", "--seed", "1", "--steps", steps,
+                             "--block-len", "-3"], tmp_path)
+        assert code == 2 and doc is None
+        assert capsys.readouterr().err == "error: block length must be >= 1, got -3\n"
+
     @pytest.mark.parametrize("period", [10 ** 5, 10 ** 9])
     @pytest.mark.parametrize("phi,psi", [("0.3", "1.1"), ("rad:0.3", "rad:1.1")])
     def test_large_period_predicts_the_closed_form(self, phi, psi, period, tmp_path):
@@ -457,6 +467,16 @@ def heavy_modules(args):
     return fresh_python("-c", IMPORT_PROBE, *args).stdout.strip()
 
 
+FREEZE_PROBE = """
+import gc
+import sys
+import qchaos.cli
+sys.argv = ["qchaos", *sys.argv[1:]]
+code = qchaos.cli.main()
+print(repr((code, gc.get_freeze_count())))
+"""
+
+
 #: The package's public names, in the order of its submodules.
 PUBLIC_NAMES = """
     EigenphasePair ExactUnitarySpec PHASE_TOL RationalPhase TWO_PI UNITARY_TOL Unitary2
@@ -533,6 +553,21 @@ class TestImports:
         assert fresh_python("-c", THREADS_PROBE).stdout.strip() == repr(("1", 1))
         preset = ast.literal_eval(fresh_python("-c", THREADS_PROBE, OPENBLAS_NUM_THREADS="2").stdout)
         assert preset[0] == "2"
+
+    def test_process_entry_freezes_the_collector(self, tmp_path):
+        """main() with no argument list, as the script runs it, freezes every
+        object so that exit skips the collector's teardown; the document is
+        whole when the process ends."""
+        dest = tmp_path / "a.json"
+        run = fresh_python("-c", FREEZE_PROBE, "analyze", "--psi", "1/2", "--json", str(dest))
+        code, frozen = ast.literal_eval(run.stdout)
+        assert code == 0 and frozen > 0
+        assert json.loads(dest.read_text())["manifest"]["command"] == "analyze"
+
+    def test_in_process_main_leaves_the_collector_alone(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert run_cli(["analyze", "--psi", "1/2"], tmp_path)[0] == 0
+        assert gc.get_freeze_count() == before
 
     def test_module_entry_replays_a_golden_before_numpy(self, tmp_path):
         """``python -m qchaos.cli``, the benchmark's entry, writes a golden's

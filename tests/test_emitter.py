@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import qchaos.cli
 from qchaos import NoiseConfig, noisy_phase_walk
 from qchaos.cli import _emit, build_parser, main, resolve_source
-from qchaos.jsontext import Rows
+from qchaos.jsontext import Rows, _column
 
 from helpers import SCAN_KEYS, reference_csv, reference_dumps, reference_scan_rows
 
@@ -90,6 +90,46 @@ class TestEmitterExamples:
     def test_ragged_columns_are_rejected(self):
         with pytest.raises(ValueError):
             emitted({"rows": Rows(a=[1, 2], b=[1])})
+
+
+def _rounded(col):
+    return [repr(float(f"{v:.12g}")) for v in col]
+
+
+#: Mantissas at the 12-digit rounding edges, where %.12g may carry into the
+#: next decade (9.9999999999995 -> 10), and a full-precision one.
+_MANTISSAS = [1.0, 9.9999999999995, 9.99999999999949, 9.9999999999996, 5.0,
+              1.23456789012345, 2.5, 7.777777777777777]
+
+
+class TestColumnRounding:
+    """The batched rounding of a float column against the per-value rounding."""
+
+    def test_every_decimal_exponent_both_signs(self):
+        col = [sign * m * 10.0 ** e for e in range(-324, 309) for m in _MANTISSAS
+               for sign in (1.0, -1.0)]
+        col = [v for v in col if math.isfinite(v)]
+        assert len(col) > 10_000
+        assert _column(col, 0) == _rounded(col)
+
+    def test_subnormals_zeros_and_integers(self):
+        tiny = 2.2250738585072014e-308
+        subnormals = [5e-324 * k for k in (1, 2, 3, 7, 10, 99, 12345, 2 ** 40)]
+        subnormals += [math.nextafter(tiny, 0.0), tiny / 3, tiny / 1e10]
+        integers = [float(k * 10 ** e + d) for e in range(18) for k in (1, 3, 9)
+                    for d in (-1, 0, 1) if k * 10 ** e + d <= 10 ** 17]
+        integers += [2.0 ** 53, 2.0 ** 53 + 2, 999999999999.0, 999999999999.5]
+        col = [s * v for v in [0.0, *subnormals, *integers] for s in (1.0, -1.0)]
+        assert "-0.0" in _column(col, 0) and "1.0" in _column(col, 0)
+        assert _column(col, 0) == _rounded(col)
+
+    @settings(max_examples=300, deadline=None)
+    @given(col=st.lists(st.one_of(
+        st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-324, 308)),
+        st.integers(-10 ** 17, 10 ** 17).map(float)), min_size=1, max_size=30))
+    def test_random_decades(self, col):
+        col = [v for v in col if math.isfinite(v)] or [0.0]
+        assert _column(col, 0) == _rounded(col)
 
 
 def _target(args):

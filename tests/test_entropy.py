@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qchaos import (
     EigenphasePair,
@@ -31,9 +31,15 @@ from qchaos.entropy import (
     _nelder_mead,
     _neg_rate_d3,
     _neg_rates_d2,
+    qubit_entropy_of_theta,
 )
 from qchaos.rng import stream_generator
-from helpers import random_orthonormal_basis, random_unitary, reference_neg_rate_d2
+from helpers import (
+    random_orthonormal_basis,
+    random_unitary,
+    reference_entropy_of_theta,
+    reference_neg_rate_d2,
+)
 
 PI = math.pi
 
@@ -113,6 +119,30 @@ class TestQubitEntropyClosed:
             pair = EigenphasePair(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
             v = qubit_entropy_closed(pair).value
             assert 0.0 <= v <= 1.0
+
+
+class TestArrayClosedForm:
+    """The array kernel against the scalar formula, bit for bit: np.log and
+    x * x would each change some entries."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(thetas=st.lists(st.floats(0.0, PI), max_size=40))
+    @example(thetas=[0.0])
+    @example(thetas=[5e-324])
+    @example(thetas=[PI / 2 - 1e-16])
+    @example(thetas=[math.nextafter(PI / 2, 0.0)])
+    @example(thetas=[0.0, 5e-324, 1e-8, PI / 2 - 1e-16, math.nextafter(PI / 2, 0.0), PI / 2])
+    def test_equals_the_scalar_oracle(self, thetas):
+        got = qubit_entropy_of_theta(np.array(thetas, dtype=float))
+        want = np.array([reference_entropy_of_theta(t) for t in thetas], dtype=float)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_dense_sample_and_the_closed_form_of_a_pair(self):
+        theta = np.random.default_rng(17).uniform(0.0, PI / 2, 20_000)
+        want = np.array(list(map(reference_entropy_of_theta, theta.tolist())))
+        assert np.array_equal(qubit_entropy_of_theta(theta).view(np.int64), want.view(np.int64))
+        pair = EigenphasePair(0.0, 0.7)
+        assert qubit_entropy_closed(pair).value == reference_entropy_of_theta(0.7)
 
 
 class TestPvmBasis:

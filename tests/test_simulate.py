@@ -125,7 +125,7 @@ class TestSampleTrajectory:
         assert np.array_equal(unitary_power(pair), Unitary2.from_pair(pair).matrix)
         assert np.array_equal(unitary_power(spec), spec.to_unitary().matrix)
         assert np.array_equal(unitary_power(u3), u3)
-        assert np.array_equal(unitary_power(u3, 5), np.linalg.matrix_power(u3, 5))
+        assert np.abs(unitary_power(u3, 5) - np.linalg.matrix_power(u3, 5)).max() < 1e-14
 
     def test_exact_spec_powers_by_residues(self):
         # every phase is a multiple of pi/84, so U^P repeats with period 2 * 84 in P
@@ -140,6 +140,23 @@ class TestSampleTrajectory:
         m = unitary_power(pair, period)  # Unitary2 checks unitarity
         kernel = order_verdicts(pair, period)
         assert abs(abs(np.trace(m)) - float(kernel.trace_mag)) < 1e-12
+
+    @pytest.mark.parametrize("period", [10 ** 5, 10 ** 9])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_large_period_raw_matrix_stays_unitary(self, d, period):
+        """Repeated squaring drifts off the unitary group (residual 1e-11 at
+        10^5, 1.6e-7 at 10^9 for d = 3); the polar factor takes it back."""
+        if d == 2:
+            pair = EigenphasePair(0.3 * PI, 1.1 * PI)
+            u = np.diag([np.exp(1j * pair.phi), np.exp(1j * pair.psi)])
+        else:
+            u = random_unitary(np.random.default_rng(11), 3)
+        m = unitary_power(u, period)
+        assert np.abs(m.conj().T @ m - np.eye(d)).max() <= 1e-14
+        if d == 2:
+            assert np.abs(m - unitary_power(pair, period)).max() < 1e-6
+        cfg = cfg_for(u, PvmBasis.computational(d), 10, seed=0, period=period)
+        assert sample_trajectory(cfg).shape == (10,)
 
     def test_seed_is_mandatory(self):
         with pytest.raises(ValueError):
