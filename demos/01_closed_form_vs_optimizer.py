@@ -34,7 +34,7 @@ print("theta/pi   closed form   optimizer     |diff|")
 for _ in range(8):
     u = random_unitary(rng)
     pair, _ = eigenphases_of(u)
-    closed = qubit_entropy_closed(pair).value
+    closed = qubit_entropy_closed(pair)
     found = pvm_entropy_optimize(u, opts)
     print(f"{order_verdicts(pair).theta / np.pi:8.4f}   {closed:.9f}   {found.value:.9f}"
           f"   {abs(closed - found.value):.2e}")
@@ -45,7 +45,7 @@ for _ in range(8):
 z = np.diag([1.0, -1.0])
 swap_rate = markov_entropy_rate(transition_matrix(z, PvmBasis.x_basis()))
 best = pvm_entropy_optimize(z, opts)
-best_chain = transition_matrix(z, best.optimal_basis).entries
+best_chain = transition_matrix(z, best.optimal_basis)
 print(f"\nPauli Z in the x basis:   rate = {swap_rate:.6f} (deterministic swap)")
 print(f"Pauli Z, optimized basis: rate = {best.value:.6f}")
 print("optimal-basis chain:\n", np.round(best_chain, 6))

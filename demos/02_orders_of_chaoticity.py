@@ -12,9 +12,9 @@ import math
 
 from qchaos import (
     EigenphasePair,
+    ExactUnitarySpec,
     RationalPhase,
     build_chaotic_order,
-    build_rational_unitary,
     chaoticity_scan,
     first_nonchaotic_order,
     idempotency_order,
@@ -43,8 +43,8 @@ print("strict idempotency order:", idempotency_order(spec).order)
 
 # Arbitrary idempotency orders from rational phases.  The global phase matters
 # for the strict order: these two are the classic order-4 and order-8 examples.
-d4 = build_rational_unitary(RationalPhase(1, 4), RationalPhase(5, 4), RationalPhase(1, 4))
-d8 = build_rational_unitary(RationalPhase(1, 32), RationalPhase(17, 32), RationalPhase(23, 32))
+d4 = ExactUnitarySpec(RationalPhase(1, 4), RationalPhase(5, 4), RationalPhase(1, 4))
+d8 = ExactUnitarySpec(RationalPhase(1, 32), RationalPhase(17, 32), RationalPhase(23, 32))
 for name, spec in [("D4", d4), ("D8", d8)]:
     res = idempotency_order(spec)
     print(f"\n{name}: strict order {res.order}, "

@@ -11,6 +11,7 @@ import math
 
 from qchaos import (
     QuadraticSeed,
+    TWO_PI,
     VERDICT_LABELS,
     build_quadratic_unitary,
     chaotic_order_fraction,
@@ -23,8 +24,9 @@ from qchaos import (
 # The golden-ratio seed: s_t are the Lucas numbers 2, 1, 3, 4, 7, 11, ...
 lucas = QuadraticSeed(-1, -1)
 seq = quadratic_trace_sequence(lucas, 12)
-print("Lucas numbers:", seq.values)
-print("even at t =", seq.even_indices(), "(only those t give SU(2) pairs)")
+print("Lucas numbers:", seq)
+print("even at t =", [t for t, s in enumerate(seq) if s % 2 == 0],
+      "(only those t give SU(2) pairs)")
 
 res = build_quadratic_unitary(lucas, 3)
 v = order_verdicts(res.pair)
@@ -53,4 +55,5 @@ print(f"fraction of chaotic orders K <= 1e5: {frac:.4f} (equidistributes to 1/2)
 # The residues come from exact integers, so the phases keep full float
 # accuracy at any t -- here alpha^80 has about 280 integer bits:
 far = build_quadratic_unitary(seed, 80).pair
-print(f"\nt=80: phi = {far.phi!r}, psi = {far.psi!r}, unimodular: {far.is_unimodular()}")
+print(f"\nt=80: phi = {far.phi!r}, psi = {far.psi!r}, "
+      f"phi + psi - 2 pi = {far.phi + far.psi - TWO_PI:.1e} (det = 1)")

@@ -12,7 +12,6 @@ from qchaos import (
     EigenphasePair,
     PvmBasis,
     TrajectoryConfig,
-    Unitary2,
     empirical_entropy_rate,
     empirical_transition_matrix,
     entropy_rate_experiment,
@@ -20,19 +19,20 @@ from qchaos import (
     sample_trajectory,
     transition_matrix,
 )
+from qchaos.phases import unitary_power
 
 PI = np.pi
 
 # theta = pi/3 in the x basis: transition probabilities {3/4, 1/4}.
 pair = EigenphasePair(0.0, PI / 3)
-u = Unitary2.from_pair(pair).matrix
+u = unitary_power(pair)  # Diag(e^{i phi}, e^{i psi})
 basis = PvmBasis.x_basis()
-print("exact transition matrix:\n", transition_matrix(u, basis).entries)
+print("exact transition matrix:\n", transition_matrix(u, basis))
 
 out = sample_trajectory(TrajectoryConfig(pair, basis, steps=10 ** 6, seed=31))
 print("empirical frequencies:\n", np.round(empirical_transition_matrix(out, 2), 4))
 
-res = entropy_rate_experiment(pair, "x_basis", 10 ** 6, 8, seed=31)
+res = entropy_rate_experiment(pair, "x", 10 ** 6, 8, seed=31)
 print(f"entropy rate: empirical {res.empirical:.6f} vs predicted "
       f"{res.predicted:.6f} (|diff| = {res.abs_diff:.2e})")
 

@@ -18,11 +18,11 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _SUBMODULE = {name: module for module, names in (
-    ("phases", "EigenphasePair ExactUnitarySpec PHASE_TOL RationalPhase TWO_PI "
-               "UNITARY_TOL Unitary2 circular_distance eigenphases_of make_su2_from_psi "
-               "mod_2pi rational_phase_order require_unitary"),
-    ("entropy", "EntropyResult OptimizerOptions PvmBasis TransitionMatrix basis_from_angles "
-                "eta markov_entropy_rate measurement_probabilities pvm_entropy_optimize "
+    ("phases", "EigenphasePair ExactUnitarySpec RationalPhase TWO_PI UNITARY_TOL "
+               "circular_distance eigenphases_of make_su2_from_psi mod_2pi "
+               "rational_phase_order require_unitary"),
+    ("entropy", "EntropyResult OptimizerOptions PvmBasis basis_from_angles eta "
+                "markov_entropy_rate measurement_probabilities pvm_entropy_optimize "
                 "transition_matrix"),
     ("chaoticity", "BOUNDARY_TOL ChaoticityReport IdempotencyCapError IdempotencyResult "
                    "OrderVerdicts SQRT2 VERDICT_LABELS boundary_half_width "
@@ -30,10 +30,9 @@ _SUBMODULE = {name: module for module, names in (
                    "first_nonchaotic_order idempotency_order order_verdicts "
                    "projective_idempotency_order qubit_entropy_closed"),
     ("constructions", "IRRATIONAL_CERTIFIED QuadraticBuildResult QuadraticRecipe "
-                      "QuadraticSeed RATIONAL TraceSequence UNKNOWN build_chaotic_order "
-                      "build_quadratic_unitary build_rational_unitary "
-                      "classify_phase_rationality quadratic_trace_sequence "
-                      "source_from_json source_to_json"),
+                      "QuadraticSeed RATIONAL UNKNOWN build_chaotic_order "
+                      "build_quadratic_unitary classify_phase_rationality "
+                      "quadratic_trace_sequence source_from_json source_to_json"),
     ("simulate", "CensusResult EntropyRateExperiment InsufficientDataError NoiseConfig "
                  "TrajectoryConfig empirical_entropy_rate empirical_transition_matrix "
                  "entropy_rate_experiment monte_carlo_chaotic_fraction noisy_phase_walk "

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import EntropyResult, qubit_entropy_of_theta
+from .entropy import qubit_entropy_of_theta
 from .phases import (
     EigenphasePair,
     ExactUnitarySpec,
@@ -162,9 +162,9 @@ def exact_theta_fraction(spec: ExactUnitarySpec, k: int) -> Fraction:
     return Fraction(int(t[0]), big)
 
 
-def qubit_entropy_closed(pair: EigenphasePair) -> EntropyResult:
-    """Closed-form PVM entropy of a qubit unitary with the given eigenphases."""
-    return EntropyResult(float(qubit_entropy_of_theta(order_verdicts(pair).theta)))
+def qubit_entropy_closed(pair: EigenphasePair) -> float:
+    """Closed-form PVM entropy, in bits, of a qubit unitary with the given eigenphases."""
+    return float(qubit_entropy_of_theta(order_verdicts(pair).theta))
 
 
 @dataclass(frozen=True)
@@ -215,10 +215,6 @@ class IdempotencyResult:
     order: int | None
     reason: str | None = None
     inner_denominator_lcm: int | None = None
-
-    @property
-    def is_idempotent(self) -> bool:
-        return self.order is not None
 
 
 def idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000) -> IdempotencyResult:

@@ -8,7 +8,9 @@ commands it acts on, and a flag the source would drop exits 2: a phase beside
 --spec-json or --unitary-json, or --global-phase beside an inexact phase.
 ``resolve_source`` gives a float pair, an exact spec or a quadratic recipe;
 scans run on that source itself (an exact spec is decided exactly), and the
-other commands read its float pair through ``source.pair()``.
+other commands read its float pair through ``source.pair()``.  ``simulate`` is
+``simulate.entropy_rate_experiment``, the one pipeline, over the basis names
+computational, x and optimized.
 ``jsontext.dumps`` writes every document, floats at 12 significant digits,
 with the scan rows and the full noise walk written from their columns.  The
 documents follow ``schemas/output.schema.json``; that schema is the output
@@ -59,39 +61,30 @@ from .constructions import (
     RATIONAL,
     UNKNOWN,
     build_chaotic_order,
-    build_rational_unitary,
     classify_phase_rationality,
     quadratic_trace_sequence,
     source_from_json,
     source_to_json,
 )
-from .entropy import (
-    OptimizerOptions,
-    PvmBasis,
-    markov_entropy_rate,
-    pvm_entropy_optimize,
-    transition_matrix,
-)
+from .entropy import OptimizerOptions, pvm_entropy_optimize
 from .jsontext import Rows, dumps
 from .phases import (
     EigenphasePair,
     ExactUnitarySpec,
     RationalPhase,
     TWO_PI,
-    Unitary2,
     eigenphases_of,
     mod_2pi,
     require_count,
     require_unitary,
+    unitary_power,
 )
 from .simulate import (
+    _BASIS_CHOICES,
     NoiseConfig,
-    TrajectoryConfig,
-    empirical_entropy_rate,
+    entropy_rate_experiment,
     monte_carlo_chaotic_fraction,
     noisy_phase_walk,
-    sample_trajectory,
-    unitary_power,
     write_trajectory_outputs,
 )
 
@@ -126,7 +119,12 @@ def resolve_source(args):
             raise ValueError(f"{flags[0]} cannot be combined with {', '.join(flags[1:])}")
         if given == ["spec_json"]:
             return source_from_json(Path(args.spec_json).read_text())
-        rows = json.loads(Path(args.unitary_json).read_text())  # d x d nested [re, im] pairs
+        rows = json.loads(Path(args.unitary_json).read_text())
+        if not (isinstance(rows, list) and all(
+                isinstance(row, list) and len(row) == len(rows) and all(
+                    isinstance(z, list) and len(z) == 2 and all(type(x) in (int, float) for x in z)
+                    for z in row) for row in rows)):
+            raise ValueError("--unitary-json must hold a d x d nested list of [re, im] pairs")
         return require_unitary(np.array([[complex(re, im) for re, im in row] for row in rows]))
     if "psi" not in given:
         raise ValueError("a unitary source is required: --psi, --phi/--psi or --spec-json")
@@ -183,6 +181,7 @@ _NO_ORDER_REASON = {IRRATIONAL_CERTIFIED: "irrational_phase", UNKNOWN: "unknown_
 
 def _analysis_body(source, k_max: int, n_cap: int) -> dict:
     """Scan + per-order closed-form entropy + idempotency/rationality block."""
+    require_count("n_cap", n_cap)
     pair = source.pair()  # builds a quadratic recipe, which raises if it is invalid
     rationality = classify_phase_rationality(source)
     exact = rationality == RATIONAL  # an exact spec: the quadratic build rejects the rest
@@ -197,7 +196,7 @@ def _analysis_body(source, k_max: int, n_cap: int) -> dict:
         "idempotency": {"order": idem.order, "reason": idem.reason,
                         "inner_denominator_lcm": idem.inner_denominator_lcm},
         "projective_order": projective,
-        "entropy_bits": qubit_entropy_closed(pair).value,
+        "entropy_bits": qubit_entropy_closed(pair),
         "scan": Rows(report.columns()),
     }
     if rationality == IRRATIONAL_CERTIFIED:  # a quadratic recipe
@@ -235,9 +234,9 @@ def cmd_scan(args) -> int:
 def cmd_construct(args) -> int:
     construction: dict = {"kind": args.kind}
     if args.kind == "rational":
-        source = build_rational_unitary(parse_phase(args.phase1, "phase1"),
-                                        parse_phase(args.phase2, "phase2"),
-                                        parse_phase(args.global_phase or "0", "global_phase"))
+        source = ExactUnitarySpec(parse_phase(args.phase1, "phase1"),
+                                  parse_phase(args.phase2, "phase2"),
+                                  parse_phase(args.global_phase or "0", "global_phase"))
         params = source_to_json(source)
     elif args.kind == "chaotic-order-k":
         source, prime = build_chaotic_order(args.order)
@@ -252,7 +251,7 @@ def cmd_construct(args) -> int:
     body, _ = _analysis_body(source, args.k_max, args.n_cap)
     if args.kind == "quadratic":  # the analysis built the pair; reuse its build
         construction.update(body["quadratic_build"], trace_values=list(
-            quadratic_trace_sequence(source.seed, source.t).values))
+            quadratic_trace_sequence(source.seed, source.t)))
     doc = {"manifest": _manifest("construct", params, None),
            "construction": construction, "analysis": body}
     _emit(doc, args)
@@ -271,29 +270,10 @@ def cmd_census(args) -> int:
     return 0
 
 
-_BASIS_CHOICES = {
-    "computational": PvmBasis.computational,
-    "x": PvmBasis.x_basis,
-}
-
-
 def cmd_simulate(args) -> int:
-    require_count("block length", args.block_len)
     pair = resolve_source(args).pair()
-    u = Unitary2.from_pair(pair).matrix
-    if args.basis == "optimized":
-        basis = pvm_entropy_optimize(u, OptimizerOptions(seed=args.seed)).optimal_basis
-    else:
-        basis = _BASIS_CHOICES[args.basis]()
-    cfg = TrajectoryConfig(pair, basis, steps=args.steps, seed=args.seed,
-                           period=args.period)
-    outcomes = sample_trajectory(cfg)
-    predicted = markov_entropy_rate(
-        transition_matrix(unitary_power(pair, args.period), basis))
-    if args.steps >= 100 * 2 ** args.block_len:
-        empirical = empirical_entropy_rate(outcomes, args.block_len, alphabet_size=2)
-    else:
-        empirical = None  # short runs cannot support the block estimate
+    run = entropy_rate_experiment(pair, args.basis, args.steps, args.block_len, args.seed,
+                                  args.period)
     config_doc = {"phi": pair.phi, "psi": pair.psi, "basis": args.basis,
                   "steps": args.steps, "period": args.period,
                   "block_len": args.block_len, "initial": "maximally_mixed"}
@@ -301,12 +281,12 @@ def cmd_simulate(args) -> int:
         "manifest": _manifest("simulate", config_doc, args.seed),
         "config": config_doc,
         "seed": args.seed,
-        "empirical_rate": empirical,
-        "predicted_rate": predicted,
-        "abs_diff": abs(empirical - predicted) if empirical is not None else None,
+        "empirical_rate": run.empirical,
+        "predicted_rate": run.predicted,
+        "abs_diff": run.abs_diff,
     }
     if args.out:
-        write_trajectory_outputs(args.out, outcomes, doc)
+        write_trajectory_outputs(args.out, run.outcomes, doc)
     _emit(doc, args)
     return 0
 
@@ -340,7 +320,7 @@ def cmd_optimize(args) -> int:
     if not 0.0 <= args.match_tol < math.inf:  # also false for NaN
         raise ValueError(f"match-tol must be finite and >= 0, got {args.match_tol}")
     source = resolve_source(args)  # --unitary-json resolves to the matrix itself
-    u = source if isinstance(source, np.ndarray) else Unitary2.from_pair(source.pair()).matrix
+    u = source if isinstance(source, np.ndarray) else unitary_power(source.pair())
     opts = OptimizerOptions(restarts=args.restarts, max_iters=args.max_iters,
                             seed=args.seed)
     result = pvm_entropy_optimize(u, opts)
@@ -352,7 +332,7 @@ def cmd_optimize(args) -> int:
                   for col in result.optimal_basis.vectors.T],
     }
     if u.shape[0] == 2:
-        closed = qubit_entropy_closed(eigenphases_of(u)[0]).value
+        closed = qubit_entropy_closed(eigenphases_of(u)[0])
         body["closed_form_bits"] = closed
         body["abs_diff"] = abs(result.value - closed)
         body["matches_closed_form"] = abs(result.value - closed) <= args.match_tol
@@ -439,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample a measured trajectory and estimate its rate")
     _add_source_args(p)
-    p.add_argument("--basis", choices=["computational", "x", "optimized"], default="x")
+    p.add_argument("--basis", choices=list(_BASIS_CHOICES), default="x")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--period", type=int, default=1,
                    help="measure after every period-th application")

@@ -72,11 +72,6 @@ class QuadraticSeed:
         r = math.isqrt(d)
         return r * r == d
 
-    @property
-    def in_default_regime(self) -> bool:
-        """The a, b <= 0 regime the series constructions assume by default."""
-        return self.a < 0 and self.b < 0
-
     def roots(self) -> tuple[float, float]:
         """(alpha, beta) as floats; fine for classification, not for reduction."""
         if self.discriminant < 0:
@@ -85,31 +80,13 @@ class QuadraticSeed:
         return (-self.a + s) / 2.0, (-self.a - s) / 2.0
 
 
-@dataclass(frozen=True)
-class TraceSequence:
-    """Integer sums s_t = alpha^t + beta^t for t = 0..t_max, with parity flags."""
-
-    seed: QuadraticSeed
-    values: tuple[int, ...]
-
-    def s(self, t: int) -> int:
-        return self.values[t]
-
-    @property
-    def even_flags(self) -> tuple[bool, ...]:
-        return tuple(v % 2 == 0 for v in self.values)
-
-    def even_indices(self) -> tuple[int, ...]:
-        return tuple(t for t, v in enumerate(self.values) if v % 2 == 0)
-
-
-def quadratic_trace_sequence(seed: QuadraticSeed, t_max: int) -> TraceSequence:
+def quadratic_trace_sequence(seed: QuadraticSeed, t_max: int) -> tuple[int, ...]:
     """s_0..s_t_max by the exact integer recurrence s_{t+1} = -a s_t - b s_{t-1}."""
     require_count("t_max", t_max)
     values = [2, -seed.a]
     for _ in range(t_max - 1):
         values.append(-seed.a * values[-1] - seed.b * values[-2])
-    return TraceSequence(seed, tuple(values))
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -121,31 +98,27 @@ class QuadraticBuildResult:
     s_t: int
 
 
-def build_quadratic_unitary(seed: QuadraticSeed, t: int,
-                            allow_positive_coefficients: bool = False,
-                            ) -> QuadraticBuildResult:
+def build_quadratic_unitary(seed: QuadraticSeed, t: int) -> QuadraticBuildResult:
     """SU(2) pair ((alpha^t mod 2) pi, (beta^t mod 2) pi) from a quadratic seed.
 
     Preconditions: s_t must be even (otherwise the pair is not unimodular) and
     the discriminant must be positive and not a perfect square (otherwise the
     phases are rational and the construction loses its point).  Coefficients
-    outside the a, b < 0 regime are rejected unless explicitly allowed.
+    outside the a, b < 0 regime are rejected.
 
     The residue r = beta^t mod 2 is bracketed in exact integers, so psi =
     r pi and phi = (2 - r) pi keep full float accuracy at every t.
     """
     require_count("t", t)
-    if not seed.in_default_regime and not allow_positive_coefficients:
-        raise ValueError(
-            f"seed (a={seed.a}, b={seed.b}) is outside the a, b < 0 regime; "
-            "pass allow_positive_coefficients=True to explore anyway")
+    if seed.a >= 0 or seed.b >= 0:
+        raise ValueError(f"seed (a={seed.a}, b={seed.b}) is outside the a, b < 0 regime")
     if seed.discriminant <= 0:
         raise ValueError(f"discriminant {seed.discriminant} must be positive")
     if seed.has_square_discriminant:
         raise ValueError(
             f"discriminant {seed.discriminant} is a perfect square, so the phases "
             "are rational; a non-idempotent construction requires an irrational root")
-    s_t = quadratic_trace_sequence(seed, t).s(t)
+    s_t = quadratic_trace_sequence(seed, t)[t]
     if s_t % 2 != 0:
         raise ValueError(f"s_{t} = {s_t} is odd; the pair would not be unimodular")
 
@@ -169,13 +142,6 @@ def build_quadratic_unitary(seed: QuadraticSeed, t: int,
     phi = (2 * den - 2 * q - 1) / den * math.pi
     tag = "converging_to_identity" if abs(beta) < 1.0 else "traversing"
     return QuadraticBuildResult(EigenphasePair(phi, psi), tag, s_t)
-
-
-def build_rational_unitary(phase1: RationalPhase, phase2: RationalPhase,
-                           global_phase: RationalPhase = RationalPhase(0),
-                           ) -> ExactUnitarySpec:
-    """Exact spec for e^{i g} Diag(e^{i phase1}, e^{i phase2}); inputs are normalized."""
-    return ExactUnitarySpec(phase1, phase2, global_phase)
 
 
 def build_chaotic_order(k: int) -> tuple[ExactUnitarySpec, int]:
@@ -260,13 +226,26 @@ def source_to_json(obj) -> dict:
 
 
 def source_from_json(doc) -> ExactUnitarySpec | QuadraticRecipe:
+    """The source of a JSON object (or its text) as ``source_to_json`` writes it;
+    the fields read besides "kind" must be integers, and a bool is not one."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a source must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
+
+    def integer(name, default=None):
+        if name not in doc and default is None:
+            raise ValueError(f"{kind} source is missing the field {name!r}")
+        value = doc.get(name, default)
+        if type(value) is not int:
+            raise ValueError(f"{kind} source field {name!r} must be an integer, got {value!r}")
+        return value
+
     if kind == "rational":
-        return ExactUnitarySpec(RationalPhase(int(doc["m1"]), int(doc["p1"])),
-                                RationalPhase(int(doc["m2"]), int(doc["p2"])),
-                                RationalPhase(int(doc.get("g_m", 0)), int(doc.get("g_p", 1))))
+        return ExactUnitarySpec(RationalPhase(integer("m1"), integer("p1")),
+                                RationalPhase(integer("m2"), integer("p2")),
+                                RationalPhase(integer("g_m", 0), integer("g_p", 1)))
     if kind == "quadratic":
-        return QuadraticRecipe(int(doc["a"]), int(doc["b"]), int(doc["t"]))
+        return QuadraticRecipe(integer("a"), integer("b"), integer("t"))
     raise ValueError(f"unknown source kind {kind!r}")

@@ -76,9 +76,6 @@ class PvmBasis:
     def d(self) -> int:
         return self.vectors.shape[0]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.vectors[:, j]
-
     @classmethod
     def computational(cls, d: int = 2) -> "PvmBasis":
         return cls(np.eye(d, dtype=complex))
@@ -96,7 +93,6 @@ class EntropyResult:
 
     value: float
     optimal_basis: PvmBasis | None = None
-    method: str = "closed_form"
 
     def __post_init__(self):
         if self.value < 0.0:
@@ -145,57 +141,30 @@ def measurement_probabilities(state, basis: PvmBasis) -> np.ndarray:
     return p / p.sum()
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Unistochastic transition matrix P_{i->j}; rows and columns sum to 1."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.entries, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError(f"transition matrix must be square, got shape {p.shape}")
-        if p.min() < -GRAM_TOL or p.max() > 1.0 + GRAM_TOL:
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        if np.max(np.abs(p.sum(axis=1) - 1.0)) > GRAM_TOL:
-            raise ValueError("rows of a unistochastic matrix must sum to 1")
-        if np.max(np.abs(p.sum(axis=0) - 1.0)) > GRAM_TOL:
-            raise ValueError("columns of a unistochastic matrix must sum to 1")
-        p.setflags(write=False)
-        object.__setattr__(self, "entries", p)
-
-    @property
-    def d(self) -> int:
-        return self.entries.shape[0]
-
-
-def transition_matrix(u, basis: PvmBasis) -> TransitionMatrix:
+def transition_matrix(u, basis: PvmBasis) -> np.ndarray:
     """Markov transition matrix P_{i->j} = |<phi_j|U|phi_i>|^2 of measured dynamics."""
     m = require_unitary(u)
     if m.shape[0] != basis.d:
         raise ValueError(f"unitary dimension {m.shape[0]} != basis dimension {basis.d}")
     amp = basis.vectors.conj().T @ m @ basis.vectors  # amp[j, i] = <phi_j|U|phi_i>
-    return TransitionMatrix(np.abs(amp.T) ** 2)
+    return np.abs(amp.T) ** 2
 
 
 def markov_entropy_rate(p) -> float:
     """Entropy rate (1/d) * sum_ij eta(P_ij) of a doubly stochastic chain (bits/step).
 
     Double stochasticity makes the uniform distribution stationary, which is
-    what the 1/d prefactor assumes.  Raw arrays are accepted and validated
-    within STOCHASTIC_TOL.  Rounding in eta cannot lift the rate above log2(d).
+    what the 1/d prefactor assumes.  The matrix is validated within
+    STOCHASTIC_TOL.  Rounding in eta cannot lift the rate above log2(d).
     """
-    if isinstance(p, TransitionMatrix):
-        entries = p.entries
-    else:
-        entries = np.asarray(p, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("transition matrix must be square")
-        if (np.max(np.abs(entries.sum(axis=1) - 1.0)) > STOCHASTIC_TOL
-                or np.max(np.abs(entries.sum(axis=0) - 1.0)) > STOCHASTIC_TOL):
-            raise ValueError("matrix is not doubly stochastic within 1e-8")
-        if entries.min() < -ETA_CLAMP:
-            raise ValueError("transition probabilities must be nonnegative")
+    entries = np.asarray(p, dtype=float)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError("transition matrix must be square")
+    if (np.max(np.abs(entries.sum(axis=1) - 1.0)) > STOCHASTIC_TOL
+            or np.max(np.abs(entries.sum(axis=0) - 1.0)) > STOCHASTIC_TOL):
+        raise ValueError("matrix is not doubly stochastic within 1e-8")
+    if entries.min() < -ETA_CLAMP:
+        raise ValueError("transition probabilities must be nonnegative")
     d = entries.shape[0]
     return min(sum(map(eta, entries.ravel().tolist())) / d, math.log2(d))
 
@@ -206,12 +175,9 @@ class OptimizerOptions:
 
     restarts: int = 32
     max_iters: int = 2000
-    xatol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.xatol < math.inf:  # also false for NaN
-            raise ValueError(f"xatol must be finite and >= 0, got {self.xatol}")
         require_count("restarts", self.restarts)
         require_count("max_iters", self.max_iters)
 
@@ -330,6 +296,8 @@ def _batch_objective(u: np.ndarray):
 # Nelder-Mead coefficients and initial-simplex steps, as scipy's defaults.
 _NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
 _NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+#: Convergence tolerances on the simplex's spread in x and in f.
+_NM_XATOL, _NM_FATOL = 1e-10, 1e-12
 #: Restarts advanced together by one ``_nelder_mead`` call, so memory does not
 #: grow with the restart count.
 _NM_BLOCK = 1024
@@ -437,10 +405,9 @@ def pvm_entropy_optimize(u, opts: OptimizerOptions | None = None) -> EntropyResu
     for lo in range(0, opts.restarts, _NM_BLOCK):
         x0 = np.array([stream_generator(opts.seed, r).uniform(0.0, TWO_PI, n_params)
                        for r in range(lo, min(lo + _NM_BLOCK, opts.restarts))])
-        fun, xs, _, _ = _nelder_mead(neg, x0, opts.xatol, 1e-12, opts.max_iters)
+        fun, xs, _, _ = _nelder_mead(neg, x0, _NM_XATOL, _NM_FATOL, opts.max_iters)
         for f, x in zip(fun.tolist(), xs):  # the earliest restart wins ties
             if -f > best_value:
                 best_value, best_x = -f, x
     best_value = max(0.0, min(best_value, float(math.log2(d))))
-    return EntropyResult(best_value, optimal_basis=basis_from_angles(d, best_x),
-                         method="optimized")
+    return EntropyResult(best_value, optimal_basis=basis_from_angles(d, best_x))

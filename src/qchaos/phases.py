@@ -3,10 +3,8 @@
 A 2x2 unitary is determined, up to the choice of eigenbasis, by its pair of
 eigenphases (phi, psi).  This module holds the floating-point pair, the exact
 rational phase m*pi/p used wherever idempotency must be decided exactly, and
-the conversions between the matrix view and the eigenphase view.
-
-Conventions: phases live in [0, 2*pi); a pair is called unimodular when
-(phi + psi) mod 2*pi vanishes, which is the det(U) = 1 case.
+the conversions between the matrix view and the eigenphase view.  Phases
+live in [0, 2*pi).
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-#: Tolerance on the unimodular phase-sum invariant.
-PHASE_TOL = 1e-12
 #: Max absolute entrywise deviation of U^dag U from the identity.
 UNITARY_TOL = 1e-12
 
@@ -53,13 +49,6 @@ class EigenphasePair:
 
     def pair(self) -> "EigenphasePair":
         return self  # every source kind says its float pair through pair()
-
-    def is_unimodular(self, tol: float = PHASE_TOL) -> bool:
-        """True if (phi + psi) mod 2*pi = 0 within tol (the det = 1 case)."""
-        return circular_distance(self.phi + self.psi, 0.0) <= tol
-
-    def swapped(self) -> "EigenphasePair":
-        return EigenphasePair(self.psi, self.phi)
 
 
 def make_su2_from_psi(psi: float) -> EigenphasePair:
@@ -134,46 +123,15 @@ def require_unitary(u, tol: float = UNITARY_TOL, d: int | None = None) -> np.nda
 
     Raises ValueError when the shape is wrong or max |U^dag U - I| exceeds tol.
     """
-    if isinstance(u, Unitary2):
-        u = u.matrix
     m = np.asarray(u, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if d is not None and m.shape[0] != d:
         raise ValueError(f"expected a {d}x{d} matrix, got shape {m.shape}")
     residual = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-    if residual > tol:
+    if not residual <= tol:  # also true for a NaN entry
         raise ValueError(f"matrix is not unitary: residual {residual:.3e} > {tol:.1e}")
     return m
-
-
-@dataclass(frozen=True)
-class Unitary2:
-    """A dense 2x2 unitary, unitary within UNITARY_TOL.
-
-    ``global_phase`` records the scalar prefactor (radians) when the matrix
-    was materialized from an exact recipe; it is None for plain matrices.
-    """
-
-    matrix: np.ndarray
-    global_phase: float | None = None
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        require_unitary(m, UNITARY_TOL)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_pair(cls, pair: EigenphasePair) -> "Unitary2":
-        """Diagonal representative Diag(e^{i phi}, e^{i psi}) in the eigenframe."""
-        return cls(np.diag([cmath.exp(1j * pair.phi), cmath.exp(1j * pair.psi)]))
-
-    @classmethod
-    def identity(cls) -> "Unitary2":
-        return cls(np.eye(2, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -199,21 +157,31 @@ class ExactUnitarySpec:
         """The inner eigenphases as floats (global phase excluded)."""
         return EigenphasePair(self.phase1.radians(), self.phase2.radians())
 
-    def phase_fractions(self) -> tuple[Fraction, Fraction]:
-        """Inner phases in units of pi."""
-        return self.phase1.fraction, self.phase2.fraction
+    def to_unitary(self) -> np.ndarray:
+        """The matrix, global phase included."""
+        pre = cmath.exp(1j * self.global_phase.radians())
+        return np.diag([pre * cmath.exp(1j * self.phase1.radians()),
+                        pre * cmath.exp(1j * self.phase2.radians())])
 
-    def combined_fractions(self) -> tuple[Fraction, Fraction]:
-        """Total eigenvalue phases (global + inner) in units of pi, mod 2."""
-        g = self.global_phase.fraction
-        return (g + self.phase1.fraction) % 2, (g + self.phase2.fraction) % 2
 
-    def to_unitary(self) -> Unitary2:
-        g = self.global_phase.radians()
-        pre = cmath.exp(1j * g)
-        m = np.diag([pre * cmath.exp(1j * self.phase1.radians()),
-                     pre * cmath.exp(1j * self.phase2.radians())])
-        return Unitary2(m, global_phase=g)
+def unitary_power(source, period: int = 1) -> np.ndarray:
+    """The matrix of U^period for a pair, an exact spec or a raw matrix.
+
+    A pair is powered through its phases, fmod(period*phi, 2*pi) as
+    ``order_verdicts`` reduces them, and an exact spec through its integer
+    residues, so both stay unitary at any period; a raw matrix goes through
+    ``np.linalg.matrix_power``, whose repeated squaring drifts past UNITARY_TOL
+    by period 10^5, and for period > 1 back to its polar factor W V^dag.
+    """
+    if isinstance(source, EigenphasePair):  # Diag(e^{i phi}, e^{i psi}) in the eigenframe
+        k = float(period)
+        return np.diag([cmath.exp(1j * math.fmod(k * source.phi, TWO_PI)),
+                        cmath.exp(1j * math.fmod(k * source.psi, TWO_PI))])
+    if isinstance(source, ExactUnitarySpec):
+        return ExactUnitarySpec(*(RationalPhase(int(period) * ph.m, ph.p) for ph in (
+            source.phase1, source.phase2, source.global_phase))).to_unitary()
+    m = np.linalg.matrix_power(require_unitary(source), period)
+    return m if period == 1 else np.matmul(*np.linalg.svd(m)[::2])  # SVD W S V^dag
 
 
 def eigenphases_of(u) -> tuple[EigenphasePair, np.ndarray]:
@@ -239,8 +207,7 @@ def eigenphases_of(u) -> tuple[EigenphasePair, np.ndarray]:
     v0 /= np.linalg.norm(v0)
     v = np.array([[v0[0], -v0[1].conjugate()], [v0[1], v0[0].conjugate()]])
     pair = EigenphasePair(a - t, a + t)
-    diag = np.diag([cmath.exp(1j * pair.phi), cmath.exp(1j * pair.psi)])
-    err = np.max(np.abs(v @ diag @ v.conj().T - m))
+    err = np.max(np.abs(v @ unitary_power(pair) @ v.conj().T - m))
     if err > 1e-10:
         raise ArithmeticError(f"eigendecomposition failed to reconstruct input: {err:.3e}")
     return pair, v

@@ -4,7 +4,9 @@ Measuring a PVM after every K-th application of a unitary produces a Markov
 chain over outcome indices with transition matrix P of U^K.  This module
 samples such trajectories reproducibly from counter-based streams keyed by the
 caller's seed (a qubit's with array code, larger d step by step), estimates
-entropy rates with a plug-in conditional block estimator, runs the
+entropy rates with a plug-in conditional block estimator (the one pipeline of
+basis, samples, estimate and prediction is ``entropy_rate_experiment``, with
+the bases "computational", "x" and "optimized"), runs the
 uniform-phase chaoticity census, and applies the phase-noise model that perturbs
 (phi, psi) to (phi + lambda, psi - lambda), returned as arrays.  The noise
 walk takes its verdicts from ``chaoticity.order_verdicts``; the census counts
@@ -25,6 +27,7 @@ import numpy as np
 
 from .chaoticity import _chaotic_count, order_verdicts
 from .entropy import (
+    OptimizerOptions,
     PvmBasis,
     measurement_probabilities,
     markov_entropy_rate,
@@ -32,16 +35,7 @@ from .entropy import (
     transition_matrix,
 )
 from .jsontext import dumps
-from .phases import (
-    EigenphasePair,
-    ExactUnitarySpec,
-    RationalPhase,
-    TWO_PI,
-    Unitary2,
-    mod_2pi,
-    require_count,
-    require_unitary,
-)
+from .phases import EigenphasePair, TWO_PI, mod_2pi, require_count, unitary_power
 from .rng import stream_generator
 
 #: Census trials per stream chunk; fixed so results are thread-count independent.
@@ -58,26 +52,6 @@ def _integer_symbols(sequence) -> np.ndarray:
     if s.dtype.kind not in "biu":
         raise ValueError(f"sequence symbols must be integers, got dtype {s.dtype}")
     return s
-
-
-def unitary_power(source, period: int = 1) -> np.ndarray:
-    """The matrix of U^period for a pair, an exact spec or a raw matrix.
-
-    A pair is powered through its phases, fmod(period*phi, 2*pi) as
-    ``order_verdicts`` reduces them, and an exact spec through its integer
-    residues, so both stay unitary at any period; a raw matrix goes through
-    ``np.linalg.matrix_power``, whose repeated squaring drifts past UNITARY_TOL
-    by period 10^5, and for period > 1 back to its polar factor W V^dag.
-    """
-    if isinstance(source, EigenphasePair):
-        k = float(period)
-        return Unitary2.from_pair(EigenphasePair(math.fmod(k * source.phi, TWO_PI),
-                                                 math.fmod(k * source.psi, TWO_PI))).matrix
-    if isinstance(source, ExactUnitarySpec):
-        return ExactUnitarySpec(*(RationalPhase(int(period) * ph.m, ph.p) for ph in (
-            source.phase1, source.phase2, source.global_phase))).to_unitary().matrix
-    m = np.linalg.matrix_power(require_unitary(source), period)
-    return m if period == 1 else np.matmul(*np.linalg.svd(m)[::2])  # SVD W S V^dag
 
 
 @dataclass(frozen=True)
@@ -111,7 +85,7 @@ def _initial_distribution(cfg: TrajectoryConfig, d: int) -> np.ndarray:
     elif isinstance(cfg.initial, (int, np.integer)):
         if not 0 <= int(cfg.initial) < d:
             raise ValueError(f"initial basis index {cfg.initial} out of range for d={d}")
-        v = cfg.basis.column(int(cfg.initial))
+        v = cfg.basis.vectors[:, int(cfg.initial)]
         rho = np.outer(v, v.conj())
     else:
         rho = np.asarray(cfg.initial, dtype=complex)
@@ -133,7 +107,7 @@ def sample_trajectory(cfg: TrajectoryConfig) -> np.ndarray:
     d = u_eff.shape[0]
     if d != cfg.basis.d:
         raise ValueError(f"unitary dimension {d} != basis dimension {cfg.basis.d}")
-    p = transition_matrix(u_eff, cfg.basis).entries
+    p = transition_matrix(u_eff, cfg.basis)
 
     cum0 = np.cumsum(_initial_distribution(cfg, d))
     cum0[-1] = 1.0
@@ -310,35 +284,47 @@ def noisy_phase_walk(base: EigenphasePair, cfg: NoiseConfig) -> NoiseWalk:
     return NoiseWalk(phi, psi, verdicts.trace_mag, verdicts.codes)
 
 
+#: The measurement bases by name, each built from U and the seed: the
+#: optimized one is the PVM entropy maximizer's, with restarts keyed by the seed.
+_BASIS_CHOICES = {
+    "computational": lambda u, seed: PvmBasis.computational(),
+    "x": lambda u, seed: PvmBasis.x_basis(),
+    "optimized": lambda u, seed: pvm_entropy_optimize(
+        u, OptimizerOptions(seed=seed)).optimal_basis,
+}
+
+
 class EntropyRateExperiment(NamedTuple):
-    """(empirical, predicted, abs_diff) entropy rates in bits per step."""
+    """The outcomes and their (empirical, predicted, abs_diff) entropy rates in
+    bits per step; empirical and abs_diff are None below 100 * 2^L steps."""
 
-    empirical: float
+    outcomes: np.ndarray
+    empirical: float | None
     predicted: float
-    abs_diff: float
+    abs_diff: float | None
 
 
-def entropy_rate_experiment(pair: EigenphasePair, basis_choice: str, length: int,
-                            block_len: int, seed: int,
-                            period: int = 1) -> EntropyRateExperiment:
-    """Empirical vs exact entropy rate for a pair measured in a chosen basis.
+def entropy_rate_experiment(pair: EigenphasePair, basis: str, steps: int, block_len: int,
+                            seed: int, period: int = 1) -> EntropyRateExperiment:
+    """The measured dynamics of a pair: choose the basis, sample, estimate, predict.
 
-    ``basis_choice`` is "x_basis" (the |+>, |-> basis against the eigenframe)
-    or "optimized" (the PVM entropy maximizer's basis).  The prediction is the
-    Markov entropy rate of the exact transition matrix of U^period.
+    ``basis`` names a key of _BASIS_CHOICES: "computational", "x" (the |+>, |->
+    basis against the eigenframe) or "optimized".  The outcomes come from the
+    stream keyed (seed, 0), the estimate uses blocks of L = block_len, and the
+    prediction is the Markov entropy rate of the exact transition matrix of U^period.
     """
-    u = Unitary2.from_pair(pair).matrix
-    if basis_choice == "x_basis":
-        basis = PvmBasis.x_basis()
-    elif basis_choice == "optimized":
-        basis = pvm_entropy_optimize(u).optimal_basis
-    else:
-        raise ValueError(f"basis_choice must be 'x_basis' or 'optimized', got {basis_choice!r}")
-    cfg = TrajectoryConfig(pair, basis, steps=length, seed=seed, period=period)
-    outcomes = sample_trajectory(cfg)
-    empirical = empirical_entropy_rate(outcomes, block_len, alphabet_size=2)
-    predicted = markov_entropy_rate(transition_matrix(unitary_power(pair, period), basis))
-    return EntropyRateExperiment(empirical, predicted, abs(empirical - predicted))
+    require_count("block length", block_len)
+    if basis not in _BASIS_CHOICES:
+        raise ValueError(f"basis must be one of {', '.join(_BASIS_CHOICES)}, got {basis!r}")
+    pvm = _BASIS_CHOICES[basis](unitary_power(pair), seed)
+    outcomes = sample_trajectory(TrajectoryConfig(pair, pvm, steps=steps, seed=seed,
+                                                  period=period))
+    predicted = markov_entropy_rate(transition_matrix(unitary_power(pair, period), pvm))
+    try:
+        empirical = empirical_entropy_rate(outcomes, block_len, alphabet_size=2)
+    except InsufficientDataError:
+        return EntropyRateExperiment(outcomes, None, predicted, None)
+    return EntropyRateExperiment(outcomes, empirical, predicted, abs(empirical - predicted))
 
 
 def write_trajectory_outputs(prefix, outcomes: np.ndarray, sidecar: dict,

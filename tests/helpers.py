@@ -14,8 +14,9 @@ from qchaos import TWO_PI, VERDICT_LABELS, EigenphasePair, order_verdicts
 from qchaos.chaoticity import CHAOTIC
 from qchaos.entropy import eta, transition_matrix
 from qchaos.jsontext import Rows
+from qchaos.phases import unitary_power
 from qchaos.rng import stream_generator
-from qchaos.simulate import CENSUS_CHUNK, _initial_distribution, unitary_power
+from qchaos.simulate import CENSUS_CHUNK, _initial_distribution
 
 
 def random_unitary(rng, d=2):
@@ -93,7 +94,7 @@ def reference_trajectory(cfg) -> np.ndarray:
     d = u_eff.shape[0]
     if d != cfg.basis.d:
         raise ValueError(f"unitary dimension {d} != basis dimension {cfg.basis.d}")
-    p = transition_matrix(u_eff, cfg.basis).entries
+    p = transition_matrix(u_eff, cfg.basis)
 
     cum0 = np.cumsum(_initial_distribution(cfg, d))
     cum0[-1] = 1.0

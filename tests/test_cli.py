@@ -6,18 +6,23 @@ document a command writes against the output schema instead.
 
 import argparse
 import ast
+import contextlib
 import csv
 import gc
+import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qchaos.cli import _emit, main, parse_phase
 from qchaos import EigenphasePair, RationalPhase, eta, order_verdicts
@@ -265,6 +270,12 @@ class TestFlags:
          "global_phase must be an exact rational phase, got '0.25'"),
         (["census", "--n", "100", "--seed", "-1"], "must lie in [0, 2**64)"),
         (["census", "--n", "100", "--seed", str(2 ** 64)], "must lie in [0, 2**64)"),
+        (["analyze", "--psi", "0.3", "--n-cap", "-5"], "n_cap must be >= 1, got -5"),
+        (["analyze", "--psi", "1/3", "--n-cap", "0"], "n_cap must be >= 1, got 0"),
+        (["construct", "quadratic", "--a", "-1", "--b", "-1", "--t", "3", "--n-cap", "-5"],
+         "n_cap must be >= 1, got -5"),
+        (["construct", "chaotic-order-k", "-K", "5", "--n-cap", "0"],
+         "n_cap must be >= 1, got 0"),
     ], ids=["noise-epsilon-nan", "noise-epsilon-inf", "noise-epsilon-huge",
             "optimize-match-tol-nan", "optimize-match-tol-inf", "optimize-match-tol-negative",
             "optimize-restarts-0", "optimize-max-iters-0", "census-threads-0",
@@ -272,11 +283,67 @@ class TestFlags:
             "analyze-float-phases-global-phase", "scan-float-completion-global-phase",
             "analyze-radian-global-phase", "construct-rational-float-phase",
             "construct-rational-float-global-phase", "census-seed-negative",
-            "census-seed-2-64"])
+            "census-seed-2-64", "analyze-float-n-cap-negative", "analyze-exact-n-cap-0",
+            "construct-quadratic-n-cap-negative", "construct-order-k-n-cap-0"])
     def test_out_of_range_value_is_exit_2(self, args, message, tmp_path, capsys):
         code, doc = run_cli(args, tmp_path)
         assert code == 2 and doc is None
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,text,message", [
+        ("scan", "--spec-json", '{"kind": "rational", "m1": 1, "p1": 4, "m2": 5}',
+         "rational source is missing the field 'p2'"),
+        ("analyze", "--spec-json", '[{"kind": "quadratic", "a": -1, "b": -1, "t": 3}]',
+         "a source must be a JSON object, got list"),
+        ("scan", "--spec-json", '"rational"', "a source must be a JSON object, got str"),
+        ("scan", "--spec-json", '{"kind": "quadratic", "a": -1, "b": -1, "t": 3.7}',
+         "quadratic source field 't' must be an integer, got 3.7"),
+        ("scan", "--spec-json", '{"kind": "quadratic", "a": -1, "b": -1, "t": true}',
+         "quadratic source field 't' must be an integer, got True"),
+        ("analyze", "--spec-json", '{"kind": "rational", "m1": "1", "p1": 4, "m2": 5, "p2": 4}',
+         "rational source field 'm1' must be an integer, got '1'"),
+        ("analyze", "--spec-json", '{"kind": "rational", "m1": 1, "p1": 4, "m2": 5, "p2": 4, '
+         '"g_m": null}', "rational source field 'g_m' must be an integer, got None"),
+        ("scan", "--spec-json", '{"kind": "quadratic", "a": -1, "b": -1, "t": 3', "Expecting"),
+        ("optimize", "--unitary-json", "[[[1, 0], [0, 0]], [[0]]]", "d x d nested list"),
+        ("optimize", "--unitary-json", "[[[1, 0], [0, 0]]]", "d x d nested list"),
+        ("optimize", "--unitary-json", '[[[1, 0], [0, 0]], [[0, 0], ["1", 0]]]',
+         "d x d nested list"),
+        ("optimize", "--unitary-json", '{"re": 1}', "d x d nested list"),
+        ("optimize", "--unitary-json", "[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]",
+         "matrix is not unitary: residual nan"),
+    ], ids=["spec-missing-key", "spec-list", "spec-string", "spec-float-t", "spec-bool-t",
+            "spec-string-field", "spec-null-field", "spec-truncated", "unitary-ragged",
+            "unitary-not-square", "unitary-string-entry", "unitary-object", "unitary-nan"])
+    def test_malformed_source_file_is_exit_2(self, command, flag, text, message, tmp_path,
+                                             capsys):
+        (tmp_path / "source.json").write_text(text)
+        code, doc = run_cli([command, flag, str(tmp_path / "source.json")], tmp_path)
+        assert code == 2 and doc is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=st.recursive(
+        st.none() | st.booleans() | st.integers(-50, 50) | st.floats(-50.0, 50.0)
+        | st.sampled_from(["rational", "quadratic", "1", ""]),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+            st.sampled_from(["kind", "m1", "p1", "m2", "p2", "g_m", "g_p", "a", "b", "t",
+                             "extra"]), inner, max_size=8),
+        max_leaves=12))
+    @example(doc={"kind": "quadratic", "a": -1, "b": -1, "t": True})
+    @example(doc=[{"kind": "rational"}])
+    def test_any_json_spec_file_is_exit_0_or_2(self, doc):
+        """Whatever JSON value a --spec-json file holds, scan returns 0 or 2: an
+        exception escaping main() is the traceback and exit 1 of a process."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["scan", "--spec-json", str(path), "--k-max", "4"])
+        assert code in (0, 2)
+        assert (code == 2) == err.getvalue().startswith("error: ")
 
     @pytest.mark.parametrize("args", [
         ["analyze", "--spec-json", "{spec}", "--psi", "1/7"],
@@ -357,6 +424,33 @@ class TestSimulate:
         assert code == 0
         assert doc["empirical_rate"] == 0.0
         assert doc["predicted_rate"] == 0.0
+
+    @pytest.mark.parametrize("source,basis,stream,rates", [
+        ("--phi 0.3 --psi 1/3", "computational", "b473271113c7461a",
+         (0.0, 1.60171325191e-16, 1.60171325191e-16)),
+        ("--phi 0.3 --psi 1/3", "x", "88627dbe3762b589",
+         (0.167201355888, 0.165860559097, 0.00134079679136)),
+        ("--phi 0.3 --psi 1/3", "optimized", "88627dbe3762b589",
+         (0.167201355888, 0.165860559097, 0.00134079679136)),
+        ("--psi 0.3", "computational", "b473271113c7461a",
+         (0.0, 1.60171325191e-16, 1.60171325191e-16)),
+        ("--psi 0.3", "x", "672712665b47988c",
+         (0.454596669048, 0.454538851472, 5.78175767431e-05)),
+        ("--psi 0.3", "optimized", "c977b8764b9c1f8b",
+         (0.380692693772, 0.376833661538, 0.00385903223453)),
+    ], ids=["pair-computational", "pair-x", "pair-optimized", "completion-computational",
+            "completion-x", "completion-optimized"])
+    def test_every_basis_at_period_three(self, source, basis, stream, rates, tmp_path):
+        """Outcomes (a sha256 prefix of the stream) and the three rates, pinned
+        for each basis with the optimized basis seeded by --seed; the source
+        --psi 0.3 has theta >= pi/2, where the optimized basis is not x."""
+        code, doc = run_cli(["simulate", *source.split(), "--basis", basis, "--steps", "20000",
+                             "--seed", "5", "--block-len", "4", "--period", "3",
+                             "--out", str(tmp_path / "run")], tmp_path)
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "run.stream").read_bytes()).hexdigest()
+        assert digest[:16] == stream
+        assert (doc["empirical_rate"], doc["predicted_rate"], doc["abs_diff"]) == rates
 
     @pytest.mark.parametrize("steps", ["10", "200"])
     def test_invalid_block_len_is_exit_2_at_any_step_count(self, steps, tmp_path, capsys):
@@ -479,17 +573,17 @@ print(repr((code, gc.get_freeze_count())))
 
 #: The package's public names, in the order of its submodules.
 PUBLIC_NAMES = """
-    EigenphasePair ExactUnitarySpec PHASE_TOL RationalPhase TWO_PI UNITARY_TOL Unitary2
+    EigenphasePair ExactUnitarySpec RationalPhase TWO_PI UNITARY_TOL
     circular_distance eigenphases_of make_su2_from_psi mod_2pi rational_phase_order
-    require_unitary EntropyResult OptimizerOptions PvmBasis TransitionMatrix
+    require_unitary EntropyResult OptimizerOptions PvmBasis
     basis_from_angles eta markov_entropy_rate measurement_probabilities
     pvm_entropy_optimize transition_matrix BOUNDARY_TOL ChaoticityReport
     IdempotencyCapError IdempotencyResult OrderVerdicts SQRT2 VERDICT_LABELS
     boundary_half_width chaotic_order_fraction chaoticity_scan exact_theta_fraction
     first_nonchaotic_order idempotency_order order_verdicts projective_idempotency_order
     qubit_entropy_closed IRRATIONAL_CERTIFIED QuadraticBuildResult QuadraticRecipe
-    QuadraticSeed RATIONAL TraceSequence UNKNOWN build_chaotic_order build_quadratic_unitary
-    build_rational_unitary classify_phase_rationality quadratic_trace_sequence
+    QuadraticSeed RATIONAL UNKNOWN build_chaotic_order build_quadratic_unitary
+    classify_phase_rationality quadratic_trace_sequence
     source_from_json source_to_json CensusResult EntropyRateExperiment
     InsufficientDataError NoiseConfig TrajectoryConfig empirical_entropy_rate
     empirical_transition_matrix entropy_rate_experiment monte_carlo_chaotic_fraction
@@ -541,7 +635,7 @@ class TestImports:
 
     def test_exports_the_public_names(self):
         _, names, listed, unknown = ast.literal_eval(fresh_python("-c", EXPORTS_PROBE).stdout)
-        assert len(PUBLIC_NAMES) == 66
+        assert len(PUBLIC_NAMES) == 61
         assert names == PUBLIC_NAMES  # and each one resolved in the probe
         assert listed and not unknown
 

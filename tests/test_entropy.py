@@ -14,8 +14,6 @@ from qchaos import (
     OptimizerOptions,
     PvmBasis,
     TWO_PI,
-    TransitionMatrix,
-    Unitary2,
     basis_from_angles,
     eta,
     markov_entropy_rate,
@@ -27,12 +25,15 @@ from qchaos import (
 )
 from qchaos.entropy import (
     _NM_BLOCK,
+    _NM_FATOL,
+    _NM_XATOL,
     _batch_objective,
     _nelder_mead,
     _neg_rate_d3,
     _neg_rates_d2,
     qubit_entropy_of_theta,
 )
+from qchaos.phases import unitary_power
 from qchaos.rng import stream_generator
 from helpers import (
     random_orthonormal_basis,
@@ -103,21 +104,20 @@ class TestTheta:
 
 class TestQubitEntropyClosed:
     def test_theta_pi_is_maximal(self):
-        assert qubit_entropy_closed(EigenphasePair(0.0, PI)).value == 1.0
+        assert qubit_entropy_closed(EigenphasePair(0.0, PI)) == 1.0
 
     def test_theta_zero(self):
-        assert qubit_entropy_closed(EigenphasePair(0.0, 0.0)).value == 0.0
+        assert qubit_entropy_closed(EigenphasePair(0.0, 0.0)) == 0.0
 
     def test_theta_pi_third(self):
         res = qubit_entropy_closed(EigenphasePair(0.0, PI / 3))
-        assert res.value == pytest.approx(H_QUARTER, abs=1e-12)
-        assert res.method == "closed_form"
+        assert res == pytest.approx(H_QUARTER, abs=1e-12)
 
     def test_value_range(self):
         rng = np.random.default_rng(9)
         for _ in range(500):
             pair = EigenphasePair(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
-            v = qubit_entropy_closed(pair).value
+            v = qubit_entropy_closed(pair)
             assert 0.0 <= v <= 1.0
 
 
@@ -142,7 +142,7 @@ class TestArrayClosedForm:
         want = np.array(list(map(reference_entropy_of_theta, theta.tolist())))
         assert np.array_equal(qubit_entropy_of_theta(theta).view(np.int64), want.view(np.int64))
         pair = EigenphasePair(0.0, 0.7)
-        assert qubit_entropy_closed(pair).value == reference_entropy_of_theta(0.7)
+        assert qubit_entropy_closed(pair) == reference_entropy_of_theta(0.7)
 
 
 class TestPvmBasis:
@@ -153,8 +153,8 @@ class TestPvmBasis:
     def test_x_basis_columns(self):
         b = PvmBasis.x_basis()
         s = 1 / math.sqrt(2)
-        assert np.allclose(b.column(0), [s, s])
-        assert np.allclose(b.column(1), [s, -s])
+        assert np.allclose(b.vectors[:, 0], [s, s])
+        assert np.allclose(b.vectors[:, 1], [s, -s])
 
 
 class TestMeasurementProbabilities:
@@ -188,17 +188,17 @@ class TestMeasurementProbabilities:
 class TestTransitionMatrix:
     def test_diagonal_unitary_computational_basis(self):
         p = transition_matrix(np.diag([1.0, 1j]), PvmBasis.computational(2))
-        assert np.allclose(p.entries, np.eye(2), atol=1e-15)
+        assert np.allclose(p, np.eye(2), atol=1e-15)
 
     def test_diag_1_i_in_x_basis(self):
         # |<pm| Diag(1, i) |pm>|^2 = |1 +- i|^2 / 4 = 1/2 for every entry
         p = transition_matrix(np.diag([1.0, 1j]), PvmBasis.x_basis())
-        assert np.allclose(p.entries, 0.5, atol=1e-15)
+        assert np.allclose(p, 0.5, atol=1e-15)
 
     def test_pauli_x_is_swap(self):
         p = transition_matrix(np.array([[0, 1], [1, 0]], dtype=complex),
                               PvmBasis.computational(2))
-        assert np.allclose(p.entries, [[0, 1], [1, 0]], atol=1e-15)
+        assert np.allclose(p, [[0, 1], [1, 0]], atol=1e-15)
 
     def test_orientation_is_row_from_column_to(self):
         # U|0> = |0>, U|1> -> |0> would break unitarity; use a rotation instead:
@@ -207,7 +207,7 @@ class TestTransitionMatrix:
         t = 0.1
         u = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]],
                      dtype=complex)
-        p = transition_matrix(u, PvmBasis.computational(2)).entries
+        p = transition_matrix(u, PvmBasis.computational(2))
         assert p[0, 0] == pytest.approx(math.cos(t) ** 2, abs=1e-15)
         assert p[0, 1] == pytest.approx(math.sin(t) ** 2, abs=1e-15)
 
@@ -216,17 +216,13 @@ class TestTransitionMatrix:
         for _ in range(50):
             u = random_unitary(rng)
             b = PvmBasis(random_orthonormal_basis(rng))
-            p = transition_matrix(u, b).entries
+            p = transition_matrix(u, b)
             assert np.max(np.abs(p.sum(axis=0) - 1.0)) <= 1e-10
             assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             transition_matrix(np.eye(3), PvmBasis.computational(2))
-
-    def test_type_rejects_unbalanced(self):
-        with pytest.raises(ValueError):
-            TransitionMatrix(np.array([[0.9, 0.1], [0.5, 0.5]]))
 
 
 class TestMarkovEntropyRate:
@@ -243,7 +239,7 @@ class TestMarkovEntropyRate:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         u = random_unitary(rng)
-        p = transition_matrix(u, PvmBasis.x_basis()).entries
+        p = transition_matrix(u, PvmBasis.x_basis())
         perm = np.array([[0, 1], [1, 0]], dtype=float)
         assert markov_entropy_rate(perm @ p @ perm.T) == pytest.approx(
             markov_entropy_rate(p), abs=1e-15)
@@ -260,9 +256,9 @@ class TestMarkovEntropyRate:
             pair = EigenphasePair(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
             if order_verdicts(pair).theta > PI / 2:
                 continue
-            u = Unitary2.from_pair(pair).matrix
+            u = unitary_power(pair)
             rate = markov_entropy_rate(transition_matrix(u, PvmBasis.x_basis()))
-            assert rate == pytest.approx(qubit_entropy_closed(pair).value, abs=1e-9)
+            assert rate == pytest.approx(qubit_entropy_closed(pair), abs=1e-9)
             checked += 1
 
 
@@ -272,17 +268,9 @@ class TestOptimizer:
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             OptimizerOptions(**{field: 0})
 
-    @pytest.mark.parametrize("xatol", [math.nan, math.inf, -1e-10])
-    def test_options_reject_bad_xatol(self, xatol):
-        # a NaN xatol never passes the convergence test: every restart would
-        # silently run to max_iters
-        with pytest.raises(ValueError, match="xatol must be finite"):
-            OptimizerOptions(xatol=xatol)
-
     def test_identity_gives_zero(self):
         res = pvm_entropy_optimize(np.eye(2), OptimizerOptions(restarts=4))
         assert res.value == pytest.approx(0.0, abs=1e-9)
-        assert res.method == "optimized"
 
     def test_theta_pi_reaches_one_bit(self):
         res = pvm_entropy_optimize(np.diag([1.0, -1.0]), OptimizerOptions(restarts=8))
@@ -299,7 +287,7 @@ class TestOptimizer:
             u = random_unitary(rng)
             pair, _ = eigenphases_of(u)
             res = pvm_entropy_optimize(u, OptimizerOptions(restarts=16, seed=5))
-            assert abs(res.value - qubit_entropy_closed(pair).value) <= 1e-3
+            assert abs(res.value - qubit_entropy_closed(pair)) <= 1e-3
 
     def test_monotone_in_restarts(self):
         u = random_unitary(np.random.default_rng(55))
@@ -362,13 +350,13 @@ class TestNelderMead:
     @given(phi=st.floats(0.0, TWO_PI), psi=st.floats(0.0, TWO_PI),
            seed=st.integers(0, 2 ** 64 - 1))
     def test_d2_random_pairs(self, phi, psi, seed):
-        u = Unitary2.from_pair(EigenphasePair(phi, psi)).matrix
+        u = unitary_power(EigenphasePair(phi, psi))
         self.assert_matches_scipy(u, restart_starts(seed, 2, 2))
 
     def test_golden_theta_pi_third(self):
         # the optimize_theta_pi3 golden case: --phi 0 --psi 1/3 --restarts 8 --seed 1;
         # its restarts stop at different iterations, so rows leave the batch apart
-        u = Unitary2.from_pair(EigenphasePair(0.0, PI / 3)).matrix
+        u = unitary_power(EigenphasePair(0.0, PI / 3))
         nits = self.assert_matches_scipy(u, restart_starts(1, 8, 2))
         assert len(set(nits)) > 1 and max(nits) < 2000
 
@@ -395,8 +383,8 @@ class TestNelderMead:
         opts = OptimizerOptions(restarts=restarts, max_iters=80, seed=11)
         starts = np.array(restart_starts(11, restarts, 2))
         obj = _batch_objective(u)
-        whole = _nelder_mead(obj, starts, opts.xatol, 1e-12, opts.max_iters)
-        blocks = [_nelder_mead(obj, starts[lo:lo + _NM_BLOCK], opts.xatol, 1e-12,
+        whole = _nelder_mead(obj, starts, _NM_XATOL, _NM_FATOL, opts.max_iters)
+        blocks = [_nelder_mead(obj, starts[lo:lo + _NM_BLOCK], _NM_XATOL, _NM_FATOL,
                                opts.max_iters) for lo in range(0, restarts, _NM_BLOCK)]
         assert [len(b[0]) for b in blocks] == [_NM_BLOCK, _NM_BLOCK, 3]
         for got, want in zip(map(np.concatenate, zip(*blocks)), whole):
@@ -447,7 +435,7 @@ def pinned_case(name):
     if kind.startswith("haar"):
         u = random_unitary(np.random.default_rng(int(kind[4:])), int(d[1]))
     else:
-        u = {"golden": Unitary2.from_pair(EigenphasePair(0.0, PI / 3)).matrix,
+        u = {"golden": unitary_power(EigenphasePair(0.0, PI / 3)),
              "identity": np.eye(2), "diag-1-m1": np.diag([1.0, -1.0])}[kind]
     if d == "d2":
         return u, OptimizerOptions(restarts=int(shape[1:]), seed=7)

@@ -14,7 +14,6 @@ from qchaos import (
     RationalPhase,
     TWO_PI,
     UNITARY_TOL,
-    Unitary2,
     circular_distance,
     eigenphases_of,
     make_su2_from_psi,
@@ -22,6 +21,8 @@ from qchaos import (
     order_verdicts,
     rational_phase_order,
 )
+
+from qchaos.phases import unitary_power
 
 from helpers import power_eigenphases, random_unitary
 
@@ -59,7 +60,7 @@ class TestMakeSu2FromPsi:
         rng = np.random.default_rng(11)
         for psi in rng.uniform(-10 * PI, 10 * PI, 1000):
             pair = make_su2_from_psi(psi)
-            assert pair.is_unimodular(tol=1e-12)
+            assert circular_distance(pair.phi + pair.psi, 0.0) <= 1e-12  # det = 1
             assert 0.0 <= pair.phi < TWO_PI and 0.0 <= pair.psi < TWO_PI
 
 
@@ -68,10 +69,6 @@ class TestEigenphasePair:
         pair = EigenphasePair(5 * PI / 2, -PI / 2)
         assert pair.phi == pytest.approx(PI / 2)
         assert pair.psi == pytest.approx(3 * PI / 2)
-
-    def test_swapped(self):
-        pair = EigenphasePair(1.0, 2.0)
-        assert pair.swapped() == EigenphasePair(2.0, 1.0)
 
 
 class TestEigenphasesOf:
@@ -203,7 +200,7 @@ class TestPowerEigenphases:
         rng = np.random.default_rng(23)
         for _ in range(12):
             pair = EigenphasePair(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
-            u = Unitary2.from_pair(pair).matrix
+            u = unitary_power(pair)
             for k in range(1, 65):
                 pk = power_eigenphases(pair, k)
                 mk_pair, _ = eigenphases_of(np.linalg.matrix_power(u, k))
@@ -233,7 +230,7 @@ class TestTraceMagnitude:
         rng = np.random.default_rng(5)
         for _ in range(20):
             pair = EigenphasePair(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
-            u = Unitary2.from_pair(pair).matrix
+            u = unitary_power(pair)
             m = np.eye(2, dtype=complex)
             for k in range(1, 33):
                 m = m @ u  # repeated multiplication, not the phase shortcut
@@ -241,21 +238,10 @@ class TestTraceMagnitude:
                 assert tm == pytest.approx(abs(np.trace(m)), abs=1e-9)
 
 
-class TestUnitary2:
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            Unitary2(np.array([[1, 0], [0, 1.1]], dtype=complex))
-
+class TestPairMatrix:
     def test_from_pair_round_trip(self):
-        pair = EigenphasePair(0.4, 2.8)
-        u = Unitary2.from_pair(pair)
-        back, _ = eigenphases_of(u.matrix)
+        back, _ = eigenphases_of(unitary_power(EigenphasePair(0.4, 2.8)))
         assert sorted([back.phi, back.psi]) == pytest.approx(sorted([0.4, 2.8]), abs=1e-12)
-
-    def test_matrix_is_read_only(self):
-        u = Unitary2.identity()
-        with pytest.raises(ValueError):
-            u.matrix[0, 0] = 0.0
 
 
 class TestExactUnitarySpec:
@@ -266,13 +252,7 @@ class TestExactUnitarySpec:
         with pytest.raises(ValueError, match=f"{field} must be an exact rational phase"):
             ExactUnitarySpec(**kw)
 
-    def test_combined_fractions_include_global(self):
-        spec = ExactUnitarySpec(RationalPhase(1, 4), RationalPhase(5, 4), RationalPhase(1, 4))
-        c1, c2 = spec.combined_fractions()
-        assert (c1, c2) == (0.5, 1.5)
-
     def test_to_unitary_tracks_global_phase(self):
+        # total phases pi/4 + pi/4 = pi/2 and pi/4 + 5*pi/4 = 3*pi/2
         spec = ExactUnitarySpec(RationalPhase(1, 4), RationalPhase(5, 4), RationalPhase(1, 4))
-        u = spec.to_unitary()
-        assert u.global_phase == pytest.approx(PI / 4)
-        assert np.allclose(u.matrix, np.diag([1j, -1j]), atol=1e-15)
+        assert np.allclose(spec.to_unitary(), np.diag([1j, -1j]), atol=1e-15)

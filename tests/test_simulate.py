@@ -1,5 +1,6 @@
 """Trajectory sampling, entropy estimation, census and the noise model."""
 
+import cmath
 import concurrent.futures
 import math
 import os
@@ -20,7 +21,6 @@ from qchaos import (
     RationalPhase,
     TrajectoryConfig,
     TWO_PI,
-    Unitary2,
     VERDICT_LABELS,
     circular_distance,
     empirical_entropy_rate,
@@ -37,7 +37,8 @@ from qchaos import (
 from qchaos.chaoticity import CHAOTIC
 
 from qchaos import simulate
-from qchaos.simulate import CENSUS_CHUNK, unitary_power
+from qchaos.phases import unitary_power
+from qchaos.simulate import CENSUS_CHUNK
 
 from helpers import (
     random_orthonormal_basis,
@@ -100,16 +101,16 @@ class TestSampleTrajectory:
 
     def test_empirical_frequencies_match_exact_matrix(self):
         pair = EigenphasePair(0.0, PI / 3)
-        u = Unitary2.from_pair(pair).matrix
+        u = unitary_power(pair)
         basis = PvmBasis.x_basis()
         out = sample_trajectory(cfg_for(pair, basis, 10 ** 6, seed=17))
         emp = empirical_transition_matrix(out, 2)
-        exact = transition_matrix(u, basis).entries
+        exact = transition_matrix(u, basis)
         assert np.max(np.abs(emp - exact)) < 0.005
 
     def test_period_k_equals_power_chain(self):
         pair = EigenphasePair(0.3, 2.1)
-        u = Unitary2.from_pair(pair).matrix
+        u = unitary_power(pair)
         basis = PvmBasis.x_basis()
         with_period = sample_trajectory(cfg_for(pair, basis, 200000, seed=23, period=3))
         of_power = sample_trajectory(
@@ -122,8 +123,10 @@ class TestSampleTrajectory:
         pair = EigenphasePair(0.3, 2.1)
         spec = ExactUnitarySpec(RationalPhase(1, 3), RationalPhase(5, 7), RationalPhase(1, 4))
         u3 = random_unitary(np.random.default_rng(5), 3)
-        assert np.array_equal(unitary_power(pair), Unitary2.from_pair(pair).matrix)
-        assert np.array_equal(unitary_power(spec), spec.to_unitary().matrix)
+        # built with cmath.exp, which np.exp does not match bit for bit
+        assert np.array_equal(unitary_power(pair),
+                              np.diag([cmath.exp(1j * pair.phi), cmath.exp(1j * pair.psi)]))
+        assert np.array_equal(unitary_power(spec), spec.to_unitary())
         assert np.array_equal(unitary_power(u3), u3)
         assert np.abs(unitary_power(u3, 5) - np.linalg.matrix_power(u3, 5)).max() < 1e-14
 
@@ -137,7 +140,7 @@ class TestSampleTrajectory:
     @pytest.mark.parametrize("period", [10 ** 5, 10 ** 9, 10 ** 15])
     def test_large_period_pair_matches_the_kernel(self, period):
         pair = EigenphasePair(0.3 * PI, 1.1 * PI)
-        m = unitary_power(pair, period)  # Unitary2 checks unitarity
+        m = unitary_power(pair, period)
         kernel = order_verdicts(pair, period)
         assert abs(abs(np.trace(m)) - float(kernel.trace_mag)) < 1e-12
 
@@ -225,7 +228,7 @@ class TestSamplerMatchesPerStepLoop:
         rng = np.random.default_rng(seed)
         pair = EigenphasePair(*rng.uniform(0.0, TWO_PI, 2))
         basis = PvmBasis(random_orthonormal_basis(rng)) if seed % 2 else PvmBasis.x_basis()
-        cum = np.cumsum(transition_matrix(Unitary2.from_pair(pair).matrix, basis).entries, axis=1)
+        cum = np.cumsum(transition_matrix(unitary_power(pair), basis), axis=1)
         t0, t1 = cum[0, 0], cum[1, 0]
         values = np.array([t0, t1, np.nextafter(t0, 0.0), np.nextafter(t1, 1.0), 0.0, 0.5])
         draws = rng.choice(values, 4000)
@@ -496,7 +499,7 @@ class TestStreamKeys:
 class TestEntropyRateExperiment:
     def test_theta_pi_third_x_basis(self):
         pair = EigenphasePair(0.0, PI / 3)
-        res = entropy_rate_experiment(pair, "x_basis", 10 ** 6, 8, seed=31)
+        res = entropy_rate_experiment(pair, "x", 10 ** 6, 8, seed=31)
         assert res.predicted == pytest.approx(0.811278, abs=1e-6)
         assert abs(res.empirical - 0.811278) < 0.01
         assert res.abs_diff == pytest.approx(abs(res.empirical - res.predicted))
@@ -505,7 +508,7 @@ class TestEntropyRateExperiment:
         # at theta = pi the x-basis chain is deterministic alternation; the
         # 1-bit maximum needs the suitably chosen (optimized) basis instead
         pair = EigenphasePair(0.0, PI)
-        res = entropy_rate_experiment(pair, "x_basis", 10 ** 5, 6, seed=37)
+        res = entropy_rate_experiment(pair, "x", 10 ** 5, 6, seed=37)
         assert res.predicted == pytest.approx(0.0, abs=1e-12)
         assert res.empirical == 0.0
 
@@ -517,7 +520,7 @@ class TestEntropyRateExperiment:
 
     def test_identity_is_silent(self):
         pair = EigenphasePair(0.0, 0.0)
-        res = entropy_rate_experiment(pair, "x_basis", 30000, 4, seed=41)
+        res = entropy_rate_experiment(pair, "x", 30000, 4, seed=41)
         assert res.empirical == 0.0
         assert res.predicted == pytest.approx(0.0, abs=1e-12)
 
@@ -527,9 +530,22 @@ class TestEntropyRateExperiment:
         assert res.predicted == pytest.approx(0.8112781244591328, abs=1e-6)
         assert res.abs_diff < 0.02
 
-    def test_rejects_unknown_basis(self):
-        with pytest.raises(ValueError, match="basis_choice"):
-            entropy_rate_experiment(EigenphasePair(0.0, PI), "z", 1000, 2, seed=0)
+    @pytest.mark.parametrize("basis", ["z", "x_basis", "X"])
+    def test_rejects_unknown_basis(self, basis):
+        with pytest.raises(ValueError, match="basis must be one of computational, x, optimized"):
+            entropy_rate_experiment(EigenphasePair(0.0, PI), basis, 1000, 2, seed=0)
+
+    @pytest.mark.parametrize("basis", ["computational", "x", "optimized"])
+    def test_short_run_has_no_estimate(self, basis):
+        """Below 100 * 2^L steps the outcomes are sampled and the rate
+        predicted, but there is no block estimate and so no difference."""
+        pair = EigenphasePair(0.3, 2.1)
+        short = entropy_rate_experiment(pair, basis, 100 * 2 ** 4 - 1, 4, seed=3, period=2)
+        full = entropy_rate_experiment(pair, basis, 100 * 2 ** 4, 4, seed=3, period=2)
+        assert short.empirical is None and short.abs_diff is None
+        assert short.predicted == full.predicted
+        assert np.array_equal(short.outcomes, full.outcomes[:-1])
+        assert full.abs_diff == abs(full.empirical - full.predicted)
 
 
 class TestWriteTrajectoryOutputs:
