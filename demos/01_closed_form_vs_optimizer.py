@@ -10,7 +10,6 @@ import numpy as np
 
 from qchaos import (
     EigenphasePair,
-    OptimizerOptions,
     PvmBasis,
     eigenphases_of,
     markov_entropy_rate,
@@ -28,14 +27,13 @@ def random_unitary(rng, d=2):
 
 
 rng = np.random.default_rng(1)
-opts = OptimizerOptions(restarts=16, seed=0)
 
 print("theta/pi   closed form   optimizer     |diff|")
 for _ in range(8):
     u = random_unitary(rng)
     pair, _ = eigenphases_of(u)
     closed = qubit_entropy_closed(pair)
-    found = pvm_entropy_optimize(u, opts)
+    found = pvm_entropy_optimize(u, restarts=16, seed=0)
     print(f"{order_verdicts(pair).theta / np.pi:8.4f}   {closed:.9f}   {found.value:.9f}"
           f"   {abs(closed - found.value):.2e}")
 
@@ -44,7 +42,7 @@ for _ in range(8):
 # swap chain, while the optimal basis sits at pi/8 and yields the fair coin:
 z = np.diag([1.0, -1.0])
 swap_rate = markov_entropy_rate(transition_matrix(z, PvmBasis.x_basis()))
-best = pvm_entropy_optimize(z, opts)
+best = pvm_entropy_optimize(z, restarts=16, seed=0)
 best_chain = transition_matrix(z, best.optimal_basis)
 print(f"\nPauli Z in the x basis:   rate = {swap_rate:.6f} (deterministic swap)")
 print(f"Pauli Z, optimized basis: rate = {best.value:.6f}")
@@ -56,6 +54,6 @@ assert abs(achieved - best.value) < 1e-9
 
 # d = 3 works the same way, just without a closed form to compare against.
 u3 = random_unitary(rng, d=3)
-found3 = pvm_entropy_optimize(u3, OptimizerOptions(restarts=12, seed=2))
+found3 = pvm_entropy_optimize(u3, restarts=12, seed=2)
 print(f"\nrandom d=3 unitary: best-found rate = {found3.value:.6f} bits "
       f"(max possible log2(3) = {np.log2(3):.6f})")

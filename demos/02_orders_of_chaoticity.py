@@ -39,18 +39,18 @@ show("Pauli X (phases 0, pi): chaotic at odd K only",
 spec, p2 = build_chaotic_order(5)
 print(f"\norder-5 construction: psi = pi/{p2}, phi = {spec.phase1}")
 show("its scan (note K = 5)", chaoticity_scan(spec, 10))
-print("strict idempotency order:", idempotency_order(spec).order)
+print("strict idempotency order:", idempotency_order(spec))
 
 # Arbitrary idempotency orders from rational phases.  The global phase matters
 # for the strict order: these two are the classic order-4 and order-8 examples.
 d4 = ExactUnitarySpec(RationalPhase(1, 4), RationalPhase(5, 4), RationalPhase(1, 4))
 d8 = ExactUnitarySpec(RationalPhase(1, 32), RationalPhase(17, 32), RationalPhase(23, 32))
 for name, spec in [("D4", d4), ("D8", d8)]:
-    res = idempotency_order(spec)
-    print(f"\n{name}: strict order {res.order}, "
+    order = idempotency_order(spec)
+    print(f"\n{name}: strict order {order}, "
           f"projective order {projective_idempotency_order(spec)}, "
-          f"lcm of inner denominators {res.inner_denominator_lcm}")
-    show(f"{name} scan", chaoticity_scan(spec, res.order))
+          f"lcm of inner denominators {math.lcm(spec.phase1.p, spec.phase2.p)}")
+    show(f"{name} scan", chaoticity_scan(spec, order))
 
 # Idempotency of order n forces H_K = 0 at every multiple of n: U^n = I has
 # trace magnitude exactly 2, the scans above show it landing on 2.0 exactly.

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from qchaos import (
-    NoiseConfig,
     VERDICT_LABELS,
     make_su2_from_psi,
     monte_carlo_chaotic_fraction,
@@ -35,7 +34,7 @@ assert again == monte_carlo_chaotic_fraction(10 ** 5, seed=1)
 
 def walk_summary(psi_over_pi, eps, steps=2000, seed=5):
     base = make_su2_from_psi(psi_over_pi * math.pi)
-    walk = noisy_phase_walk(base, NoiseConfig(epsilon=eps, steps=steps, seed=seed))
+    walk = noisy_phase_walk(base, eps, steps, seed)
     counts = np.bincount(walk.codes, minlength=len(VERDICT_LABELS))
     return {label: int(n) for label, n in zip(VERDICT_LABELS, counts) if n}
 

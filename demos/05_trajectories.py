@@ -11,7 +11,6 @@ import numpy as np
 from qchaos import (
     EigenphasePair,
     PvmBasis,
-    TrajectoryConfig,
     empirical_entropy_rate,
     empirical_transition_matrix,
     entropy_rate_experiment,
@@ -29,7 +28,7 @@ u = unitary_power(pair)  # Diag(e^{i phi}, e^{i psi})
 basis = PvmBasis.x_basis()
 print("exact transition matrix:\n", transition_matrix(u, basis))
 
-out = sample_trajectory(TrajectoryConfig(pair, basis, steps=10 ** 6, seed=31))
+out = sample_trajectory(pair, basis, steps=10 ** 6, seed=31)
 print("empirical frequencies:\n", np.round(empirical_transition_matrix(out, 2), 4))
 
 res = entropy_rate_experiment(pair, "x", 10 ** 6, 8, seed=31)
@@ -40,16 +39,15 @@ print(f"entropy rate: empirical {res.empirical:.6f} vs predicted "
 # measured every second step it freezes entirely, since X^2 = I.
 x = np.array([[0, 1], [1, 0]], dtype=complex)
 comp = PvmBasis.computational(2)
-every = sample_trajectory(TrajectoryConfig(x, comp, steps=30000, seed=3, initial=0))
-skip = sample_trajectory(TrajectoryConfig(x, comp, steps=30000, seed=3, period=2))
+every = sample_trajectory(x, comp, steps=30000, seed=3, initial=0)
+skip = sample_trajectory(x, comp, steps=30000, seed=3, period=2)
 print(f"\nPauli X, K=1: first outcomes {every[:8].tolist()} ... "
       f"rate = {empirical_entropy_rate(every, 4):.3f}")
 print(f"Pauli X, K=2: first outcomes {skip[:8].tolist()} ... "
       f"rate = {empirical_entropy_rate(skip, 4):.3f}")
 
 # A chaotic unitary with the right basis is a fair coin:
-coin = sample_trajectory(TrajectoryConfig(np.diag([1.0, 1j]), basis,
-                                          steps=10 ** 6, seed=7))
+coin = sample_trajectory(np.diag([1.0, 1j]), basis, steps=10 ** 6, seed=7)
 print(f"\nDiag(1, i) in the x basis: mean outcome {coin.mean():.4f}, "
       f"rate = {empirical_entropy_rate(coin, 8):.4f} bits/step")
 print("predicted:", markov_entropy_rate(transition_matrix(np.diag([1.0, 1j]), basis)))

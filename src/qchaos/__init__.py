@@ -21,10 +21,10 @@ _SUBMODULE = {name: module for module, names in (
     ("phases", "EigenphasePair ExactUnitarySpec RationalPhase TWO_PI UNITARY_TOL "
                "circular_distance eigenphases_of make_su2_from_psi mod_2pi "
                "rational_phase_order require_unitary"),
-    ("entropy", "EntropyResult OptimizerOptions PvmBasis basis_from_angles eta "
+    ("entropy", "EntropyResult PvmBasis basis_from_angles eta "
                 "markov_entropy_rate measurement_probabilities pvm_entropy_optimize "
                 "transition_matrix"),
-    ("chaoticity", "BOUNDARY_TOL ChaoticityReport IdempotencyCapError IdempotencyResult "
+    ("chaoticity", "BOUNDARY_TOL ChaoticityReport IdempotencyCapError "
                    "OrderVerdicts SQRT2 VERDICT_LABELS boundary_half_width "
                    "chaotic_order_fraction chaoticity_scan exact_theta_fraction "
                    "first_nonchaotic_order idempotency_order order_verdicts "
@@ -33,8 +33,8 @@ _SUBMODULE = {name: module for module, names in (
                       "QuadraticSeed RATIONAL UNKNOWN build_chaotic_order "
                       "build_quadratic_unitary classify_phase_rationality "
                       "quadratic_trace_sequence source_from_json source_to_json"),
-    ("simulate", "CensusResult EntropyRateExperiment InsufficientDataError NoiseConfig "
-                 "TrajectoryConfig empirical_entropy_rate empirical_transition_matrix "
+    ("simulate", "CensusResult EntropyRateExperiment InsufficientDataError "
+                 "empirical_entropy_rate empirical_transition_matrix "
                  "entropy_rate_experiment monte_carlo_chaotic_fraction noisy_phase_walk "
                  "sample_trajectory write_trajectory_outputs"),
     ("rng", "stream_generator"),

@@ -8,15 +8,14 @@ pairs within ``boundary_half_width(K)`` of sqrt(2) are ``boundary``, and
 ``boundary`` never counts as chaotic.
 
 Idempotency (U^n = I, strictly, global phase included) is decidable only for
-exact rational phases; floating pairs are never declared idempotent.
+exact rational phases: ``idempotency_order`` returns n as an int, as
+``projective_idempotency_order`` does for U^n proportional to I.  Floating
+pairs are never declared idempotent.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -167,8 +166,7 @@ def qubit_entropy_closed(pair: EigenphasePair) -> float:
     return float(qubit_entropy_of_theta(order_verdicts(pair).theta))
 
 
-@dataclass(frozen=True)
-class ChaoticityReport:
+class ChaoticityReport(NamedTuple):
     """Per-order columns for K = 1..K_max: theta_K, H_K, |tr U^K| and verdict codes."""
 
     theta: np.ndarray
@@ -183,6 +181,9 @@ class ChaoticityReport:
                 "verdict": list(map(VERDICT_LABELS.__getitem__, self.codes.tolist()))}
 
     def to_csv(self) -> str:
+        import csv  # only --csv writes one, so the CLI's import path skips csv and io
+        import io
+
         cols = self.columns()
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -208,31 +209,21 @@ class IdempotencyCapError(ValueError):
         super().__init__(f"idempotency order {order} exceeds cap {cap}")
 
 
-@dataclass(frozen=True)
-class IdempotencyResult:
-    """Either a strict order n (U^n = I exactly) or a non-idempotency reason."""
-
-    order: int | None
-    reason: str | None = None
-    inner_denominator_lcm: int | None = None
-
-
-def idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000) -> IdempotencyResult:
+def idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000) -> int:
     """Exact minimal n with U^n = I, global phase included.
 
     n is the lcm of the orders of the two total eigenvalue phases; minimality
-    is inherited from the componentwise minimal orders.  The lcm of the inner
-    denominators is reported alongside, since for 1*pi/p phases with large
-    prime p it is the commonly quoted order even though the strict order can
-    differ by the global-phase contribution.
+    is inherited from the componentwise minimal orders.  For 1*pi/p phases
+    with large prime p the commonly quoted order is the lcm of the inner
+    denominators, which the strict order can differ from by the global-phase
+    contribution; ``analyze`` reports both.
     """
     require_count("n_cap", n_cap)
     g = spec.global_phase
     order = math.lcm(rational_phase_order(g + spec.phase1), rational_phase_order(g + spec.phase2))
     if order > n_cap:
         raise IdempotencyCapError(order, n_cap)
-    return IdempotencyResult(order=order,
-                             inner_denominator_lcm=math.lcm(spec.phase1.p, spec.phase2.p))
+    return order
 
 
 def projective_idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000) -> int:

@@ -49,7 +49,6 @@ import numpy as np
 from . import __version__
 from .chaoticity import (
     VERDICT_LABELS,
-    IdempotencyResult,
     chaoticity_scan,
     idempotency_order,
     projective_idempotency_order,
@@ -66,7 +65,7 @@ from .constructions import (
     source_from_json,
     source_to_json,
 )
-from .entropy import OptimizerOptions, pvm_entropy_optimize
+from .entropy import pvm_entropy_optimize
 from .jsontext import Rows, dumps
 from .phases import (
     EigenphasePair,
@@ -81,7 +80,6 @@ from .phases import (
 )
 from .simulate import (
     _BASIS_CHOICES,
-    NoiseConfig,
     entropy_rate_experiment,
     monte_carlo_chaotic_fraction,
     noisy_phase_walk,
@@ -185,16 +183,19 @@ def _analysis_body(source, k_max: int, n_cap: int) -> dict:
     pair = source.pair()  # builds a quadratic recipe, which raises if it is invalid
     rationality = classify_phase_rationality(source)
     exact = rationality == RATIONAL  # an exact spec: the quadratic build rejects the rest
-    idem = (idempotency_order(source, n_cap) if exact
-            else IdempotencyResult(order=None, reason=_NO_ORDER_REASON[rationality]))
+    if exact:  # the strict order first: its IdempotencyCapError is the one raised
+        idem = {"order": idempotency_order(source, n_cap), "reason": None,
+                "inner_denominator_lcm": math.lcm(source.phase1.p, source.phase2.p)}
+    else:
+        idem = {"order": None, "reason": _NO_ORDER_REASON[rationality],
+                "inner_denominator_lcm": None}
     projective = projective_idempotency_order(source, n_cap) if exact else None
     report = chaoticity_scan(source, k_max)
     body = {
         "input": _source_doc(source),
         "phases": {"phi": pair.phi, "psi": pair.psi},
         "rationality": rationality,
-        "idempotency": {"order": idem.order, "reason": idem.reason,
-                        "inner_denominator_lcm": idem.inner_denominator_lcm},
+        "idempotency": idem,
         "projective_order": projective,
         "entropy_bits": qubit_entropy_closed(pair),
         "scan": Rows(report.columns()),
@@ -264,7 +265,7 @@ def cmd_census(args) -> int:
     # contractually identical across --threads, so it stays out of the manifest
     doc = {
         "manifest": _manifest("census", {"n": args.n}, args.seed),
-        "census": result.to_json(),
+        "census": result._asdict(),
     }
     _emit(doc, args)
     return 0
@@ -293,8 +294,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_noise(args) -> int:
     pair = resolve_source(args).pair()
-    cfg = NoiseConfig(epsilon=args.epsilon, steps=args.steps, seed=args.seed)
-    walk = noisy_phase_walk(pair, cfg)
+    walk = noisy_phase_walk(pair, args.epsilon, args.steps, args.seed)
     counts = dict(zip(VERDICT_LABELS,
                       np.bincount(walk.codes, minlength=len(VERDICT_LABELS)).tolist()))
     doc = {
@@ -321,9 +321,7 @@ def cmd_optimize(args) -> int:
         raise ValueError(f"match-tol must be finite and >= 0, got {args.match_tol}")
     source = resolve_source(args)  # --unitary-json resolves to the matrix itself
     u = source if isinstance(source, np.ndarray) else unitary_power(source.pair())
-    opts = OptimizerOptions(restarts=args.restarts, max_iters=args.max_iters,
-                            seed=args.seed)
-    result = pvm_entropy_optimize(u, opts)
+    result = pvm_entropy_optimize(u, args.restarts, args.max_iters, args.seed)
     body = {
         "d": u.shape[0],
         "value_bits": result.value,

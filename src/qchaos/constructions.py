@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .chaoticity import CHAOTIC, order_verdicts
 from .phases import EigenphasePair, ExactUnitarySpec, RationalPhase, require_count
@@ -89,8 +90,7 @@ def quadratic_trace_sequence(seed: QuadraticSeed, t_max: int) -> tuple[int, ...]
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class QuadraticBuildResult:
+class QuadraticBuildResult(NamedTuple):
     """A constructed pair plus its series classification."""
 
     pair: EigenphasePair

@@ -16,7 +16,8 @@ theta = min(|phi - psi|, 2*pi - |phi - psi|):
 
 For general small d the maximum is estimated by multi-start derivative-free
 ascent over a plane-rotation parametrization of the basis, every start
-advanced in lock-step as arrays.
+advanced in lock-step as arrays (``pvm_entropy_optimize``, whose restart
+count, iteration cap and seed are plain arguments).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +69,7 @@ class PvmBasis:
             raise ValueError(f"basis must be a square column matrix, got shape {v.shape}")
         gram = v.conj().T @ v
         err = np.max(np.abs(gram - np.eye(v.shape[0])))
-        if err > GRAM_TOL:
+        if not err <= GRAM_TOL:  # also true for a NaN
             raise ValueError(f"basis is not orthonormal: Gram residual {err:.3e}")
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
@@ -87,19 +89,11 @@ class PvmBasis:
         return cls(np.array([[s, s], [s, -s]], dtype=complex))
 
 
-@dataclass(frozen=True)
-class EntropyResult:
-    """Entropy rate in bits per step, with the achieving basis when optimized."""
+class EntropyResult(NamedTuple):
+    """Best-found entropy rate in bits per step, in [0, log2 d], and its basis."""
 
     value: float
-    optimal_basis: PvmBasis | None = None
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise ValueError(f"entropy must be nonnegative, got {self.value}")
-        if self.optimal_basis is not None and self.optimal_basis.d == 2:
-            if self.value > 1.0 + 1e-9:
-                raise ValueError(f"qubit entropy cannot exceed 1 bit, got {self.value}")
+    optimal_basis: PvmBasis
 
 
 def qubit_entropy_of_theta(theta: np.ndarray) -> np.ndarray:
@@ -121,9 +115,9 @@ def require_density_matrix(rho, tol: float = GRAM_TOL) -> np.ndarray:
     r = np.asarray(rho, dtype=complex)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {r.shape}")
-    if np.max(np.abs(r - r.conj().T)) > tol:
+    if not np.max(np.abs(r - r.conj().T)) <= tol:  # also true for a NaN
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(r).real - 1.0) > tol:
+    if not abs(np.trace(r).real - 1.0) <= tol:
         raise ValueError(f"density matrix trace is {np.trace(r).real}, expected 1")
     if np.linalg.eigvalsh(r).min() < -tol:
         raise ValueError("density matrix is not positive semidefinite")
@@ -160,26 +154,13 @@ def markov_entropy_rate(p) -> float:
     entries = np.asarray(p, dtype=float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("transition matrix must be square")
-    if (np.max(np.abs(entries.sum(axis=1) - 1.0)) > STOCHASTIC_TOL
-            or np.max(np.abs(entries.sum(axis=0) - 1.0)) > STOCHASTIC_TOL):
+    if not (np.max(np.abs(entries.sum(axis=1) - 1.0)) <= STOCHASTIC_TOL
+            and np.max(np.abs(entries.sum(axis=0) - 1.0)) <= STOCHASTIC_TOL):  # NaN fails
         raise ValueError("matrix is not doubly stochastic within 1e-8")
     if entries.min() < -ETA_CLAMP:
         raise ValueError("transition probabilities must be nonnegative")
     d = entries.shape[0]
     return min(sum(map(eta, entries.ravel().tolist())) / d, math.log2(d))
-
-
-@dataclass(frozen=True)
-class OptimizerOptions:
-    """Knobs for the PVM entropy maximizer (Eq-level defaults, all overridable)."""
-
-    restarts: int = 32
-    max_iters: int = 2000
-    seed: int = 0
-
-    def __post_init__(self):
-        require_count("restarts", self.restarts)
-        require_count("max_iters", self.max_iters)
 
 
 # Plane pairs acted on by successive Givens-with-phase factors, per dimension.
@@ -382,19 +363,22 @@ def _nelder_mead(f, x0, xatol: float, fatol: float, max_iters: int):
     return fun, x, nfev, nit
 
 
-def pvm_entropy_optimize(u, opts: OptimizerOptions | None = None) -> EntropyResult:
+def pvm_entropy_optimize(u, restarts: int = 32, max_iters: int = 2000,
+                         seed: int = 0) -> EntropyResult:
     """Best-found PVM entropy rate (1/d) max_V sum eta(|(V^dag U V)_jl|^2).
 
     Multi-start Nelder-Mead on the plane-rotation angles: the objective is
     non-smooth where transition probabilities hit 0, so derivative-free
     descent is the robust choice at this dimension.  Restart r draws its
-    start from a counter-based stream keyed by (opts.seed, r), so the best
-    value can only grow as restarts increase.  ``_nelder_mead`` (scipy's
-    algorithm) advances up to _NM_BLOCK restarts in lock-step as arrays; the
-    d = 2 objective is array code, the d = 3 one plain Python floats mapped
-    over the batch's rows.  Best-found, not certified-global.
+    start from a counter-based stream keyed by (seed, r), so the best value
+    can only grow as restarts increase; each start runs at most max_iters
+    iterations.  ``_nelder_mead`` (scipy's algorithm) advances up to
+    _NM_BLOCK restarts in lock-step as arrays; the d = 2 objective is array
+    code, the d = 3 one plain Python floats mapped over the batch's rows.
+    Best-found, not certified-global.
     """
-    opts = opts or OptimizerOptions()
+    require_count("restarts", restarts)
+    require_count("max_iters", max_iters)
     m = require_unitary(u)
     d = m.shape[0]
     if d not in _PLANES:
@@ -402,10 +386,10 @@ def pvm_entropy_optimize(u, opts: OptimizerOptions | None = None) -> EntropyResu
     n_params = d * (d - 1)
     neg = _batch_objective(m)
     best_value, best_x = -1.0, None
-    for lo in range(0, opts.restarts, _NM_BLOCK):
-        x0 = np.array([stream_generator(opts.seed, r).uniform(0.0, TWO_PI, n_params)
-                       for r in range(lo, min(lo + _NM_BLOCK, opts.restarts))])
-        fun, xs, _, _ = _nelder_mead(neg, x0, _NM_XATOL, _NM_FATOL, opts.max_iters)
+    for lo in range(0, restarts, _NM_BLOCK):
+        x0 = np.array([stream_generator(seed, r).uniform(0.0, TWO_PI, n_params)
+                       for r in range(lo, min(lo + _NM_BLOCK, restarts))])
+        fun, xs, _, _ = _nelder_mead(neg, x0, _NM_XATOL, _NM_FATOL, max_iters)
         for f, x in zip(fun.tolist(), xs):  # the earliest restart wins ties
             if -f > best_value:
                 best_value, best_x = -f, x

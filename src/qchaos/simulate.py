@@ -6,12 +6,13 @@ samples such trajectories reproducibly from counter-based streams keyed by the
 caller's seed (a qubit's with array code, larger d step by step), estimates
 entropy rates with a plug-in conditional block estimator (the one pipeline of
 basis, samples, estimate and prediction is ``entropy_rate_experiment``, with
-the bases "computational", "x" and "optimized"), runs the
-uniform-phase chaoticity census, and applies the phase-noise model that perturbs
-(phi, psi) to (phi + lambda, psi - lambda), returned as arrays.  The noise
-walk takes its verdicts from ``chaoticity.order_verdicts``; the census counts
-them through ``chaoticity._chaotic_count``, an edge test on the folded phase
-that calls the kernel only within 1e-12 of the edge, with the same count.
+the bases "computational", "x" and "optimized"), runs the uniform-phase
+chaoticity census, and applies the phase-noise model that perturbs (phi, psi)
+to (phi + lambda, psi - lambda), returned as arrays.  Every routine takes
+plain arguments, and ``stream_generator`` is the one check of a seed.  The
+noise walk takes its verdicts from ``chaoticity.order_verdicts``; the census
+counts them through ``chaoticity._chaotic_count``, an edge test on the folded
+phase that calls the kernel only within 1e-12 of the edge, with the same count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import bisect
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -27,7 +27,6 @@ import numpy as np
 
 from .chaoticity import _chaotic_count, order_verdicts
 from .entropy import (
-    OptimizerOptions,
     PvmBasis,
     measurement_probabilities,
     markov_entropy_rate,
@@ -54,47 +53,28 @@ def _integer_symbols(sequence) -> np.ndarray:
     return s
 
 
-@dataclass(frozen=True)
-class TrajectoryConfig:
-    """One measured-evolution run: measure ``basis`` after every ``period``
-    applications of the unitary, ``steps`` measurements in total.
+def _initial_distribution(initial, basis: PvmBasis) -> np.ndarray:
+    d = basis.d
+    if initial is None:
+        rho = np.eye(d, dtype=complex) / d
+    elif isinstance(initial, (int, np.integer)):
+        if not 0 <= int(initial) < d:
+            raise ValueError(f"initial basis index {initial} out of range for d={d}")
+        v = basis.vectors[:, int(initial)]
+        rho = np.outer(v, v.conj())
+    else:
+        rho = np.asarray(initial, dtype=complex)
+    return measurement_probabilities(rho, basis)
+
+
+def sample_trajectory(unitary, basis: PvmBasis, steps: int, seed: int, period: int = 1,
+                      initial=None) -> np.ndarray:
+    """Outcome indices of measuring ``basis`` after every ``period`` applications
+    of the unitary, ``steps`` measurements in all; bit-identical per arguments.
 
     ``initial`` is a basis index, a density matrix, or None for the maximally
     mixed state (the stationary start of any doubly stochastic chain).  The
-    seed is mandatory; the draws come from the stream keyed (seed, 0), and
-    there is no ambient randomness anywhere.
-    """
-
-    unitary: object
-    basis: PvmBasis
-    steps: int
-    seed: int
-    period: int = 1
-    initial: object = None
-
-    def __post_init__(self):
-        require_count("steps", self.steps)
-        require_count("period", self.period)
-        if not isinstance(self.seed, int):
-            raise ValueError("seed is mandatory and must be an integer")
-
-
-def _initial_distribution(cfg: TrajectoryConfig, d: int) -> np.ndarray:
-    if cfg.initial is None:
-        rho = np.eye(d, dtype=complex) / d
-    elif isinstance(cfg.initial, (int, np.integer)):
-        if not 0 <= int(cfg.initial) < d:
-            raise ValueError(f"initial basis index {cfg.initial} out of range for d={d}")
-        v = cfg.basis.vectors[:, int(cfg.initial)]
-        rho = np.outer(v, v.conj())
-    else:
-        rho = np.asarray(cfg.initial, dtype=complex)
-    return measurement_probabilities(rho, cfg.basis)
-
-
-def sample_trajectory(cfg: TrajectoryConfig) -> np.ndarray:
-    """Outcome indices of the measured dynamics; bit-identical per (config, seed).
-
+    draws come from the stream keyed (seed, 0); there is no ambient randomness.
     The first outcome is a measurement of the initial state; every later one
     follows the chain P_{i->j} = |<phi_j|U^period|phi_i>|^2: the first j with
     u_i < cum_{x,j}, for uniform u_i and previous outcome x.  For a qubit each
@@ -103,18 +83,20 @@ def sample_trajectory(cfg: TrajectoryConfig) -> np.ndarray:
     one) XOR the parity of the flips since.  The array code makes the per-step
     loop's float comparisons, so it gives the same stream.
     """
-    u_eff = unitary_power(cfg.unitary, cfg.period)
+    require_count("steps", steps)
+    require_count("period", period)
+    u_eff = unitary_power(unitary, period)
     d = u_eff.shape[0]
-    if d != cfg.basis.d:
-        raise ValueError(f"unitary dimension {d} != basis dimension {cfg.basis.d}")
-    p = transition_matrix(u_eff, cfg.basis)
+    if d != basis.d:
+        raise ValueError(f"unitary dimension {d} != basis dimension {basis.d}")
+    p = transition_matrix(u_eff, basis)
 
-    cum0 = np.cumsum(_initial_distribution(cfg, d))
+    cum0 = np.cumsum(_initial_distribution(initial, basis))
     cum0[-1] = 1.0
     cum = np.cumsum(p, axis=1)
     cum[:, -1] = 1.0
 
-    uniforms = stream_generator(cfg.seed).random(cfg.steps)
+    uniforms = stream_generator(seed).random(steps)
     x = int(np.searchsorted(cum0, uniforms[0], side="right"))
     if d == 2:
         after0 = uniforms >= cum[0, 0]  # the next outcome when the last one is 0
@@ -127,11 +109,11 @@ def sample_trajectory(cfg: TrajectoryConfig) -> np.ndarray:
         jumps = np.zeros_like(parity)
         jumps[const] = held
         return np.bitwise_xor.accumulate(jumps) ^ parity
-    out = np.empty(cfg.steps, dtype=np.uint8)
+    out = np.empty(steps, dtype=np.uint8)
     out[0] = x
     ul = uniforms.tolist()
     rows = [row.tolist() for row in cum]
-    for i in range(1, cfg.steps):
+    for i in range(1, steps):
         x = bisect.bisect_right(rows[x], ul[i])
         out[i] = x
     return out
@@ -189,18 +171,13 @@ def empirical_entropy_rate(sequence, block_len: int,
     return max(0.0, h_hi - h_lo)
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     """Uniform-psi chaoticity census with its 3-sigma binomial half-width."""
 
     n_trials: int
     chaotic_count: int
     fraction: float
     half_width_3sigma: float
-
-    def to_json(self) -> dict:
-        return {"n_trials": self.n_trials, "chaotic_count": self.chaotic_count,
-                "fraction": self.fraction, "half_width_3sigma": self.half_width_3sigma}
 
 
 def _census_chunk(seed: int, chunk: int, buf: np.ndarray) -> int:
@@ -244,22 +221,6 @@ def monte_carlo_chaotic_fraction(n_trials: int, seed: int,
                         3.0 * math.sqrt(0.25 / n_trials))
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Uniform phase noise of half-width epsilon*pi, one draw per step from stream (seed, 0)."""
-
-    epsilon: float
-    steps: int
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 <= 2.0 * math.pi * self.epsilon < math.inf:  # the draw's range; NaN fails
-            raise ValueError(f"epsilon must be >= 0 with 2*pi*epsilon finite, got {self.epsilon}")
-        require_count("steps", self.steps)
-        if not isinstance(self.seed, int):
-            raise ValueError("seed is mandatory and must be an integer")
-
-
 class NoiseWalk(NamedTuple):
     """Per-step phases, |tr| and verdict codes (indices into VERDICT_LABELS)."""
 
@@ -269,15 +230,18 @@ class NoiseWalk(NamedTuple):
     codes: np.ndarray
 
 
-def noisy_phase_walk(base: EigenphasePair, cfg: NoiseConfig) -> NoiseWalk:
+def noisy_phase_walk(base: EigenphasePair, epsilon: float, steps: int, seed: int) -> NoiseWalk:
     """Per-step perturbed phases ((phi+lambda) mod 2*pi, (psi-lambda) mod 2*pi).
 
-    lambda is drawn uniformly from [-epsilon*pi, epsilon*pi] each step; the
-    perturbation cancels in the phase sum, so a unimodular base stays
-    unimodular at every step.
+    lambda is drawn uniformly from [-epsilon*pi, epsilon*pi] each step, one
+    draw per step from the stream keyed (seed, 0); the perturbation cancels in
+    the phase sum, so a unimodular base stays unimodular at every step.
     """
-    half = cfg.epsilon * math.pi
-    lambdas = stream_generator(cfg.seed).uniform(-half, half, cfg.steps)
+    if not 0.0 <= 2.0 * math.pi * epsilon < math.inf:  # the draw's range; NaN fails
+        raise ValueError(f"epsilon must be >= 0 with 2*pi*epsilon finite, got {epsilon}")
+    require_count("steps", steps)
+    half = epsilon * math.pi
+    lambdas = stream_generator(seed).uniform(-half, half, steps)
     phi = mod_2pi(base.phi + lambdas)
     psi = mod_2pi(base.psi - lambdas)
     verdicts = order_verdicts(phi - psi)
@@ -289,8 +253,7 @@ def noisy_phase_walk(base: EigenphasePair, cfg: NoiseConfig) -> NoiseWalk:
 _BASIS_CHOICES = {
     "computational": lambda u, seed: PvmBasis.computational(),
     "x": lambda u, seed: PvmBasis.x_basis(),
-    "optimized": lambda u, seed: pvm_entropy_optimize(
-        u, OptimizerOptions(seed=seed)).optimal_basis,
+    "optimized": lambda u, seed: pvm_entropy_optimize(u, seed=seed).optimal_basis,
 }
 
 
@@ -317,8 +280,7 @@ def entropy_rate_experiment(pair: EigenphasePair, basis: str, steps: int, block_
     if basis not in _BASIS_CHOICES:
         raise ValueError(f"basis must be one of {', '.join(_BASIS_CHOICES)}, got {basis!r}")
     pvm = _BASIS_CHOICES[basis](unitary_power(pair), seed)
-    outcomes = sample_trajectory(TrajectoryConfig(pair, pvm, steps=steps, seed=seed,
-                                                  period=period))
+    outcomes = sample_trajectory(pair, pvm, steps, seed, period)
     predicted = markov_entropy_rate(transition_matrix(unitary_power(pair, period), pvm))
     try:
         empirical = empirical_entropy_rate(outcomes, block_len, alphabet_size=2)
@@ -329,11 +291,12 @@ def entropy_rate_experiment(pair: EigenphasePair, basis: str, steps: int, block_
 
 def write_trajectory_outputs(prefix, outcomes: np.ndarray, sidecar: dict,
                              ) -> tuple[Path, Path]:
-    """Write the raw symbol stream (one byte per outcome) and its JSON sidecar."""
+    """Write the raw symbol stream (one byte per outcome) to PREFIX.stream and its
+    JSON sidecar to PREFIX.json, each suffix appended to the whole prefix."""
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    stream_path = prefix.with_suffix(".stream")
-    json_path = prefix.with_suffix(".json")
+    stream_path = prefix.with_name(prefix.name + ".stream")
+    json_path = prefix.with_name(prefix.name + ".json")
     stream_path.write_bytes(np.asarray(outcomes, dtype=np.uint8).tobytes())
     json_path.write_text(dumps(sidecar))
     return stream_path, json_path

@@ -87,33 +87,33 @@ def reference_csv(source, k_max: int) -> str:
     return buf.getvalue()
 
 
-def reference_trajectory(cfg) -> np.ndarray:
+def reference_trajectory(unitary, basis, steps, seed, period=1, initial=None) -> np.ndarray:
     """The sampler's oracle: one outcome per step, the next drawn from the row
     of the previous one, as the per-step loop did for every dimension."""
-    u_eff = unitary_power(cfg.unitary, cfg.period)
+    u_eff = unitary_power(unitary, period)
     d = u_eff.shape[0]
-    if d != cfg.basis.d:
-        raise ValueError(f"unitary dimension {d} != basis dimension {cfg.basis.d}")
-    p = transition_matrix(u_eff, cfg.basis)
+    if d != basis.d:
+        raise ValueError(f"unitary dimension {d} != basis dimension {basis.d}")
+    p = transition_matrix(u_eff, basis)
 
-    cum0 = np.cumsum(_initial_distribution(cfg, d))
+    cum0 = np.cumsum(_initial_distribution(initial, basis))
     cum0[-1] = 1.0
     cum = np.cumsum(p, axis=1)
     cum[:, -1] = 1.0
 
-    uniforms = stream_generator(cfg.seed, 0).random(cfg.steps)
-    out = np.empty(cfg.steps, dtype=np.uint8)
+    uniforms = stream_generator(seed, 0).random(steps)
+    out = np.empty(steps, dtype=np.uint8)
     x = int(np.searchsorted(cum0, uniforms[0], side="right"))
     out[0] = x
     ul = uniforms.tolist()
     if d == 2:
         t0, t1 = float(cum[0, 0]), float(cum[1, 0])
-        for i in range(1, cfg.steps):
+        for i in range(1, steps):
             x = 0 if ul[i] < (t0 if x == 0 else t1) else 1
             out[i] = x
     else:
         rows = [row.tolist() for row in cum]
-        for i in range(1, cfg.steps):
+        for i in range(1, steps):
             x = bisect.bisect_right(rows[x], ul[i])
             out[i] = x
     return out

@@ -19,7 +19,6 @@ from qchaos import (
     EigenphasePair,
     ExactUnitarySpec,
     IRRATIONAL_CERTIFIED,
-    OptimizerOptions,
     QuadraticSeed,
     RationalPhase,
     build_chaotic_order,
@@ -89,8 +88,8 @@ def test_criterion_03_d4_d8_exact_idempotency():
                               RationalPhase(1, 4))
         d8 = ExactUnitarySpec(RationalPhase(1, 32), RationalPhase(17, 32),
                               RationalPhase(23, 32))
-        return (idempotency_order(d4).order, exact_theta_fraction(d4, 1),
-                idempotency_order(d8).order, exact_theta_fraction(d8, 1))
+        return (idempotency_order(d4), exact_theta_fraction(d4, 1),
+                idempotency_order(d8), exact_theta_fraction(d8, 1))
 
     check()
     elapsed, (n4, theta4, n8, theta8) = best_time(check)
@@ -117,13 +116,12 @@ def test_criterion_04_chaotic_order_5_construction():
 
 def test_criterion_05_optimizer_matches_closed_form():
     rng = np.random.default_rng(2025)
-    opts = OptimizerOptions(restarts=32, seed=12)
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(50):
         u = random_unitary(rng)
         closed = qubit_entropy_closed(eigenphases_of(u)[0])
-        found = pvm_entropy_optimize(u, opts).value
+        found = pvm_entropy_optimize(u, restarts=32, seed=12).value
         worst = max(worst, abs(found - closed))
         assert abs(found - closed) <= 1e-3
     elapsed = time.perf_counter() - t0
@@ -152,11 +150,11 @@ def test_criterion_07_entropy_rate_simulations():
     full = entropy_rate_experiment(EigenphasePair(0.0, PI), "optimized",
                                    10 ** 6, 8, seed=37)
     assert abs(full.empirical - 1.0) < 0.01
-    from qchaos import PvmBasis, TrajectoryConfig, empirical_entropy_rate, sample_trajectory
+    from qchaos import PvmBasis, empirical_entropy_rate, sample_trajectory
 
-    x_k2 = sample_trajectory(TrajectoryConfig(
+    x_k2 = sample_trajectory(
         np.array([[0, 1], [1, 0]], dtype=complex), PvmBasis.computational(2),
-        steps=10 ** 6, seed=41, period=2))
+        steps=10 ** 6, seed=41, period=2)
     rate = empirical_entropy_rate(x_k2, 8, alphabet_size=2)
     assert np.all(x_k2 == x_k2[0])
     assert rate == 0.0
@@ -223,7 +221,7 @@ def test_criterion_09_idempotency_excludes_chaoticity():
             RationalPhase(int(rng.integers(0, 60)), int(rng.integers(1, 31)))))
     t0 = time.perf_counter()
     for spec in specs:
-        n = idempotency_order(spec, n_cap=10 ** 9).order
+        n = idempotency_order(spec, n_cap=10 ** 9)
         for k in (n, 2 * n):
             v = order_verdicts(spec, k)
             assert v.codes == NON_CHAOTIC

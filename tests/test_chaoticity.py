@@ -215,17 +215,14 @@ class TestExactThetaFraction:
 
 class TestIdempotency:
     def test_d4_strict_order(self):
-        res = idempotency_order(D4)
-        assert res.order == 4
+        assert idempotency_order(D4) == 4
 
     def test_d8_strict_order(self):
-        res = idempotency_order(D8)
-        assert res.order == 8
-        assert res.inner_denominator_lcm == 32  # the denominators alone overstate it
+        assert idempotency_order(D8) == 8  # the inner denominators' lcm, 32, overstates it
 
     def test_pauli_x_as_spec(self):
         spec = ExactUnitarySpec(RationalPhase(0, 1), RationalPhase(1, 1))
-        assert idempotency_order(spec).order == 2
+        assert idempotency_order(spec) == 2
 
     def test_minimality_by_brute_force(self):
         rng = np.random.default_rng(19)
@@ -234,7 +231,7 @@ class TestIdempotency:
                 RationalPhase(int(rng.integers(0, 24)), int(rng.integers(1, 13))),
                 RationalPhase(int(rng.integers(0, 24)), int(rng.integers(1, 13))),
                 RationalPhase(int(rng.integers(0, 24)), int(rng.integers(1, 13))))
-            n = idempotency_order(spec, n_cap=10 ** 9).order
+            n = idempotency_order(spec, n_cap=10 ** 9)
             c1, c2 = ((spec.global_phase + ph).fraction for ph in (spec.phase1, spec.phase2))
             # U^m = I iff both total phases times m are even integers
             for m in range(1, min(n, 400)):
@@ -254,9 +251,7 @@ class TestIdempotency:
     def test_large_prime_orders(self):
         # with m_i = 1 and distinct primes, the inner denominators say lcm(p1, p2)
         spec = ExactUnitarySpec(RationalPhase(1, 101), RationalPhase(1, 103))
-        res = idempotency_order(spec)
-        assert res.inner_denominator_lcm == 101 * 103
-        assert res.order == 2 * 101 * 103  # strict order with zero global phase
+        assert idempotency_order(spec) == 2 * 101 * 103  # strict order with zero global phase
 
 
 class TestIdempotencyExcludesChaoticity:
@@ -269,7 +264,7 @@ class TestIdempotencyExcludesChaoticity:
                 RationalPhase(int(rng.integers(0, 40)), int(rng.integers(1, 21))),
                 RationalPhase(int(rng.integers(0, 40)), int(rng.integers(1, 21)))))
         for spec in specs:
-            n = idempotency_order(spec, n_cap=10 ** 9).order
+            n = idempotency_order(spec, n_cap=10 ** 9)
             for k in (n, 2 * n):
                 v = order_verdicts(spec, k)
                 assert v.codes == NON_CHAOTIC
@@ -439,7 +434,7 @@ class TestKernelProperties:
     @settings(max_examples=200, deadline=None)
     @given(spec=_specs, j=st.integers(1, 50))
     def test_trace_is_exactly_two_at_multiples_of_the_idempotency_order(self, spec, j):
-        n = idempotency_order(spec, n_cap=10 ** 12).order
+        n = idempotency_order(spec, n_cap=10 ** 12)
         res = order_verdicts(spec, n * np.arange(1, j + 1))
         assert np.all(res.codes == NON_CHAOTIC)
         assert np.all(res.trace_mag == 2.0)
@@ -499,6 +494,12 @@ _banded_pairs = st.builds(
 _sources = st.one_of(st.builds(EigenphasePair, _angles, _angles), _banded_pairs, _specs)
 
 
+def _chaotic_run(spec) -> int:
+    """How many orders from K = 1 on are chaotic, read from K = 1..4."""
+    codes = order_verdicts(spec, np.arange(1, 5)).codes.tolist()
+    return next((k for k, c in enumerate(codes) if c != CHAOTIC), 4)
+
+
 class TestOrderBoundTheorem:
     """No unitary is chaotic to every order: the first non-chaotic one is <= 4."""
 
@@ -517,6 +518,33 @@ class TestOrderBoundTheorem:
     def test_exact_quarter_turn_reaches_four(self):
         spec = ExactUnitarySpec(RationalPhase(1, 2), RationalPhase(0), RationalPhase(0))
         assert first_nonchaotic_order(spec, 10 ** 4) == 4
+
+    def test_run_lengths_on_the_su2_grid(self):
+        """The run of chaotic orders from K = 1 over psi = (2j+1)*pi/96, j < 96.
+
+        For SU(2), |tr U^K| = 2|cos(K psi)|, chaotic iff K psi mod pi lies in
+        (pi/4, 3*pi/4).  That interval holds half the grid, so 48 points have
+        run 0.  Of the rest, K = 2 is chaotic iff psi mod pi lies in
+        (pi/4, 3*pi/8) u (5*pi/8, 3*pi/4), half of them again, and there
+        3*psi mod pi falls in (3*pi/4, pi) u (0, pi/4): K = 3 is not chaotic,
+        so 24 points have run 1 and 24 run 2.  Every endpoint is a multiple
+        of pi/8 = 12*pi/96 and every grid point an odd multiple of pi/96, so
+        no point sits on an endpoint.
+        """
+        specs = [ExactUnitarySpec(RationalPhase(-m, 96), RationalPhase(m, 96))
+                 for m in range(1, 192, 2)]
+        assert all(BOUNDARY not in order_verdicts(s, np.arange(1, 5)).codes for s in specs)
+        runs = [_chaotic_run(s) for s in specs]
+        assert [runs.count(n) for n in range(5)] == [48, 24, 24, 0, 0]
+
+    @settings(max_examples=400, deadline=None)
+    @given(phases=st.lists(st.tuples(st.integers(-200, 200), st.integers(1, 60)),
+                           min_size=3, max_size=3))
+    def test_run_never_exceeds_two(self, phases):
+        spec = ExactUnitarySpec(*(RationalPhase(m, p) for m, p in phases))
+        run = _chaotic_run(spec)
+        assert run <= 2
+        assert run < first_nonchaotic_order(spec, 4) <= 4
 
 
 def kernel_count(d: np.ndarray) -> int:

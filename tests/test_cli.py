@@ -96,6 +96,13 @@ class TestAnalyze:
         assert all(r["H"] == 0.0 for r in doc["scan"])
         assert doc["idempotency"]["order"] == 1
 
+    def test_large_prime_orders(self, tmp_path):
+        # the strict order, 2 * 101 * 103, beside the inner denominators' lcm
+        code, doc = run_cli(["analyze", "--phi", "1/101", "--psi", "1/103"], tmp_path)
+        assert code == 0
+        assert doc["idempotency"] == {"order": 2 * 101 * 103, "reason": None,
+                                      "inner_denominator_lcm": 101 * 103}
+
     def test_float_pair_is_unknown(self, tmp_path):
         code, doc = run_cli(["analyze", "--phi", "0.21", "--psi", "1.79"], tmp_path)
         assert code == 0
@@ -416,6 +423,18 @@ class TestSimulate:
         assert sidecar["seed"] == 3
         assert sidecar["config"]["steps"] == 64
 
+    def test_dotted_prefixes_keep_their_whole_name(self, tmp_path):
+        # PREFIX.stream and PREFIX.json: seed.7 and seed.8 must not share seed.json
+        for seed in ("7", "8"):
+            code, _ = run_cli(["simulate", "--phi", "0", "--psi", "1/2", "--steps", "64",
+                               "--seed", seed, "--out", str(tmp_path / f"seed.{seed}")],
+                              tmp_path)
+            assert code == 0
+        assert sorted(p.name for p in tmp_path.glob("seed*")) == [
+            "seed.7.json", "seed.7.stream", "seed.8.json", "seed.8.stream"]
+        for seed in (7, 8):
+            assert json.loads((tmp_path / f"seed.{seed}.json").read_text())["seed"] == seed
+
     def test_period_two_pauli_x_is_silent(self, tmp_path):
         code, doc = run_cli(["simulate", "--phi", "0", "--psi", "1",
                              "--basis", "computational", "--steps", "30000",
@@ -540,7 +559,7 @@ import sys
 import qchaos.cli
 
 def heavy():
-    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema"))
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema", "csv"))
 
 after_import = heavy()
 code = qchaos.cli.main(sys.argv[1:])
@@ -557,7 +576,7 @@ def fresh_python(*argv, **env):
 
 
 def heavy_modules(args):
-    """(exit code, scipy/jsonschema modules after import, and after the command)."""
+    """(exit code, scipy/jsonschema/csv modules after import, and after the command)."""
     return fresh_python("-c", IMPORT_PROBE, *args).stdout.strip()
 
 
@@ -575,17 +594,17 @@ print(repr((code, gc.get_freeze_count())))
 PUBLIC_NAMES = """
     EigenphasePair ExactUnitarySpec RationalPhase TWO_PI UNITARY_TOL
     circular_distance eigenphases_of make_su2_from_psi mod_2pi rational_phase_order
-    require_unitary EntropyResult OptimizerOptions PvmBasis
+    require_unitary EntropyResult PvmBasis
     basis_from_angles eta markov_entropy_rate measurement_probabilities
     pvm_entropy_optimize transition_matrix BOUNDARY_TOL ChaoticityReport
-    IdempotencyCapError IdempotencyResult OrderVerdicts SQRT2 VERDICT_LABELS
+    IdempotencyCapError OrderVerdicts SQRT2 VERDICT_LABELS
     boundary_half_width chaotic_order_fraction chaoticity_scan exact_theta_fraction
     first_nonchaotic_order idempotency_order order_verdicts projective_idempotency_order
     qubit_entropy_closed IRRATIONAL_CERTIFIED QuadraticBuildResult QuadraticRecipe
     QuadraticSeed RATIONAL UNKNOWN build_chaotic_order build_quadratic_unitary
     classify_phase_rationality quadratic_trace_sequence
     source_from_json source_to_json CensusResult EntropyRateExperiment
-    InsufficientDataError NoiseConfig TrajectoryConfig empirical_entropy_rate
+    InsufficientDataError empirical_entropy_rate
     empirical_transition_matrix entropy_rate_experiment monte_carlo_chaotic_fraction
     noisy_phase_walk sample_trajectory write_trajectory_outputs stream_generator
 """.split()
@@ -610,7 +629,8 @@ print(repr((os.environ["OPENBLAS_NUM_THREADS"], int(status["Threads"]))))
 
 class TestImports:
     def test_cli_loads_neither_scipy_nor_jsonschema(self, tmp_path):
-        """scipy and jsonschema are test oracles: the package imports neither."""
+        """scipy and jsonschema are test oracles: the package imports neither.
+        Nor does it import csv, which only --csv uses."""
         args = ["analyze", "--psi", "1/2", "--json", str(tmp_path / "a.json")]
         assert heavy_modules(args) == repr((0, [], []))
 
@@ -635,7 +655,7 @@ class TestImports:
 
     def test_exports_the_public_names(self):
         _, names, listed, unknown = ast.literal_eval(fresh_python("-c", EXPORTS_PROBE).stdout)
-        assert len(PUBLIC_NAMES) == 61
+        assert len(PUBLIC_NAMES) == 57
         assert names == PUBLIC_NAMES  # and each one resolved in the probe
         assert listed and not unknown
 

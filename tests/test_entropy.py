@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from qchaos import (
     EigenphasePair,
     eigenphases_of,
-    OptimizerOptions,
     PvmBasis,
     TWO_PI,
     basis_from_angles,
@@ -149,6 +148,8 @@ class TestPvmBasis:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError, match="orthonormal"):
             PvmBasis(np.array([[1.0, 0.1], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="orthonormal"):
+            PvmBasis(np.full((2, 2), np.nan))
 
     def test_x_basis_columns(self):
         b = PvmBasis.x_basis()
@@ -183,6 +184,8 @@ class TestMeasurementProbabilities:
             measurement_probabilities(np.eye(2), basis)
         with pytest.raises(ValueError, match="positive"):
             measurement_probabilities(np.diag([1.5, -0.5]), basis)
+        with pytest.raises(ValueError, match="Hermitian"):
+            measurement_probabilities(np.full((2, 2), np.nan), basis)
 
 
 class TestTransitionMatrix:
@@ -247,6 +250,8 @@ class TestMarkovEntropyRate:
     def test_rejects_non_doubly_stochastic(self):
         with pytest.raises(ValueError, match="doubly stochastic"):
             markov_entropy_rate(np.array([[0.9, 0.1], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="doubly stochastic"):
+            markov_entropy_rate(np.full((2, 2), np.nan))
 
     def test_x_basis_chain_equals_closed_form_below_pi_half(self):
         # consequence of the transition entries {cos^2(theta/2), sin^2(theta/2)}
@@ -266,19 +271,19 @@ class TestOptimizer:
     @pytest.mark.parametrize("field", ["restarts", "max_iters"])
     def test_options_reject_counts_below_one(self, field):
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
-            OptimizerOptions(**{field: 0})
+            pvm_entropy_optimize(np.eye(2), **{field: 0})
 
     def test_identity_gives_zero(self):
-        res = pvm_entropy_optimize(np.eye(2), OptimizerOptions(restarts=4))
+        res = pvm_entropy_optimize(np.eye(2), restarts=4)
         assert res.value == pytest.approx(0.0, abs=1e-9)
 
     def test_theta_pi_reaches_one_bit(self):
-        res = pvm_entropy_optimize(np.diag([1.0, -1.0]), OptimizerOptions(restarts=8))
+        res = pvm_entropy_optimize(np.diag([1.0, -1.0]), restarts=8)
         assert res.value == pytest.approx(1.0, abs=1e-3)
 
     def test_theta_pi_third_matches_closed_form(self):
         u = np.diag([1.0, np.exp(1j * PI / 3)])
-        res = pvm_entropy_optimize(u, OptimizerOptions(restarts=8))
+        res = pvm_entropy_optimize(u, restarts=8)
         assert res.value == pytest.approx(H_QUARTER, abs=1e-3)
 
     def test_matches_closed_form_on_random_unitaries(self):
@@ -286,12 +291,12 @@ class TestOptimizer:
         for _ in range(10):
             u = random_unitary(rng)
             pair, _ = eigenphases_of(u)
-            res = pvm_entropy_optimize(u, OptimizerOptions(restarts=16, seed=5))
+            res = pvm_entropy_optimize(u, restarts=16, seed=5)
             assert abs(res.value - qubit_entropy_closed(pair)) <= 1e-3
 
     def test_monotone_in_restarts(self):
         u = random_unitary(np.random.default_rng(55))
-        values = [pvm_entropy_optimize(u, OptimizerOptions(restarts=r, seed=9)).value
+        values = [pvm_entropy_optimize(u, restarts=r, seed=9).value
                   for r in (1, 2, 4, 8)]
         for lo, hi in zip(values, values[1:]):
             assert hi >= lo - 1e-15
@@ -300,7 +305,7 @@ class TestOptimizer:
         rng = np.random.default_rng(77)
         for d, restarts in [(2, 8), (3, 12)]:
             u = random_unitary(rng, d)
-            best = pvm_entropy_optimize(u, OptimizerOptions(restarts=restarts, seed=1))
+            best = pvm_entropy_optimize(u, restarts=restarts, seed=1)
             for _ in range(5):
                 b = PvmBasis(random_orthonormal_basis(rng, d))
                 sampled = markov_entropy_rate(transition_matrix(u, b))
@@ -308,7 +313,7 @@ class TestOptimizer:
 
     def test_optimal_basis_achieves_reported_value(self):
         u = random_unitary(np.random.default_rng(13))
-        res = pvm_entropy_optimize(u, OptimizerOptions(restarts=8))
+        res = pvm_entropy_optimize(u, restarts=8)
         achieved = markov_entropy_rate(transition_matrix(u, res.optimal_basis))
         assert achieved == pytest.approx(res.value, abs=1e-9)
 
@@ -380,18 +385,17 @@ class TestNelderMead:
         # the same as in one batch over all starts and in a run of its own block
         u = random_unitary(np.random.default_rng(5), 2)
         restarts = 2 * _NM_BLOCK + 3
-        opts = OptimizerOptions(restarts=restarts, max_iters=80, seed=11)
         starts = np.array(restart_starts(11, restarts, 2))
         obj = _batch_objective(u)
-        whole = _nelder_mead(obj, starts, _NM_XATOL, _NM_FATOL, opts.max_iters)
-        blocks = [_nelder_mead(obj, starts[lo:lo + _NM_BLOCK], _NM_XATOL, _NM_FATOL,
-                               opts.max_iters) for lo in range(0, restarts, _NM_BLOCK)]
+        whole = _nelder_mead(obj, starts, _NM_XATOL, _NM_FATOL, 80)
+        blocks = [_nelder_mead(obj, starts[lo:lo + _NM_BLOCK], _NM_XATOL, _NM_FATOL, 80)
+                  for lo in range(0, restarts, _NM_BLOCK)]
         assert [len(b[0]) for b in blocks] == [_NM_BLOCK, _NM_BLOCK, 3]
         for got, want in zip(map(np.concatenate, zip(*blocks)), whole):
             assert np.array_equal(got, want)
         assert len(set(whole[3].tolist())) > 1  # some rows converged before the cap
         first_best = int(np.argmin(whole[0]))  # the earliest restart wins ties
-        res = pvm_entropy_optimize(u, opts)
+        res = pvm_entropy_optimize(u, restarts, max_iters=80, seed=11)
         assert res.value == min(-whole[0][first_best], 1.0)
         assert np.array_equal(res.optimal_basis.vectors,
                               basis_from_angles(2, whole[1][first_best]).vectors)
@@ -429,7 +433,7 @@ PINNED_OPTIMA = {
 
 
 def pinned_case(name):
-    """The unitary and options of a PINNED_OPTIMA case."""
+    """The unitary, restarts, max_iters and seed of a PINNED_OPTIMA case."""
     d, rest = name.split("-", 1)
     kind, shape = rest.rsplit("-", 1)
     if kind.startswith("haar"):
@@ -438,9 +442,9 @@ def pinned_case(name):
         u = {"golden": unitary_power(EigenphasePair(0.0, PI / 3)),
              "identity": np.eye(2), "diag-1-m1": np.diag([1.0, -1.0])}[kind]
     if d == "d2":
-        return u, OptimizerOptions(restarts=int(shape[1:]), seed=7)
+        return u, int(shape[1:]), 2000, 7
     restarts, iters = map(int, shape.split("x"))
-    return u, OptimizerOptions(restarts=restarts, max_iters=iters, seed=int(kind[4:]))
+    return u, restarts, iters, int(kind[4:])
 
 
 class TestPinnedOptima:

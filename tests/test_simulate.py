@@ -16,10 +16,8 @@ from qchaos import (
     EigenphasePair,
     ExactUnitarySpec,
     InsufficientDataError,
-    NoiseConfig,
     PvmBasis,
     RationalPhase,
-    TrajectoryConfig,
     TWO_PI,
     VERDICT_LABELS,
     circular_distance,
@@ -52,58 +50,51 @@ PI = math.pi
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def cfg_for(u, basis, steps, seed, **kw):
-    return TrajectoryConfig(u, basis, steps=steps, seed=seed, **kw)
-
-
 class TestSampleTrajectory:
     def test_pauli_x_alternates(self):
-        cfg = cfg_for(PAULI_X, PvmBasis.computational(2), 200, seed=1, initial=0)
-        out = sample_trajectory(cfg)
+        out = sample_trajectory(PAULI_X, PvmBasis.computational(2), 200, seed=1, initial=0)
         assert np.array_equal(out, np.arange(200) % 2)
 
     def test_uniform_chain_bias(self):
         # Diag(1, i) in the x basis: every transition probability is 1/2
-        cfg = cfg_for(np.diag([1.0, 1j]), PvmBasis.x_basis(), 10 ** 6, seed=11)
-        out = sample_trajectory(cfg)
+        out = sample_trajectory(np.diag([1.0, 1j]), PvmBasis.x_basis(), 10 ** 6, seed=11)
         assert abs(out.mean() - 0.5) < 0.003
 
     def test_pauli_x_period_two_is_constant(self):
         # X^2 = I, so measuring every other step yields a frozen outcome
         for basis in (PvmBasis.computational(2), PvmBasis.x_basis()):
-            out = sample_trajectory(cfg_for(PAULI_X, basis, 5000, seed=3, period=2))
+            out = sample_trajectory(PAULI_X, basis, 5000, seed=3, period=2)
             assert np.all(out == out[0])
 
     def test_bit_identical_reproducibility(self):
         u = np.diag([1.0, 1j])  # uniform chain in the x basis
-        cfg = cfg_for(u, PvmBasis.x_basis(), 10000, seed=42)
-        a = sample_trajectory(cfg)
-        b = sample_trajectory(cfg)
+        a = sample_trajectory(u, PvmBasis.x_basis(), 10000, seed=42)
+        b = sample_trajectory(u, PvmBasis.x_basis(), 10000, seed=42)
         assert np.array_equal(a, b)
-        c = sample_trajectory(cfg_for(u, PvmBasis.x_basis(), 10000, seed=43))
+        c = sample_trajectory(u, PvmBasis.x_basis(), 10000, seed=43)
         assert not np.array_equal(a, c)
 
     def test_accepts_pair_and_spec_sources(self):
         pair = make_su2_from_psi(PI / 3)
-        out = sample_trajectory(cfg_for(pair, PvmBasis.x_basis(), 100, seed=5))
+        out = sample_trajectory(pair, PvmBasis.x_basis(), 100, seed=5)
         assert out.shape == (100,)
         assert set(np.unique(out)) <= {0, 1}
 
     def test_first_outcome_measures_initial_state(self):
         # starting in basis state 1, the first outcome must be 1
-        cfg = cfg_for(np.diag([1.0, 1j]), PvmBasis.computational(2), 50, seed=9,
-                      initial=1)
-        assert sample_trajectory(cfg)[0] == 1
+        out = sample_trajectory(np.diag([1.0, 1j]), PvmBasis.computational(2), 50, seed=9,
+                                initial=1)
+        assert out[0] == 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            sample_trajectory(cfg_for(np.eye(3), PvmBasis.computational(2), 10, seed=0))
+            sample_trajectory(np.eye(3), PvmBasis.computational(2), 10, seed=0)
 
     def test_empirical_frequencies_match_exact_matrix(self):
         pair = EigenphasePair(0.0, PI / 3)
         u = unitary_power(pair)
         basis = PvmBasis.x_basis()
-        out = sample_trajectory(cfg_for(pair, basis, 10 ** 6, seed=17))
+        out = sample_trajectory(pair, basis, 10 ** 6, seed=17)
         emp = empirical_transition_matrix(out, 2)
         exact = transition_matrix(u, basis)
         assert np.max(np.abs(emp - exact)) < 0.005
@@ -112,9 +103,8 @@ class TestSampleTrajectory:
         pair = EigenphasePair(0.3, 2.1)
         u = unitary_power(pair)
         basis = PvmBasis.x_basis()
-        with_period = sample_trajectory(cfg_for(pair, basis, 200000, seed=23, period=3))
-        of_power = sample_trajectory(
-            cfg_for(np.linalg.matrix_power(u, 3), basis, 200000, seed=29))
+        with_period = sample_trajectory(pair, basis, 200000, seed=23, period=3)
+        of_power = sample_trajectory(np.linalg.matrix_power(u, 3), basis, 200000, seed=29)
         emp_a = empirical_transition_matrix(with_period, 2)
         emp_b = empirical_transition_matrix(of_power, 2)
         assert np.max(np.abs(emp_a - emp_b)) < 0.005
@@ -158,28 +148,29 @@ class TestSampleTrajectory:
         assert np.abs(m.conj().T @ m - np.eye(d)).max() <= 1e-14
         if d == 2:
             assert np.abs(m - unitary_power(pair, period)).max() < 1e-6
-        cfg = cfg_for(u, PvmBasis.computational(d), 10, seed=0, period=period)
-        assert sample_trajectory(cfg).shape == (10,)
+        out = sample_trajectory(u, PvmBasis.computational(d), 10, seed=0, period=period)
+        assert out.shape == (10,)
 
     def test_seed_is_mandatory(self):
         with pytest.raises(ValueError):
-            TrajectoryConfig(PAULI_X, PvmBasis.x_basis(), steps=10, seed=None)  # type: ignore[arg-type]
+            sample_trajectory(PAULI_X, PvmBasis.x_basis(), steps=10, seed=None)  # type: ignore[arg-type]
 
     @pytest.mark.parametrize("field,value", [
         ("steps", 1000.0), ("period", 2.0), ("steps", "10"), ("period", None)])
     def test_rejects_non_integer_counts(self, field, value):
         kw = {"steps": 10, "period": 1, field: value}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            TrajectoryConfig(PAULI_X, PvmBasis.x_basis(), seed=0, **kw)
+            sample_trajectory(PAULI_X, PvmBasis.x_basis(), seed=0, **kw)
 
     def test_accepts_numpy_integer_counts(self):
-        cfg = cfg_for(PAULI_X, PvmBasis.x_basis(), np.int64(10), seed=0, period=np.int32(2))
-        assert sample_trajectory(cfg).shape == (10,)
+        out = sample_trajectory(PAULI_X, PvmBasis.x_basis(), np.int64(10), seed=0,
+                                period=np.int32(2))
+        assert out.shape == (10,)
 
 
-def _assert_matches_reference(cfg):
-    out = sample_trajectory(cfg)
-    ref = reference_trajectory(cfg)
+def _assert_matches_reference(*args, **kw):
+    out = sample_trajectory(*args, **kw)
+    ref = reference_trajectory(*args, **kw)
     assert out.dtype == ref.dtype == np.uint8
     assert np.array_equal(out, ref)
     return out
@@ -201,8 +192,8 @@ class TestSamplerMatchesPerStepLoop:
             v = random_orthonormal_basis(rng)
             w = rng.random()
             initial = w * np.outer(v[:, 0], v[:, 0].conj()) + (1 - w) * np.outer(v[:, 1], v[:, 1].conj())
-        _assert_matches_reference(cfg_for(EigenphasePair(phi, psi), pvm, steps, seed=seed,
-                                          period=period, initial=initial))
+        _assert_matches_reference(EigenphasePair(phi, psi), pvm, steps, seed=seed,
+                                  period=period, initial=initial)
 
     @pytest.mark.parametrize("u,basis,expected", [
         (np.eye(2), PvmBasis.x_basis(), "identity"),
@@ -212,7 +203,7 @@ class TestSamplerMatchesPerStepLoop:
     ], ids=["identity", "pauli-x", "diag-1-i", "theta-pi"])
     @pytest.mark.parametrize("initial", [None, 0, 1])
     def test_degenerate_chains(self, u, basis, expected, initial):
-        out = _assert_matches_reference(cfg_for(u, basis, 5000, seed=13, initial=initial))
+        out = _assert_matches_reference(u, basis, 5000, seed=13, initial=initial)
         if expected == "identity":
             assert np.all(out == out[0])
         elif expected == "flip":
@@ -239,14 +230,14 @@ class TestSamplerMatchesPerStepLoop:
 
         for module in ("qchaos.simulate", "helpers"):
             monkeypatch.setattr(f"{module}.stream_generator", lambda *_: Fixed())
-        _assert_matches_reference(cfg_for(pair, basis, 4000, seed=0, initial=[None, 0, 1][seed % 3]))
+        _assert_matches_reference(pair, basis, 4000, seed=0, initial=[None, 0, 1][seed % 3])
 
     def test_qutrit_loop(self):
         rng = np.random.default_rng(5)
         basis = PvmBasis(random_orthonormal_basis(rng, 3))
         for period, initial in ((1, None), (3, 2)):
-            _assert_matches_reference(cfg_for(random_unitary(rng, 3), basis, 3000, seed=8,
-                                              period=period, initial=initial))
+            _assert_matches_reference(random_unitary(rng, 3), basis, 3000, seed=8,
+                                      period=period, initial=initial)
 
 
 class TestEmpiricalEntropyRate:
@@ -428,34 +419,34 @@ class TestCensusMatchesPerChunkKernel:
 class TestNoisyPhaseWalk:
     def test_zero_epsilon_is_constant(self):
         base = make_su2_from_psi(PI / 2)
-        walk = noisy_phase_walk(base, NoiseConfig(epsilon=0.0, steps=50, seed=1))
+        walk = noisy_phase_walk(base, epsilon=0.0, steps=50, seed=1)
         assert all(EigenphasePair(p, q) == base
                    for p, q in zip(walk.phi.tolist(), walk.psi.tolist()))
         assert len(set(walk.codes.tolist())) == 1
 
     def test_boundary_base_alternates(self):
         base = make_su2_from_psi(3 * PI / 4)  # edge of the chaotic window
-        walk = noisy_phase_walk(base, NoiseConfig(epsilon=0.1, steps=1000, seed=3))
+        walk = noisy_phase_walk(base, epsilon=0.1, steps=1000, seed=3)
         labels = {VERDICT_LABELS[c] for c in walk.codes}
         assert "chaotic" in labels
         assert "non_chaotic" in labels
 
     def test_small_noise_stays_chaotic(self):
         base = make_su2_from_psi(PI / 2)  # center of the window
-        walk = noisy_phase_walk(base, NoiseConfig(epsilon=0.01, steps=1000, seed=5))
+        walk = noisy_phase_walk(base, epsilon=0.01, steps=1000, seed=5)
         assert all(VERDICT_LABELS[c] == "chaotic" for c in walk.codes)
 
     def test_unimodular_invariant_at_every_step(self):
         base = make_su2_from_psi(1.234)
         for eps in (0.0, 0.01, 0.5, 1.0):
-            walk = noisy_phase_walk(base, NoiseConfig(epsilon=eps, steps=200, seed=7))
+            walk = noisy_phase_walk(base, epsilon=eps, steps=200, seed=7)
             for phi, psi in zip(walk.phi.tolist(), walk.psi.tolist()):
                 assert circular_distance(phi + psi, 0.0) <= 1e-12
 
     def test_matches_per_step_reference(self):
         # the arrays equal a scalar loop over the same draws, bit for bit
         base = EigenphasePair(0.3, 4.1)
-        walk = noisy_phase_walk(base, NoiseConfig(epsilon=1.5, steps=300, seed=9))
+        walk = noisy_phase_walk(base, epsilon=1.5, steps=300, seed=9)
         lambdas = stream_generator(9, 0).uniform(-1.5 * PI, 1.5 * PI, 300)
         for i, lam in enumerate(lambdas.tolist()):
             pair = EigenphasePair(base.phi + lam, base.psi - lam)
@@ -465,12 +456,12 @@ class TestNoisyPhaseWalk:
 
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
-            NoiseConfig(epsilon=-0.1, steps=10, seed=0)
+            noisy_phase_walk(EigenphasePair(0.0, PI), epsilon=-0.1, steps=10, seed=0)
 
     @pytest.mark.parametrize("steps", [10.0, "10", None])
     def test_rejects_non_integer_steps(self, steps):
         with pytest.raises(ValueError, match="steps must be an integer"):
-            NoiseConfig(epsilon=0.1, steps=steps, seed=1)
+            noisy_phase_walk(EigenphasePair(0.0, PI), epsilon=0.1, steps=steps, seed=1)
 
 
 class TestStreamKeys:
@@ -487,11 +478,10 @@ class TestStreamKeys:
         assert len(draws) == 4
 
     def test_out_of_range_seed_fails_every_seeded_routine(self):
-        cfg = TrajectoryConfig(PAULI_X, PvmBasis.x_basis(), steps=10, seed=-1)
         with pytest.raises(ValueError, match="must lie in"):
-            sample_trajectory(cfg)
+            sample_trajectory(PAULI_X, PvmBasis.x_basis(), steps=10, seed=-1)
         with pytest.raises(ValueError, match="must lie in"):
-            noisy_phase_walk(EigenphasePair(0.0, PI), NoiseConfig(0.1, 10, seed=1 << 64))
+            noisy_phase_walk(EigenphasePair(0.0, PI), 0.1, 10, seed=1 << 64)
         with pytest.raises(ValueError, match="must lie in"):
             monte_carlo_chaotic_fraction(10, seed=-1)
 
@@ -552,8 +542,7 @@ class TestWriteTrajectoryOutputs:
     def test_stream_and_sidecar(self, tmp_path):
         from qchaos import write_trajectory_outputs
 
-        out = sample_trajectory(cfg_for(PAULI_X, PvmBasis.computational(2), 64,
-                                        seed=1, initial=0))
+        out = sample_trajectory(PAULI_X, PvmBasis.computational(2), 64, seed=1, initial=0)
         stream_path, json_path = write_trajectory_outputs(
             tmp_path / "run", out, {"seed": 1, "note": "test"})
         raw = stream_path.read_bytes()
