@@ -10,10 +10,9 @@ yet every one of them stops being chaotic at some finite order.
 import math
 
 from qchaos import (
-    QuadraticSeed,
+    QuadraticRecipe,
     TWO_PI,
     VERDICT_LABELS,
-    build_quadratic_unitary,
     chaotic_order_fraction,
     classify_phase_rationality,
     first_nonchaotic_order,
@@ -22,38 +21,35 @@ from qchaos import (
 )
 
 # The golden-ratio seed: s_t are the Lucas numbers 2, 1, 3, 4, 7, 11, ...
-lucas = QuadraticSeed(-1, -1)
-seq = quadratic_trace_sequence(lucas, 12)
+seq = quadratic_trace_sequence(-1, -1, 12)
 print("Lucas numbers:", seq)
 print("even at t =", [t for t, s in enumerate(seq) if s % 2 == 0],
       "(only those t give SU(2) pairs)")
 
-res = build_quadratic_unitary(lucas, 3)
-v = order_verdicts(res.pair)
-print(f"\nt=3: phi = {res.pair.phi:.6f}, psi = {res.pair.psi:.6f}, "
+lucas = QuadraticRecipe(-1, -1, 3)  # checked and built here; t=4 would raise (s_4 = 7)
+pair, v = lucas.pair(), order_verdicts(lucas)
+print(f"\nt=3: phi = {pair.phi:.6f}, psi = {pair.psi:.6f}, "
       f"|tr| = {v.trace_mag:.6f} -> {VERDICT_LABELS[v.codes]}")
 print("rationality:", classify_phase_rationality(lucas))
 
 # |beta| < 1 here, so beta^t -> 0 and the series drifts toward the identity:
 for t in (3, 6, 9, 12):
-    pair = build_quadratic_unitary(lucas, t).pair
-    print(f"t={t:2d}: |tr| = {order_verdicts(pair).trace_mag:.6f}")
+    print(f"t={t:2d}: |tr| = {order_verdicts(QuadraticRecipe(-1, -1, t)).trace_mag:.6f}")
 
 # A traversing series needs beta < -1.  (|a|, |b|) = (2, 101) is the workhorse:
-seed = QuadraticSeed(-2, -101)
-res = build_quadratic_unitary(seed, 8)
+res = QuadraticRecipe(-2, -101, 8)
 print(f"\n(-2,-101) t=8 [{res.classification}]: s_8 = {res.s_t}, "
-      f"|cos psi| = {abs(math.cos(res.pair.psi)):.4f} -> "
-      f"{VERDICT_LABELS[order_verdicts(res.pair).codes]}")
+      f"|cos psi| = {abs(math.cos(res.pair().psi)):.4f} -> "
+      f"{VERDICT_LABELS[order_verdicts(res).codes]}")
 
 # Chaotic today, non-chaotic at some finite order -- always:
-k = first_nonchaotic_order(res.pair, 10 ** 4)
-frac = chaotic_order_fraction(res.pair, 10 ** 5)
+k = first_nonchaotic_order(res, 10 ** 4)
+frac = chaotic_order_fraction(res, 10 ** 5)
 print(f"first non-chaotic order: K = {k}")
 print(f"fraction of chaotic orders K <= 1e5: {frac:.4f} (equidistributes to 1/2)")
 
 # The residues come from exact integers, so the phases keep full float
 # accuracy at any t -- here alpha^80 has about 280 integer bits:
-far = build_quadratic_unitary(seed, 80).pair
+far = QuadraticRecipe(-2, -101, 80).pair()
 print(f"\nt=80: phi = {far.phi!r}, psi = {far.psi!r}, "
       f"phi + psi - 2 pi = {far.phi + far.psi - TWO_PI:.1e} (det = 1)")

@@ -16,7 +16,6 @@ pairs are never declared idempotent.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -156,6 +155,8 @@ def _chaotic_count(d: np.ndarray) -> int:
 
 def exact_theta_fraction(spec: ExactUnitarySpec, k: int) -> Fraction:
     """theta/pi of the k-th power of an exact spec, as an exact Fraction in [0, 1]."""
+    from fractions import Fraction  # only callers of this function need fractions
+
     require_count("order", k)
     t, big = _theta_units(spec, np.asarray([k]))
     return Fraction(int(t[0]), big)

@@ -180,9 +180,9 @@ _NO_ORDER_REASON = {IRRATIONAL_CERTIFIED: "irrational_phase", UNKNOWN: "unknown_
 def _analysis_body(source, k_max: int, n_cap: int) -> dict:
     """Scan + per-order closed-form entropy + idempotency/rationality block."""
     require_count("n_cap", n_cap)
-    pair = source.pair()  # builds a quadratic recipe, which raises if it is invalid
+    pair = source.pair()
     rationality = classify_phase_rationality(source)
-    exact = rationality == RATIONAL  # an exact spec: the quadratic build rejects the rest
+    exact = rationality == RATIONAL  # an exact spec
     if exact:  # the strict order first: its IdempotencyCapError is the one raised
         idem = {"order": idempotency_order(source, n_cap), "reason": None,
                 "inner_denominator_lcm": math.lcm(source.phase1.p, source.phase2.p)}
@@ -201,9 +201,8 @@ def _analysis_body(source, k_max: int, n_cap: int) -> dict:
         "scan": Rows(report.columns()),
     }
     if rationality == IRRATIONAL_CERTIFIED:  # a quadratic recipe
-        built = source.build()
-        body["quadratic_build"] = {"classification": built.classification,
-                                   "s_t": built.s_t}
+        body["quadratic_build"] = {"classification": source.classification,
+                                   "s_t": source.s_t}
     return body, report
 
 
@@ -250,9 +249,10 @@ def cmd_construct(args) -> int:
     params["kind"] = args.kind
 
     body, _ = _analysis_body(source, args.k_max, args.n_cap)
-    if args.kind == "quadratic":  # the analysis built the pair; reuse its build
-        construction.update(body["quadratic_build"], trace_values=list(
-            quadratic_trace_sequence(source.seed, source.t)))
+    if args.kind == "quadratic":
+        trace = quadratic_trace_sequence(source.a, source.b, source.t)
+        construction.update(classification=source.classification, s_t=source.s_t,
+                            trace_values=list(trace))
     doc = {"manifest": _manifest("construct", params, None),
            "construction": construction, "analysis": body}
     _emit(doc, args)

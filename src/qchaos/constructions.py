@@ -7,15 +7,16 @@ Three kinds of two-level unitaries are constructed here:
 * unitaries chaotic at a prescribed order K, obtained from the smallest prime
   p2 not dividing K with |cos(pi K / p2)| <= 1/sqrt(2), setting psi = pi/p2;
 * non-idempotent SU(2) pairs from integer quadratic recurrences: with alpha,
-  beta the roots of x^2 + a x + b (a, b nonzero integers, discriminant
-  D = a^2 - 4b positive and not a perfect square), the sums
+  beta the roots of x^2 + a x + b (a, b negative integers, discriminant
+  D = a^2 - 4b not a perfect square), the sums
   s_t = alpha^t + beta^t follow the integer recurrence
 
       s_0 = 2,  s_1 = -a,  s_{t+1} = -a s_t - b s_{t-1},
 
   and whenever s_t is even the pair (phi, psi) = ((alpha^t mod 2) pi,
   (beta^t mod 2) pi) is a valid SU(2) eigenphase pair with certified
-  irrational phases.
+  irrational phases.  ``QuadraticRecipe(a, b, t)`` is that pair: it checks
+  and builds itself when it is made.
 
 The mod-2 reduction is done in exact integers.  With alpha^t =
 (A_t + B_t sqrt(D)) / 2^t, the integers A_t, B_t follow their own recurrence
@@ -32,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .chaoticity import CHAOTIC, order_verdicts
 from .phases import EigenphasePair, ExactUnitarySpec, RationalPhase, require_count
@@ -43,105 +43,13 @@ _RESIDUE_BITS = 53 + 64
 _PRIME_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class QuadraticSeed:
-    """Integer coefficients (a, b) of x^2 + a x + b = 0.
-
-    Only (a, b) are stored; the roots alpha = (-a + sqrt(D))/2 and
-    beta = (-a - sqrt(D))/2 are derived on demand so nothing is committed to
-    floating point prematurely.
-    """
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
-            raise ValueError("seed coefficients must be integers")
-        if self.a == 0 or self.b == 0:
-            raise ValueError("seed coefficients must be nonzero")
-
-    @property
-    def discriminant(self) -> int:
-        return self.a * self.a - 4 * self.b
-
-    @property
-    def has_square_discriminant(self) -> bool:
-        d = self.discriminant
-        if d < 0:
-            return False
-        r = math.isqrt(d)
-        return r * r == d
-
-    def roots(self) -> tuple[float, float]:
-        """(alpha, beta) as floats; fine for classification, not for reduction."""
-        if self.discriminant < 0:
-            raise ValueError("seed has complex roots (discriminant < 0)")
-        s = math.sqrt(self.discriminant)
-        return (-self.a + s) / 2.0, (-self.a - s) / 2.0
-
-
-def quadratic_trace_sequence(seed: QuadraticSeed, t_max: int) -> tuple[int, ...]:
+def quadratic_trace_sequence(a: int, b: int, t_max: int) -> tuple[int, ...]:
     """s_0..s_t_max by the exact integer recurrence s_{t+1} = -a s_t - b s_{t-1}."""
     require_count("t_max", t_max)
-    values = [2, -seed.a]
+    values = [2, -a]
     for _ in range(t_max - 1):
-        values.append(-seed.a * values[-1] - seed.b * values[-2])
+        values.append(-a * values[-1] - b * values[-2])
     return tuple(values)
-
-
-class QuadraticBuildResult(NamedTuple):
-    """A constructed pair plus its series classification."""
-
-    pair: EigenphasePair
-    classification: str  # "converging_to_identity" or "traversing"
-    s_t: int
-
-
-def build_quadratic_unitary(seed: QuadraticSeed, t: int) -> QuadraticBuildResult:
-    """SU(2) pair ((alpha^t mod 2) pi, (beta^t mod 2) pi) from a quadratic seed.
-
-    Preconditions: s_t must be even (otherwise the pair is not unimodular) and
-    the discriminant must be positive and not a perfect square (otherwise the
-    phases are rational and the construction loses its point).  Coefficients
-    outside the a, b < 0 regime are rejected.
-
-    The residue r = beta^t mod 2 is bracketed in exact integers, so psi =
-    r pi and phi = (2 - r) pi keep full float accuracy at every t.
-    """
-    require_count("t", t)
-    if seed.a >= 0 or seed.b >= 0:
-        raise ValueError(f"seed (a={seed.a}, b={seed.b}) is outside the a, b < 0 regime")
-    if seed.discriminant <= 0:
-        raise ValueError(f"discriminant {seed.discriminant} must be positive")
-    if seed.has_square_discriminant:
-        raise ValueError(
-            f"discriminant {seed.discriminant} is a perfect square, so the phases "
-            "are rational; a non-idempotent construction requires an irrational root")
-    s_t = quadratic_trace_sequence(seed, t)[t]
-    if s_t % 2 != 0:
-        raise ValueError(f"s_{t} = {s_t} is odd; the pair would not be unimodular")
-
-    a, d = seed.a, seed.discriminant
-    big_a, big_b = 1, 0  # 2^t alpha^t = A_t + B_t sqrt(D), 2^t beta^t = A_t - B_t sqrt(D)
-    for _ in range(t):
-        big_a, big_b = -a * big_a + big_b * d, big_a - a * big_b
-    _, beta = seed.roots()
-    # a tiny |beta^t| needs t log2(1/|beta|) extra bits to keep 53 significant ones
-    n = _RESIDUE_BITS + (math.ceil(-t * math.log2(abs(beta))) if abs(beta) < 1.0 else 0)
-    # floor(|B_t| sqrt(D) 2^n), never exact: sqrt(D) is irrational and B_t != 0
-    root = math.isqrt(big_b * big_b * d << 2 * n)
-    floor_b = root if big_b > 0 else -root - 1  # floor(B_t sqrt(D) 2^n)
-    # floor(beta^t 2^(t+n)), using floor(-x) = -floor(x) - 1 for non-integer x
-    k = t + n
-    q = ((big_a << n) - floor_b - 1) % (2 << k)  # r lies strictly inside (q, q+1) / 2^k
-    # round through the midpoint: with the guard bits, the float rounding
-    # boundaries near r are multiples of 2^-k, so the open interval holds none
-    den = 1 << (k + 1)
-    psi = (2 * q + 1) / den * math.pi
-    phi = (2 * den - 2 * q - 1) / den * math.pi
-    tag = "converging_to_identity" if abs(beta) < 1.0 else "traversing"
-    return QuadraticBuildResult(EigenphasePair(phi, psi), tag, s_t)
 
 
 def build_chaotic_order(k: int) -> tuple[ExactUnitarySpec, int]:
@@ -164,27 +72,68 @@ def build_chaotic_order(k: int) -> tuple[ExactUnitarySpec, int]:
 
 @dataclass(frozen=True)
 class QuadraticRecipe:
-    """Serializable build recipe: seed coefficients and exponent.  The build
-    is kept once made; it takes no part in == or hash."""
+    """SU(2) pair ((alpha^t mod 2) pi, (beta^t mod 2) pi) from x^2 + a x + b.
+
+    The recipe is checked and built when it is made, and raises ValueError
+    unless a and b are integers, t >= 1, a, b < 0 (so D = a^2 + 4|b| > 0),
+    D is not a perfect square (otherwise the phases are rational and the
+    construction loses its point) and s_t is even (otherwise the pair is not
+    unimodular).  Only (a, b, t) take part in ==, hash and repr; the build
+    keeps s_t, the classification ("converging_to_identity" when |beta| < 1,
+    else "traversing") and the pair, read through pair().
+
+    The residue r = beta^t mod 2 is bracketed in exact integers, so psi =
+    r pi and phi = (2 - r) pi keep full float accuracy at every t.
+    """
 
     a: int
     b: int
     t: int
-    _build: QuadraticBuildResult | None = field(default=None, init=False, repr=False,
-                                                compare=False)
+    s_t: int = field(init=False, repr=False, compare=False)
+    classification: str = field(init=False, repr=False, compare=False)
+    _pair: EigenphasePair = field(init=False, repr=False, compare=False)
 
-    @property
-    def seed(self) -> QuadraticSeed:
-        return QuadraticSeed(self.a, self.b)
+    def __post_init__(self):
+        a, b = self.a, self.b
+        if not isinstance(a, int) or not isinstance(b, int):
+            raise ValueError("seed coefficients must be integers")
+        require_count("t", self.t)
+        t = int(self.t)  # a numpy integer would overflow in the shifts below
+        if a >= 0 or b >= 0:
+            raise ValueError(f"seed (a={a}, b={b}) is outside the a, b < 0 regime")
+        d = a * a - 4 * b
+        if math.isqrt(d) ** 2 == d:
+            raise ValueError(
+                f"discriminant {d} is a perfect square, so the phases "
+                "are rational; a non-idempotent construction requires an irrational root")
+        s_t = quadratic_trace_sequence(a, b, t)[t]
+        if s_t % 2 != 0:
+            raise ValueError(f"s_{t} = {s_t} is odd; the pair would not be unimodular")
 
-    def build(self) -> QuadraticBuildResult:
-        """The build of this recipe, made on the first call and kept."""
-        if self._build is None:
-            object.__setattr__(self, "_build", build_quadratic_unitary(self.seed, self.t))
-        return self._build
+        big_a, big_b = 1, 0  # 2^t alpha^t = A_t + B_t sqrt(D), 2^t beta^t = A_t - B_t sqrt(D)
+        for _ in range(t):
+            big_a, big_b = -a * big_a + big_b * d, big_a - a * big_b
+        beta = (-a - math.sqrt(d)) / 2.0
+        # a tiny |beta^t| needs t log2(1/|beta|) extra bits to keep 53 significant ones
+        n = _RESIDUE_BITS + (math.ceil(-t * math.log2(abs(beta))) if abs(beta) < 1.0 else 0)
+        # floor(|B_t| sqrt(D) 2^n), never exact: sqrt(D) is irrational and B_t != 0
+        root = math.isqrt(big_b * big_b * d << 2 * n)
+        floor_b = root if big_b > 0 else -root - 1  # floor(B_t sqrt(D) 2^n)
+        # floor(beta^t 2^(t+n)), using floor(-x) = -floor(x) - 1 for non-integer x
+        k = t + n
+        q = ((big_a << n) - floor_b - 1) % (2 << k)  # r lies strictly inside (q, q+1) / 2^k
+        # round through the midpoint: with the guard bits, the float rounding
+        # boundaries near r are multiples of 2^-k, so the open interval holds none
+        den = 1 << (k + 1)
+        psi = (2 * q + 1) / den * math.pi
+        phi = (2 * den - 2 * q - 1) / den * math.pi
+        tag = "converging_to_identity" if abs(beta) < 1.0 else "traversing"
+        for name, value in (("t", t), ("s_t", s_t), ("classification", tag),
+                            ("_pair", EigenphasePair(phi, psi))):
+            object.__setattr__(self, name, value)
 
     def pair(self) -> EigenphasePair:
-        return self.build().pair
+        return self._pair
 
 
 RATIONAL = "rational"
@@ -195,19 +144,15 @@ UNKNOWN = "unknown"
 def classify_phase_rationality(source) -> str:
     """Rationality certificate for a phase source.
 
-    Exact rational specs are rational; quadratic seeds with positive
-    non-square discriminant are certified irrational (sqrt(D) irrational
+    Exact rational specs are rational; quadratic recipes, whose discriminant
+    is positive and not a square, are certified irrational (sqrt(D) irrational
     forces alpha^t/pi-coefficients irrational for every t >= 1); raw floating
     pairs carry no certificate either way.
     """
     if isinstance(source, (ExactUnitarySpec, RationalPhase)):
         return RATIONAL
     if isinstance(source, QuadraticRecipe):
-        source = source.seed
-    if isinstance(source, QuadraticSeed):
-        if source.discriminant > 0 and not source.has_square_discriminant:
-            return IRRATIONAL_CERTIFIED
-        return RATIONAL
+        return IRRATIONAL_CERTIFIED
     if isinstance(source, EigenphasePair):
         return UNKNOWN
     raise ValueError(f"cannot classify object of type {type(source).__name__}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -83,23 +82,11 @@ class RationalPhase:
         object.__setattr__(self, "m", m // g)
         object.__setattr__(self, "p", p // g)
 
-    @property
-    def fraction(self) -> Fraction:
-        """The phase in units of pi, as an exact Fraction in [0, 2)."""
-        return Fraction(self.m, self.p)
-
     def radians(self) -> float:
         return self.m * math.pi / self.p
 
-    @classmethod
-    def from_fraction(cls, fr: Fraction) -> "RationalPhase":
-        return cls(fr.numerator, fr.denominator)
-
     def __add__(self, other: "RationalPhase") -> "RationalPhase":
-        return RationalPhase.from_fraction(self.fraction + other.fraction)
-
-    def __str__(self) -> str:
-        return f"{self.m}*pi/{self.p}"
+        return RationalPhase(self.m * other.p + other.m * self.p, self.p * other.p)
 
 
 def rational_phase_order(ph: RationalPhase) -> int:
@@ -111,8 +98,8 @@ def rational_phase_order(ph: RationalPhase) -> int:
 
 
 def require_count(name: str, value) -> None:
-    """Reject a count that is not an integer (numpy integers pass) >= 1."""
-    if not isinstance(value, (int, np.integer)):
+    """Reject a count that is not an integer (numpy integers pass, bools do not) >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value!r}")

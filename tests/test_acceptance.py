@@ -19,10 +19,9 @@ from qchaos import (
     EigenphasePair,
     ExactUnitarySpec,
     IRRATIONAL_CERTIFIED,
-    QuadraticSeed,
+    QuadraticRecipe,
     RationalPhase,
     build_chaotic_order,
-    build_quadratic_unitary,
     chaotic_order_fraction,
     classify_phase_rationality,
     eigenphases_of,
@@ -54,10 +53,9 @@ def best_time(fn, repeats=5):
 
 
 def test_criterion_01_lucas_t3_pair():
-    seed = QuadraticSeed(-1, -1)
-    build_quadratic_unitary(seed, 3)  # warm caches before timing
-    elapsed, res = best_time(lambda: build_quadratic_unitary(seed, 3))
-    pair = res.pair
+    QuadraticRecipe(-1, -1, 3)  # warm caches before timing
+    elapsed, res = best_time(lambda: QuadraticRecipe(-1, -1, 3))
+    pair = res.pair()
     tm = float(order_verdicts(pair).trace_mag)
     assert pair.phi == pytest.approx(0.7416, abs=5e-4)
     assert pair.psi == pytest.approx(5.5415, abs=5e-4)
@@ -69,14 +67,13 @@ def test_criterion_01_lucas_t3_pair():
 
 
 def test_criterion_02_traversing_quadratic():
-    seed = QuadraticSeed(-2, -101)
-    build_quadratic_unitary(seed, 8)
-    elapsed, res = best_time(lambda: build_quadratic_unitary(seed, 8))
-    cos_psi = abs(math.cos(res.pair.psi))
+    QuadraticRecipe(-2, -101, 8)
+    elapsed, res = best_time(lambda: QuadraticRecipe(-2, -101, 8))
+    cos_psi = abs(math.cos(res.pair().psi))
     assert cos_psi == pytest.approx(0.387, abs=5e-3)
-    assert order_verdicts(res.pair).codes == CHAOTIC
+    assert order_verdicts(res).codes == CHAOTIC
     assert res.s_t == 277376354
-    assert quadratic_trace_sequence(seed, 8)[8] == 277376354
+    assert quadratic_trace_sequence(-2, -101, 8)[8] == 277376354
     assert elapsed < 1e-2
     print(f"\nACCEPTANCE 02 PASS - (-2,-101) t=8: |cos psi|={cos_psi:.6f} chaotic, "
           f"s_8=277376354 exact, {elapsed * 1e3:.2f} ms")
@@ -165,21 +162,21 @@ def test_criterion_07_entropy_rate_simulations():
           f"Pauli X K=2 -> {rate} (exact 0), {elapsed:.1f} s")
 
 
-def sample_irrational_seeds(n, rng):
-    """n quadratic seeds in the a,b < 0 regime with even s_t available."""
+def sample_irrational_recipes(n, rng):
+    """n quadratic recipes in the a,b < 0 regime with an even s_t."""
     out = []
     while len(out) < n:
         a = -int(rng.integers(1, 10))
         b = -int(rng.integers(1, 61))
-        seed = QuadraticSeed(a, b)
-        if seed.has_square_discriminant:
+        d = a * a - 4 * b
+        if math.isqrt(d) ** 2 == d:
             continue
         if a % 2 != 0 and b % 2 == 0:
             continue  # parity: s_t stays odd for every t >= 1
         t = int(rng.choice([3, 6, 9])) if a % 2 else int(rng.integers(3, 9))
-        if quadratic_trace_sequence(seed, t)[t] % 2 != 0:
+        if quadratic_trace_sequence(a, b, t)[t] % 2 != 0:
             continue
-        out.append((seed, t))
+        out.append(QuadraticRecipe(a, b, t))
     return out
 
 
@@ -187,9 +184,9 @@ def test_criterion_08_no_arbitrary_order():
     rng = np.random.default_rng(777)
     t0 = time.perf_counter()
     pairs = []
-    for seed, t in sample_irrational_seeds(20, rng):
-        assert classify_phase_rationality(seed) == IRRATIONAL_CERTIFIED
-        pairs.append(build_quadratic_unitary(seed, t).pair)
+    for recipe in sample_irrational_recipes(20, rng):
+        assert classify_phase_rationality(recipe) == IRRATIONAL_CERTIFIED
+        pairs.append(recipe.pair())
     worst_first, worst_frac = 0, 0.0
     for pair in pairs:
         k = first_nonchaotic_order(pair, 10 ** 4)

@@ -19,7 +19,6 @@ from qchaos import (
     SQRT2,
     TWO_PI,
     VERDICT_LABELS,
-    build_quadratic_unitary,
     chaotic_order_fraction,
     chaoticity_scan,
     exact_theta_fraction,
@@ -29,7 +28,6 @@ from qchaos import (
     order_verdicts,
     projective_idempotency_order,
     QuadraticRecipe,
-    QuadraticSeed,
     quadratic_trace_sequence,
 )
 
@@ -41,7 +39,7 @@ from helpers import power_eigenphases
 PI = math.pi
 
 PAULI_X_PHASES = EigenphasePair(0.0, PI)
-LUCAS_T3 = build_quadratic_unitary(QuadraticSeed(-1, -1), 3).pair
+LUCAS_T3 = QuadraticRecipe(-1, -1, 3).pair()
 D4 = ExactUnitarySpec(RationalPhase(1, 4), RationalPhase(5, 4), RationalPhase(1, 4))
 D8 = ExactUnitarySpec(RationalPhase(1, 32), RationalPhase(17, 32), RationalPhase(23, 32))
 
@@ -159,9 +157,11 @@ class TestChaoticityScan:
         lambda: order_verdicts(D4, 1.5),
         lambda: order_verdicts(LUCAS_T3, np.array([1.0, 2.0])),
         lambda: order_verdicts(D4, np.array([3, Fraction(3, 2)], dtype=object)),
+        lambda: chaoticity_scan(PAULI_X_PHASES, True),
+        lambda: idempotency_order(D4, True),
     ], ids=["scan", "scan-exact", "theta-fraction", "idempotency", "projective",
             "first-nonchaotic", "chaotic-fraction", "order-pair", "order-exact",
-            "order-float-array", "order-object-array"])
+            "order-float-array", "order-object-array", "scan-bool", "idempotency-bool"])
     def test_counts_must_be_integers(self, call):
         # unchecked, k_max = 8.5 would scan the nine orders of np.arange(1, 9.5)
         with pytest.raises(ValueError, match="must be an integer"):
@@ -232,7 +232,8 @@ class TestIdempotency:
                 RationalPhase(int(rng.integers(0, 24)), int(rng.integers(1, 13))),
                 RationalPhase(int(rng.integers(0, 24)), int(rng.integers(1, 13))))
             n = idempotency_order(spec, n_cap=10 ** 9)
-            c1, c2 = ((spec.global_phase + ph).fraction for ph in (spec.phase1, spec.phase2))
+            totals = (spec.global_phase + ph for ph in (spec.phase1, spec.phase2))
+            c1, c2 = (Fraction(ph.m, ph.p) for ph in totals)
             # U^m = I iff both total phases times m are even integers
             for m in range(1, min(n, 400)):
                 assert not ((m * c1) % 2 == 0 and (m * c2) % 2 == 0)
@@ -281,7 +282,7 @@ class TestFirstNonchaoticOrder:
         assert first_nonchaotic_order(EigenphasePair(3 * PI / 2, PI / 2), 100) == 2
 
     def test_chaotic_quadratic_pair_still_fails_somewhere(self):
-        pair = build_quadratic_unitary(QuadraticSeed(-2, -101), 8).pair
+        pair = QuadraticRecipe(-2, -101, 8).pair()
         assert order_verdicts(pair).codes == CHAOTIC
         k = first_nonchaotic_order(pair, 10 ** 4)
         assert k is not None
@@ -301,7 +302,7 @@ class TestFirstNonchaoticOrder:
 class TestChaoticFractionEquidistribution:
     def test_irrational_pairs_give_half(self):
         for seed, t in [((-1, -1), 3), ((-2, -101), 8), ((-3, -1), 3)]:
-            pair = build_quadratic_unitary(QuadraticSeed(*seed), t).pair
+            pair = QuadraticRecipe(*seed, t).pair()
             frac = chaotic_order_fraction(pair, 10 ** 5)
             assert abs(frac - 0.5) <= 0.01
 
@@ -315,7 +316,7 @@ class TestOrderVerdicts:
     def test_large_denominators_stay_exact(self):
         # 2 lcm(p1, p2) exceeds 2^31, so the residues are Python integers
         spec = ExactUnitarySpec(RationalPhase(3, 1_000_003), RationalPhase(5, 999_983))
-        f1, f2 = spec.phase1.fraction, spec.phase2.fraction
+        f1, f2 = (Fraction(ph.m, ph.p) for ph in (spec.phase1, spec.phase2))
         for k in (1, 12345, 10 ** 18 + 9, 10 ** 40 + 3):
             d = abs((k * f1) % 2 - (k * f2) % 2)
             tf = min(d, 2 - d)
@@ -440,14 +441,15 @@ class TestKernelProperties:
         assert np.all(res.trace_mag == 2.0)
 
 
-def _valid_recipe(r: QuadraticRecipe) -> bool:
+def _valid_recipe(abt) -> bool:
     """a, b < 0 (drawn so), a non-square discriminant and an even s_t."""
-    d = r.a * r.a - 4 * r.b
-    return math.isqrt(d) ** 2 != d and quadratic_trace_sequence(r.seed, r.t)[r.t] % 2 == 0
+    a, b, t = abt
+    d = a * a - 4 * b
+    return math.isqrt(d) ** 2 != d and quadratic_trace_sequence(a, b, t)[t] % 2 == 0
 
 
-_recipes = st.builds(QuadraticRecipe, st.integers(-40, -1), st.integers(-400, -1),
-                     st.integers(1, 60)).filter(_valid_recipe)
+_recipes = st.tuples(st.integers(-40, -1), st.integers(-400, -1), st.integers(1, 60)).filter(
+    _valid_recipe).map(lambda abt: QuadraticRecipe(*abt))
 
 
 class TestSourceInterface:
@@ -456,7 +458,7 @@ class TestSourceInterface:
     @settings(max_examples=200, deadline=None)
     @given(recipe=_recipes, ks=st.lists(_orders, min_size=1, max_size=20))
     def test_recipe_verdicts_are_those_of_its_built_pair(self, recipe, ks):
-        got, want = order_verdicts(recipe, ks), order_verdicts(recipe.build().pair, ks)
+        got, want = order_verdicts(recipe, ks), order_verdicts(recipe.pair(), ks)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -464,7 +466,7 @@ class TestSourceInterface:
     @given(recipe=_recipes, k_max=st.integers(1, 300))
     def test_recipe_scan_is_that_of_its_built_pair(self, recipe, k_max):
         got = chaoticity_scan(recipe, k_max).columns()
-        want = chaoticity_scan(recipe.build().pair, k_max).columns()
+        want = chaoticity_scan(recipe.pair(), k_max).columns()
         assert repr(got) == repr(want)
 
     def test_pair_is_its_own_pair(self):

@@ -205,16 +205,16 @@ class TestConstruct:
         assert "odd" in capsys.readouterr().err
 
     def test_quadratic_is_built_once(self, tmp_path, monkeypatch):
-        import qchaos.constructions
+        from qchaos.constructions import QuadraticRecipe
 
         calls = []
-        build = qchaos.constructions.build_quadratic_unitary
+        build = QuadraticRecipe.__post_init__
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
+        def counted(recipe):
+            calls.append((recipe.a, recipe.b, recipe.t))
+            build(recipe)
 
-        monkeypatch.setattr(qchaos.constructions, "build_quadratic_unitary", counted)
+        monkeypatch.setattr(QuadraticRecipe, "__post_init__", counted)
         code, doc = run_cli(["construct", "quadratic", "--a", "-1", "--b", "-1",
                              "--t", "3"], tmp_path)
         assert code == 0
@@ -559,7 +559,8 @@ import sys
 import qchaos.cli
 
 def heavy():
-    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema", "csv"))
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("scipy", "jsonschema", "csv", "fractions"))
 
 after_import = heavy()
 code = qchaos.cli.main(sys.argv[1:])
@@ -576,7 +577,7 @@ def fresh_python(*argv, **env):
 
 
 def heavy_modules(args):
-    """(exit code, scipy/jsonschema/csv modules after import, and after the command)."""
+    """(exit code, scipy/jsonschema/csv/fractions modules after import, and after the command)."""
     return fresh_python("-c", IMPORT_PROBE, *args).stdout.strip()
 
 
@@ -600,8 +601,8 @@ PUBLIC_NAMES = """
     IdempotencyCapError OrderVerdicts SQRT2 VERDICT_LABELS
     boundary_half_width chaotic_order_fraction chaoticity_scan exact_theta_fraction
     first_nonchaotic_order idempotency_order order_verdicts projective_idempotency_order
-    qubit_entropy_closed IRRATIONAL_CERTIFIED QuadraticBuildResult QuadraticRecipe
-    QuadraticSeed RATIONAL UNKNOWN build_chaotic_order build_quadratic_unitary
+    qubit_entropy_closed IRRATIONAL_CERTIFIED QuadraticRecipe
+    RATIONAL UNKNOWN build_chaotic_order
     classify_phase_rationality quadratic_trace_sequence
     source_from_json source_to_json CensusResult EntropyRateExperiment
     InsufficientDataError empirical_entropy_rate
@@ -630,7 +631,8 @@ print(repr((os.environ["OPENBLAS_NUM_THREADS"], int(status["Threads"]))))
 class TestImports:
     def test_cli_loads_neither_scipy_nor_jsonschema(self, tmp_path):
         """scipy and jsonschema are test oracles: the package imports neither.
-        Nor does it import csv, which only --csv uses."""
+        Nor does it import csv, which only --csv uses, or fractions, which
+        only exact_theta_fraction uses."""
         args = ["analyze", "--psi", "1/2", "--json", str(tmp_path / "a.json")]
         assert heavy_modules(args) == repr((0, [], []))
 
@@ -655,7 +657,7 @@ class TestImports:
 
     def test_exports_the_public_names(self):
         _, names, listed, unknown = ast.literal_eval(fresh_python("-c", EXPORTS_PROBE).stdout)
-        assert len(PUBLIC_NAMES) == 57
+        assert len(PUBLIC_NAMES) == 54
         assert names == PUBLIC_NAMES  # and each one resolved in the probe
         assert listed and not unknown
 

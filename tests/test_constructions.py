@@ -13,12 +13,10 @@ from qchaos import (
     ExactUnitarySpec,
     IRRATIONAL_CERTIFIED,
     QuadraticRecipe,
-    QuadraticSeed,
     RATIONAL,
     RationalPhase,
     UNKNOWN,
     build_chaotic_order,
-    build_quadratic_unitary,
     circular_distance,
     classify_phase_rationality,
     idempotency_order,
@@ -136,22 +134,22 @@ class TestBuildChaoticOrder:
 
 class TestQuadraticTraceSequence:
     def test_lucas_numbers(self):
-        seq = quadratic_trace_sequence(QuadraticSeed(-1, -1), 7)
+        seq = quadratic_trace_sequence(-1, -1, 7)
         assert seq == (2, 1, 3, 4, 7, 11, 18, 29)
 
     def test_lucas_even_flags_period_three(self):
-        seq = quadratic_trace_sequence(QuadraticSeed(-1, -1), 60)
+        seq = quadratic_trace_sequence(-1, -1, 60)
         want = tuple(t % 3 == 0 for t in range(61))
         assert tuple(v % 2 == 0 for v in seq) == want
 
     def test_big_integer_example(self):
-        seq = quadratic_trace_sequence(QuadraticSeed(-2, -101), 8)
+        seq = quadratic_trace_sequence(-2, -101, 8)
         assert seq[0] == 2 and seq[1] == 2
         assert seq[8] == 277376354
 
     def test_rejects_zero_t_max(self):
         with pytest.raises(ValueError):
-            quadratic_trace_sequence(QuadraticSeed(-1, -1), 0)
+            quadratic_trace_sequence(-1, -1, 0)
 
     def test_integer_closure_against_root_powers(self):
         # recurrence values must equal round(alpha^t + beta^t) at 80 digits
@@ -162,7 +160,7 @@ class TestQuadraticTraceSequence:
             b = int(rng.integers(-50, 51))
             if a == 0 or b == 0 or a * a - 4 * b <= 0:
                 continue
-            seq = quadratic_trace_sequence(QuadraticSeed(a, b), 40)
+            seq = quadratic_trace_sequence(a, b, 40)
             for t in (1, 5, 13, 27, 40):
                 rounds_exactly, err = dec_power_sum_check(a, b, t, seq[t])
                 assert rounds_exactly
@@ -172,116 +170,106 @@ class TestQuadraticTraceSequence:
     def test_even_minus_a_forces_all_even(self):
         for a in (-2, -4, -6, -10):
             for b in (-1, -3, -7, -25):
-                seq = quadratic_trace_sequence(QuadraticSeed(a, b), 60)
+                seq = quadratic_trace_sequence(a, b, 60)
                 assert all(v % 2 == 0 for v in seq)
 
 
 class TestCountsMustBeIntegers:
     @pytest.mark.parametrize("call", [
-        lambda: quadratic_trace_sequence(QuadraticSeed(-1, -1), 3.0),
-        lambda: build_quadratic_unitary(QuadraticSeed(-1, -1), 3.0),
+        lambda: quadratic_trace_sequence(-1, -1, 3.0),
+        lambda: QuadraticRecipe(-1, -1, 3.0),
+        lambda: QuadraticRecipe(-1, -1, True),
         lambda: build_chaotic_order(5.0),
-    ], ids=["trace-sequence", "quadratic-build", "chaotic-order"])
+    ], ids=["trace-sequence", "quadratic-recipe", "quadratic-recipe-bool", "chaotic-order"])
     def test_float_count_is_rejected(self, call):
         with pytest.raises(ValueError, match="must be an integer"):
             call()
 
 
-class TestQuadraticSeed:
-    def test_rejects_zero_coefficients(self):
-        with pytest.raises(ValueError):
-            QuadraticSeed(0, -1)
-        with pytest.raises(ValueError):
-            QuadraticSeed(-1, 0)
-
-    def test_square_discriminant_detection(self):
-        assert QuadraticSeed(-1, -2).has_square_discriminant   # D = 9
-        assert not QuadraticSeed(-1, -1).has_square_discriminant  # D = 5
-
-    def test_roots(self):
-        alpha, beta = QuadraticSeed(-1, -1).roots()
-        assert alpha == pytest.approx((1 + math.sqrt(5)) / 2)
-        assert beta == pytest.approx((1 - math.sqrt(5)) / 2)
-
-
-class TestBuildQuadraticUnitary:
+class TestQuadraticRecipe:
     def test_lucas_t3_phases(self):
-        res = build_quadratic_unitary(QuadraticSeed(-1, -1), 3)
-        assert res.pair.phi == pytest.approx(0.7416, abs=5e-4)
-        assert res.pair.psi == pytest.approx(5.5415, abs=5e-4)
-        assert res.classification == "converging_to_identity"
-        assert res.s_t == 4
+        recipe = QuadraticRecipe(-1, -1, 3)
+        pair = recipe.pair()
+        assert pair.phi == pytest.approx(0.7416, abs=5e-4)
+        assert pair.psi == pytest.approx(5.5415, abs=5e-4)
+        assert recipe.classification == "converging_to_identity"
+        assert recipe.s_t == 4
         oracle = dec_phase_pair(-1, -1, 3)
-        assert res.pair.phi == pytest.approx(oracle[0], abs=1e-12)
-        assert res.pair.psi == pytest.approx(oracle[1], abs=1e-12)
+        assert pair.phi == pytest.approx(oracle[0], abs=1e-12)
+        assert pair.psi == pytest.approx(oracle[1], abs=1e-12)
 
     def test_traversing_example(self):
-        res = build_quadratic_unitary(QuadraticSeed(-2, -101), 8)
-        assert abs(math.cos(res.pair.psi)) == pytest.approx(0.387, abs=5e-3)
-        assert res.classification == "traversing"
+        recipe = QuadraticRecipe(-2, -101, 8)
+        pair = recipe.pair()
+        assert abs(math.cos(pair.psi)) == pytest.approx(0.387, abs=5e-3)
+        assert recipe.classification == "traversing"
         oracle = dec_phase_pair(-2, -101, 8)
-        assert res.pair.phi == pytest.approx(oracle[0], abs=1e-12)
-        assert res.pair.psi == pytest.approx(oracle[1], abs=1e-12)
+        assert pair.phi == pytest.approx(oracle[0], abs=1e-12)
+        assert pair.psi == pytest.approx(oracle[1], abs=1e-12)
 
     def test_lucas_t6_drifts_toward_identity(self):
-        res = build_quadratic_unitary(QuadraticSeed(-1, -1), 6)
-        assert order_verdicts(res.pair).trace_mag == pytest.approx(1.969, abs=5e-4)
+        recipe = QuadraticRecipe(-1, -1, 6)
+        assert order_verdicts(recipe).trace_mag == pytest.approx(1.969, abs=5e-4)
 
     def test_rejects_odd_sum(self):
         with pytest.raises(ValueError, match="odd"):
-            build_quadratic_unitary(QuadraticSeed(-1, -1), 4)  # s_4 = 7
+            QuadraticRecipe(-1, -1, 4)  # s_4 = 7
 
     def test_rejects_square_discriminant(self):
         with pytest.raises(ValueError, match="square"):
-            build_quadratic_unitary(QuadraticSeed(-1, -2), 3)
+            QuadraticRecipe(-1, -2, 3)  # D = 9
 
-    @pytest.mark.parametrize("a,b", [(2, -1), (-1, 1), (3, 5)])
-    def test_rejects_positive_regime(self, a, b):
+    @pytest.mark.parametrize("a,b", [(2, -1), (-1, 1), (3, 5), (0, -1), (-1, 0)])
+    def test_rejects_positive_or_zero_regime(self, a, b):
         with pytest.raises(ValueError, match="regime"):
-            build_quadratic_unitary(QuadraticSeed(a, b), 2)
+            QuadraticRecipe(a, b, 2)
+
+    def test_rejects_non_integer_coefficients(self):
+        for a, b in [(-1.0, -1), (-1, np.int64(-1))]:
+            with pytest.raises(ValueError, match="coefficients must be integers"):
+                QuadraticRecipe(a, b, 3)
 
     def test_phase_sum_invariant(self):
         for (a, b), t in [((-1, -1), 3), ((-1, -1), 6), ((-2, -101), 8),
                           ((-2, -5), 5), ((-4, -7), 9)]:
-            res = build_quadratic_unitary(QuadraticSeed(a, b), t)
-            assert circular_distance(res.pair.phi + res.pair.psi, 0.0) <= 2 ** -30 * PI
+            pair = QuadraticRecipe(a, b, t).pair()
+            assert circular_distance(pair.phi + pair.psi, 0.0) <= 2 ** -30 * PI
 
     def test_rejects_zero_t(self):
         with pytest.raises(ValueError):
-            build_quadratic_unitary(QuadraticSeed(-1, -1), 0)
+            QuadraticRecipe(-1, -1, 0)
 
+    def test_numpy_integer_t_builds_as_its_value(self):
+        recipe = QuadraticRecipe(-2, -101, np.int64(8))
+        assert type(recipe.t) is int and recipe == QuadraticRecipe(-2, -101, 8)
+        assert recipe.pair() == QuadraticRecipe(-2, -101, 8).pair()
 
-class TestQuadraticRecipe:
-    def test_build_is_made_once_and_kept(self, monkeypatch):
-        import qchaos.constructions
+    def test_build_is_not_part_of_equality_hash_or_repr(self):
+        one, other = QuadraticRecipe(-1, -1, 3), QuadraticRecipe(-1, -1, 3)
+        assert one == other and hash(one) == hash(other)
+        assert len({one, other}) == 1
+        assert one != QuadraticRecipe(-1, -1, 6)
+        assert repr(one) == "QuadraticRecipe(a=-1, b=-1, t=3)"
 
-        calls = []
-        build = qchaos.constructions.build_quadratic_unitary
-        monkeypatch.setattr(qchaos.constructions, "build_quadratic_unitary",
-                            lambda *args: calls.append(args) or build(*args))
-        recipe = QuadraticRecipe(-2, -101, 8)
-        first = recipe.build()
-        assert recipe.build() is first and recipe.pair() is first.pair
-        assert len(calls) == 1
-        assert first == build_quadratic_unitary(QuadraticSeed(-2, -101), 8)
-
-    def test_kept_build_is_not_part_of_equality_or_hash(self):
-        built, unbuilt = QuadraticRecipe(-1, -1, 3), QuadraticRecipe(-1, -1, 3)
-        built.build()
-        assert built == unbuilt and hash(built) == hash(unbuilt)
-        assert len({built, unbuilt}) == 1
-        assert built != QuadraticRecipe(-1, -1, 6)
-        assert repr(built) == "QuadraticRecipe(a=-1, b=-1, t=3)"
-
-    def test_build_takes_no_keywords(self):
-        with pytest.raises(TypeError):
-            QuadraticRecipe(-1, -1, 3).build(allow_positive_coefficients=True)
-
-    def test_invalid_recipe_raises_on_every_build(self):
-        recipe = QuadraticRecipe(-1, -1, 4)  # s_4 = 7
-        for _ in range(2):
-            with pytest.raises(ValueError, match="odd"):
-                recipe.pair()
+    @settings(max_examples=400, deadline=None)
+    @given(a=st.integers(-12, 3), b=st.integers(-60, 3), t=st.integers(-2, 60))
+    @example(a=0, b=-1, t=3)
+    @example(a=-1, b=-2, t=3)  # D = 9
+    @example(a=-1, b=-1, t=4)  # s_4 = 7
+    @example(a=-1, b=-1, t=0)
+    def test_builds_exactly_inside_the_boundary(self, a, b, t):
+        """A recipe is made iff a, b < 0, t >= 1, D is not a square and s_t
+        is even, and it survives the JSON round trip; otherwise ValueError."""
+        d = a * a - 4 * b
+        valid = (a < 0 and b < 0 and t >= 1 and math.isqrt(d) ** 2 != d
+                 and quadratic_trace_sequence(a, b, t)[t] % 2 == 0)
+        if not valid:
+            with pytest.raises(ValueError):
+                QuadraticRecipe(a, b, t)
+            return
+        recipe = QuadraticRecipe(a, b, t)
+        assert source_from_json(source_to_json(recipe)) == recipe
+        assert recipe.s_t == quadratic_trace_sequence(a, b, t)[t]
 
 
 class TestQuadraticPhasesExact:
@@ -290,9 +278,8 @@ class TestQuadraticPhasesExact:
     @example(a=-1, b=-1, t=60)  # beta^60 ~ 3e-13: psi is tiny, phi just below 2 pi
     def test_phases_are_correctly_rounded(self, a, b, t):
         d = a * a - 4 * b
-        seed = QuadraticSeed(a, b)
-        assume(math.isqrt(d) ** 2 != d and quadratic_trace_sequence(seed, t)[t] % 2 == 0)
-        pair = build_quadratic_unitary(seed, t).pair
+        assume(math.isqrt(d) ** 2 != d and quadratic_trace_sequence(a, b, t)[t] % 2 == 0)
+        pair = QuadraticRecipe(a, b, t).pair()
         # alpha^t stays below 1e102 here, so 250 digits leave over 140 after
         # the point; EigenphasePair maps a phase that rounds to 2 pi onto 0
         assert pair == EigenphasePair(*dec_phase_pair(a, b, t, digits=250))
@@ -304,12 +291,9 @@ class TestClassifyPhaseRationality:
         spec = ExactUnitarySpec(RationalPhase(1, 4), RationalPhase(5, 4))
         assert classify_phase_rationality(spec) == RATIONAL
 
-    def test_quadratic_seed_certified(self):
-        assert classify_phase_rationality(QuadraticSeed(-1, -1)) == IRRATIONAL_CERTIFIED
+    def test_quadratic_recipe_certified(self):
+        assert classify_phase_rationality(QuadraticRecipe(-1, -1, 3)) == IRRATIONAL_CERTIFIED
         assert classify_phase_rationality(QuadraticRecipe(-2, -101, 8)) == IRRATIONAL_CERTIFIED
-
-    def test_square_discriminant_seed_is_rational(self):
-        assert classify_phase_rationality(QuadraticSeed(-1, -2)) == RATIONAL
 
     def test_float_pair_unknown(self):
         assert classify_phase_rationality(EigenphasePair(0.25, 1.25)) == UNKNOWN

@@ -166,6 +166,14 @@ class TestRationalPhase:
         with pytest.raises(ValueError):
             RationalPhase(1.5, 2)  # type: ignore[arg-type]
 
+    @settings(max_examples=300, deadline=None)
+    @given(m1=st.integers(-500, 500), p1=st.integers(-60, 60).filter(bool),
+           m2=st.integers(-500, 500), p2=st.integers(-60, 60).filter(bool))
+    def test_sum_is_the_fraction_sum_mod_two(self, m1, p1, m2, p2):
+        got = RationalPhase(m1, p1) + RationalPhase(m2, p2)
+        want = (Fraction(m1, p1) + Fraction(m2, p2)) % 2
+        assert (got.m, got.p) == (want.numerator, want.denominator)
+
     @pytest.mark.parametrize("m,p,order", [(1, 4, 8), (1, 1, 2), (2, 3, 3), (0, 1, 1), (3, 2, 4)])
     def test_order(self, m, p, order):
         ph = RationalPhase(m, p)

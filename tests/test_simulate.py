@@ -156,7 +156,8 @@ class TestSampleTrajectory:
             sample_trajectory(PAULI_X, PvmBasis.x_basis(), steps=10, seed=None)  # type: ignore[arg-type]
 
     @pytest.mark.parametrize("field,value", [
-        ("steps", 1000.0), ("period", 2.0), ("steps", "10"), ("period", None)])
+        ("steps", 1000.0), ("period", 2.0), ("steps", "10"), ("period", None),
+        ("steps", True), ("period", True)])
     def test_rejects_non_integer_counts(self, field, value):
         kw = {"steps": 10, "period": 1, field: value}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -341,7 +342,7 @@ class TestCensus:
             monte_carlo_chaotic_fraction(0, seed=0)
 
     @pytest.mark.parametrize("kw", [{"n_trials": 100.0}, {"n_trials": "100"},
-                                    {"threads": 2.0}, {"threads": None}])
+                                    {"threads": 2.0}, {"threads": None}, {"n_trials": True}])
     def test_rejects_non_integer_counts(self, kw):
         args = {"n_trials": 100, "seed": 1, **kw}
         field = next(iter(kw))
@@ -458,7 +459,7 @@ class TestNoisyPhaseWalk:
         with pytest.raises(ValueError):
             noisy_phase_walk(EigenphasePair(0.0, PI), epsilon=-0.1, steps=10, seed=0)
 
-    @pytest.mark.parametrize("steps", [10.0, "10", None])
+    @pytest.mark.parametrize("steps", [10.0, "10", None, True])
     def test_rejects_non_integer_steps(self, steps):
         with pytest.raises(ValueError, match="steps must be an integer"):
             noisy_phase_walk(EigenphasePair(0.0, PI), epsilon=0.1, steps=steps, seed=1)
@@ -470,6 +471,21 @@ class TestStreamKeys:
         # reduced mod 2^64, seed -1 and seed 2^64 - 1 would share one stream
         with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*64\)"):
             stream_generator(seed, stream)
+
+    @pytest.mark.parametrize("seed,stream", [(True, 0), (0, False), (1.0, 0), ("1", 0)])
+    def test_rejects_keys_that_are_not_integers(self, seed, stream):
+        # a bool is an int, but seed=True would silently be seed 1
+        with pytest.raises(ValueError, match="seed and stream must be integers"):
+            stream_generator(seed, stream)
+
+    def test_numpy_integer_keys_are_their_python_values(self):
+        want = stream_generator(7, 3).random(4).tobytes()
+        assert stream_generator(np.int64(7), np.uint32(3)).random(4).tobytes() == want
+        top = np.uint64((1 << 64) - 1)
+        assert (stream_generator(top, top).random(4).tobytes()
+                == stream_generator((1 << 64) - 1, (1 << 64) - 1).random(4).tobytes())
+        with pytest.raises(ValueError, match="must lie in"):
+            stream_generator(np.int64(-1))
 
     def test_edges_of_the_range_are_distinct_streams(self):
         top = (1 << 64) - 1
