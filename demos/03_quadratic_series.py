@@ -14,7 +14,6 @@ from qchaos import (
     TWO_PI,
     VERDICT_LABELS,
     chaotic_order_fraction,
-    classify_phase_rationality,
     first_nonchaotic_order,
     order_verdicts,
     quadratic_trace_sequence,
@@ -30,7 +29,7 @@ lucas = QuadraticRecipe(-1, -1, 3)  # checked and built here; t=4 would raise (s
 pair, v = lucas.pair(), order_verdicts(lucas)
 print(f"\nt=3: phi = {pair.phi:.6f}, psi = {pair.psi:.6f}, "
       f"|tr| = {v.trace_mag:.6f} -> {VERDICT_LABELS[v.codes]}")
-print("rationality:", classify_phase_rationality(lucas))
+print("rationality:", lucas.rationality)
 
 # |beta| < 1 here, so beta^t -> 0 and the series drifts toward the identity:
 for t in (3, 6, 9, 12):

@@ -29,9 +29,8 @@ _SUBMODULE = {name: module for module, names in (
                    "chaotic_order_fraction chaoticity_scan exact_theta_fraction "
                    "first_nonchaotic_order idempotency_order order_verdicts "
                    "projective_idempotency_order qubit_entropy_closed"),
-    ("constructions", "IRRATIONAL_CERTIFIED QuadraticRecipe RATIONAL UNKNOWN "
-                      "build_chaotic_order classify_phase_rationality "
-                      "quadratic_trace_sequence source_from_json source_to_json"),
+    ("constructions", "QuadraticRecipe build_chaotic_order quadratic_trace_sequence "
+                      "source_from_json"),
     ("simulate", "CensusResult EntropyRateExperiment InsufficientDataError "
                  "empirical_entropy_rate empirical_transition_matrix "
                  "entropy_rate_experiment monte_carlo_chaotic_fraction noisy_phase_walk "

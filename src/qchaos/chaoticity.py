@@ -81,9 +81,9 @@ def order_verdicts(source, ks=1) -> OrderVerdicts:
 
     ``source`` is an ExactUnitarySpec (chaotic iff 2t > L, boundary iff
     2t = L; |tr| is exactly 2 at t = 0 and 0 at t = L), an array of
-    differences d = phi - psi of U^K, as the census and the noise walk pass
-    with K = 1 (theta is then None), or any other source, read through its
-    float pair ``source.pair()`` (an EigenphasePair or a QuadraticRecipe:
+    differences d = phi - psi at the scalar K = 1 only (theta is then None),
+    as the census and the noise walk pass, or any other source, read through
+    its float pair ``source.pair()`` (an EigenphasePair or a QuadraticRecipe:
     d = fmod(K*phi) - fmod(K*psi)).  In every case |tr| = 2|cos(d/2)|.  A
     scalar K gives shape-() results; a non-integer K or non-finite d is rejected.
     """
@@ -98,6 +98,8 @@ def order_verdicts(source, ks=1) -> OrderVerdicts:
         t, big = _theta_units(source, ks)
         d = theta = np.asarray(t / big, dtype=float) * math.pi
     elif isinstance(source, np.ndarray):
+        if ks.shape or ks != 1:
+            raise ValueError("an array of phase differences takes only the order K = 1")
         d, theta = source.astype(float), None
         if not np.isfinite(d).all():
             raise ValueError("phase differences must be finite")

@@ -6,11 +6,11 @@ the same arguments reproduces the document bit-identically apart from the
 timestamp (census's at any --threads).  A flag is registered only on the
 commands it acts on, and a flag the source would drop exits 2: a phase beside
 --spec-json or --unitary-json, or --global-phase beside an inexact phase.
-``resolve_source`` gives a float pair, an exact spec or a quadratic recipe;
-scans run on that source itself (an exact spec is decided exactly), and the
-other commands read its float pair through ``source.pair()``.  ``simulate`` is
-``simulate.entropy_rate_experiment``, the one pipeline, over the basis names
-computational, x and optimized.
+``resolve_source`` gives a float pair, an exact spec (decided exactly) or a
+quadratic recipe; the documents write its ``kind``, ``rationality`` and
+``to_json()``, scans run on it, and other commands on ``source.pair()``.
+``simulate`` is ``simulate.entropy_rate_experiment``, the one pipeline,
+over the basis names computational, x and optimized.
 ``jsontext.dumps`` writes every document, floats at 12 significant digits,
 with the scan rows and the full noise walk written from their columns.  The
 documents follow ``schemas/output.schema.json``; that schema is the output
@@ -55,15 +55,10 @@ from .chaoticity import (
     qubit_entropy_closed,
 )
 from .constructions import (
-    IRRATIONAL_CERTIFIED,
     QuadraticRecipe,
-    RATIONAL,
-    UNKNOWN,
     build_chaotic_order,
-    classify_phase_rationality,
     quadratic_trace_sequence,
     source_from_json,
-    source_to_json,
 )
 from .entropy import pvm_entropy_optimize
 from .jsontext import Rows, dumps
@@ -164,25 +159,23 @@ def _write_csv(report, args) -> None:
 
 
 def _source_doc(source) -> dict:
-    if isinstance(source, ExactUnitarySpec):
-        pair = source.pair()
-        return {"kind": "rational", "phi": pair.phi, "psi": pair.psi,
-                "spec": source_to_json(source)}
-    if isinstance(source, QuadraticRecipe):
-        return {"kind": "quadratic", "phi": None, "psi": None,
-                "spec": source_to_json(source)}
-    return {"kind": "float_pair", "phi": source.phi, "psi": source.psi, "spec": None}
+    """The input block; a quadratic recipe is written by its (a, b, t), without phases."""
+    pair = source.pair()
+    phases = (None, None) if source.kind == "quadratic" else (pair.phi, pair.psi)
+    return {"kind": source.kind, "phi": phases[0], "psi": phases[1],
+            "spec": None if source.kind == "float_pair" else source.to_json()}
 
 
-_NO_ORDER_REASON = {IRRATIONAL_CERTIFIED: "irrational_phase", UNKNOWN: "unknown_phase_rationality"}
+_NO_ORDER_REASON = {"irrational_certified": "irrational_phase",
+                    "unknown": "unknown_phase_rationality"}
 
 
 def _analysis_body(source, k_max: int, n_cap: int) -> dict:
     """Scan + per-order closed-form entropy + idempotency/rationality block."""
     require_count("n_cap", n_cap)
     pair = source.pair()
-    rationality = classify_phase_rationality(source)
-    exact = rationality == RATIONAL  # an exact spec
+    rationality = source.rationality
+    exact = rationality == "rational"  # an exact spec
     if exact:  # the strict order first: its IdempotencyCapError is the one raised
         idem = {"order": idempotency_order(source, n_cap), "reason": None,
                 "inner_denominator_lcm": math.lcm(source.phase1.p, source.phase2.p)}
@@ -200,7 +193,7 @@ def _analysis_body(source, k_max: int, n_cap: int) -> dict:
         "entropy_bits": qubit_entropy_closed(pair),
         "scan": Rows(report.columns()),
     }
-    if rationality == IRRATIONAL_CERTIFIED:  # a quadratic recipe
+    if source.kind == "quadratic":
         body["quadratic_build"] = {"classification": source.classification,
                                    "s_t": source.s_t}
     return body, report
@@ -237,7 +230,7 @@ def cmd_construct(args) -> int:
         source = ExactUnitarySpec(parse_phase(args.phase1, "phase1"),
                                   parse_phase(args.phase2, "phase2"),
                                   parse_phase(args.global_phase or "0", "global_phase"))
-        params = source_to_json(source)
+        params = source.to_json()
     elif args.kind == "chaotic-order-k":
         source, prime = build_chaotic_order(args.order)
         construction.update(order=args.order, prime=prime)
@@ -245,7 +238,7 @@ def cmd_construct(args) -> int:
     else:  # argparse allows only the three kinds
         source = QuadraticRecipe(args.a, args.b, args.t)
         params = {"a": args.a, "b": args.b, "t": args.t}
-    construction["source"] = source_to_json(source)
+    construction["source"] = source.to_json()
     params["kind"] = args.kind
 
     body, _ = _analysis_body(source, args.k_max, args.n_cap)

@@ -18,6 +18,9 @@ Three kinds of two-level unitaries are constructed here:
   irrational phases.  ``QuadraticRecipe(a, b, t)`` is that pair: it checks
   and builds itself when it is made.
 
+Each source class states its own ``kind`` and ``rationality``; the exact
+kinds also give ``to_json()``, the form ``source_from_json`` reads back.
+
 The mod-2 reduction is done in exact integers.  With alpha^t =
 (A_t + B_t sqrt(D)) / 2^t, the integers A_t, B_t follow their own recurrence
 and math.isqrt gives the digits of B_t sqrt(D) exactly, so beta^t mod 2 is
@@ -80,12 +83,14 @@ class QuadraticRecipe:
     construction loses its point) and s_t is even (otherwise the pair is not
     unimodular).  Only (a, b, t) take part in ==, hash and repr; the build
     keeps s_t, the classification ("converging_to_identity" when |beta| < 1,
-    else "traversing") and the pair, read through pair().
+    else "traversing") and the pair, read through pair().  sqrt(D) is
+    irrational, so both phases are certified irrational for every t >= 1.
 
     The residue r = beta^t mod 2 is bracketed in exact integers, so psi =
     r pi and phi = (2 - r) pi keep full float accuracy at every t.
     """
 
+    kind, rationality = "quadratic", "irrational_certified"
     a: int
     b: int
     t: int
@@ -135,43 +140,12 @@ class QuadraticRecipe:
     def pair(self) -> EigenphasePair:
         return self._pair
 
-
-RATIONAL = "rational"
-IRRATIONAL_CERTIFIED = "irrational_certified"
-UNKNOWN = "unknown"
-
-
-def classify_phase_rationality(source) -> str:
-    """Rationality certificate for a phase source.
-
-    Exact rational specs are rational; quadratic recipes, whose discriminant
-    is positive and not a square, are certified irrational (sqrt(D) irrational
-    forces alpha^t/pi-coefficients irrational for every t >= 1); raw floating
-    pairs carry no certificate either way.
-    """
-    if isinstance(source, (ExactUnitarySpec, RationalPhase)):
-        return RATIONAL
-    if isinstance(source, QuadraticRecipe):
-        return IRRATIONAL_CERTIFIED
-    if isinstance(source, EigenphasePair):
-        return UNKNOWN
-    raise ValueError(f"cannot classify object of type {type(source).__name__}")
-
-
-def source_to_json(obj) -> dict:
-    """JSON form of a build source: rational spec or quadratic recipe."""
-    if isinstance(obj, ExactUnitarySpec):
-        return {"kind": "rational",
-                "m1": obj.phase1.m, "p1": obj.phase1.p,
-                "m2": obj.phase2.m, "p2": obj.phase2.p,
-                "g_m": obj.global_phase.m, "g_p": obj.global_phase.p}
-    if isinstance(obj, QuadraticRecipe):
-        return {"kind": "quadratic", "a": obj.a, "b": obj.b, "t": obj.t}
-    raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "a": self.a, "b": self.b, "t": self.t}
 
 
 def source_from_json(doc) -> ExactUnitarySpec | QuadraticRecipe:
-    """The source of a JSON object (or its text) as ``source_to_json`` writes it;
+    """The source of a JSON object (or its text) as its ``to_json()`` writes it;
     the fields read besides "kind" must be integers, and a bool is not one."""
     if isinstance(doc, str):
         doc = json.loads(doc)

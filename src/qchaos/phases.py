@@ -37,8 +37,9 @@ def circular_distance(x: float, y: float) -> float:
 
 @dataclass(frozen=True)
 class EigenphasePair:
-    """Eigenphases (phi, psi) of a 2x2 unitary, each reduced to [0, 2*pi)."""
+    """Eigenphases (phi, psi) of a 2x2 unitary, each in [0, 2*pi); rationality unknown."""
 
+    kind, rationality = "float_pair", "unknown"
     phi: float
     psi: float
 
@@ -70,9 +71,10 @@ class RationalPhase:
     p: int = 1
 
     def __post_init__(self):
-        m, p = self.m, self.p
-        if not isinstance(m, int) or not isinstance(p, int):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (self.m, self.p)):
             raise ValueError("rational phase needs integer numerator and denominator")
+        m, p = int(self.m), int(self.p)
         if p == 0:
             raise ValueError("rational phase denominator must be nonzero")
         if p < 0:
@@ -128,8 +130,10 @@ class ExactUnitarySpec:
     This is the only representation on which idempotency is decidable; the
     global phase takes part in strict idempotency but never in trace-magnitude
     chaoticity checks (|tr| is invariant under a unit-modulus prefactor).
+    ``to_json()`` gives the object ``constructions.source_from_json`` reads back.
     """
 
+    kind = rationality = "rational"
     phase1: RationalPhase
     phase2: RationalPhase
     global_phase: RationalPhase = RationalPhase(0)
@@ -143,6 +147,11 @@ class ExactUnitarySpec:
     def pair(self) -> EigenphasePair:
         """The inner eigenphases as floats (global phase excluded)."""
         return EigenphasePair(self.phase1.radians(), self.phase2.radians())
+
+    def to_json(self) -> dict:
+        g = self.global_phase
+        return {"kind": self.kind, "m1": self.phase1.m, "p1": self.phase1.p,
+                "m2": self.phase2.m, "p2": self.phase2.p, "g_m": g.m, "g_p": g.p}
 
     def to_unitary(self) -> np.ndarray:
         """The matrix, global phase included."""

@@ -18,12 +18,10 @@ import pytest
 from qchaos import (
     EigenphasePair,
     ExactUnitarySpec,
-    IRRATIONAL_CERTIFIED,
     QuadraticRecipe,
     RationalPhase,
     build_chaotic_order,
     chaotic_order_fraction,
-    classify_phase_rationality,
     eigenphases_of,
     entropy_rate_experiment,
     exact_theta_fraction,
@@ -185,7 +183,7 @@ def test_criterion_08_no_arbitrary_order():
     t0 = time.perf_counter()
     pairs = []
     for recipe in sample_irrational_recipes(20, rng):
-        assert classify_phase_rationality(recipe) == IRRATIONAL_CERTIFIED
+        assert recipe.rationality == "irrational_certified"
         pairs.append(recipe.pair())
     worst_first, worst_frac = 0, 0.0
     for pair in pairs:

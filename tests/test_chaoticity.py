@@ -346,6 +346,21 @@ class TestOrderVerdicts:
             with pytest.raises(ValueError, match="must be finite"):
                 call(np.array(d))
 
+    @pytest.mark.parametrize("call", [
+        lambda d: order_verdicts(d, [1, 2, 3]),
+        lambda d: order_verdicts(d, [1]),
+        lambda d: chaoticity_scan(d, 3),
+        lambda d: chaoticity_scan(d, 1),
+        lambda d: first_nonchaotic_order(d, 4),
+        lambda d: chaotic_order_fraction(d, 70000),
+    ], ids=["orders", "order-list", "scan", "scan-1", "first-nonchaotic", "fraction"])
+    def test_differences_are_an_order_one_source(self, call):
+        """An array of phase differences stands for U, not U^K: any order but
+        the scalar K = 1 is rejected, rather than broadcast against it."""
+        for d in (np.array([3.0]), np.array([3.0, 0.1])):
+            with pytest.raises(ValueError, match="only the order K = 1"):
+                call(d)
+
 
 _PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097494459230781640628620899"
 

@@ -24,8 +24,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qchaos.cli import _emit, main, parse_phase
-from qchaos import EigenphasePair, RationalPhase, eta, order_verdicts
+from qchaos.cli import _NO_ORDER_REASON, _emit, main, parse_phase
+from qchaos import (EigenphasePair, ExactUnitarySpec, QuadraticRecipe, RationalPhase, eta,
+                    order_verdicts)
 
 from helpers import random_unitary
 
@@ -205,8 +206,6 @@ class TestConstruct:
         assert "odd" in capsys.readouterr().err
 
     def test_quadratic_is_built_once(self, tmp_path, monkeypatch):
-        from qchaos.constructions import QuadraticRecipe
-
         calls = []
         build = QuadraticRecipe.__post_init__
 
@@ -225,6 +224,22 @@ class TestConstruct:
         calls.clear()
         assert run_cli(["analyze", "--spec-json", str(src)], tmp_path, "a.json")[0] == 0
         assert len(calls) == 1
+
+
+class TestSourceSchema:
+    SOURCES = (EigenphasePair, ExactUnitarySpec, QuadraticRecipe)
+
+    def test_input_kinds_are_the_source_kinds(self):
+        enum = SCHEMA["$defs"]["input_block"]["properties"]["kind"]["enum"]
+        assert set(enum) == {cls.kind for cls in self.SOURCES} and len(enum) == 3
+
+    def test_rationalities_are_the_source_rationalities(self):
+        enum = SCHEMA["$defs"]["analysis_body"]["properties"]["rationality"]["enum"]
+        assert set(enum) == {cls.rationality for cls in self.SOURCES} and len(enum) == 3
+
+    def test_every_inexact_rationality_has_a_no_order_reason(self):
+        inexact = {cls.rationality for cls in self.SOURCES} - {"rational"}
+        assert set(_NO_ORDER_REASON) == inexact
 
 
 class TestFlags:
@@ -601,10 +616,8 @@ PUBLIC_NAMES = """
     IdempotencyCapError OrderVerdicts SQRT2 VERDICT_LABELS
     boundary_half_width chaotic_order_fraction chaoticity_scan exact_theta_fraction
     first_nonchaotic_order idempotency_order order_verdicts projective_idempotency_order
-    qubit_entropy_closed IRRATIONAL_CERTIFIED QuadraticRecipe
-    RATIONAL UNKNOWN build_chaotic_order
-    classify_phase_rationality quadratic_trace_sequence
-    source_from_json source_to_json CensusResult EntropyRateExperiment
+    qubit_entropy_closed QuadraticRecipe build_chaotic_order quadratic_trace_sequence
+    source_from_json CensusResult EntropyRateExperiment
     InsufficientDataError empirical_entropy_rate
     empirical_transition_matrix entropy_rate_experiment monte_carlo_chaotic_fraction
     noisy_phase_walk sample_trajectory write_trajectory_outputs stream_generator
@@ -657,7 +670,7 @@ class TestImports:
 
     def test_exports_the_public_names(self):
         _, names, listed, unknown = ast.literal_eval(fresh_python("-c", EXPORTS_PROBE).stdout)
-        assert len(PUBLIC_NAMES) == 54
+        assert len(PUBLIC_NAMES) == 49
         assert names == PUBLIC_NAMES  # and each one resolved in the probe
         assert listed and not unknown
 

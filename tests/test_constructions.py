@@ -1,5 +1,6 @@
 """Builders: rational specs, order-K chaotic unitaries, quadratic series."""
 
+import dataclasses
 import decimal
 import json
 import math
@@ -11,19 +12,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qchaos import (
     EigenphasePair,
     ExactUnitarySpec,
-    IRRATIONAL_CERTIFIED,
     QuadraticRecipe,
-    RATIONAL,
     RationalPhase,
-    UNKNOWN,
     build_chaotic_order,
     circular_distance,
-    classify_phase_rationality,
     idempotency_order,
     order_verdicts,
     quadratic_trace_sequence,
     source_from_json,
-    source_to_json,
 )
 from qchaos.chaoticity import BOUNDARY, CHAOTIC
 
@@ -268,7 +264,7 @@ class TestQuadraticRecipe:
                 QuadraticRecipe(a, b, t)
             return
         recipe = QuadraticRecipe(a, b, t)
-        assert source_from_json(source_to_json(recipe)) == recipe
+        assert source_from_json(recipe.to_json()) == recipe
         assert recipe.s_t == quadratic_trace_sequence(a, b, t)[t]
 
 
@@ -286,32 +282,51 @@ class TestQuadraticPhasesExact:
         assert circular_distance(pair.phi + pair.psi, 0.0) <= 8 * math.ulp(2 * PI)
 
 
-class TestClassifyPhaseRationality:
+class TestSourceRationality:
     def test_rational_spec(self):
         spec = ExactUnitarySpec(RationalPhase(1, 4), RationalPhase(5, 4))
-        assert classify_phase_rationality(spec) == RATIONAL
+        assert (spec.kind, spec.rationality) == ("rational", "rational")
 
     def test_quadratic_recipe_certified(self):
-        assert classify_phase_rationality(QuadraticRecipe(-1, -1, 3)) == IRRATIONAL_CERTIFIED
-        assert classify_phase_rationality(QuadraticRecipe(-2, -101, 8)) == IRRATIONAL_CERTIFIED
+        for recipe in (QuadraticRecipe(-1, -1, 3), QuadraticRecipe(-2, -101, 8)):
+            assert (recipe.kind, recipe.rationality) == ("quadratic", "irrational_certified")
 
     def test_float_pair_unknown(self):
-        assert classify_phase_rationality(EigenphasePair(0.25, 1.25)) == UNKNOWN
+        pair = EigenphasePair(0.25, 1.25)
+        assert (pair.kind, pair.rationality) == ("float_pair", "unknown")
+
+    def test_kind_and_rationality_are_not_fields(self):
+        """Class attributes, so ==, hash and repr see only the dataclass fields."""
+        spec = ExactUnitarySpec(RationalPhase(1, 4), RationalPhase(5, 4))
+        for source in (spec, QuadraticRecipe(-1, -1, 3), EigenphasePair(0.25, 1.25)):
+            names = {f.name for f in dataclasses.fields(source)}
+            assert not {"kind", "rationality"} & names
+            assert "kind" not in repr(source) and "rationality" not in repr(source)
 
 
 class TestSourceJson:
     def test_rational_round_trip(self):
         spec = ExactUnitarySpec(RationalPhase(1, 32), RationalPhase(17, 32),
                                 RationalPhase(23, 32))
-        doc = source_to_json(spec)
+        doc = spec.to_json()
         assert doc == {"kind": "rational", "m1": 1, "p1": 32, "m2": 17, "p2": 32,
                        "g_m": 23, "g_p": 32}
         assert source_from_json(doc) == spec
         assert source_from_json(json.dumps(doc)) == spec
 
+    _phase = st.tuples(st.integers(-10 ** 6, 10 ** 6),
+                       st.integers(-10 ** 4, 10 ** 4).filter(bool))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ph1=_phase, ph2=_phase, g=_phase)
+    def test_exact_spec_survives_the_json_text(self, ph1, ph2, g):
+        """Signed, unreduced (m, p) normalize once; the JSON text reads back equal."""
+        spec = ExactUnitarySpec(RationalPhase(*ph1), RationalPhase(*ph2), RationalPhase(*g))
+        assert source_from_json(json.dumps(spec.to_json())) == spec
+
     def test_quadratic_round_trip(self):
         recipe = QuadraticRecipe(-2, -101, 8)
-        doc = source_to_json(recipe)
+        doc = recipe.to_json()
         assert doc == {"kind": "quadratic", "a": -2, "b": -101, "t": 8}
         assert source_from_json(doc) == recipe
         # spec files written before precision_bits was dropped still load

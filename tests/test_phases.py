@@ -163,8 +163,14 @@ class TestRationalPhase:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             RationalPhase(1, 0)
-        with pytest.raises(ValueError):
-            RationalPhase(1.5, 2)  # type: ignore[arg-type]
+        for m, p in ((1.5, 2), (True, 2), (1, True), (np.bool_(True), 2)):
+            with pytest.raises(ValueError, match="needs integer numerator and denominator"):
+                RationalPhase(m, p)  # type: ignore[arg-type]
+
+    def test_numpy_integers_are_their_python_values(self):
+        ph = RationalPhase(np.int64(3), np.int32(-4))
+        assert (ph.m, ph.p) == (5, 4) and type(ph.m) is type(ph.p) is int
+        assert ph == RationalPhase(3, -4)
 
     @settings(max_examples=300, deadline=None)
     @given(m1=st.integers(-500, 500), p1=st.integers(-60, 60).filter(bool),
