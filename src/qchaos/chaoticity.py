@@ -80,7 +80,7 @@ def order_verdicts(source, ks=1) -> OrderVerdicts:
     """The trace/verdict kernel: theta_K, |tr U^K| and verdict codes per order K.
 
     ``source`` is an ExactUnitarySpec (chaotic iff 2t > L, boundary iff
-    2t = L; |tr| is exactly 2 at t = 0 and 0 at t = L), an array of
+    2t = L; |tr| is exactly 2 at t = 0 and 0 at t = L), a 1-D real array of
     differences d = phi - psi at the scalar K = 1 only (theta is then None),
     as the census and the noise walk pass, or any other source, read through
     its float pair ``source.pair()`` (an EigenphasePair or a QuadraticRecipe:
@@ -98,6 +98,9 @@ def order_verdicts(source, ks=1) -> OrderVerdicts:
         t, big = _theta_units(source, ks)
         d = theta = np.asarray(t / big, dtype=float) * math.pi
     elif isinstance(source, np.ndarray):
+        if source.ndim != 1 or source.dtype.kind not in "fiu":
+            raise ValueError("phase differences must be a 1-D array of real numbers, "
+                             f"got shape {source.shape} and dtype {source.dtype}")
         if ks.shape or ks != 1:
             raise ValueError("an array of phase differences takes only the order K = 1")
         d, theta = source.astype(float), None

@@ -37,6 +37,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .chaoticity import CHAOTIC, order_verdicts
 from .phases import EigenphasePair, ExactUnitarySpec, RationalPhase, require_count
 
@@ -78,7 +80,8 @@ class QuadraticRecipe:
     """SU(2) pair ((alpha^t mod 2) pi, (beta^t mod 2) pi) from x^2 + a x + b.
 
     The recipe is checked and built when it is made, and raises ValueError
-    unless a and b are integers, t >= 1, a, b < 0 (so D = a^2 + 4|b| > 0),
+    unless a and b are integers (numpy integers are taken by value, bools
+    are refused), t >= 1, a, b < 0 (so D = a^2 + 4|b| > 0),
     D is not a perfect square (otherwise the phases are rational and the
     construction loses its point) and s_t is even (otherwise the pair is not
     unimodular).  Only (a, b, t) take part in ==, hash and repr; the build
@@ -99,11 +102,12 @@ class QuadraticRecipe:
     _pair: EigenphasePair = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a, b = self.a, self.b
-        if not isinstance(a, int) or not isinstance(b, int):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (self.a, self.b)):
             raise ValueError("seed coefficients must be integers")
         require_count("t", self.t)
-        t = int(self.t)  # a numpy integer would overflow in the shifts below
+        # numpy integers would overflow in the products and shifts below
+        a, b, t = int(self.a), int(self.b), int(self.t)
         if a >= 0 or b >= 0:
             raise ValueError(f"seed (a={a}, b={b}) is outside the a, b < 0 regime")
         d = a * a - 4 * b
@@ -133,8 +137,8 @@ class QuadraticRecipe:
         psi = (2 * q + 1) / den * math.pi
         phi = (2 * den - 2 * q - 1) / den * math.pi
         tag = "converging_to_identity" if abs(beta) < 1.0 else "traversing"
-        for name, value in (("t", t), ("s_t", s_t), ("classification", tag),
-                            ("_pair", EigenphasePair(phi, psi))):
+        for name, value in (("a", a), ("b", b), ("t", t), ("s_t", s_t),
+                            ("classification", tag), ("_pair", EigenphasePair(phi, psi))):
             object.__setattr__(self, name, value)
 
     def pair(self) -> EigenphasePair:

@@ -16,8 +16,9 @@ theta = min(|phi - psi|, 2*pi - |phi - psi|):
 
 For general small d the maximum is estimated by multi-start derivative-free
 ascent over a plane-rotation parametrization of the basis, every start
-advanced in lock-step as arrays (``pvm_entropy_optimize``, whose restart
-count, iteration cap and seed are plain arguments).
+advanced in lock-step as arrays, the objective of d = 2 and of d = 3 included
+(``pvm_entropy_optimize``, whose restart count, iteration cap and seed are
+plain arguments).
 """
 
 from __future__ import annotations
@@ -231,47 +232,68 @@ def _neg_rates_d2(u: np.ndarray):
     return neg
 
 
-def _neg_rate_d3(u: np.ndarray):
-    """Scalar-arithmetic objective for d = 3: no basis or array is built per call.
+def _neg_rates_d3(u: np.ndarray):
+    """Objective for d = 3: minus the rate at each (t0, f0, t1, f1, t2, f2) row.
 
-    V is the product of the three plane factors of ``basis_from_angles``, and
-    the rate sums eta(|(V^dag U V)_jl|^2) entry by entry.
+    V is the product (G01 @ G02) @ G12 of the three plane factors of
+    ``basis_from_angles``, and the rate sums eta(|(V^dag U V)_jl|^2) over
+    l, then j.  As for d = 2, the complex arithmetic is written out in real
+    arithmetic in the order CPython's complex type evaluates it, the quotient
+    s / e_f by both branches of its |re| >= |im| test, with libm's hypot, pow
+    and log2, so every row's value is bit for bit that of the formula in
+    Python complex scalars.  The products of a float's 0.0 imaginary part,
+    which move only the signs of zeros, are left out.
     """
-    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = (
-        [complex(z) for z in row] for row in u)
-    log2 = math.log2
+    ur, ui = u.real[:, :, None, None], u.imag[:, :, None, None]  # [i, k, ., .]
 
     def neg(x):
-        t0, f0, t1, f1, t2, f2 = x
-        (c0, s0), (c1, s1), (c2, s2) = ((math.cos(t), math.sin(t)) for t in (t0, t1, t2))
-        e0, e1, e2 = cmath.exp(1j * f0), cmath.exp(1j * f1), cmath.exp(1j * f2)
-        a0, a1, a2 = -e0 * s0, -e1 * s1, -e2 * s2  # the (i, j) entry of each factor
-        b0, b1, b2 = s0 / e0, s1 / e1, s2 / e2  # the (j, i) entry
-        # (G01 @ G02) @ G12, column by column
-        cols = ((c0 * c1, b0 * c1, b1),
-                (a0 * c2 + c0 * a1 * b2, c0 * c2 + b0 * a1 * b2, c1 * b2),
-                (a0 * a2 + c0 * a1 * c2, c0 * a2 + b0 * a1 * c2, c1 * c2))
-        conj = [(v0.conjugate(), v1.conjugate(), v2.conjugate()) for v0, v1, v2 in cols]
-        total = 0.0
-        for v0, v1, v2 in cols:
-            w0 = u00 * v0 + u01 * v1 + u02 * v2  # (U V)_il for this column l
-            w1 = u10 * v0 + u11 * v1 + u12 * v2
-            w2 = u20 * v0 + u21 * v1 + u22 * v2
-            for r0, r1, r2 in conj:
-                p = abs(r0 * w0 + r1 * w1 + r2 * w2) ** 2
-                if 0.0 < p < 1.0:  # eta is 0 at 0 and at 1, and p > 1 is rounding
-                    total += p * log2(p)
-        return total / 3.0
+        cx, sx = np.cos(x.T), np.sin(x.T)
+        c, s, ec, es = cx[0::2], sx[0::2], cx[1::2], sx[1::2]  # e_f = exp(i f)
+        ar, ai = -ec * s, -es * s  # a = -e_f s, the (i, j) entry of each factor
+        # b = s / e_f, the (j, i) entry: either branch divides by the larger part
+        first = np.abs(ec) >= np.abs(es)
+        big, small = np.where(first, ec, es), np.where(first, es, ec)
+        ratio = small / big
+        denom = big + small * ratio
+        q = s * ratio
+        br, bi = np.where(first, s, q) / denom, -np.where(first, q, s) / denom
+        (c0, c1, c2), (ar0, ar1, ar2), (ai0, ai1, ai2) = c, ar, ai
+        (br0, br1, br2), (bi0, bi1, bi2) = br, bi
+        ca1r, ca1i = c0 * ar1, c0 * ai1  # c0 a1
+        ba1r, ba1i = br0 * ar1 - bi0 * ai1, br0 * ai1 + bi0 * ar1  # b0 a1
+        zero = np.zeros_like(c0)
+        # V[k, l], entry k of column l of (G01 @ G02) @ G12
+        vr = np.array([
+            [c0 * c1, ar0 * c2 + (ca1r * br2 - ca1i * bi2), (ar0 * ar2 - ai0 * ai2) + ca1r * c2],
+            [br0 * c1, c0 * c2 + (ba1r * br2 - ba1i * bi2), c0 * ar2 + ba1r * c2],
+            [br1, c1 * br2, c1 * c2]])
+        vi = np.array([
+            [zero, ai0 * c2 + (ca1r * bi2 + ca1i * br2), (ar0 * ai2 + ai0 * ar2) + ca1i * c2],
+            [bi0 * c1, ba1r * bi2 + ba1i * br2, c0 * ai2 + ba1i * c2],
+            [bi1, c1 * bi2, zero]])
+        # (U V)[i, l] = sum_k U[i, k] V[k, l], products at [i, k, l]
+        t = ur * vr - ui * vi
+        wr = (t[:, 0] + t[:, 1] + t[:, 2])[:, :, None]
+        t = ur * vi + ui * vr
+        wi = (t[:, 0] + t[:, 1] + t[:, 2])[:, :, None]
+        # (V^dag U V)[j, l] = sum_k conj(V[k, j]) (U V)[k, l], products at [k, l, j]
+        hr, hi = vr[:, None], -vi[:, None]
+        t = hr * wr - hi * wi
+        zr = t[0] + t[1] + t[2]
+        t = hr * wi + hi * wr
+        zi = t[0] + t[1] + t[2]
+        p = np.float_power(np.hypot(zr, zi), 2.0).reshape(9, -1)  # over l, then j
+        logs = np.zeros_like(p)
+        inside = (p > 0.0) & (p < 1.0)  # eta is 0 at 0 and at 1, and p > 1 is rounding
+        logs[inside] = list(map(math.log2, p[inside].tolist()))
+        return np.add.accumulate(p * logs)[-1] / 3.0  # term by term, in order
 
     return neg
 
 
 def _batch_objective(u: np.ndarray):
     """The objective ``_nelder_mead`` minimizes for U: rows of angles to minus their rates."""
-    if u.shape[0] == 2:
-        return _neg_rates_d2(u)
-    rate = _neg_rate_d3(u)
-    return lambda x: np.fromiter(map(rate, x.tolist()), float, len(x))
+    return _neg_rates_d2(u) if u.shape[0] == 2 else _neg_rates_d3(u)
 
 
 # Nelder-Mead coefficients and initial-simplex steps, as scipy's defaults.
@@ -373,9 +395,8 @@ def pvm_entropy_optimize(u, restarts: int = 32, max_iters: int = 2000,
     start from a counter-based stream keyed by (seed, r), so the best value
     can only grow as restarts increase; each start runs at most max_iters
     iterations.  ``_nelder_mead`` (scipy's algorithm) advances up to
-    _NM_BLOCK restarts in lock-step as arrays; the d = 2 objective is array
-    code, the d = 3 one plain Python floats mapped over the batch's rows.
-    Best-found, not certified-global.
+    _NM_BLOCK restarts in lock-step as arrays, and the objective (d = 2 or
+    d = 3) is array code over the batch's rows.  Best-found, not certified-global.
     """
     require_count("restarts", restarts)
     require_count("max_iters", max_iters)

@@ -8,7 +8,9 @@ entropy rates with a plug-in conditional block estimator (the one pipeline of
 basis, samples, estimate and prediction is ``entropy_rate_experiment``, with
 the bases "computational", "x" and "optimized"), runs the uniform-phase
 chaoticity census, and applies the phase-noise model that perturbs (phi, psi)
-to (phi + lambda, psi - lambda), returned as arrays.  Every routine takes
+to (phi + lambda, psi - lambda), returned as arrays.  The sampler and the
+estimator work in blocks of _BLOCK steps, so a trajectory's run holds little
+more than its one byte per outcome.  Every routine takes
 plain arguments, and ``stream_generator`` is the one check of a seed.  The
 noise walk takes its verdicts from ``chaoticity.order_verdicts``; the census
 counts them through ``chaoticity._chaotic_count``, an edge test on the folded
@@ -39,6 +41,8 @@ from .rng import stream_generator
 
 #: Census trials per stream chunk; fixed so results are thread-count independent.
 CENSUS_CHUNK = 1 << 15
+#: Steps per block of the sampler, and windows per block of the estimator.
+_BLOCK = 1 << 16
 
 
 class InsufficientDataError(ValueError):
@@ -67,6 +71,23 @@ def _initial_distribution(initial, basis: PvmBasis) -> np.ndarray:
     return measurement_probabilities(rho, basis)
 
 
+def _qubit_block(draws: np.ndarray, t0: float, t1: float, first: int,
+                 out: np.ndarray) -> None:
+    """Write the qubit outcomes of one block of draws to ``out``: ``first`` at
+    index 0, then x -> [u_i >= t_x] for u_i = draws[i], without a per-step loop."""
+    after0 = draws >= t0  # the next outcome when the last one is 0
+    after1 = draws >= t1  # ... and when it is 1
+    after0[0] = after1[0] = first
+    const = after0 == after1
+    parity = np.bitwise_xor.accumulate((after0 > after1).view(np.uint8))
+    held = after0[const].view(np.uint8) ^ parity[const]
+    held[1:] ^= held[:-1].copy()  # as jumps: their xor-accumulate holds each value
+    jumps = np.zeros_like(parity)
+    jumps[const] = held
+    np.bitwise_xor.accumulate(jumps, out=out)
+    out ^= parity
+
+
 def sample_trajectory(unitary, basis: PvmBasis, steps: int, seed: int, period: int = 1,
                       initial=None) -> np.ndarray:
     """Outcome indices of measuring ``basis`` after every ``period`` applications
@@ -82,6 +103,11 @@ def sample_trajectory(unitary, basis: PvmBasis, steps: int, seed: int, period: i
     so an outcome is the last constant step's value (the initial measurement is
     one) XOR the parity of the flips since.  The array code makes the per-step
     loop's float comparisons, so it gives the same stream.
+
+    The draws are made and used in blocks of _BLOCK steps, so memory beyond the
+    one byte per outcome of the result does not grow with ``steps``; the
+    stream's doubles do not depend on how its draws are split, and each block
+    starts from the last outcome of the one before.
     """
     require_count("steps", steps)
     require_count("period", period)
@@ -96,26 +122,23 @@ def sample_trajectory(unitary, basis: PvmBasis, steps: int, seed: int, period: i
     cum = np.cumsum(p, axis=1)
     cum[:, -1] = 1.0
 
-    uniforms = stream_generator(seed).random(steps)
-    x = int(np.searchsorted(cum0, uniforms[0], side="right"))
-    if d == 2:
-        after0 = uniforms >= cum[0, 0]  # the next outcome when the last one is 0
-        after1 = uniforms >= cum[1, 0]  # ... and when it is 1
-        after0[0] = after1[0] = x
-        const = after0 == after1
-        parity = np.bitwise_xor.accumulate((after0 > after1).view(np.uint8))
-        held = after0[const].view(np.uint8) ^ parity[const]
-        held[1:] ^= held[:-1].copy()  # as jumps: their xor-accumulate holds each value
-        jumps = np.zeros_like(parity)
-        jumps[const] = held
-        return np.bitwise_xor.accumulate(jumps) ^ parity
+    gen = stream_generator(seed)
+    buf = np.empty(min(steps, _BLOCK))
     out = np.empty(steps, dtype=np.uint8)
-    out[0] = x
-    ul = uniforms.tolist()
-    rows = [row.tolist() for row in cum]
-    for i in range(1, steps):
-        x = bisect.bisect_right(rows[x], ul[i])
-        out[i] = x
+    rows = [r.tolist() for r in cum]
+    row = cum0.tolist()  # the first outcome measures the initial state
+    for lo in range(0, steps, _BLOCK):
+        draws = gen.random(out=buf[:min(_BLOCK, steps - lo)])
+        block = out[lo:lo + draws.size]
+        x = bisect.bisect_right(row, float(draws[0]))
+        if d == 2:
+            _qubit_block(draws, cum[0, 0], cum[1, 0], x, block)
+        else:
+            block[0] = x
+            for i, u in enumerate(draws[1:].tolist(), 1):
+                x = bisect.bisect_right(rows[x], u)
+                block[i] = x
+        row = rows[block[-1]]
     return out
 
 
@@ -138,6 +161,8 @@ def empirical_entropy_rate(sequence, block_len: int,
     Both block entropies come from the same set of (L+1)-windows, so the
     L-block marginal is exactly consistent and the difference is a genuine
     conditional entropy in [0, log2 d].  Requires at least 100 * d^L symbols.
+    The windows are coded and counted in blocks, so the working memory does
+    not grow with the sequence.
     """
     require_count("block length", block_len)
     s = _integer_symbols(sequence)
@@ -152,14 +177,22 @@ def empirical_entropy_rate(sequence, block_len: int,
             f"need at least {needed} symbols for block length {block_len} "
             f"over a {d}-letter alphabet, got {s.size}")
 
-    # Horner window codes (last symbol least significant), narrowest unsigned type
-    s = s.astype(np.min_scalar_type(d ** (block_len + 1) - 1), copy=False)
+    # Horner window codes (last symbol least significant) in the narrowest
+    # unsigned type, counted per block of windows; a block is at least as long
+    # as the count array, so its bincount costs no more than its codes
+    n_codes = d ** (block_len + 1)
+    code_type = np.min_scalar_type(n_codes - 1)
     n_win = s.size - block_len
-    codes = s[:n_win].copy()
-    for j in range(1, block_len + 1):
-        codes *= d
-        codes += s[j:j + n_win]
-    counts = np.bincount(codes, minlength=d ** (block_len + 1))
+    step = max(_BLOCK, n_codes)
+    counts = np.zeros(n_codes, dtype=np.int64)
+    for lo in range(0, n_win, step):
+        chunk = s[lo:min(lo + step, n_win) + block_len].astype(code_type)
+        n = chunk.size - block_len
+        codes = chunk[:n].copy()
+        for j in range(1, block_len + 1):
+            codes *= d
+            codes += chunk[j:j + n]
+        counts += np.bincount(codes, minlength=n_codes)
 
     def block_entropy(c: np.ndarray) -> float:
         n = c[c > 0].astype(float)
@@ -297,6 +330,6 @@ def write_trajectory_outputs(prefix, outcomes: np.ndarray, sidecar: dict,
     prefix.parent.mkdir(parents=True, exist_ok=True)
     stream_path = prefix.with_name(prefix.name + ".stream")
     json_path = prefix.with_name(prefix.name + ".json")
-    stream_path.write_bytes(np.asarray(outcomes, dtype=np.uint8).tobytes())
+    stream_path.write_bytes(np.ascontiguousarray(outcomes, dtype=np.uint8).data)
     json_path.write_text(dumps(sidecar))
     return stream_path, json_path

@@ -148,6 +148,41 @@ def reference_neg_rate_d2(u: np.ndarray):
     return neg
 
 
+def reference_neg_rate_d3(u: np.ndarray):
+    """The d = 3 objective's oracle: minus the entropy rate at the six angles, in
+    Python complex scalars.  V is the product of the three plane factors of
+    ``basis_from_angles``, and the rate sums eta(|(V^dag U V)_jl|^2) entry by
+    entry, over l, then j.
+    """
+    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = (
+        [complex(z) for z in row] for row in u)
+    log2 = math.log2
+
+    def neg(x):
+        t0, f0, t1, f1, t2, f2 = x
+        (c0, s0), (c1, s1), (c2, s2) = ((math.cos(t), math.sin(t)) for t in (t0, t1, t2))
+        e0, e1, e2 = cmath.exp(1j * f0), cmath.exp(1j * f1), cmath.exp(1j * f2)
+        a0, a1, a2 = -e0 * s0, -e1 * s1, -e2 * s2  # the (i, j) entry of each factor
+        b0, b1, b2 = s0 / e0, s1 / e1, s2 / e2  # the (j, i) entry
+        # (G01 @ G02) @ G12, column by column
+        cols = ((c0 * c1, b0 * c1, b1),
+                (a0 * c2 + c0 * a1 * b2, c0 * c2 + b0 * a1 * b2, c1 * b2),
+                (a0 * a2 + c0 * a1 * c2, c0 * a2 + b0 * a1 * c2, c1 * c2))
+        conj = [(v0.conjugate(), v1.conjugate(), v2.conjugate()) for v0, v1, v2 in cols]
+        total = 0.0
+        for v0, v1, v2 in cols:
+            w0 = u00 * v0 + u01 * v1 + u02 * v2  # (U V)_il for this column l
+            w1 = u10 * v0 + u11 * v1 + u12 * v2
+            w2 = u20 * v0 + u21 * v1 + u22 * v2
+            for r0, r1, r2 in conj:
+                p = abs(r0 * w0 + r1 * w1 + r2 * w2) ** 2
+                if 0.0 < p < 1.0:  # eta is 0 at 0 and at 1, and p > 1 is rounding
+                    total += p * log2(p)
+        return total / 3.0
+
+    return neg
+
+
 def reference_census_count(n: int, seed: int) -> int:
     """The census's oracle: psi drawn uniform on [0, 2*pi) per chunk stream, and
     the chaotic verdicts of d = 2 psi counted by the kernel itself."""

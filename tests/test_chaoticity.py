@@ -356,10 +356,17 @@ class TestOrderVerdicts:
     ], ids=["orders", "order-list", "scan", "scan-1", "first-nonchaotic", "fraction"])
     def test_differences_are_an_order_one_source(self, call):
         """An array of phase differences stands for U, not U^K: any order but
-        the scalar K = 1 is rejected, rather than broadcast against it."""
+        the scalar K = 1 is rejected, rather than broadcast against it.  It is
+        a 1-D real array: a matrix, a 0-d array or complex differences are
+        rejected at every order, K = 1 included."""
         for d in (np.array([3.0]), np.array([3.0, 0.1])):
             with pytest.raises(ValueError, match="only the order K = 1"):
                 call(d)
+        for d in (np.eye(2), np.array(3.0), np.array([3.0 + 0.5j, 0.1]),
+                  np.array([True, False])):
+            for f in (call, order_verdicts):
+                with pytest.raises(ValueError, match="1-D array of real numbers"):
+                    f(d)
 
 
 _PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097494459230781640628620899"

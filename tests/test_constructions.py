@@ -221,9 +221,20 @@ class TestQuadraticRecipe:
             QuadraticRecipe(a, b, 2)
 
     def test_rejects_non_integer_coefficients(self):
-        for a, b in [(-1.0, -1), (-1, np.int64(-1))]:
+        for a, b in [(-1.0, -1), (-1, -1.0), (True, -1), (-1, True), (np.bool_(True), -1)]:
             with pytest.raises(ValueError, match="coefficients must be integers"):
                 QuadraticRecipe(a, b, 3)
+
+    @pytest.mark.parametrize("a,b", [(np.int64(-1), -1), (-1, np.int32(-1)),
+                                     (np.int8(-2), np.int64(-101))])
+    def test_numpy_integer_coefficients_build_as_their_values(self, a, b):
+        t = 3 if int(a) == -1 else 8
+        recipe = QuadraticRecipe(a, b, t)
+        plain = QuadraticRecipe(int(a), int(b), t)
+        assert type(recipe.a) is int and type(recipe.b) is int
+        assert recipe == plain and hash(recipe) == hash(plain)
+        assert recipe.to_json() == plain.to_json() and repr(recipe) == repr(plain)
+        assert recipe.pair() == plain.pair() and recipe.s_t == plain.s_t
 
     def test_phase_sum_invariant(self):
         for (a, b), t in [((-1, -1), 3), ((-1, -1), 6), ((-2, -101), 8),

@@ -28,8 +28,8 @@ from qchaos.entropy import (
     _NM_XATOL,
     _batch_objective,
     _nelder_mead,
-    _neg_rate_d3,
     _neg_rates_d2,
+    _neg_rates_d3,
     qubit_entropy_of_theta,
 )
 from qchaos.phases import unitary_power
@@ -39,6 +39,7 @@ from helpers import (
     random_unitary,
     reference_entropy_of_theta,
     reference_neg_rate_d2,
+    reference_neg_rate_d3,
 )
 
 PI = math.pi
@@ -337,7 +338,7 @@ class TestNelderMead:
 
     def assert_matches_scipy(self, u, starts):
         """Runs all starts as one batch per cap; returns the nit of the cap-2000 batch."""
-        scalar = reference_neg_rate_d2(u) if u.shape[0] == 2 else _neg_rate_d3(u)
+        scalar = reference_neg_rate_d2(u) if u.shape[0] == 2 else reference_neg_rate_d3(u)
         for cap in (1, 2, 300, 2000):
             fun, x, nfev, nit = _nelder_mead(_batch_objective(u), np.array(starts),
                                              1e-10, 1e-12, cap)
@@ -488,6 +489,13 @@ class TestObjectiveD2:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+QUTRIT_UNITARIES = st.one_of(
+    st.integers(0, 2 ** 32 - 1).map(lambda s: random_unitary(np.random.default_rng(s), 3)),
+    st.tuples(st.floats(0.0, TWO_PI), st.floats(0.0, TWO_PI), st.floats(0.0, TWO_PI)).map(
+        lambda abc: np.diag(np.exp(1j * np.array(abc)))),
+    st.permutations(range(3)).map(lambda perm: np.eye(3)[list(perm)]))
+
+
 class TestObjectiveD3:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -495,4 +503,21 @@ class TestObjectiveD3:
     def test_matches_public_rate(self, seed, angles):
         u = random_unitary(np.random.default_rng(seed), 3)
         ref = -markov_entropy_rate(transition_matrix(u, basis_from_angles(3, angles)))
-        assert abs(_neg_rate_d3(u)(angles) - ref) <= 1e-13
+        assert abs(_neg_rates_d3(u)(np.array([angles]))[0] - ref) <= 1e-13
+
+    @settings(max_examples=300, deadline=None)
+    @given(u=QUTRIT_UNITARIES,
+           points=st.lists(st.tuples(*[ANGLES] * 6), min_size=1, max_size=40))
+    def test_array_objective_equals_scalar_closure(self, u, points):
+        got = _neg_rates_d3(u)(np.array(points, dtype=float)).tolist()
+        want = list(map(reference_neg_rate_d3(u), points))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("u", [
+        random_unitary(np.random.default_rng(1), 3), np.diag(np.exp([0.0, 0.7j, 2.1j])),
+        np.eye(3)[[2, 0, 1]]], ids=["haar", "diagonal", "permutation"])
+    def test_equals_scalar_closure_on_dense_angles(self, u):
+        x = np.random.default_rng(0).uniform(-50.0, 50.0, (5_000, 6))
+        got = _neg_rates_d3(u)(x)
+        want = np.array(list(map(reference_neg_rate_d3(u), x.tolist())))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

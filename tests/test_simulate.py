@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -214,9 +215,11 @@ class TestSamplerMatchesPerStepLoop:
             u_draws = stream_generator(13, 0).random(5000)
             assert np.array_equal(out[1:], u_draws[1:] >= 0.5)
 
+    @pytest.mark.parametrize("block", [simulate._BLOCK, 7], ids=["default-block", "block-7"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_draws_equal_to_the_thresholds(self, seed, monkeypatch):
-        # a draw equal to cum[x, 0] moves to outcome 1, as in the loop
+    def test_draws_equal_to_the_thresholds(self, seed, block, monkeypatch):
+        # a draw equal to cum[x, 0] moves to outcome 1, as in the loop, also
+        # at the first draw of a block
         rng = np.random.default_rng(seed)
         pair = EigenphasePair(*rng.uniform(0.0, TWO_PI, 2))
         basis = PvmBasis(random_orthonormal_basis(rng)) if seed % 2 else PvmBasis.x_basis()
@@ -226,11 +229,23 @@ class TestSamplerMatchesPerStepLoop:
         draws = rng.choice(values, 4000)
 
         class Fixed:
-            def random(self, n):
-                return draws[:n].copy()
+            """The draws in order: each call goes on where the last one stopped."""
+
+            def __init__(self):
+                self.pos = 0
+
+            def random(self, size=None, out=None):
+                n = size if out is None else out.size
+                got = draws[self.pos:self.pos + n]
+                self.pos += n
+                if out is None:
+                    return got.copy()
+                out[...] = got
+                return out
 
         for module in ("qchaos.simulate", "helpers"):
             monkeypatch.setattr(f"{module}.stream_generator", lambda *_: Fixed())
+        monkeypatch.setattr(simulate, "_BLOCK", block)
         _assert_matches_reference(pair, basis, 4000, seed=0, initial=[None, 0, 1][seed % 3])
 
     def test_qutrit_loop(self):
@@ -239,6 +254,62 @@ class TestSamplerMatchesPerStepLoop:
         for period, initial in ((1, None), (3, 2)):
             _assert_matches_reference(random_unitary(rng, 3), basis, 3000, seed=8,
                                       period=period, initial=initial)
+
+
+class TestBlocks:
+    """The sampler and the estimator work in blocks of simulate._BLOCK; the
+    outputs do not depend on where the blocks end."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3]), blocks=st.integers(1, 30), offset=st.integers(-2, 2),
+           block_len=st.integers(1, 3), period=st.integers(1, 3),
+           initial=st.sampled_from([None, 0, 1]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_outputs_equal_the_references(self, block, d, blocks, offset, block_len, period,
+                                          initial, seed):
+        rng = np.random.default_rng(seed)
+        if d == 2:
+            u = EigenphasePair(*rng.uniform(0.0, TWO_PI, 2))
+        else:
+            u = random_unitary(rng, 3)
+        basis = PvmBasis(random_orthonormal_basis(rng, d))
+        # the estimator's blocks hold max(_BLOCK, d^(L+1)) windows
+        windows = max(block, d ** (block_len + 1))
+        est_blocks = -(-100 * d ** block_len // windows) + blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_BLOCK", block)
+            _assert_matches_reference(u, basis, max(1, blocks * block + offset), seed=seed,
+                                      period=period, initial=initial)
+            seq = _assert_matches_reference(u, basis, est_blocks * windows + block_len + offset,
+                                            seed=seed, period=period, initial=initial)
+            rate = empirical_entropy_rate(seq, block_len, alphabet_size=d)
+        assert rate.hex() == reference_entropy_rate(seq, block_len, d).hex()
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (7, 64), (1 << 16, 3), (5, 1 << 16)])
+    def test_split_draws_continue_the_stream(self, a, b):
+        # random(a) then random(b) on one stream gives the doubles of random(a + b),
+        # also when each is drawn into a buffer
+        whole = stream_generator(9).random(a + b)
+        gen = stream_generator(9)
+        assert np.concatenate([gen.random(a), gen.random(b)]).tobytes() == whole.tobytes()
+        gen, buf = stream_generator(9), np.empty(max(a, b))
+        first = gen.random(out=buf[:a]).copy()
+        assert np.concatenate([first, gen.random(out=buf[:b])]).tobytes() == whole.tobytes()
+
+    def test_memory_is_about_one_byte_per_step(self):
+        steps = 2_000_000
+        pair = EigenphasePair(0.3, 2.1)
+        entropy_rate_experiment(pair, "x", 1000, 2, seed=1)  # first-call set-up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run = entropy_rate_experiment(pair, "x", steps, 8, seed=5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert run.outcomes.nbytes == steps and run.empirical is not None
+        assert peak < steps + 2 ** 22
 
 
 class TestEmpiricalEntropyRate:
