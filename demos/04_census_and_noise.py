@@ -6,7 +6,8 @@ the chaotic fraction is a binomial experiment around 1/2 (``boundary``
 draws, within the rounding band of sqrt(2), are not counted).  Uniform phase
 noise phi -> phi + lambda, psi -> psi - lambda keeps the pair in SU(2) but
 can push it across the boundary when the margin is small.  The walk comes
-back as arrays: per-step phases, |tr| and verdict codes.
+back in blocks of per-step phases, |tr| and verdict codes, so a summary keeps
+only the counts, however long the walk.
 """
 
 import math
@@ -34,8 +35,8 @@ assert again == monte_carlo_chaotic_fraction(10 ** 5, seed=1)
 
 def walk_summary(psi_over_pi, eps, steps=2000, seed=5):
     base = make_su2_from_psi(psi_over_pi * math.pi)
-    walk = noisy_phase_walk(base, eps, steps, seed)
-    counts = np.bincount(walk.codes, minlength=len(VERDICT_LABELS))
+    counts = sum(np.bincount(block.codes, minlength=len(VERDICT_LABELS))
+                 for block in noisy_phase_walk(base, eps, steps, seed))
     return {label: int(n) for label, n in zip(VERDICT_LABELS, counts) if n}
 
 

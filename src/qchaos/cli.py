@@ -10,7 +10,11 @@ commands it acts on, and a flag the source would drop exits 2: a phase beside
 quadratic recipe; the documents write its ``kind``, ``rationality`` and
 ``to_json()``, scans run on it, and other commands on ``source.pair()``.
 ``simulate`` is ``simulate.entropy_rate_experiment``, the one pipeline,
-over the basis names computational, x and optimized.
+over the basis names computational, x and optimized; with --out it writes
+PREFIX.stream block by block as it samples, then the sidecar PREFIX.json.
+``noise`` counts the verdicts of the walk's blocks as they come (and with
+--full gathers their rows), so neither holds memory that grows with --steps.
+An empty --json, --csv or --out path exits 2.
 ``jsontext.dumps`` writes every document, floats at 12 significant digits,
 with the scan rows and the full noise walk written from their columns.  The
 documents follow ``schemas/output.schema.json``; that schema is the output
@@ -146,15 +150,14 @@ def _manifest(command: str, parameters: dict, seed: int | None) -> dict:
 
 def _emit(doc: dict, args) -> None:
     text = dumps(doc)  # raises ValueError on NaN and infinities
-    dest = getattr(args, "json", None) or "-"
-    if dest == "-":
+    if args.json == "-":
         sys.stdout.write(text)
     else:
-        Path(dest).write_text(text)
+        Path(args.json).write_text(text)
 
 
 def _write_csv(report, args) -> None:
-    if args.csv:
+    if args.csv is not None:
         Path(args.csv).write_text(report.to_csv())
 
 
@@ -267,7 +270,7 @@ def cmd_census(args) -> int:
 def cmd_simulate(args) -> int:
     pair = resolve_source(args).pair()
     run = entropy_rate_experiment(pair, args.basis, args.steps, args.block_len, args.seed,
-                                  args.period)
+                                  args.period, args.out)
     config_doc = {"phi": pair.phi, "psi": pair.psi, "basis": args.basis,
                   "steps": args.steps, "period": args.period,
                   "block_len": args.block_len, "initial": "maximally_mixed"}
@@ -279,17 +282,23 @@ def cmd_simulate(args) -> int:
         "predicted_rate": run.predicted,
         "abs_diff": run.abs_diff,
     }
-    if args.out:
-        write_trajectory_outputs(args.out, run.outcomes, doc)
+    if args.out is not None:  # the stream is written by now
+        write_trajectory_outputs(args.out, doc)
     _emit(doc, args)
     return 0
 
 
 def cmd_noise(args) -> int:
     pair = resolve_source(args).pair()
-    walk = noisy_phase_walk(pair, args.epsilon, args.steps, args.seed)
-    counts = dict(zip(VERDICT_LABELS,
-                      np.bincount(walk.codes, minlength=len(VERDICT_LABELS)).tolist()))
+    counts = np.zeros(len(VERDICT_LABELS), dtype=np.int64)
+    walk = Rows(phi=[], psi=[], trace_mag=[], verdict=[])
+    for block in noisy_phase_walk(pair, args.epsilon, args.steps, args.seed):
+        counts += np.bincount(block.codes, minlength=len(VERDICT_LABELS))
+        if args.full:
+            walk["phi"] += block.phi.tolist()
+            walk["psi"] += block.psi.tolist()
+            walk["trace_mag"] += block.trace_mag.tolist()
+            walk["verdict"] += map(VERDICT_LABELS.__getitem__, block.codes.tolist())
     doc = {
         "manifest": _manifest("noise", {"phi": pair.phi, "psi": pair.psi,
                                         "epsilon": args.epsilon, "steps": args.steps},
@@ -298,13 +307,11 @@ def cmd_noise(args) -> int:
             "base": {"phi": pair.phi, "psi": pair.psi},
             "epsilon": args.epsilon,
             "steps": args.steps,
-            "verdict_counts": counts,
+            "verdict_counts": dict(zip(VERDICT_LABELS, counts.tolist())),
         },
     }
     if args.full:
-        doc["noise"]["walk"] = Rows(
-            phi=walk.phi.tolist(), psi=walk.psi.tolist(), trace_mag=walk.trace_mag.tolist(),
-            verdict=list(map(VERDICT_LABELS.__getitem__, walk.codes.tolist())))
+        doc["noise"]["walk"] = walk
     _emit(doc, args)
     return 0
 
@@ -337,18 +344,26 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+def _path(text: str) -> str:
+    """An output path; an empty one is rejected, as it names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("an output path must not be empty")
+    return text
+
+
 def _add_common(p: argparse.ArgumentParser, seed: bool = False, csv: bool = False,
                 out: bool = False) -> None:
     """--json everywhere; --seed, --csv and --out where they act."""
     if seed:
         p.add_argument("--seed", type=int, default=0,
                        help="64-bit seed of the command's random streams")
-    p.add_argument("--json", metavar="PATH", default="-",
+    p.add_argument("--json", metavar="PATH", type=_path, default="-",
                    help="write the JSON document here ('-' = stdout)")
     if csv:
-        p.add_argument("--csv", metavar="PATH", help="also write the tabular report as CSV")
+        p.add_argument("--csv", metavar="PATH", type=_path,
+                       help="also write the tabular report as CSV")
     if out:
-        p.add_argument("--out", metavar="PREFIX",
+        p.add_argument("--out", metavar="PREFIX", type=_path,
                        help="output prefix for the stream and sidecar files")
 
 

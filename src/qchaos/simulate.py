@@ -8,14 +8,18 @@ entropy rates with a plug-in conditional block estimator (the one pipeline of
 basis, samples, estimate and prediction is ``entropy_rate_experiment``, with
 the bases "computational", "x" and "optimized"), runs the uniform-phase
 chaoticity census, and applies the phase-noise model that perturbs (phi, psi)
-to (phi + lambda, psi - lambda), returned as arrays.  The sampler and the
-estimator work in blocks of _BLOCK steps, so a trajectory's run holds little
-more than its one byte per outcome.  Every routine takes
-plain arguments, and ``stream_generator`` is the one check of a seed.  The
-noise walk takes its verdicts from ``chaoticity.order_verdicts``; the census
-counts them through ``chaoticity._chaotic_count``, an edge test on the folded
-phase that calls the kernel only within 1e-12 of the edge, with the same count.
-"""
+to (phi + lambda, psi - lambda).  Every stochastic command runs in memory that
+does not grow with its length: there is one block sampler, one window counter
+and one noise-block kernel, each working in blocks of _BLOCK steps.
+``entropy_rate_experiment`` samples each block once, writes it to the stream
+file and counts its windows, carrying the last L symbols into the next block;
+``noisy_phase_walk`` yields the walk block by block.  ``sample_trajectory``
+and ``empirical_entropy_rate`` fill from and call the same kernels.  Every
+routine takes plain arguments, and ``stream_generator`` is the one check of a
+seed.  The noise walk takes its verdicts from ``chaoticity.order_verdicts``;
+the census counts them through ``chaoticity._chaotic_count``, an edge test on
+the folded phase that calls the kernel only within 1e-12 of the edge, with
+the same count."""
 
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ import bisect
 import math
 import os
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -41,8 +45,13 @@ from .rng import stream_generator
 
 #: Census trials per stream chunk; fixed so results are thread-count independent.
 CENSUS_CHUNK = 1 << 15
-#: Steps per block of the sampler, and windows per block of the estimator.
-_BLOCK = 1 << 16
+#: Steps per block of the sampler and the noise walk, and the fewest windows
+#: per bincount of the estimator.  Measured on a 2-core Linux machine: at 2^14
+#: a 2e5-step ``noise`` peaks 1 MB of RSS above a 1000-step one (2.5 MB at
+#: 2^15, 4.9 MB at 2^16: ``order_verdicts`` holds a few float arrays per block),
+#: while the per-block calls cost the sampler and the estimator about 3 ns per
+#: step more than at 2^16.
+_BLOCK = 1 << 14
 
 
 class InsufficientDataError(ValueError):
@@ -88,6 +97,47 @@ def _qubit_block(draws: np.ndarray, t0: float, t1: float, first: int,
     out ^= parity
 
 
+def _outcome_blocks(unitary, basis: PvmBasis, steps: int, seed: int, period: int,
+                    initial) -> Iterator[np.ndarray]:
+    """The block sampler: the outcomes of ``sample_trajectory``, in blocks of at
+    most _BLOCK steps.  The arguments are checked and the stream made here, at
+    the call; each block is a view of one buffer that the next block overwrites."""
+    require_count("steps", steps)
+    require_count("period", period)
+    u_eff = unitary_power(unitary, period)
+    d = u_eff.shape[0]
+    if d != basis.d:
+        raise ValueError(f"unitary dimension {d} != basis dimension {basis.d}")
+    p = transition_matrix(u_eff, basis)
+
+    cum0 = np.cumsum(_initial_distribution(initial, basis))
+    cum0[-1] = 1.0
+    cum = np.cumsum(p, axis=1)
+    cum[:, -1] = 1.0
+    return _sample_blocks(stream_generator(seed), cum0, cum, steps)
+
+
+def _sample_blocks(gen: np.random.Generator, cum0: np.ndarray, cum: np.ndarray,
+                   steps: int) -> Iterator[np.ndarray]:
+    buf = np.empty(min(steps, _BLOCK))
+    out = np.empty(buf.size, dtype=np.uint8)
+    rows = [r.tolist() for r in cum]
+    row = cum0.tolist()  # the first outcome measures the initial state
+    for lo in range(0, steps, _BLOCK):
+        draws = gen.random(out=buf[:min(_BLOCK, steps - lo)])
+        block = out[:draws.size]
+        x = bisect.bisect_right(row, float(draws[0]))
+        if cum.shape[0] == 2:
+            _qubit_block(draws, cum[0, 0], cum[1, 0], x, block)
+        else:
+            block[0] = x
+            for i, u in enumerate(draws[1:].tolist(), 1):
+                x = bisect.bisect_right(rows[x], u)
+                block[i] = x
+        row = rows[block[-1]]
+        yield block
+
+
 def sample_trajectory(unitary, basis: PvmBasis, steps: int, seed: int, period: int = 1,
                       initial=None) -> np.ndarray:
     """Outcome indices of measuring ``basis`` after every ``period`` applications
@@ -104,41 +154,18 @@ def sample_trajectory(unitary, basis: PvmBasis, steps: int, seed: int, period: i
     one) XOR the parity of the flips since.  The array code makes the per-step
     loop's float comparisons, so it gives the same stream.
 
-    The draws are made and used in blocks of _BLOCK steps, so memory beyond the
-    one byte per outcome of the result does not grow with ``steps``; the
-    stream's doubles do not depend on how its draws are split, and each block
-    starts from the last outcome of the one before.
+    The result is filled from the block sampler that ``entropy_rate_experiment``
+    streams: the draws are made and used in blocks of _BLOCK steps, each block
+    starting from the last outcome of the one before, and the stream's doubles
+    do not depend on how its draws are split.  Beyond the one byte per outcome
+    of the result, memory does not grow with ``steps``.
     """
-    require_count("steps", steps)
-    require_count("period", period)
-    u_eff = unitary_power(unitary, period)
-    d = u_eff.shape[0]
-    if d != basis.d:
-        raise ValueError(f"unitary dimension {d} != basis dimension {basis.d}")
-    p = transition_matrix(u_eff, basis)
-
-    cum0 = np.cumsum(_initial_distribution(initial, basis))
-    cum0[-1] = 1.0
-    cum = np.cumsum(p, axis=1)
-    cum[:, -1] = 1.0
-
-    gen = stream_generator(seed)
-    buf = np.empty(min(steps, _BLOCK))
+    blocks = _outcome_blocks(unitary, basis, steps, seed, period, initial)
     out = np.empty(steps, dtype=np.uint8)
-    rows = [r.tolist() for r in cum]
-    row = cum0.tolist()  # the first outcome measures the initial state
-    for lo in range(0, steps, _BLOCK):
-        draws = gen.random(out=buf[:min(_BLOCK, steps - lo)])
-        block = out[lo:lo + draws.size]
-        x = bisect.bisect_right(row, float(draws[0]))
-        if d == 2:
-            _qubit_block(draws, cum[0, 0], cum[1, 0], x, block)
-        else:
-            block[0] = x
-            for i, u in enumerate(draws[1:].tolist(), 1):
-                x = bisect.bisect_right(rows[x], u)
-                block[i] = x
-        row = rows[block[-1]]
+    lo = 0
+    for block in blocks:
+        out[lo:lo + block.size] = block
+        lo += block.size
     return out
 
 
@@ -154,46 +181,52 @@ def empirical_transition_matrix(sequence, d: int | None = None) -> np.ndarray:
     return counts / rows
 
 
-def empirical_entropy_rate(sequence, block_len: int,
-                           alphabet_size: int | None = None) -> float:
-    """Plug-in conditional block estimate H_{L+1} - H_L, in bits per symbol.
+def _window_counts(blocks: Iterable[np.ndarray], d: int, block_len: int) -> np.ndarray:
+    """The window counter: counts of the (L+1)-windows of the symbols that
+    ``blocks`` yields, in order, by their Horner codes (last symbol least
+    significant) in the narrowest unsigned type.
 
-    Both block entropies come from the same set of (L+1)-windows, so the
-    L-block marginal is exactly consistent and the difference is a genuine
-    conditional entropy in [0, log2 d].  Requires at least 100 * d^L symbols.
-    The windows are coded and counted in blocks, so the working memory does
-    not grow with the sequence.
+    The symbols gather in one buffer of max(_BLOCK, d^(L+1)) windows and their
+    L successors, so a bincount is no dearer than its codes; when it is full,
+    its windows are counted and its last L symbols carried to the start.
     """
-    require_count("block length", block_len)
-    s = _integer_symbols(sequence)
-    if s.ndim != 1:
-        raise ValueError("sequence must be one-dimensional")
-    d = alphabet_size if alphabet_size is not None else int(s.max()) + 1
-    if d < 1 or s.min() < 0 or s.max() >= d:
-        raise ValueError("sequence symbols must lie in [0, alphabet_size)")
-    needed = 100 * d ** block_len
-    if s.size < needed:
-        raise InsufficientDataError(
-            f"need at least {needed} symbols for block length {block_len} "
-            f"over a {d}-letter alphabet, got {s.size}")
-
-    # Horner window codes (last symbol least significant) in the narrowest
-    # unsigned type, counted per block of windows; a block is at least as long
-    # as the count array, so its bincount costs no more than its codes
     n_codes = d ** (block_len + 1)
-    code_type = np.min_scalar_type(n_codes - 1)
-    n_win = s.size - block_len
     step = max(_BLOCK, n_codes)
-    counts = np.zeros(n_codes, dtype=np.int64)
-    for lo in range(0, n_win, step):
-        chunk = s[lo:min(lo + step, n_win) + block_len].astype(code_type)
-        n = chunk.size - block_len
-        codes = chunk[:n].copy()
-        for j in range(1, block_len + 1):
-            codes *= d
-            codes += chunk[j:j + n]
-        counts += np.bincount(codes, minlength=n_codes)
+    buf = np.empty(step + block_len, dtype=np.min_scalar_type(n_codes - 1))
+    codes = np.empty(step, dtype=buf.dtype)
 
+    def counted(n: int) -> np.ndarray:  # the n windows that start in buf[:n]
+        c = codes[:n]
+        c[...] = buf[:n]
+        for j in range(1, block_len + 1):
+            c *= d
+            c += buf[j:j + n]
+        return np.bincount(c, minlength=n_codes)
+
+    counts = np.zeros(n_codes, dtype=np.int64)
+    fill = 0
+    for block in blocks:
+        lo = 0
+        while lo < block.size:
+            n = min(block.size - lo, buf.size - fill)
+            buf[fill:fill + n] = block[lo:lo + n]
+            fill, lo = fill + n, lo + n
+            if fill == buf.size:
+                counts += counted(step)
+                buf[:block_len] = buf[step:]
+                fill = block_len
+    if fill > block_len:
+        counts += counted(fill - block_len)
+    return counts
+
+
+def _min_symbols(d: int, block_len: int) -> int:
+    """The shortest sequence the estimator takes: 100 symbols per L-block."""
+    return 100 * d ** block_len
+
+
+def _rate_of_counts(counts: np.ndarray, d: int) -> float:
+    """H_{L+1} - H_L from the (L+1)-window counts, clamped at 0."""
     def block_entropy(c: np.ndarray) -> float:
         n = c[c > 0].astype(float)
         total = n.sum()
@@ -202,6 +235,32 @@ def empirical_entropy_rate(sequence, block_len: int,
     h_hi = block_entropy(counts)
     h_lo = block_entropy(counts.reshape(-1, d).sum(axis=1))
     return max(0.0, h_hi - h_lo)
+
+
+def empirical_entropy_rate(sequence, block_len: int,
+                           alphabet_size: int | None = None) -> float:
+    """Plug-in conditional block estimate H_{L+1} - H_L, in bits per symbol.
+
+    Both block entropies come from the same set of (L+1)-windows, so the
+    L-block marginal is exactly consistent and the difference is a genuine
+    conditional entropy in [0, log2 d].  Requires at least 100 * d^L symbols.
+    The windows go through the window counter that ``entropy_rate_experiment``
+    feeds block by block, so the working memory does not grow with the
+    sequence, and the estimate is the same however the symbols are split.
+    """
+    require_count("block length", block_len)
+    s = _integer_symbols(sequence)
+    if s.ndim != 1:
+        raise ValueError("sequence must be one-dimensional")
+    d = alphabet_size if alphabet_size is not None else int(s.max()) + 1
+    if d < 1 or s.min() < 0 or s.max() >= d:
+        raise ValueError("sequence symbols must lie in [0, alphabet_size)")
+    needed = _min_symbols(d, block_len)
+    if s.size < needed:
+        raise InsufficientDataError(
+            f"need at least {needed} symbols for block length {block_len} "
+            f"over a {d}-letter alphabet, got {s.size}")
+    return _rate_of_counts(_window_counts([s], d, block_len), d)
 
 
 class CensusResult(NamedTuple):
@@ -255,7 +314,8 @@ def monte_carlo_chaotic_fraction(n_trials: int, seed: int,
 
 
 class NoiseWalk(NamedTuple):
-    """Per-step phases, |tr| and verdict codes (indices into VERDICT_LABELS)."""
+    """One block of a noise walk: per-step phases, |tr| and verdict codes
+    (indices into VERDICT_LABELS)."""
 
     phi: np.ndarray
     psi: np.ndarray
@@ -263,22 +323,34 @@ class NoiseWalk(NamedTuple):
     codes: np.ndarray
 
 
-def noisy_phase_walk(base: EigenphasePair, epsilon: float, steps: int, seed: int) -> NoiseWalk:
-    """Per-step perturbed phases ((phi+lambda) mod 2*pi, (psi-lambda) mod 2*pi).
+def noisy_phase_walk(base: EigenphasePair, epsilon: float, steps: int,
+                     seed: int) -> Iterator[NoiseWalk]:
+    """Per-step perturbed phases ((phi+lambda) mod 2*pi, (psi-lambda) mod 2*pi),
+    their |tr| and verdicts, as consecutive blocks of at most _BLOCK steps.
 
     lambda is drawn uniformly from [-epsilon*pi, epsilon*pi] each step, one
     draw per step from the stream keyed (seed, 0); the perturbation cancels in
-    the phase sum, so a unimodular base stays unimodular at every step.
+    the phase sum, so a unimodular base stays unimodular at every step.  The
+    arguments are checked and the stream made at the call, and the walk is
+    computed as its blocks are taken, so a caller that keeps only the verdict
+    counts holds memory that does not grow with ``steps``.  Each block's
+    arrays are its own; the blocks joined are the whole walk, bit for bit.
     """
     if not 0.0 <= 2.0 * math.pi * epsilon < math.inf:  # the draw's range; NaN fails
         raise ValueError(f"epsilon must be >= 0 with 2*pi*epsilon finite, got {epsilon}")
     require_count("steps", steps)
-    half = epsilon * math.pi
-    lambdas = stream_generator(seed).uniform(-half, half, steps)
-    phi = mod_2pi(base.phi + lambdas)
-    psi = mod_2pi(base.psi - lambdas)
-    verdicts = order_verdicts(phi - psi)
-    return NoiseWalk(phi, psi, verdicts.trace_mag, verdicts.codes)
+    return _noise_blocks(stream_generator(seed), base, epsilon * math.pi, steps)
+
+
+def _noise_blocks(gen: np.random.Generator, base: EigenphasePair, half: float,
+                  steps: int) -> Iterator[NoiseWalk]:
+    """The noise-block kernel: the next block of draws and its phases and verdicts."""
+    for lo in range(0, steps, _BLOCK):
+        lambdas = gen.uniform(-half, half, min(_BLOCK, steps - lo))
+        phi = mod_2pi(base.phi + lambdas)
+        psi = mod_2pi(base.psi - lambdas)
+        verdicts = order_verdicts(np.subtract(phi, psi, out=lambdas))
+        yield NoiseWalk(phi, psi, verdicts.trace_mag, verdicts.codes)
 
 
 #: The measurement bases by name, each built from U and the seed: the
@@ -291,45 +363,63 @@ _BASIS_CHOICES = {
 
 
 class EntropyRateExperiment(NamedTuple):
-    """The outcomes and their (empirical, predicted, abs_diff) entropy rates in
-    bits per step; empirical and abs_diff are None below 100 * 2^L steps."""
+    """The (empirical, predicted, abs_diff) entropy rates of a run in bits per
+    step; empirical and abs_diff are None below 100 * 2^L steps."""
 
-    outcomes: np.ndarray
     empirical: float | None
     predicted: float
     abs_diff: float | None
 
 
 def entropy_rate_experiment(pair: EigenphasePair, basis: str, steps: int, block_len: int,
-                            seed: int, period: int = 1) -> EntropyRateExperiment:
+                            seed: int, period: int = 1, out=None) -> EntropyRateExperiment:
     """The measured dynamics of a pair: choose the basis, sample, estimate, predict.
 
     ``basis`` names a key of _BASIS_CHOICES: "computational", "x" (the |+>, |->
-    basis against the eigenframe) or "optimized".  The outcomes come from the
-    stream keyed (seed, 0), the estimate uses blocks of L = block_len, and the
-    prediction is the Markov entropy rate of the exact transition matrix of U^period.
+    basis against the eigenframe) or "optimized".  The outcomes are those of
+    ``sample_trajectory(pair, basis, steps, seed, period)``, from the stream
+    keyed (seed, 0), and the estimate is ``empirical_entropy_rate`` of them
+    with L = block_len; the prediction is the Markov entropy rate of the exact
+    transition matrix of U^period.  Each block of outcomes is sampled once,
+    written to OUT.stream when ``out``, a path prefix, is given (one byte per
+    outcome), and passed to the window counter, so a run holds no memory that
+    grows with ``steps``.  The outcomes are not returned: ``sample_trajectory``
+    with the same arguments gives them again.
     """
     require_count("block length", block_len)
     if basis not in _BASIS_CHOICES:
         raise ValueError(f"basis must be one of {', '.join(_BASIS_CHOICES)}, got {basis!r}")
     pvm = _BASIS_CHOICES[basis](unitary_power(pair), seed)
-    outcomes = sample_trajectory(pair, pvm, steps, seed, period)
+    blocks = _outcome_blocks(pair, pvm, steps, seed, period, None)
     predicted = markov_entropy_rate(transition_matrix(unitary_power(pair, period), pvm))
-    try:
-        empirical = empirical_entropy_rate(outcomes, block_len, alphabet_size=2)
-    except InsufficientDataError:
-        return EntropyRateExperiment(outcomes, None, predicted, None)
-    return EntropyRateExperiment(outcomes, empirical, predicted, abs(empirical - predicted))
+    if out is not None:
+        blocks = _written(blocks, _trajectory_path(out, ".stream"))
+    if steps < _min_symbols(2, block_len):
+        for _ in blocks:  # sampled and written, but too few to estimate
+            pass
+        return EntropyRateExperiment(None, predicted, None)
+    empirical = _rate_of_counts(_window_counts(blocks, 2, block_len), 2)
+    return EntropyRateExperiment(empirical, predicted, abs(empirical - predicted))
 
 
-def write_trajectory_outputs(prefix, outcomes: np.ndarray, sidecar: dict,
-                             ) -> tuple[Path, Path]:
-    """Write the raw symbol stream (one byte per outcome) to PREFIX.stream and its
-    JSON sidecar to PREFIX.json, each suffix appended to the whole prefix."""
+def _trajectory_path(prefix, suffix: str) -> Path:
+    """PREFIX + suffix, the suffix appended to the whole prefix, in a made directory."""
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    stream_path = prefix.with_name(prefix.name + ".stream")
-    json_path = prefix.with_name(prefix.name + ".json")
-    stream_path.write_bytes(np.ascontiguousarray(outcomes, dtype=np.uint8).data)
+    return prefix.with_name(prefix.name + suffix)
+
+
+def _written(blocks: Iterator[np.ndarray], path: Path) -> Iterator[np.ndarray]:
+    """The blocks, each written to ``path`` as it is taken."""
+    with path.open("wb") as stream:
+        for block in blocks:
+            stream.write(block)
+            yield block
+
+
+def write_trajectory_outputs(prefix, sidecar: dict) -> Path:
+    """Write a run's JSON sidecar to PREFIX.json, beside the PREFIX.stream that
+    ``entropy_rate_experiment(..., out=PREFIX)`` wrote."""
+    json_path = _trajectory_path(prefix, ".json")
     json_path.write_text(dumps(sidecar))
-    return stream_path, json_path
+    return json_path

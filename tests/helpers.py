@@ -14,9 +14,9 @@ from qchaos import TWO_PI, VERDICT_LABELS, EigenphasePair, order_verdicts
 from qchaos.chaoticity import CHAOTIC
 from qchaos.entropy import eta, transition_matrix
 from qchaos.jsontext import Rows
-from qchaos.phases import unitary_power
+from qchaos.phases import mod_2pi, unitary_power
 from qchaos.rng import stream_generator
-from qchaos.simulate import CENSUS_CHUNK, _initial_distribution
+from qchaos.simulate import CENSUS_CHUNK, NoiseWalk, _initial_distribution
 
 
 def random_unitary(rng, d=2):
@@ -117,6 +117,23 @@ def reference_trajectory(unitary, basis, steps, seed, period=1, initial=None) ->
             x = bisect.bisect_right(rows[x], ul[i])
             out[i] = x
     return out
+
+
+def reference_noise_walk(base: EigenphasePair, epsilon: float, steps: int,
+                         seed: int) -> NoiseWalk:
+    """The noise walk's oracle: the whole walk at once, one array per column,
+    from all the draws of the stream keyed (seed, 0)."""
+    half = epsilon * math.pi
+    lambdas = stream_generator(seed).uniform(-half, half, steps)
+    phi = mod_2pi(base.phi + lambdas)
+    psi = mod_2pi(base.psi - lambdas)
+    verdicts = order_verdicts(phi - psi)
+    return NoiseWalk(phi, psi, verdicts.trace_mag, verdicts.codes)
+
+
+def joined_walk(blocks) -> NoiseWalk:
+    """The blocks of a noise walk joined into one array per column."""
+    return NoiseWalk(*map(np.concatenate, zip(*blocks)))
 
 
 def reference_neg_rate_d2(u: np.ndarray):

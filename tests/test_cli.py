@@ -269,6 +269,23 @@ class TestFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,flag", [
+        (["simulate", "--psi", "1/2", "--steps", "100", "--out", ""], "--out"),
+        (["scan", "--psi", "1/2", "--csv", ""], "--csv"),
+        (["analyze", "--psi", "1/2", "--csv", ""], "--csv"),
+        (["noise", "--psi", "1/2", "--epsilon", "0.1", "--json", ""], "--json"),
+        (["census", "--n", "10", "--json", ""], "--json"),
+    ], ids=["simulate-out", "scan-csv", "analyze-csv", "noise-json", "census-json"])
+    def test_empty_output_path_is_exit_2(self, args, flag, capsys, tmp_path, monkeypatch):
+        # an empty path names no file: it used to write nothing (or stdout) and exit 0
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert f"argument {flag}: an output path must not be empty" in err
+        assert out == "" and list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("args,message", [
         (["noise", "--psi", "1/2", "--epsilon", "nan"], "epsilon must be >= 0"),
         (["noise", "--psi", "1/2", "--epsilon", "inf"], "epsilon must be >= 0"),
@@ -437,6 +454,17 @@ class TestSimulate:
         sidecar = json.loads((tmp_path / "run.json").read_text())
         assert sidecar["seed"] == 3
         assert sidecar["config"]["steps"] == 64
+
+    @pytest.mark.parametrize("bad", [["--steps", "0"], ["--seed", "-1"], ["--period", "0"],
+                                     ["--block-len", "0"]], ids=lambda a: a[0][2:])
+    def test_failed_run_writes_no_files(self, bad, tmp_path):
+        # the stream file is made only once the run's checks have passed
+        args = {"--steps": "100", "--seed": "1", "--period": "1", "--block-len": "4"}
+        args.update([bad])
+        code, doc = run_cli(["simulate", "--psi", "1/2", *(x for kv in args.items() for x in kv),
+                             "--out", str(tmp_path / "sub" / "run")], tmp_path)
+        assert code == 2 and doc is None
+        assert list(tmp_path.iterdir()) == []
 
     def test_dotted_prefixes_keep_their_whole_name(self, tmp_path):
         # PREFIX.stream and PREFIX.json: seed.7 and seed.8 must not share seed.json

@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qchaos.cli
-from qchaos import noisy_phase_walk
 from qchaos.cli import _emit, build_parser, main, resolve_source
 from qchaos.jsontext import Rows, _column
 
-from helpers import SCAN_KEYS, reference_csv, reference_dumps, reference_scan_rows
+from helpers import (SCAN_KEYS, reference_csv, reference_dumps, reference_noise_walk,
+                     reference_scan_rows)
 
 
 def emitted(doc) -> str:
@@ -175,7 +175,7 @@ def test_full_noise_walk_is_byte_identical_to_per_step_rows(captured, tmp_path):
     dest = tmp_path / "noise.json"
     assert main(["noise", "--psi", "0.77", "--epsilon", "0.1", "--steps", "20000",
                  "--seed", "5", "--full", "--json", str(dest)]) == 0
-    walk = noisy_phase_walk(_target(["--psi", "0.77"]), epsilon=0.1, steps=20_000, seed=5)
+    walk = reference_noise_walk(_target(["--psi", "0.77"]), epsilon=0.1, steps=20_000, seed=5)
     labels = ["chaotic", "boundary", "non_chaotic"]
     old = dict(captured[0])
     old["noise"] = dict(old["noise"], walk=[

@@ -40,10 +40,12 @@ from qchaos.phases import unitary_power
 from qchaos.simulate import CENSUS_CHUNK
 
 from helpers import (
+    joined_walk,
     random_orthonormal_basis,
     random_unitary,
     reference_census_count,
     reference_entropy_rate,
+    reference_noise_walk,
     reference_trajectory,
 )
 
@@ -296,7 +298,8 @@ class TestBlocks:
         first = gen.random(out=buf[:a]).copy()
         assert np.concatenate([first, gen.random(out=buf[:b])]).tobytes() == whole.tobytes()
 
-    def test_memory_is_about_one_byte_per_step(self):
+    def test_memory_does_not_grow_with_steps(self, tmp_path):
+        # the run holds a few blocks, not the outcomes: the stream goes to a file
         steps = 2_000_000
         pair = EigenphasePair(0.3, 2.1)
         entropy_rate_experiment(pair, "x", 1000, 2, seed=1)  # first-call set-up
@@ -304,12 +307,92 @@ class TestBlocks:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            run = entropy_rate_experiment(pair, "x", steps, 8, seed=5)
+            run = entropy_rate_experiment(pair, "x", steps, 8, seed=5, out=tmp_path / "run")
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert run.outcomes.nbytes == steps and run.empirical is not None
-        assert peak < steps + 2 ** 22
+        assert run.empirical is not None
+        assert (tmp_path / "run.stream").stat().st_size == steps
+        assert peak < 2 ** 22
+
+    def test_noise_counts_in_memory_that_does_not_grow_with_steps(self):
+        steps = 2_000_000
+        walk = noisy_phase_walk(EigenphasePair(0.3, 2.1), 0.1, steps, seed=5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            counts = sum(np.bincount(block.codes, minlength=len(VERDICT_LABELS))
+                         for block in walk)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == steps
+        assert peak < 2 ** 22
+
+    @pytest.mark.parametrize("command,small,large", [
+        (["noise", "--psi", "0.7512", "--epsilon", "0.05"], 1000, 1_000_000),
+        (["simulate", "--phi", "0.31", "--psi", "1.17", "--out", "{tmp}/run"], 3000, 3_000_000),
+    ], ids=["noise", "simulate"])
+    def test_peak_rss_does_not_grow_with_steps(self, command, small, large, tmp_path):
+        # each size in a fresh process, where the peak RSS is the command's own
+        def peak_mb(steps):
+            argv = [a.replace("{tmp}", str(tmp_path)) for a in command]
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "qchaos.cli", *argv, "--steps", str(steps),
+                 "--seed", "1", "--json", str(tmp_path / "doc.json")],
+                env=dict(os.environ, PYTHONPATH=str(Path(simulate.__file__).parents[1])))
+            _, status, usage = os.wait4(proc.pid, 0)
+            assert status == 0
+            return usage.ru_maxrss / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+
+        assert peak_mb(large) - peak_mb(small) < 3.0
+
+
+class TestStreamedRun:
+    """``entropy_rate_experiment`` samples, writes and counts block by block;
+    its stream and estimate are those of the whole-array calls."""
+
+    B = simulate._BLOCK
+
+    # the sampler's blocks end at multiples of B; the counter's buffer, of
+    # max(B, 2^(L+1)) windows and their L successors, fills at k*B + L for
+    # L = 1 and 8, and at k*2^17 + 16 for L = 16, where 2^(L+1) > B
+    @pytest.mark.parametrize("block_len,steps", [
+        *[(1, n) for n in (200, 3 * B - 1, 3 * B, 3 * B + 1, 3 * B + 2)],
+        *[(8, n) for n in (25600, 2 * B + 7, 2 * B + 8, 2 * B + 9, 3 * B)],
+        *[(16, 50 * 2 ** 17 + 16 + k) for k in (-1, 0, 1)],
+    ])
+    def test_stream_and_rate_equal_the_whole_array_calls(self, block_len, steps, tmp_path):
+        assert 2 ** 17 > self.B  # so L = 16 counts more windows per bincount than B
+        pair = EigenphasePair(0.7, 2.3)
+        run = entropy_rate_experiment(pair, "x", steps, block_len, seed=11,
+                                      out=tmp_path / "run")
+        whole = sample_trajectory(pair, PvmBasis.x_basis(), steps, seed=11)
+        assert (tmp_path / "run.stream").read_bytes() == whole.tobytes()
+        rate = empirical_entropy_rate(whole, block_len, alphabet_size=2)
+        assert run.empirical == rate
+        assert run.abs_diff == abs(rate - run.predicted)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @settings(max_examples=30, deadline=None)
+    @given(phi=st.floats(0.0, TWO_PI), psi=st.floats(0.0, TWO_PI),
+           basis=st.sampled_from(["computational", "x"]), block_len=st.integers(1, 3),
+           period=st.integers(1, 3), steps=st.integers(1, 3000),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_any_split(self, block, phi, psi, basis, block_len, period, steps, seed,
+                       tmp_path_factory):
+        pair, out = EigenphasePair(phi, psi), tmp_path_factory.mktemp("run") / "run"
+        pvm = PvmBasis.x_basis() if basis == "x" else PvmBasis.computational()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_BLOCK", block)
+            run = entropy_rate_experiment(pair, basis, steps, block_len, seed, period, out=out)
+        whole = reference_trajectory(pair, pvm, steps, seed, period)
+        assert out.with_name("run.stream").read_bytes() == whole.tobytes()
+        if steps >= 100 * 2 ** block_len:
+            assert run.empirical == reference_entropy_rate(whole, block_len, 2)
+        else:
+            assert run.empirical is None
 
 
 class TestEmpiricalEntropyRate:
@@ -488,37 +571,72 @@ class TestCensusMatchesPerChunkKernel:
         assert out.stdout.strip() == "[]"
 
 
+def _assert_walk_matches_reference(base, epsilon, steps, seed):
+    blocks = list(noisy_phase_walk(base, epsilon, steps, seed))
+    assert all(0 < len(b.codes) <= simulate._BLOCK for b in blocks)
+    walk, ref = joined_walk(blocks), reference_noise_walk(base, epsilon, steps, seed)
+    for got, want in zip(walk, ref):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestNoiseBlocks:
+    """The walk's blocks joined are the whole-array walk, bit for bit."""
+
+    B = simulate._BLOCK
+
+    @pytest.mark.parametrize("steps", [1, B - 1, B, B + 1, 3 * B + 7])
+    def test_block_edges(self, steps):
+        _assert_walk_matches_reference(EigenphasePair(0.3, 4.1), 0.37, steps, seed=17)
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    @settings(max_examples=40, deadline=None)
+    @given(phi=st.floats(0.0, TWO_PI), psi=st.floats(0.0, TWO_PI),
+           epsilon=st.floats(0.0, 3.0), steps=st.integers(1, 400),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_any_split(self, block, phi, psi, epsilon, steps, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_BLOCK", block)
+            _assert_walk_matches_reference(EigenphasePair(phi, psi), epsilon, steps, seed)
+
+    def test_checks_at_the_call(self):
+        # the arguments are checked before a block is asked for
+        with pytest.raises(ValueError, match="steps"):
+            noisy_phase_walk(EigenphasePair(0.0, PI), 0.1, 0, seed=1)
+        with pytest.raises(ValueError, match="must lie in"):
+            noisy_phase_walk(EigenphasePair(0.0, PI), 0.1, 10, seed=-1)
+
+
 class TestNoisyPhaseWalk:
     def test_zero_epsilon_is_constant(self):
         base = make_su2_from_psi(PI / 2)
-        walk = noisy_phase_walk(base, epsilon=0.0, steps=50, seed=1)
+        walk = joined_walk(noisy_phase_walk(base, epsilon=0.0, steps=50, seed=1))
         assert all(EigenphasePair(p, q) == base
                    for p, q in zip(walk.phi.tolist(), walk.psi.tolist()))
         assert len(set(walk.codes.tolist())) == 1
 
     def test_boundary_base_alternates(self):
         base = make_su2_from_psi(3 * PI / 4)  # edge of the chaotic window
-        walk = noisy_phase_walk(base, epsilon=0.1, steps=1000, seed=3)
+        walk = joined_walk(noisy_phase_walk(base, epsilon=0.1, steps=1000, seed=3))
         labels = {VERDICT_LABELS[c] for c in walk.codes}
         assert "chaotic" in labels
         assert "non_chaotic" in labels
 
     def test_small_noise_stays_chaotic(self):
         base = make_su2_from_psi(PI / 2)  # center of the window
-        walk = noisy_phase_walk(base, epsilon=0.01, steps=1000, seed=5)
+        walk = joined_walk(noisy_phase_walk(base, epsilon=0.01, steps=1000, seed=5))
         assert all(VERDICT_LABELS[c] == "chaotic" for c in walk.codes)
 
     def test_unimodular_invariant_at_every_step(self):
         base = make_su2_from_psi(1.234)
         for eps in (0.0, 0.01, 0.5, 1.0):
-            walk = noisy_phase_walk(base, epsilon=eps, steps=200, seed=7)
+            walk = joined_walk(noisy_phase_walk(base, epsilon=eps, steps=200, seed=7))
             for phi, psi in zip(walk.phi.tolist(), walk.psi.tolist()):
                 assert circular_distance(phi + psi, 0.0) <= 1e-12
 
     def test_matches_per_step_reference(self):
         # the arrays equal a scalar loop over the same draws, bit for bit
         base = EigenphasePair(0.3, 4.1)
-        walk = noisy_phase_walk(base, epsilon=1.5, steps=300, seed=9)
+        walk = joined_walk(noisy_phase_walk(base, epsilon=1.5, steps=300, seed=9))
         lambdas = stream_generator(9, 0).uniform(-1.5 * PI, 1.5 * PI, 300)
         for i, lam in enumerate(lambdas.tolist()):
             pair = EigenphasePair(base.phi + lam, base.psi - lam)
@@ -613,15 +731,19 @@ class TestEntropyRateExperiment:
             entropy_rate_experiment(EigenphasePair(0.0, PI), basis, 1000, 2, seed=0)
 
     @pytest.mark.parametrize("basis", ["computational", "x", "optimized"])
-    def test_short_run_has_no_estimate(self, basis):
-        """Below 100 * 2^L steps the outcomes are sampled and the rate
-        predicted, but there is no block estimate and so no difference."""
+    def test_short_run_has_no_estimate(self, basis, tmp_path):
+        """Below 100 * 2^L steps the outcomes are sampled and written and the
+        rate predicted, but there is no block estimate and so no difference."""
         pair = EigenphasePair(0.3, 2.1)
-        short = entropy_rate_experiment(pair, basis, 100 * 2 ** 4 - 1, 4, seed=3, period=2)
-        full = entropy_rate_experiment(pair, basis, 100 * 2 ** 4, 4, seed=3, period=2)
+        short = entropy_rate_experiment(pair, basis, 100 * 2 ** 4 - 1, 4, seed=3, period=2,
+                                        out=tmp_path / "short")
+        full = entropy_rate_experiment(pair, basis, 100 * 2 ** 4, 4, seed=3, period=2,
+                                       out=tmp_path / "full")
         assert short.empirical is None and short.abs_diff is None
         assert short.predicted == full.predicted
-        assert np.array_equal(short.outcomes, full.outcomes[:-1])
+        stream = (tmp_path / "full.stream").read_bytes()
+        assert len(stream) == 100 * 2 ** 4
+        assert (tmp_path / "short.stream").read_bytes() == stream[:-1]
         assert full.abs_diff == abs(full.empirical - full.predicted)
 
 
@@ -629,12 +751,13 @@ class TestWriteTrajectoryOutputs:
     def test_stream_and_sidecar(self, tmp_path):
         from qchaos import write_trajectory_outputs
 
-        out = sample_trajectory(PAULI_X, PvmBasis.computational(2), 64, seed=1, initial=0)
-        stream_path, json_path = write_trajectory_outputs(
-            tmp_path / "run", out, {"seed": 1, "note": "test"})
-        raw = stream_path.read_bytes()
-        assert len(raw) == 64
-        assert list(raw[:4]) == [0, 1, 0, 1]
+        run = entropy_rate_experiment(EigenphasePair(0.0, PI), "x", 64, 8, seed=1,
+                                      out=tmp_path / "run")
+        json_path = write_trajectory_outputs(tmp_path / "run", {"seed": 1, "note": "test"})
+        raw = (tmp_path / "run.stream").read_bytes()
+        assert len(raw) == 64 and run.empirical is None
+        assert raw[1:4] in (bytes([0, 1, 0]), bytes([1, 0, 1]))  # theta = pi: x-basis swap
         import json
 
+        assert json_path == tmp_path / "run.json"
         assert json.loads(json_path.read_text())["seed"] == 1
