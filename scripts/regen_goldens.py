@@ -2,7 +2,9 @@
 """Regenerate the pinned CLI outputs under tests/golden/.
 
 Each case in tests/golden/cases.json is a CLI invocation; the emitted JSON
-document is stored with the manifest timestamp removed.  tests/test_cli.py
+document is stored with the manifest timestamp removed, in GOLDEN_DIR if one
+is given (the cases are still read from tests/golden/), so a regeneration into
+another directory can be compared with the pinned files.  tests/test_cli.py
 replays the same cases and compares byte-for-byte, so regenerate only when an
 output format change is intended.  Each document is validated against
 ``src/qchaos/schemas/output.schema.json`` before it is written, which needs
@@ -20,12 +22,14 @@ import jsonschema
 
 from qchaos.cli import main
 
-SCHEMA_PATH = Path(__file__).parent.parent / "src/qchaos/schemas/output.schema.json"
+ROOT = Path(__file__).parent.parent
+SCHEMA_PATH = ROOT / "src/qchaos/schemas/output.schema.json"
+CASES_PATH = ROOT / "tests/golden/cases.json"
 
 
 def regenerate(golden_dir: Path) -> None:
     schema = json.loads(SCHEMA_PATH.read_text())
-    cases = json.loads((golden_dir / "cases.json").read_text())
+    cases = json.loads(CASES_PATH.read_text())
     with tempfile.TemporaryDirectory() as tmp:
         for name, args in cases.items():
             dest = Path(tmp) / f"{name}.json"
@@ -41,6 +45,4 @@ def regenerate(golden_dir: Path) -> None:
 
 
 if __name__ == "__main__":
-    target = Path(sys.argv[1]) if len(sys.argv) > 1 else (
-        Path(__file__).parent.parent / "tests" / "golden")
-    regenerate(target)
+    regenerate(Path(sys.argv[1]) if len(sys.argv) > 1 else CASES_PATH.parent)

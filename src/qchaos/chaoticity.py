@@ -120,44 +120,6 @@ def order_verdicts(source, ks=1) -> OrderVerdicts:
     return OrderVerdicts(theta, trace_mag, codes)
 
 
-#: The K = 1 verdict in folded form: |tr| = 2 sin(y) is below sqrt(2) - w iff
-#: y < _CHAOTIC_Y; within _EDGE of it the kernel itself decides.
-_CHAOTIC_Y = math.asin((SQRT2 - boundary_half_width(1.0)) / 2.0)
-_EDGE = 1e-12
-
-
-def _chaotic_count(d: np.ndarray) -> int:
-    """np.count_nonzero(order_verdicts(d).codes == CHAOTIC), without a cosine per entry.
-
-    For |d| < 4*pi, x = |d|/2 folds to y = ||x - pi| - pi/2| in [0, pi/2],
-    and |tr| = 2|cos x| = 2 sin y, so in real arithmetic the verdict is
-    chaotic iff y < _CHAOTIC_Y.  Entries with y < _CHAOTIC_Y - _EDGE are
-    counted and those above _CHAOTIC_Y + _EDGE are not: their true |tr| is at
-    least 2*cos(_CHAOTIC_Y)*_EDGE ~ sqrt(2)*1e-12 from the band edge
-    sqrt(2) - w, while the fold (a few ulps of 2*pi), numpy's cosine and the
-    margin subtraction round by about 1e-15, so the kernel's float verdict
-    agrees with the edge test there.  The entries within _EDGE of the edge,
-    and any with |d| >= 4*pi, go through ``order_verdicts``; a NaN or
-    infinite entry reaches it too, and it raises ValueError.
-    """
-    y = np.abs(d)
-    y *= 0.5
-    if not y.max(initial=0.0) < TWO_PI:  # also true for a NaN
-        inside = y < TWO_PI
-        return (_chaotic_count(d[inside])
-                + int(np.count_nonzero(order_verdicts(d[~inside]).codes == CHAOTIC)))
-    y -= math.pi
-    np.abs(y, out=y)
-    y -= math.pi / 2.0
-    np.abs(y, out=y)
-    lo, hi = _CHAOTIC_Y - _EDGE, _CHAOTIC_Y + _EDGE
-    below = int(np.count_nonzero(y < lo))
-    if below == np.count_nonzero(y <= hi):
-        return below
-    band = d[(y >= lo) & (y <= hi)]
-    return below + int(np.count_nonzero(order_verdicts(band).codes == CHAOTIC))
-
-
 def exact_theta_fraction(spec: ExactUnitarySpec, k: int) -> Fraction:
     """theta/pi of the k-th power of an exact spec, as an exact Fraction in [0, 1]."""
     from fractions import Fraction  # only callers of this function need fractions

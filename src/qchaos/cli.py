@@ -53,6 +53,7 @@ import numpy as np
 from . import __version__
 from .chaoticity import (
     VERDICT_LABELS,
+    ChaoticityReport,
     chaoticity_scan,
     idempotency_order,
     projective_idempotency_order,
@@ -173,7 +174,7 @@ _NO_ORDER_REASON = {"irrational_certified": "irrational_phase",
                     "unknown": "unknown_phase_rationality"}
 
 
-def _analysis_body(source, k_max: int, n_cap: int) -> dict:
+def _analysis_body(source, k_max: int, n_cap: int) -> tuple[dict, ChaoticityReport]:
     """Scan + per-order closed-form entropy + idempotency/rationality block."""
     require_count("n_cap", n_cap)
     pair = source.pair()

@@ -17,9 +17,8 @@ file and counts its windows, carrying the last L symbols into the next block;
 and ``empirical_entropy_rate`` fill from and call the same kernels.  Every
 routine takes plain arguments, and ``stream_generator`` is the one check of a
 seed.  The noise walk takes its verdicts from ``chaoticity.order_verdicts``;
-the census counts them through ``chaoticity._chaotic_count``, an edge test on
-the folded phase that calls the kernel only within 1e-12 of the edge, with
-the same count."""
+so does the census: its chaotic draws form two intervals, whose four ends it
+finds once per call by bisecting that kernel, and it counts the draws in them."""
 
 from __future__ import annotations
 
@@ -31,7 +30,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .chaoticity import _chaotic_count, order_verdicts
+from .chaoticity import CHAOTIC, order_verdicts
 from .entropy import (
     PvmBasis,
     measurement_probabilities,
@@ -70,6 +69,9 @@ def _initial_distribution(initial, basis: PvmBasis) -> np.ndarray:
     d = basis.d
     if initial is None:
         rho = np.eye(d, dtype=complex) / d
+    elif isinstance(initial, (bool, np.bool_)):  # no index, as it is no count or seed
+        raise ValueError(f"initial must be a basis index, a density matrix or None, "
+                         f"got {initial!r}")
     elif isinstance(initial, (int, np.integer)):
         if not 0 <= int(initial) < d:
             raise ValueError(f"initial basis index {initial} out of range for d={d}")
@@ -272,15 +274,33 @@ class CensusResult(NamedTuple):
     half_width_3sigma: float
 
 
-def _census_chunk(seed: int, chunk: int, buf: np.ndarray) -> int:
-    # the SU(2) pair of psi has phi - psi = -2 psi mod 2*pi, and |tr| is even
-    # and 2*pi-periodic in it, so d = 2 psi in [0, 4*pi) gives |tr| = 2|cos psi|
-    # exactly; the edge test counts it as the kernel would.  psi drawn by
-    # uniform(0, 2*pi) is 0.0 + 2*pi*u for the stream's doubles u, so 4*pi*u
-    # is 2 psi bit for bit
-    d = stream_generator(seed, chunk).random(out=buf)
-    d *= 2.0 * TWO_PI
-    return _chaotic_count(d)
+def _census_ends() -> list[float]:
+    """The draws u = k*2^-53 where the census's verdict turns: a draw is
+    chaotic iff e0 <= u < e1 or e2 <= u < e3.
+
+    The SU(2) pair of psi has |tr| = 2|cos psi|, which the kernel reads from
+    d = 2 psi = 4*pi*u (bit for bit, for psi drawn by uniform(0, 2*pi)).  It is
+    monotone in u on each quarter of [0, 1), so the four ends are bisected
+    over k together.  2^12 grid steps from each end, the margin to the band
+    edge is already about 4e-12 against about 1e-15 of rounding, and a test
+    checks every grid point inside that window.
+    """
+    def chaotic(k: np.ndarray) -> np.ndarray:
+        return order_verdicts(k * 2.0 ** -53 * (2.0 * TWO_PI)).codes == CHAOTIC
+
+    lo = np.arange(4, dtype=np.int64) << 51  # quarter starts; at the end, last k before each turn
+    start = chaotic(lo)
+    for bit in range(50, -1, -1):
+        mid = lo + (1 << bit)
+        lo = np.where(chaotic(mid) == start, mid, lo)
+    return ((lo + 1) * 2.0 ** -53).tolist()
+
+
+def _census_chunk(seed: int, chunk: int, buf: np.ndarray, ends: list[float]) -> int:
+    # the draws and the ends lie on the 2^-53 grid, so the comparisons are exact
+    u = stream_generator(seed, chunk).random(out=buf)
+    above = [int(np.count_nonzero(u >= e)) for e in ends]
+    return above[0] - above[1] + above[2] - above[3]
 
 
 def monte_carlo_chaotic_fraction(n_trials: int, seed: int,
@@ -297,10 +317,12 @@ def monte_carlo_chaotic_fraction(n_trials: int, seed: int,
     require_count("threads", threads)
     n_chunks = -(-n_trials // CENSUS_CHUNK)
     workers = min(threads, n_chunks, os.cpu_count() or 1)
+    ends = _census_ends()
 
     def count(first: int) -> int:  # chunks first, first + workers, ...
         buf = np.empty(min(CENSUS_CHUNK, n_trials))
-        return sum(_census_chunk(seed, c, buf[:min(CENSUS_CHUNK, n_trials - c * CENSUS_CHUNK)])
+        return sum(_census_chunk(seed, c, buf[:min(CENSUS_CHUNK, n_trials - c * CENSUS_CHUNK)],
+                                 ends)
                    for c in range(first, n_chunks, workers))
 
     if workers == 1:

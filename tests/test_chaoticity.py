@@ -32,7 +32,8 @@ from qchaos import (
 )
 
 from qchaos import chaoticity
-from qchaos.chaoticity import BOUNDARY, CHAOTIC, NON_CHAOTIC, _CHAOTIC_Y, _chaotic_count
+from qchaos.chaoticity import BOUNDARY, CHAOTIC, NON_CHAOTIC
+from qchaos.simulate import _census_ends
 
 from helpers import power_eigenphases
 
@@ -342,9 +343,8 @@ class TestOrderVerdicts:
                              ids=["nan", "inf", "-inf", "nan-among-finite"])
     def test_non_finite_differences_are_rejected(self, d):
         # both band comparisons of a NaN margin are false: it would read as chaotic
-        for call in (order_verdicts, _chaotic_count):
-            with pytest.raises(ValueError, match="must be finite"):
-                call(np.array(d))
+        with pytest.raises(ValueError, match="must be finite"):
+            order_verdicts(np.array(d))
 
     @pytest.mark.parametrize("call", [
         lambda d: order_verdicts(d, [1, 2, 3]),
@@ -571,61 +571,37 @@ class TestOrderBoundTheorem:
         assert run < first_nonchaotic_order(spec, 4) <= 4
 
 
-def kernel_count(d: np.ndarray) -> int:
-    return int(np.count_nonzero(order_verdicts(d).codes == CHAOTIC))
+def _census_chaotic(ks) -> np.ndarray:
+    """The kernel's verdicts on the census draws u = k*2^-53, read as the census's
+    oracle reads them: d = 2 psi for psi = uniform(0, 2*pi) = 0.0 + 2*pi*u."""
+    u = np.asarray(ks, dtype=np.int64) * 2.0 ** -53
+    return order_verdicts(2.0 * (0.0 + TWO_PI * u)).codes == CHAOTIC
 
 
-# the eight differences where |tr| = 2 sin(_CHAOTIC_Y), the folded edge
-_EDGES = [s * 2.0 * (c + e * _CHAOTIC_Y) for s in (1, -1) for c in (PI / 2, 3 * PI / 2)
-          for e in (1, -1)]
+_ENDS = _census_ends()
+_END_KS = [int(e * 2 ** 53) for e in _ENDS]
 
 
-def _ulps_from(x: float, n: int) -> float:
-    """x moved n ulps away from zero (towards it for n < 0)."""
-    return float((np.float64(x).view(np.int64) + np.int64(n)).view(np.float64))
+class TestCensusEnds:
+    """The census's chaotic draws are two intervals whose ends the kernel fixes."""
 
+    @pytest.mark.parametrize("i", range(4))
+    def test_each_end_is_the_only_turn_near_it(self, i):
+        end = _END_KS[i]
+        assert end * 2.0 ** -53 == _ENDS[i]  # on the draws' grid
+        assert abs(end - ((2 * i + 1) << 50)) < 2 ** 21  # near u = (2i + 1)/8
+        chaotic = _census_chaotic(np.arange(end - 2 ** 12, end + 2 ** 12 + 1))
+        assert np.flatnonzero(np.diff(chaotic)).tolist() == [2 ** 12 - 1]
+        assert chaotic[2 ** 12] == (i % 2 == 0)  # e0 and e2 open an interval
 
-_near_edges = st.builds(
-    lambda edge, n, eps: _ulps_from(edge, n) + eps,
-    st.sampled_from(_EDGES), st.integers(-10 ** 4, 10 ** 4),
-    st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9)))
-_differences = st.floats(-4 * PI, 4 * PI, exclude_min=True, exclude_max=True)
-
-
-class TestChaoticCount:
-    """The census's edge test counts exactly what the kernel counts."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(d=st.lists(st.one_of(_differences, _near_edges), min_size=1, max_size=200))
-    def test_equals_the_kernel_count(self, d):
-        d = np.array(d)
-        assert _chaotic_count(d) == kernel_count(d)
-
-    def test_edges_are_where_the_kernel_turns(self):
-        for edge in _EDGES:
-            d = np.array([_ulps_from(edge, n) for n in range(-10 ** 4, 10 ** 4 + 1)])
-            codes = order_verdicts(d).codes
-            assert 0 < kernel_count(d) < d.size and len(set(codes.tolist())) == 2
-            assert _chaotic_count(d) == kernel_count(d)
-
-    def test_out_of_range_differences(self):
-        d = np.array([4 * PI, -4 * PI, np.nextafter(4 * PI, 0.0), 5 * PI, -9 * PI, 1e6,
-                      -1e300, 1.0, PI])
-        assert _chaotic_count(d) == kernel_count(d)
-        assert _chaotic_count(d[:1]) == kernel_count(d[:1])
-
-    def test_band_entries_go_through_the_kernel(self, monkeypatch):
-        d = np.array([_EDGES[0], PI, 0.0, _EDGES[3], -_ulps_from(_EDGES[5], 3)])
-        want = kernel_count(d)
-        seen = []
-
-        def spy(source, ks=1):
-            seen.append(np.array(source))
-            return order_verdicts(source, ks)
-
-        monkeypatch.setattr(chaoticity, "order_verdicts", spy)
-        assert _chaotic_count(d) == want
-        assert [x.tolist() for x in seen] == [[d[0], d[3], d[4]]]
+    @settings(max_examples=500, deadline=None)
+    @given(k=st.one_of(
+        st.integers(0, 2 ** 53 - 1),
+        st.builds(int.__add__, st.sampled_from(_END_KS), st.integers(-2 ** 13, 2 ** 13))))
+    def test_membership_is_the_kernel_verdict(self, k):
+        e0, e1, e2, e3 = _ENDS
+        u = k * 2.0 ** -53
+        assert (e0 <= u < e1 or e2 <= u < e3) == _census_chaotic([k])[0]
 
 
 _small_rational = st.builds(RationalPhase, st.integers(-100, 100), st.integers(1, 24))

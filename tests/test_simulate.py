@@ -89,6 +89,11 @@ class TestSampleTrajectory:
                                 initial=1)
         assert out[0] == 1
 
+    @pytest.mark.parametrize("initial", [True, False, np.True_])
+    def test_rejects_a_bool_initial_state(self, initial):
+        with pytest.raises(ValueError, match="initial must be a basis index"):
+            sample_trajectory(PAULI_X, PvmBasis.x_basis(), 10, seed=0, initial=initial)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             sample_trajectory(np.eye(3), PvmBasis.computational(2), 10, seed=0)
@@ -538,7 +543,7 @@ class TestCensusMatchesPerChunkKernel:
 
     @pytest.mark.parametrize("seed", [0, 3, 2 ** 64 - 1])
     def test_scaled_draws_are_twice_the_uniform_psi(self, seed):
-        # the census draws u and scales it by 4*pi in place: 2 psi bit for bit
+        # _census_ends reads the kernel at 4*pi*u for the draws u: 2 psi bit for bit
         d = stream_generator(seed, 2).random(CENSUS_CHUNK) * (2.0 * TWO_PI)
         psis = stream_generator(seed, 2).uniform(0.0, TWO_PI, CENSUS_CHUNK)
         assert d.tobytes() == (2.0 * psis).tobytes()
