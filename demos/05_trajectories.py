@@ -39,7 +39,7 @@ print(f"entropy rate: empirical {res.empirical:.6f} vs predicted "
 # measured every second step it freezes entirely, since X^2 = I.
 x = np.array([[0, 1], [1, 0]], dtype=complex)
 comp = PvmBasis.computational(2)
-every = sample_trajectory(x, comp, steps=30000, seed=3, initial=0)
+every = sample_trajectory(x, comp, steps=30000, seed=3)
 skip = sample_trajectory(x, comp, steps=30000, seed=3, period=2)
 print(f"\nPauli X, K=1: first outcomes {every[:8].tolist()} ... "
       f"rate = {empirical_entropy_rate(every, 4):.3f}")

@@ -22,8 +22,7 @@ _SUBMODULE = {name: module for module, names in (
                "circular_distance eigenphases_of make_su2_from_psi mod_2pi "
                "rational_phase_order require_unitary"),
     ("entropy", "EntropyResult PvmBasis basis_from_angles eta "
-                "markov_entropy_rate measurement_probabilities pvm_entropy_optimize "
-                "transition_matrix"),
+                "markov_entropy_rate pvm_entropy_optimize transition_matrix"),
     ("chaoticity", "BOUNDARY_TOL ChaoticityReport IdempotencyCapError "
                    "OrderVerdicts SQRT2 VERDICT_LABELS boundary_half_width "
                    "chaotic_order_fraction chaoticity_scan exact_theta_fraction "

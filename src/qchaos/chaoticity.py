@@ -88,11 +88,14 @@ def order_verdicts(source, ks=1) -> OrderVerdicts:
     scalar K gives shape-() results; a non-integer K or non-finite d is rejected.
     """
     ks = np.asarray(ks)
-    if ks.dtype.kind not in "iu" and not (
-            ks.dtype == object and all(isinstance(k, (int, np.integer)) for k in ks.flat)):
+    if ks.dtype.kind not in "iu" and not (ks.dtype == object and all(
+            isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in ks.flat)):
         raise ValueError(f"order must be an integer, got {ks.dtype} orders")
     if ks.min() < 1:
         raise ValueError(f"order must be a positive integer, got {ks.min()}")
+    # by value: int64, or Python ints past it, so no narrow or unsigned type wraps
+    ks = (ks.astype(np.int64, copy=False) if int(ks.max()) < 1 << 63
+          else np.array([int(k) for k in ks.flat], dtype=object).reshape(ks.shape))
     exact = isinstance(source, ExactUnitarySpec)
     if exact:
         t, big = _theta_units(source, ks)
@@ -124,8 +127,7 @@ def exact_theta_fraction(spec: ExactUnitarySpec, k: int) -> Fraction:
     """theta/pi of the k-th power of an exact spec, as an exact Fraction in [0, 1]."""
     from fractions import Fraction  # only callers of this function need fractions
 
-    require_count("order", k)
-    t, big = _theta_units(spec, np.asarray([k]))
+    t, big = _theta_units(spec, np.array([require_count("order", k)], dtype=object))
     return Fraction(int(t[0]), big)
 
 
@@ -163,7 +165,7 @@ class ChaoticityReport(NamedTuple):
 def chaoticity_scan(u, k_max: int) -> ChaoticityReport:
     """Scan orders 1..k_max of a source, H by the array closed form over all of them;
     exact phase reduction for an ExactUnitarySpec."""
-    require_count("k_max", k_max)
+    k_max = require_count("k_max", k_max)
     theta, trace_mag, codes = order_verdicts(u, np.arange(1, k_max + 1))
     return ChaoticityReport(theta, qubit_entropy_of_theta(theta), trace_mag, codes)
 
@@ -186,7 +188,7 @@ def idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000) -> int:
     denominators, which the strict order can differ from by the global-phase
     contribution; ``analyze`` reports both.
     """
-    require_count("n_cap", n_cap)
+    n_cap = require_count("n_cap", n_cap)
     g = spec.global_phase
     order = math.lcm(rational_phase_order(g + spec.phase1), rational_phase_order(g + spec.phase2))
     if order > n_cap:
@@ -196,7 +198,7 @@ def idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000) -> int:
 
 def projective_idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000) -> int:
     """Smallest n with U^n proportional to the identity (global phase ignored)."""
-    require_count("n_cap", n_cap)
+    n_cap = require_count("n_cap", n_cap)
     order = rational_phase_order(spec.phase1 + RationalPhase(-spec.phase2.m, spec.phase2.p))
     if order > n_cap:
         raise IdempotencyCapError(order, n_cap)
@@ -214,7 +216,7 @@ def first_nonchaotic_order(source, k_bound: int) -> int | None:
     no band.  Hence only K = 1..min(4, k_bound) of the source are evaluated,
     and None means that k_bound < 4 and no order up to it is non-chaotic.
     """
-    require_count("order bound", k_bound)
+    k_bound = require_count("order bound", k_bound)
     codes = order_verdicts(source, np.arange(1, min(4, k_bound) + 1)).codes
     hits = np.flatnonzero(codes == NON_CHAOTIC)
     return int(hits[0]) + 1 if hits.size else None
@@ -237,7 +239,7 @@ def chaotic_order_fraction(source, k_max: int) -> float:
     An ExactUnitarySpec's verdicts depend on K mod 2L only (L = lcm(p1, p2)),
     so its orders are counted over one period and over the remainder.
     """
-    require_count("order bound", k_max)
+    k_max = require_count("order bound", k_max)
     period = k_max
     if isinstance(source, ExactUnitarySpec):
         period = min(k_max, 2 * math.lcm(source.phase1.p, source.phase2.p))

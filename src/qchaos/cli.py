@@ -176,7 +176,7 @@ _NO_ORDER_REASON = {"irrational_certified": "irrational_phase",
 
 def _analysis_body(source, k_max: int, n_cap: int) -> tuple[dict, ChaoticityReport]:
     """Scan + per-order closed-form entropy + idempotency/rationality block."""
-    require_count("n_cap", n_cap)
+    n_cap = require_count("n_cap", n_cap)
     pair = source.pair()
     rationality = source.rationality
     exact = rationality == "rational"  # an exact spec

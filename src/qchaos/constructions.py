@@ -48,9 +48,17 @@ _RESIDUE_BITS = 53 + 64
 _PRIME_CAP = 10_000
 
 
+def _coefficients(a, b) -> tuple[int, int]:
+    """(a, b) by value: integers (numpy integers pass, bools do not) as ints, so
+    no fixed-width type overflows in the exact arithmetic."""
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (a, b)):
+        raise ValueError("seed coefficients must be integers")
+    return int(a), int(b)
+
+
 def quadratic_trace_sequence(a: int, b: int, t_max: int) -> tuple[int, ...]:
     """s_0..s_t_max by the exact integer recurrence s_{t+1} = -a s_t - b s_{t-1}."""
-    require_count("t_max", t_max)
+    (a, b), t_max = _coefficients(a, b), require_count("t_max", t_max)
     values = [2, -a]
     for _ in range(t_max - 1):
         values.append(-a * values[-1] - b * values[-2])
@@ -65,7 +73,7 @@ def build_chaotic_order(k: int) -> tuple[ExactUnitarySpec, int]:
     test is the exact rational verdict at order k.  The result is exactly
     rational, hence idempotent of some finite order.
     """
-    require_count("order", k)
+    k = require_count("order", k)
     for p in range(2, _PRIME_CAP):
         if k % p == 0 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
             continue
@@ -102,12 +110,7 @@ class QuadraticRecipe:
     _pair: EigenphasePair = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in (self.a, self.b)):
-            raise ValueError("seed coefficients must be integers")
-        require_count("t", self.t)
-        # numpy integers would overflow in the products and shifts below
-        a, b, t = int(self.a), int(self.b), int(self.t)
+        (a, b), t = _coefficients(self.a, self.b), require_count("t", self.t)
         if a >= 0 or b >= 0:
             raise ValueError(f"seed (a={a}, b={b}) is outside the a, b < 0 regime")
         d = a * a - 4 * b
@@ -125,12 +128,12 @@ class QuadraticRecipe:
         beta = (-a - math.sqrt(d)) / 2.0
         # a tiny |beta^t| needs t log2(1/|beta|) extra bits to keep 53 significant ones
         n = _RESIDUE_BITS + (math.ceil(-t * math.log2(abs(beta))) if abs(beta) < 1.0 else 0)
-        # floor(|B_t| sqrt(D) 2^n), never exact: sqrt(D) is irrational and B_t != 0
+        # floor(B_t sqrt(D) 2^n), never exact: sqrt(D) is irrational and B_t != 0
+        # B_t > 0: B_1 = 1, A_1 = -a > 0, and A' = -aA + BD, B' = A - aB keep both positive
         root = math.isqrt(big_b * big_b * d << 2 * n)
-        floor_b = root if big_b > 0 else -root - 1  # floor(B_t sqrt(D) 2^n)
         # floor(beta^t 2^(t+n)), using floor(-x) = -floor(x) - 1 for non-integer x
         k = t + n
-        q = ((big_a << n) - floor_b - 1) % (2 << k)  # r lies strictly inside (q, q+1) / 2^k
+        q = ((big_a << n) - root - 1) % (2 << k)  # r lies strictly inside (q, q+1) / 2^k
         # round through the midpoint: with the guard bits, the float rounding
         # boundaries near r are multiples of 2^-k, so the open interval holds none
         den = 1 << (k + 1)

@@ -34,7 +34,7 @@ import numpy as np
 from .phases import TWO_PI, require_count, require_unitary
 from .rng import stream_generator
 
-#: Orthonormality tolerance for measurement bases and density matrices.
+#: Orthonormality tolerance for measurement bases.
 GRAM_TOL = 1e-10
 #: Row/column sum tolerance accepted by the entropy rate.
 STOCHASTIC_TOL = 1e-8
@@ -109,31 +109,6 @@ def qubit_entropy_of_theta(theta: np.ndarray) -> np.ndarray:
     h = np.ones(theta.shape)
     h[low] = terms[0] + terms[1]
     return h
-
-
-def require_density_matrix(rho, tol: float = GRAM_TOL) -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD and unit trace within tol."""
-    r = np.asarray(rho, dtype=complex)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {r.shape}")
-    if not np.max(np.abs(r - r.conj().T)) <= tol:  # also true for a NaN
-        raise ValueError("density matrix is not Hermitian")
-    if not abs(np.trace(r).real - 1.0) <= tol:
-        raise ValueError(f"density matrix trace is {np.trace(r).real}, expected 1")
-    if np.linalg.eigvalsh(r).min() < -tol:
-        raise ValueError("density matrix is not positive semidefinite")
-    return r
-
-
-def measurement_probabilities(state, basis: PvmBasis) -> np.ndarray:
-    """Outcome distribution p_j = <phi_j| rho |phi_j> of measuring ``basis``."""
-    rho = require_density_matrix(state)
-    if rho.shape[0] != basis.d:
-        raise ValueError(f"state dimension {rho.shape[0]} != basis dimension {basis.d}")
-    v = basis.vectors
-    p = np.einsum("ij,jk,ki->i", v.conj().T, rho, v).real
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
 
 
 def transition_matrix(u, basis: PvmBasis) -> np.ndarray:
@@ -398,8 +373,8 @@ def pvm_entropy_optimize(u, restarts: int = 32, max_iters: int = 2000,
     _NM_BLOCK restarts in lock-step as arrays, and the objective (d = 2 or
     d = 3) is array code over the batch's rows.  Best-found, not certified-global.
     """
-    require_count("restarts", restarts)
-    require_count("max_iters", max_iters)
+    restarts = require_count("restarts", restarts)
+    max_iters = require_count("max_iters", max_iters)
     m = require_unitary(u)
     d = m.shape[0]
     if d not in _PLANES:

@@ -99,18 +99,19 @@ def rational_phase_order(ph: RationalPhase) -> int:
     return 2 * ph.p // math.gcd(ph.m, 2 * ph.p)
 
 
-def require_count(name: str, value) -> None:
-    """Reject a count that is not an integer (numpy integers pass, bools do not) >= 1."""
+def require_count(name: str, value) -> int:
+    """A count by value: an integer >= 1 (numpy integers pass, bools do not) as an int."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return int(value)
 
 
-def require_unitary(u, tol: float = UNITARY_TOL, d: int | None = None) -> np.ndarray:
+def require_unitary(u, d: int | None = None) -> np.ndarray:
     """Validate that u is a d x d unitary matrix and return it as complex ndarray.
 
-    Raises ValueError when the shape is wrong or max |U^dag U - I| exceeds tol.
+    Raises ValueError when the shape is wrong or max |U^dag U - I| exceeds UNITARY_TOL.
     """
     m = np.asarray(u, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -118,8 +119,8 @@ def require_unitary(u, tol: float = UNITARY_TOL, d: int | None = None) -> np.nda
     if d is not None and m.shape[0] != d:
         raise ValueError(f"expected a {d}x{d} matrix, got shape {m.shape}")
     residual = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-    if not residual <= tol:  # also true for a NaN entry
-        raise ValueError(f"matrix is not unitary: residual {residual:.3e} > {tol:.1e}")
+    if not residual <= UNITARY_TOL:  # also true for a NaN entry
+        raise ValueError(f"matrix is not unitary: residual {residual:.3e} > {UNITARY_TOL:.1e}")
     return m
 
 
@@ -189,7 +190,7 @@ def eigenphases_of(u) -> tuple[EigenphasePair, np.ndarray]:
     input is e^{ia} (cos t - i sin t n.sigma), t in [0, pi], with eigenphases
     a -/+ t and the n.sigma = +1 eigenvector from a half-angle formula.
     """
-    m = require_unitary(u, UNITARY_TOL, d=2)
+    m = require_unitary(u, d=2)
     if max(abs(m[0, 1]), abs(m[1, 0])) <= UNITARY_TOL:
         pair = EigenphasePair(cmath.phase(m[0, 0]), cmath.phase(m[1, 1]))
         return pair, np.eye(2, dtype=complex)

@@ -31,13 +31,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .chaoticity import CHAOTIC, order_verdicts
-from .entropy import (
-    PvmBasis,
-    measurement_probabilities,
-    markov_entropy_rate,
-    pvm_entropy_optimize,
-    transition_matrix,
-)
+from .entropy import PvmBasis, markov_entropy_rate, pvm_entropy_optimize, transition_matrix
 from .jsontext import dumps
 from .phases import EigenphasePair, TWO_PI, mod_2pi, require_count, unitary_power
 from .rng import stream_generator
@@ -65,23 +59,6 @@ def _integer_symbols(sequence) -> np.ndarray:
     return s
 
 
-def _initial_distribution(initial, basis: PvmBasis) -> np.ndarray:
-    d = basis.d
-    if initial is None:
-        rho = np.eye(d, dtype=complex) / d
-    elif isinstance(initial, (bool, np.bool_)):  # no index, as it is no count or seed
-        raise ValueError(f"initial must be a basis index, a density matrix or None, "
-                         f"got {initial!r}")
-    elif isinstance(initial, (int, np.integer)):
-        if not 0 <= int(initial) < d:
-            raise ValueError(f"initial basis index {initial} out of range for d={d}")
-        v = basis.vectors[:, int(initial)]
-        rho = np.outer(v, v.conj())
-    else:
-        rho = np.asarray(initial, dtype=complex)
-    return measurement_probabilities(rho, basis)
-
-
 def _qubit_block(draws: np.ndarray, t0: float, t1: float, first: int,
                  out: np.ndarray) -> None:
     """Write the qubit outcomes of one block of draws to ``out``: ``first`` at
@@ -99,20 +76,19 @@ def _qubit_block(draws: np.ndarray, t0: float, t1: float, first: int,
     out ^= parity
 
 
-def _outcome_blocks(unitary, basis: PvmBasis, steps: int, seed: int, period: int,
-                    initial) -> Iterator[np.ndarray]:
+def _outcome_blocks(unitary, basis: PvmBasis, steps: int, seed: int,
+                    period: int) -> Iterator[np.ndarray]:
     """The block sampler: the outcomes of ``sample_trajectory``, in blocks of at
-    most _BLOCK steps.  The arguments are checked and the stream made here, at
-    the call; each block is a view of one buffer that the next block overwrites."""
-    require_count("steps", steps)
-    require_count("period", period)
+    most _BLOCK steps, for counts its callers have taken by value.  The other
+    arguments are checked and the stream made here, at the call; each block is
+    a view of one buffer that the next block overwrites."""
     u_eff = unitary_power(unitary, period)
     d = u_eff.shape[0]
     if d != basis.d:
         raise ValueError(f"unitary dimension {d} != basis dimension {basis.d}")
     p = transition_matrix(u_eff, basis)
 
-    cum0 = np.cumsum(_initial_distribution(initial, basis))
+    cum0 = np.cumsum(np.full(d, 1.0 / d))  # the maximally mixed start: uniform in any basis
     cum0[-1] = 1.0
     cum = np.cumsum(p, axis=1)
     cum[:, -1] = 1.0
@@ -124,7 +100,7 @@ def _sample_blocks(gen: np.random.Generator, cum0: np.ndarray, cum: np.ndarray,
     buf = np.empty(min(steps, _BLOCK))
     out = np.empty(buf.size, dtype=np.uint8)
     rows = [r.tolist() for r in cum]
-    row = cum0.tolist()  # the first outcome measures the initial state
+    row = cum0.tolist()  # the first outcome's row
     for lo in range(0, steps, _BLOCK):
         draws = gen.random(out=buf[:min(_BLOCK, steps - lo)])
         block = out[:draws.size]
@@ -140,21 +116,21 @@ def _sample_blocks(gen: np.random.Generator, cum0: np.ndarray, cum: np.ndarray,
         yield block
 
 
-def sample_trajectory(unitary, basis: PvmBasis, steps: int, seed: int, period: int = 1,
-                      initial=None) -> np.ndarray:
+def sample_trajectory(unitary, basis: PvmBasis, steps: int, seed: int,
+                      period: int = 1) -> np.ndarray:
     """Outcome indices of measuring ``basis`` after every ``period`` applications
     of the unitary, ``steps`` measurements in all; bit-identical per arguments.
 
-    ``initial`` is a basis index, a density matrix, or None for the maximally
-    mixed state (the stationary start of any doubly stochastic chain).  The
-    draws come from the stream keyed (seed, 0); there is no ambient randomness.
-    The first outcome is a measurement of the initial state; every later one
-    follows the chain P_{i->j} = |<phi_j|U^period|phi_i>|^2: the first j with
-    u_i < cum_{x,j}, for uniform u_i and previous outcome x.  For a qubit each
-    step x -> [u_i >= cum_{x,0}] is constant 0 or 1, the identity or the flip,
-    so an outcome is the last constant step's value (the initial measurement is
-    one) XOR the parity of the flips since.  The array code makes the per-step
-    loop's float comparisons, so it gives the same stream.
+    The chain starts in the maximally mixed state, the stationary state of
+    every doubly stochastic chain: the first outcome is the first j with u_0
+    below the j-th partial sum of d terms 1/d, so uniform over the basis.
+    Every later one follows the chain P_{i->j} = |<phi_j|U^period|phi_i>|^2:
+    the first j with u_i < cum_{x,j}, for previous outcome x.  The uniform
+    u_i come from the stream keyed (seed, 0); there is no ambient randomness.
+    For a qubit each step x -> [u_i >= cum_{x,0}] is constant 0 or 1, the
+    identity or the flip, so an outcome is the last constant step's value (the
+    first outcome is one) XOR the parity of the flips since.  The array code
+    makes the per-step loop's float comparisons, so it gives the same stream.
 
     The result is filled from the block sampler that ``entropy_rate_experiment``
     streams: the draws are made and used in blocks of _BLOCK steps, each block
@@ -162,7 +138,8 @@ def sample_trajectory(unitary, basis: PvmBasis, steps: int, seed: int, period: i
     do not depend on how its draws are split.  Beyond the one byte per outcome
     of the result, memory does not grow with ``steps``.
     """
-    blocks = _outcome_blocks(unitary, basis, steps, seed, period, initial)
+    steps, period = require_count("steps", steps), require_count("period", period)
+    blocks = _outcome_blocks(unitary, basis, steps, seed, period)
     out = np.empty(steps, dtype=np.uint8)
     lo = 0
     for block in blocks:
@@ -250,12 +227,13 @@ def empirical_entropy_rate(sequence, block_len: int,
     feeds block by block, so the working memory does not grow with the
     sequence, and the estimate is the same however the symbols are split.
     """
-    require_count("block length", block_len)
+    block_len = require_count("block length", block_len)
     s = _integer_symbols(sequence)
     if s.ndim != 1:
         raise ValueError("sequence must be one-dimensional")
-    d = alphabet_size if alphabet_size is not None else int(s.max()) + 1
-    if d < 1 or s.min() < 0 or s.max() >= d:
+    d = (int(s.max()) + 1 if alphabet_size is None
+         else require_count("alphabet size", alphabet_size))
+    if s.min() < 0 or s.max() >= d:
         raise ValueError("sequence symbols must lie in [0, alphabet_size)")
     needed = _min_symbols(d, block_len)
     if s.size < needed:
@@ -313,8 +291,8 @@ def monte_carlo_chaotic_fraction(n_trials: int, seed: int,
     one worker runs them inline, and a pool of at most one worker per chunk
     and per CPU is started only for more.
     """
-    require_count("n_trials", n_trials)
-    require_count("threads", threads)
+    n_trials = require_count("n_trials", n_trials)
+    threads = require_count("threads", threads)
     n_chunks = -(-n_trials // CENSUS_CHUNK)
     workers = min(threads, n_chunks, os.cpu_count() or 1)
     ends = _census_ends()
@@ -360,7 +338,7 @@ def noisy_phase_walk(base: EigenphasePair, epsilon: float, steps: int,
     """
     if not 0.0 <= 2.0 * math.pi * epsilon < math.inf:  # the draw's range; NaN fails
         raise ValueError(f"epsilon must be >= 0 with 2*pi*epsilon finite, got {epsilon}")
-    require_count("steps", steps)
+    steps = require_count("steps", steps)
     return _noise_blocks(stream_generator(seed), base, epsilon * math.pi, steps)
 
 
@@ -408,11 +386,12 @@ def entropy_rate_experiment(pair: EigenphasePair, basis: str, steps: int, block_
     grows with ``steps``.  The outcomes are not returned: ``sample_trajectory``
     with the same arguments gives them again.
     """
-    require_count("block length", block_len)
+    steps, period = require_count("steps", steps), require_count("period", period)
+    block_len = require_count("block length", block_len)
     if basis not in _BASIS_CHOICES:
         raise ValueError(f"basis must be one of {', '.join(_BASIS_CHOICES)}, got {basis!r}")
     pvm = _BASIS_CHOICES[basis](unitary_power(pair), seed)
-    blocks = _outcome_blocks(pair, pvm, steps, seed, period, None)
+    blocks = _outcome_blocks(pair, pvm, steps, seed, period)
     predicted = markov_entropy_rate(transition_matrix(unitary_power(pair, period), pvm))
     if out is not None:
         blocks = _written(blocks, _trajectory_path(out, ".stream"))

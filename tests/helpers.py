@@ -16,7 +16,7 @@ from qchaos.entropy import eta, transition_matrix
 from qchaos.jsontext import Rows
 from qchaos.phases import mod_2pi, unitary_power
 from qchaos.rng import stream_generator
-from qchaos.simulate import CENSUS_CHUNK, NoiseWalk, _initial_distribution
+from qchaos.simulate import CENSUS_CHUNK, NoiseWalk
 
 
 def random_unitary(rng, d=2):
@@ -87,17 +87,17 @@ def reference_csv(source, k_max: int) -> str:
     return buf.getvalue()
 
 
-def reference_trajectory(unitary, basis, steps, seed, period=1, initial=None) -> np.ndarray:
-    """The sampler's oracle: one outcome per step, the next drawn from the row
-    of the previous one, as the per-step loop did for every dimension."""
+def reference_trajectory(unitary, basis, steps, seed, period=1) -> np.ndarray:
+    """The sampler's oracle: one outcome per step, the first uniform over the d
+    basis states and each next one drawn from the row of the previous one, as
+    the per-step loop did for every dimension."""
     u_eff = unitary_power(unitary, period)
     d = u_eff.shape[0]
     if d != basis.d:
         raise ValueError(f"unitary dimension {d} != basis dimension {basis.d}")
     p = transition_matrix(u_eff, basis)
 
-    cum0 = np.cumsum(_initial_distribution(initial, basis))
-    cum0[-1] = 1.0
+    cum0 = np.arange(1, d + 1) / d  # the maximally mixed start
     cum = np.cumsum(p, axis=1)
     cum[:, -1] = 1.0
 

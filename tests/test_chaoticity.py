@@ -160,9 +160,11 @@ class TestChaoticityScan:
         lambda: order_verdicts(D4, np.array([3, Fraction(3, 2)], dtype=object)),
         lambda: chaoticity_scan(PAULI_X_PHASES, True),
         lambda: idempotency_order(D4, True),
+        lambda: order_verdicts(D4, np.array([2, True], dtype=object)),
     ], ids=["scan", "scan-exact", "theta-fraction", "idempotency", "projective",
             "first-nonchaotic", "chaotic-fraction", "order-pair", "order-exact",
-            "order-float-array", "order-object-array", "scan-bool", "idempotency-bool"])
+            "order-float-array", "order-object-array", "scan-bool", "idempotency-bool",
+            "order-object-bool"])
     def test_counts_must_be_integers(self, call):
         # unchecked, k_max = 8.5 would scan the nine orders of np.arange(1, 9.5)
         with pytest.raises(ValueError, match="must be an integer"):
@@ -423,6 +425,54 @@ _angles = st.floats(0.0, TWO_PI, exclude_max=True)
 # orders up to 1e5 keep the rounding of RationalPhase.radians() (two roundings
 # per phase, one more than the band assumes) well inside BOUNDARY_TOL
 _orders = st.integers(1, 10 ** 5)
+
+
+_INTEGER_TYPES = (np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64)
+SPEC_3_5 = ExactUnitarySpec(RationalPhase(1, 3), RationalPhase(2, 5))
+
+
+class TestOrdersByValue:
+    """Orders and counts are taken by value: a narrow, unsigned or object
+    holding of the same integers gives the int64 or Python int answer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(source=st.one_of(_specs, st.builds(EigenphasePair, _angles, _angles)),
+           kind=st.sampled_from(_INTEGER_TYPES + (object,)), data=st.data())
+    def test_every_integer_type_gives_the_int64_verdicts(self, source, kind, data):
+        top = min((1 << 63) - 1, np.iinfo(np.int64 if kind is object else kind).max)
+        ks = data.draw(st.lists(st.integers(1, int(top)), min_size=1, max_size=20))
+        want = order_verdicts(source, np.array(ks, dtype=np.int64))
+        # an object array holds numpy integers here, Python ints in the test below
+        held = (np.array([np.uint64(k) for k in ks], dtype=object) if kind is object
+                else np.array(ks, dtype=kind))
+        got = order_verdicts(source, held)
+        assert same_verdict(got, want)
+        assert got.theta.tobytes() == want.theta.tobytes()
+
+    def test_unsigned_orders_past_int64_are_python_ints(self):
+        ks = [2 ** 63 + 1, 2 ** 63 + 10 ** 9, 2 ** 64 - 1]
+        want = order_verdicts(SPEC_3_5, np.array(ks, dtype=object))
+        assert same_verdict(order_verdicts(SPEC_3_5, np.array(ks, dtype=np.uint64)), want)
+        for k in ks:
+            d = abs((k * Fraction(1, 3)) % 2 - (k * Fraction(2, 5)) % 2)
+            assert exact_theta_fraction(SPEC_3_5, k) == min(d, 2 - d)
+
+    def test_scan(self):
+        want = chaoticity_scan(SPEC_3_5, 100)
+        for kind in _INTEGER_TYPES:
+            got = chaoticity_scan(SPEC_3_5, kind(100))
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_chaotic_order_fraction(self):
+        for source in (SPEC_3_5, LUCAS_T3):
+            want = chaotic_order_fraction(source, 100)
+            assert [chaotic_order_fraction(source, kind(100)) for kind in _INTEGER_TYPES] == \
+                [want] * len(_INTEGER_TYPES)
+
+    def test_exact_theta_fraction(self):
+        for kind in _INTEGER_TYPES:
+            assert exact_theta_fraction(SPEC_3_5, kind(7)) == Fraction(7, 15)
 
 
 class TestKernelProperties:

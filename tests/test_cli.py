@@ -639,7 +639,7 @@ PUBLIC_NAMES = """
     EigenphasePair ExactUnitarySpec RationalPhase TWO_PI UNITARY_TOL
     circular_distance eigenphases_of make_su2_from_psi mod_2pi rational_phase_order
     require_unitary EntropyResult PvmBasis
-    basis_from_angles eta markov_entropy_rate measurement_probabilities
+    basis_from_angles eta markov_entropy_rate
     pvm_entropy_optimize transition_matrix BOUNDARY_TOL ChaoticityReport
     IdempotencyCapError OrderVerdicts SQRT2 VERDICT_LABELS
     boundary_half_width chaotic_order_fraction chaoticity_scan exact_theta_fraction
@@ -698,7 +698,7 @@ class TestImports:
 
     def test_exports_the_public_names(self):
         _, names, listed, unknown = ast.literal_eval(fresh_python("-c", EXPORTS_PROBE).stdout)
-        assert len(PUBLIC_NAMES) == 49
+        assert len(PUBLIC_NAMES) == 48
         assert names == PUBLIC_NAMES  # and each one resolved in the probe
         assert listed and not unknown
 

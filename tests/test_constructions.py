@@ -121,6 +121,13 @@ class TestBuildChaoticOrder:
         with pytest.raises(ValueError):
             build_chaotic_order(0)
 
+    def test_numpy_integer_order_is_taken_by_value(self):
+        # an unsigned order once wrapped in the kernel and picked p = 5 for k = 6
+        spec, p = build_chaotic_order(6)
+        assert p == 11
+        for t in (np.int8, np.int64, np.uint8, np.uint16, np.uint64):
+            assert build_chaotic_order(t(6)) == (spec, p)
+
     def test_prime_matches_brute_force_to_500(self):
         for k in range(1, 501):
             spec, p2 = build_chaotic_order(k)
@@ -168,6 +175,19 @@ class TestQuadraticTraceSequence:
             for b in (-1, -3, -7, -25):
                 seq = quadratic_trace_sequence(a, b, 60)
                 assert all(v % 2 == 0 for v in seq)
+
+    def test_numpy_integers_are_taken_by_value(self):
+        # in int64, s_100 = 792070839848372253127 of the Lucas numbers would wrap
+        want = quadratic_trace_sequence(-1, -1, 100)
+        assert want[-1] == 792070839848372253127
+        for t in (np.int8, np.int64, np.uint8):
+            got = quadratic_trace_sequence(np.int64(-1), np.int32(-1), t(100))
+            assert got == want and all(type(v) is int for v in got)
+
+    def test_rejects_non_integer_coefficients(self):
+        for a, b in [(-1.0, -1), (-1, True), (np.bool_(True), -1)]:
+            with pytest.raises(ValueError, match="coefficients must be integers"):
+                quadratic_trace_sequence(a, b, 3)
 
 
 class TestCountsMustBeIntegers:

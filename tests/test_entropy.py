@@ -16,7 +16,6 @@ from qchaos import (
     basis_from_angles,
     eta,
     markov_entropy_rate,
-    measurement_probabilities,
     pvm_entropy_optimize,
     order_verdicts,
     qubit_entropy_closed,
@@ -157,36 +156,6 @@ class TestPvmBasis:
         s = 1 / math.sqrt(2)
         assert np.allclose(b.vectors[:, 0], [s, s])
         assert np.allclose(b.vectors[:, 1], [s, -s])
-
-
-class TestMeasurementProbabilities:
-    def test_projector_on_own_basis(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        p = measurement_probabilities(rho, PvmBasis.computational(2))
-        assert p == pytest.approx([1.0, 0.0], abs=1e-15)
-
-    def test_maximally_mixed(self):
-        rng = np.random.default_rng(21)
-        basis = PvmBasis(random_orthonormal_basis(rng))
-        p = measurement_probabilities(np.eye(2) / 2, basis)
-        assert p == pytest.approx([0.5, 0.5], abs=1e-12)
-
-    def test_plus_state_in_computational(self):
-        plus = np.array([1.0, 1.0]) / math.sqrt(2)
-        rho = np.outer(plus, plus.conj())
-        p = measurement_probabilities(rho, PvmBasis.computational(2))
-        assert p == pytest.approx([0.5, 0.5], abs=1e-15)
-
-    def test_rejects_invalid_density_matrix(self):
-        basis = PvmBasis.computational(2)
-        with pytest.raises(ValueError, match="Hermitian"):
-            measurement_probabilities(np.array([[1.0, 1.0], [0.0, 0.0]]), basis)
-        with pytest.raises(ValueError, match="trace"):
-            measurement_probabilities(np.eye(2), basis)
-        with pytest.raises(ValueError, match="positive"):
-            measurement_probabilities(np.diag([1.5, -0.5]), basis)
-        with pytest.raises(ValueError, match="Hermitian"):
-            measurement_probabilities(np.full((2, 2), np.nan), basis)
 
 
 class TestTransitionMatrix:

@@ -1,5 +1,6 @@
 """Trajectory sampling, entropy estimation, census and the noise model."""
 
+import bisect
 import cmath
 import concurrent.futures
 import math
@@ -51,12 +52,13 @@ from helpers import (
 
 PI = math.pi
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+NUMPY_INTEGERS = (np.int8, np.int16, np.int64, np.uint8, np.uint16, np.uint64)
 
 
 class TestSampleTrajectory:
     def test_pauli_x_alternates(self):
-        out = sample_trajectory(PAULI_X, PvmBasis.computational(2), 200, seed=1, initial=0)
-        assert np.array_equal(out, np.arange(200) % 2)
+        out = sample_trajectory(PAULI_X, PvmBasis.computational(2), 200, seed=1)
+        assert np.array_equal(out, (out[0] + np.arange(200)) % 2)
 
     def test_uniform_chain_bias(self):
         # Diag(1, i) in the x basis: every transition probability is 1/2
@@ -83,16 +85,16 @@ class TestSampleTrajectory:
         assert out.shape == (100,)
         assert set(np.unique(out)) <= {0, 1}
 
-    def test_first_outcome_measures_initial_state(self):
-        # starting in basis state 1, the first outcome must be 1
-        out = sample_trajectory(np.diag([1.0, 1j]), PvmBasis.computational(2), 50, seed=9,
-                                initial=1)
-        assert out[0] == 1
-
-    @pytest.mark.parametrize("initial", [True, False, np.True_])
-    def test_rejects_a_bool_initial_state(self, initial):
-        with pytest.raises(ValueError, match="initial must be a basis index"):
-            sample_trajectory(PAULI_X, PvmBasis.x_basis(), 10, seed=0, initial=initial)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_first_outcome_is_uniform_over_the_basis(self, seed):
+        # the chain starts maximally mixed: u_0 picks the basis state, whatever U is
+        u0 = stream_generator(seed, 0).random()
+        for d in (2, 3):
+            u = random_unitary(np.random.default_rng(seed), d)
+            basis = PvmBasis(random_orthonormal_basis(np.random.default_rng(seed + 8), d))
+            out = sample_trajectory(u, basis, 5, seed=seed)
+            expected = u0 >= 0.5 if d == 2 else bisect.bisect_right([1 / 3, 2 / 3, 1.0], u0)
+            assert out[0] == expected
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -191,18 +193,14 @@ class TestSamplerMatchesPerStepLoop:
     @settings(max_examples=150, deadline=None)
     @given(phi=st.floats(0.0, TWO_PI), psi=st.floats(0.0, TWO_PI),
            basis=st.sampled_from(["x", "computational", "haar"]),
-           period=st.integers(1, 4), initial=st.sampled_from([None, 0, 1, "rho"]),
-           steps=st.integers(1, 20000), seed=st.integers(0, 2 ** 32 - 1))
-    def test_random_pairs(self, phi, psi, basis, period, initial, steps, seed):
+           period=st.integers(1, 4), steps=st.integers(1, 20000),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_pairs(self, phi, psi, basis, period, steps, seed):
         rng = np.random.default_rng(seed)
         pvm = {"x": PvmBasis.x_basis(), "computational": PvmBasis.computational(2),
                "haar": PvmBasis(random_orthonormal_basis(rng))}[basis]
-        if initial == "rho":
-            v = random_orthonormal_basis(rng)
-            w = rng.random()
-            initial = w * np.outer(v[:, 0], v[:, 0].conj()) + (1 - w) * np.outer(v[:, 1], v[:, 1].conj())
         _assert_matches_reference(EigenphasePair(phi, psi), pvm, steps, seed=seed,
-                                  period=period, initial=initial)
+                                  period=period)
 
     @pytest.mark.parametrize("u,basis,expected", [
         (np.eye(2), PvmBasis.x_basis(), "identity"),
@@ -210,9 +208,8 @@ class TestSamplerMatchesPerStepLoop:
         (np.diag([1.0, 1j]), PvmBasis.x_basis(), "constant"),
         (EigenphasePair(0.0, PI), PvmBasis.x_basis(), None),
     ], ids=["identity", "pauli-x", "diag-1-i", "theta-pi"])
-    @pytest.mark.parametrize("initial", [None, 0, 1])
-    def test_degenerate_chains(self, u, basis, expected, initial):
-        out = _assert_matches_reference(u, basis, 5000, seed=13, initial=initial)
+    def test_degenerate_chains(self, u, basis, expected):
+        out = _assert_matches_reference(u, basis, 5000, seed=13)
         if expected == "identity":
             assert np.all(out == out[0])
         elif expected == "flip":
@@ -253,14 +250,14 @@ class TestSamplerMatchesPerStepLoop:
         for module in ("qchaos.simulate", "helpers"):
             monkeypatch.setattr(f"{module}.stream_generator", lambda *_: Fixed())
         monkeypatch.setattr(simulate, "_BLOCK", block)
-        _assert_matches_reference(pair, basis, 4000, seed=0, initial=[None, 0, 1][seed % 3])
+        _assert_matches_reference(pair, basis, 4000, seed=0)
 
     def test_qutrit_loop(self):
         rng = np.random.default_rng(5)
         basis = PvmBasis(random_orthonormal_basis(rng, 3))
-        for period, initial in ((1, None), (3, 2)):
+        for period in (1, 3):
             _assert_matches_reference(random_unitary(rng, 3), basis, 3000, seed=8,
-                                      period=period, initial=initial)
+                                      period=period)
 
 
 class TestBlocks:
@@ -271,9 +268,9 @@ class TestBlocks:
     @settings(max_examples=40, deadline=None)
     @given(d=st.sampled_from([2, 3]), blocks=st.integers(1, 30), offset=st.integers(-2, 2),
            block_len=st.integers(1, 3), period=st.integers(1, 3),
-           initial=st.sampled_from([None, 0, 1]), seed=st.integers(0, 2 ** 32 - 1))
+           seed=st.integers(0, 2 ** 32 - 1))
     def test_outputs_equal_the_references(self, block, d, blocks, offset, block_len, period,
-                                          initial, seed):
+                                          seed):
         rng = np.random.default_rng(seed)
         if d == 2:
             u = EigenphasePair(*rng.uniform(0.0, TWO_PI, 2))
@@ -286,9 +283,9 @@ class TestBlocks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_BLOCK", block)
             _assert_matches_reference(u, basis, max(1, blocks * block + offset), seed=seed,
-                                      period=period, initial=initial)
+                                      period=period)
             seq = _assert_matches_reference(u, basis, est_blocks * windows + block_len + offset,
-                                            seed=seed, period=period, initial=initial)
+                                            seed=seed, period=period)
             rate = empirical_entropy_rate(seq, block_len, alphabet_size=d)
         assert rate.hex() == reference_entropy_rate(seq, block_len, d).hex()
 
@@ -460,6 +457,21 @@ class TestEmpiricalEntropyRate:
         if d == 2:
             assert empirical_entropy_rate(seq.astype(bool), block_len) == rate
 
+    def test_numpy_integer_arguments_are_taken_by_value(self):
+        seq = np.random.default_rng(3).integers(0, 2, 30000)
+        want = empirical_entropy_rate(seq, 8, 2)
+        for kind in NUMPY_INTEGERS:
+            assert empirical_entropy_rate(seq, kind(8), 2) == want
+            assert empirical_entropy_rate(seq, 8, alphabet_size=kind(2)) == want
+
+
+CENSUS_BY_VALUE = """
+import numpy as np
+from qchaos import monte_carlo_chaotic_fraction as census
+want = census(1000, seed=1)
+print([census(kind(1000), seed=1) == want for kind in (np.uint64, np.uint16, np.int16)])
+"""
+
 
 class TestCensus:
     def test_large_run_hits_half(self):
@@ -511,6 +523,15 @@ class TestCensus:
     def test_accepts_numpy_integer_counts(self):
         assert (monte_carlo_chaotic_fraction(np.int64(1000), seed=1, threads=np.int32(2))
                 == monte_carlo_chaotic_fraction(1000, seed=1))
+
+    def test_unsigned_counts_are_taken_by_value(self):
+        # in a child process under a timeout: an unsigned count once wrapped the
+        # chunk count, -(-n // CENSUS_CHUNK), to about 1.8e19 chunks
+        out = subprocess.run(
+            [sys.executable, "-c", CENSUS_BY_VALUE],
+            env=dict(os.environ, PYTHONPATH=str(Path(simulate.__file__).parents[1])),
+            capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "[True, True, True]"
 
 
 class _RecordingPool:
@@ -729,6 +750,15 @@ class TestEntropyRateExperiment:
         res = entropy_rate_experiment(pair, "optimized", 10 ** 5, 6, seed=43)
         assert res.predicted == pytest.approx(0.8112781244591328, abs=1e-6)
         assert res.abs_diff < 0.02
+
+    def test_numpy_integer_arguments_are_taken_by_value(self):
+        pair = EigenphasePair(0.3, 1.7)
+        want = entropy_rate_experiment(pair, "x", 100000, 8, seed=1, period=3)
+        for kind in NUMPY_INTEGERS:
+            assert entropy_rate_experiment(pair, "x", 100000, kind(8), seed=1,
+                                           period=kind(3)) == want
+        assert entropy_rate_experiment(pair, "x", np.uint64(100000), 8, seed=1,
+                                       period=3) == want
 
     @pytest.mark.parametrize("basis", ["z", "x_basis", "X"])
     def test_rejects_unknown_basis(self, basis):
