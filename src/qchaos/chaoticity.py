@@ -91,6 +91,8 @@ def order_verdicts(source, ks=1) -> OrderVerdicts:
     if ks.dtype.kind not in "iu" and not (ks.dtype == object and all(
             isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in ks.flat)):
         raise ValueError(f"order must be an integer, got {ks.dtype} orders")
+    if not ks.size:
+        raise ValueError("orders must hold at least one order K")
     if ks.min() < 1:
         raise ValueError(f"order must be a positive integer, got {ks.min()}")
     # by value: int64, or Python ints past it, so no narrow or unsigned type wraps

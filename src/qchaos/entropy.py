@@ -16,7 +16,7 @@ theta = min(|phi - psi|, 2*pi - |phi - psi|):
 
 For general small d the maximum is estimated by multi-start derivative-free
 ascent over a plane-rotation parametrization of the basis, every start
-advanced in lock-step as arrays, the objective of d = 2 and of d = 3 included
+advanced in lock-step as arrays under one objective for d = 2 and d = 3
 (``pvm_entropy_optimize``, whose restart count, iteration cap and seed are
 plain arguments).
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
 from typing import NamedTuple
 
@@ -168,107 +169,56 @@ def basis_from_angles(d: int, angles) -> PvmBasis:
     return PvmBasis(v)
 
 
-def _neg_rates_d2(u: np.ndarray):
-    """Objective for d = 2: minus the rate at each (t, f) row of an (m, 2) array.
+#: Signs of b.imag in a product a b, and of a conjugate, on the stacked [re/im] axis.
+_SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1, 1, 1)
+_CONJ = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
 
-    The basis columns are (cos t, g*) and (-g, cos t) with g = sin t e^{if}.
-    The complex products are written out in real arithmetic in the order
-    CPython's complex type evaluates them, abs and ** 2 are libm's hypot and
-    pow (np.hypot, np.float_power), and log is math.log, so every row's value
-    is bit for bit that of the same formula in Python complex scalars.
+
+def _matmul(a, b):
+    """a @ b for complex matrices stacked as [real/imaginary, row, col, ...],
+    each entry sum_k a_ik b_kl as Python complex scalars form it: a_ik b_kl is
+    (ar br - ai bi, ai br + ar bi), here a * br + a[::-1] * (-bi, bi), and the
+    products are summed in order of k."""
+    a = a.swapaxes(1, 2)[:, :, :, None]  # [., k, i, ., ...]
+    b = b[:, :, None]  # [., k, ., l, ...]
+    return reduce(np.add, (a * b[0] + a[::-1] * (b[1] * _SIGNS)).swapaxes(0, 1))
+
+
+def _neg_rates(u: np.ndarray):
+    """The objective ``_nelder_mead`` minimizes for U: minus the rate at each
+    row of an (m, d(d-1)) array of angles (t, f), one pair per plane.
+
+    V is the product (G01 @ G02) @ G12 of the factors of ``_PLANES[d]``, each
+    the identity but for [[c, a], [b, c]] in its plane, with c = cos t,
+    a = -e_f sin t and b = sin t conj(e_f).  With p_jl = min(|(V^dag U V)_jl|^2, 1),
+    minus the rate is -(0 - sum p_jl ln p_jl) / d / ln 2, summed over (j, l)
+    in order.  The complex arithmetic is written out in real arithmetic in
+    the order CPython's complex type evaluates it, abs and ** 2 are libm's
+    hypot and pow (np.hypot, np.float_power), and log is math.log, so every
+    row's value is bit for bit that of the formula in Python complex scalars.
     """
-    (u00r, u01r), (u10r, u11r) = u.real.tolist()
-    (u00i, u01i), (u10i, u11i) = u.imag.tolist()
+    d = u.shape[0]
+    planes, (i, j), diag = np.arange(d * (d - 1) // 2), np.array(_PLANES[d]).T, np.arange(d)
+    uu = np.array([u.real, u.imag])[..., None]
 
     def neg(x):
-        ct, st, cf, sf = np.cos(x[:, 0]), np.sin(x[:, 0]), np.cos(x[:, 1]), np.sin(x[:, 1])
-        gr, gi = st * cf, st * sf
-        # the columns of U V: a, b from (ct, g*) and c, e from (-g, ct)
-        ar = u00r * ct + (u01r * gr + u01i * gi)
-        ai = u00i * ct + (u01i * gr - u01r * gi)
-        br = u10r * ct + (u11r * gr + u11i * gi)
-        bi = u10i * ct + (u11i * gr - u11r * gi)
-        cr = (u00i * gi - u00r * gr) + u01r * ct
-        ci = -(u00r * gi + u00i * gr) + u01i * ct
-        er = (u10i * gi - u10r * gr) + u11r * ct
-        ei = -(u10r * gi + u10i * gr) + u11i * ct
-        # (V^dag U V)_jl for (j, l) = 00, 01, 10, 11
-        zr = np.stack([ct * ar + (gr * br - gi * bi), ct * cr + (gr * er - gi * ei),
-                       -(gr * ar + gi * ai) + ct * br, -(gr * cr + gi * ci) + ct * er])
-        zi = np.stack([ct * ai + (gr * bi + gi * br), ct * ci + (gr * ei + gi * er),
-                       (gi * ar - gr * ai) + ct * bi, (gi * cr - gr * ci) + ct * ei])
-        p = np.minimum(np.float_power(np.hypot(zr, zi), 2.0), 1.0)
-        logs = np.zeros_like(p)
-        pos = p > 0.0
-        logs[pos] = list(map(math.log, p[pos].tolist()))
-        terms = p * logs
-        return -0.5 * (0.0 - terms[0] - terms[1] - terms[2] - terms[3]) / _LOG2
+        c, s = np.cos(x[:, 0::2].T), np.sin(x[:, 0::2].T)
+        ec, es = np.cos(x[:, 1::2].T), np.sin(x[:, 1::2].T)  # e_f = exp(i f)
+        br, bi = s * ec, -(s * es)  # b = s conj(e_f), and a = -e_f s = (-br, bi)
+        g = np.zeros((len(planes), 2, d, d, len(x)))  # the factors, at [plane, ., row, col]
+        g[:, 0, diag, diag] = 1.0
+        g[planes, 0, i, i] = g[planes, 0, j, j] = c
+        g[planes, 0, i, j], g[planes, 1, i, j] = -br, bi
+        g[planes, 0, j, i], g[planes, 1, j, i] = br, bi
+        v = reduce(_matmul, g)
+        z = _matmul(v.swapaxes(1, 2) * _CONJ, _matmul(uu, v))
+        p = np.minimum(np.float_power(np.hypot(*z), 2.0), 1.0).reshape(d * d, -1)
+        # ln 1 = 0 stands in at p = 0, where p ln p is 0
+        logs = np.fromiter(map(math.log, np.where(p > 0.0, p, 1.0).ravel().tolist()),
+                           float, p.size).reshape(p.shape)
+        return -np.subtract.reduce(p * logs, initial=0.0) / d / _LOG2
 
     return neg
-
-
-def _neg_rates_d3(u: np.ndarray):
-    """Objective for d = 3: minus the rate at each (t0, f0, t1, f1, t2, f2) row.
-
-    V is the product (G01 @ G02) @ G12 of the three plane factors of
-    ``basis_from_angles``, and the rate sums eta(|(V^dag U V)_jl|^2) over
-    l, then j.  As for d = 2, the complex arithmetic is written out in real
-    arithmetic in the order CPython's complex type evaluates it, the quotient
-    s / e_f by both branches of its |re| >= |im| test, with libm's hypot, pow
-    and log2, so every row's value is bit for bit that of the formula in
-    Python complex scalars.  The products of a float's 0.0 imaginary part,
-    which move only the signs of zeros, are left out.
-    """
-    ur, ui = u.real[:, :, None, None], u.imag[:, :, None, None]  # [i, k, ., .]
-
-    def neg(x):
-        cx, sx = np.cos(x.T), np.sin(x.T)
-        c, s, ec, es = cx[0::2], sx[0::2], cx[1::2], sx[1::2]  # e_f = exp(i f)
-        ar, ai = -ec * s, -es * s  # a = -e_f s, the (i, j) entry of each factor
-        # b = s / e_f, the (j, i) entry: either branch divides by the larger part
-        first = np.abs(ec) >= np.abs(es)
-        big, small = np.where(first, ec, es), np.where(first, es, ec)
-        ratio = small / big
-        denom = big + small * ratio
-        q = s * ratio
-        br, bi = np.where(first, s, q) / denom, -np.where(first, q, s) / denom
-        (c0, c1, c2), (ar0, ar1, ar2), (ai0, ai1, ai2) = c, ar, ai
-        (br0, br1, br2), (bi0, bi1, bi2) = br, bi
-        ca1r, ca1i = c0 * ar1, c0 * ai1  # c0 a1
-        ba1r, ba1i = br0 * ar1 - bi0 * ai1, br0 * ai1 + bi0 * ar1  # b0 a1
-        zero = np.zeros_like(c0)
-        # V[k, l], entry k of column l of (G01 @ G02) @ G12
-        vr = np.array([
-            [c0 * c1, ar0 * c2 + (ca1r * br2 - ca1i * bi2), (ar0 * ar2 - ai0 * ai2) + ca1r * c2],
-            [br0 * c1, c0 * c2 + (ba1r * br2 - ba1i * bi2), c0 * ar2 + ba1r * c2],
-            [br1, c1 * br2, c1 * c2]])
-        vi = np.array([
-            [zero, ai0 * c2 + (ca1r * bi2 + ca1i * br2), (ar0 * ai2 + ai0 * ar2) + ca1i * c2],
-            [bi0 * c1, ba1r * bi2 + ba1i * br2, c0 * ai2 + ba1i * c2],
-            [bi1, c1 * bi2, zero]])
-        # (U V)[i, l] = sum_k U[i, k] V[k, l], products at [i, k, l]
-        t = ur * vr - ui * vi
-        wr = (t[:, 0] + t[:, 1] + t[:, 2])[:, :, None]
-        t = ur * vi + ui * vr
-        wi = (t[:, 0] + t[:, 1] + t[:, 2])[:, :, None]
-        # (V^dag U V)[j, l] = sum_k conj(V[k, j]) (U V)[k, l], products at [k, l, j]
-        hr, hi = vr[:, None], -vi[:, None]
-        t = hr * wr - hi * wi
-        zr = t[0] + t[1] + t[2]
-        t = hr * wi + hi * wr
-        zi = t[0] + t[1] + t[2]
-        p = np.float_power(np.hypot(zr, zi), 2.0).reshape(9, -1)  # over l, then j
-        logs = np.zeros_like(p)
-        inside = (p > 0.0) & (p < 1.0)  # eta is 0 at 0 and at 1, and p > 1 is rounding
-        logs[inside] = list(map(math.log2, p[inside].tolist()))
-        return np.add.accumulate(p * logs)[-1] / 3.0  # term by term, in order
-
-    return neg
-
-
-def _batch_objective(u: np.ndarray):
-    """The objective ``_nelder_mead`` minimizes for U: rows of angles to minus their rates."""
-    return _neg_rates_d2(u) if u.shape[0] == 2 else _neg_rates_d3(u)
 
 
 # Nelder-Mead coefficients and initial-simplex steps, as scipy's defaults.
@@ -370,8 +320,9 @@ def pvm_entropy_optimize(u, restarts: int = 32, max_iters: int = 2000,
     start from a counter-based stream keyed by (seed, r), so the best value
     can only grow as restarts increase; each start runs at most max_iters
     iterations.  ``_nelder_mead`` (scipy's algorithm) advances up to
-    _NM_BLOCK restarts in lock-step as arrays, and the objective (d = 2 or
-    d = 3) is array code over the batch's rows.  Best-found, not certified-global.
+    _NM_BLOCK restarts in lock-step as arrays, and one objective, the same
+    array code for d = 2 and d = 3, rates the batch's rows.  Best-found, not
+    certified-global.
     """
     restarts = require_count("restarts", restarts)
     max_iters = require_count("max_iters", max_iters)
@@ -380,7 +331,7 @@ def pvm_entropy_optimize(u, restarts: int = 32, max_iters: int = 2000,
     if d not in _PLANES:
         raise ValueError(f"unsupported dimension {d}; only d in (2, 3)")
     n_params = d * (d - 1)
-    neg = _batch_objective(m)
+    neg = _neg_rates(m)
     best_value, best_x = -1.0, None
     for lo in range(0, restarts, _NM_BLOCK):
         x0 = np.array([stream_generator(seed, r).uniform(0.0, TWO_PI, n_params)

@@ -51,12 +51,20 @@ class InsufficientDataError(ValueError):
     """Sequence too short for the requested block length."""
 
 
-def _integer_symbols(sequence) -> np.ndarray:
-    """The sequence as an array of integer or bool dtype; a cast would truncate floats."""
+def _symbols(sequence, d, name: str) -> tuple[np.ndarray, int]:
+    """The sequence as a non-empty 1-D array of integer or bool dtype (a cast
+    would truncate floats) and its alphabet size: ``d`` through
+    ``require_count`` as ``name``, or the largest symbol + 1 when None.  Every
+    symbol must lie in [0, d)."""
     s = np.asarray(sequence)
     if s.dtype.kind not in "biu":
         raise ValueError(f"sequence symbols must be integers, got dtype {s.dtype}")
-    return s
+    if s.ndim != 1 or not s.size:
+        raise ValueError(f"sequence must be a non-empty 1-D array, got shape {s.shape}")
+    d = int(s.max()) + 1 if d is None else require_count(name, d)
+    if s.min() < 0 or s.max() >= d:
+        raise ValueError(f"sequence symbols must lie in [0, {name}) = [0, {d})")
+    return s, d
 
 
 def _qubit_block(draws: np.ndarray, t0: float, t1: float, first: int,
@@ -150,9 +158,8 @@ def sample_trajectory(unitary, basis: PvmBasis, steps: int, seed: int,
 
 def empirical_transition_matrix(sequence, d: int | None = None) -> np.ndarray:
     """Row-normalized transition frequencies of a symbol sequence (test helper)."""
-    s = _integer_symbols(sequence).astype(np.int64)
-    if d is None:
-        d = int(s.max()) + 1
+    s, d = _symbols(sequence, d, "d")
+    s = s.astype(np.int64)  # a bool array would index as a mask
     counts = np.zeros((d, d))
     np.add.at(counts, (s[:-1], s[1:]), 1.0)
     rows = counts.sum(axis=1, keepdims=True)
@@ -228,13 +235,7 @@ def empirical_entropy_rate(sequence, block_len: int,
     sequence, and the estimate is the same however the symbols are split.
     """
     block_len = require_count("block length", block_len)
-    s = _integer_symbols(sequence)
-    if s.ndim != 1:
-        raise ValueError("sequence must be one-dimensional")
-    d = (int(s.max()) + 1 if alphabet_size is None
-         else require_count("alphabet size", alphabet_size))
-    if s.min() < 0 or s.max() >= d:
-        raise ValueError("sequence symbols must lie in [0, alphabet_size)")
+    s, d = _symbols(sequence, alphabet_size, "alphabet size")
     needed = _min_symbols(d, block_len)
     if s.size < needed:
         raise InsufficientDataError(

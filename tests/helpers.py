@@ -3,9 +3,11 @@
 import bisect
 import cmath
 import csv
+import functools
 import io
 import json
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -136,66 +138,37 @@ def joined_walk(blocks) -> NoiseWalk:
     return NoiseWalk(*map(np.concatenate, zip(*blocks)))
 
 
-def reference_neg_rate_d2(u: np.ndarray):
-    """The d = 2 objective's oracle: minus the entropy rate at angles (t, f), in
-    Python complex scalars, with p00, p01, p10, p11 summed in that order."""
-    u00, u01 = complex(u[0, 0]), complex(u[0, 1])
-    u10, u11 = complex(u[1, 0]), complex(u[1, 1])
+def reference_neg_rate(u: np.ndarray):
+    """The objective's oracle: minus the entropy rate at the d(d-1) angles, in
+    Python complex scalars.  V is the product (G01 @ G02) @ G12 of the plane
+    factors [[c, a], [b, c]] of ``basis_from_angles`` but with b = s conj(e_f),
+    and p_jl = min(|(V^dag U V)_jl|^2, 1) is summed over (j, l) in that order.
+    At d = 2, V is the one factor itself: (cos t, s conj(e_f)) and
+    (-e_f s, cos t) are its columns."""
+    d = u.shape[0]
+    rows = [[complex(z) for z in row] for row in u]
+    planes = {2: [(0, 1)], 3: [(0, 1), (0, 2), (1, 2)]}[d]
+
+    def matmul(a, b):
+        return [[functools.reduce(operator.add, map(operator.mul, row, col)) for col in zip(*b)]
+                for row in a]
 
     def neg(x):
-        t, f = x
-        ct, st = math.cos(t), math.sin(t)
-        ef = cmath.exp(1j * f)
-        v00, v10 = ct, st * ef.conjugate()
-        v01, v11 = -ef * st, ct
-        a = u00 * v00 + u01 * v10
-        b = u10 * v00 + u11 * v10
-        c = u00 * v01 + u01 * v11
-        e = u10 * v01 + u11 * v11
-        p00 = min(abs(v00.conjugate() * a + v10.conjugate() * b) ** 2, 1.0)
-        p10 = min(abs(v01.conjugate() * a + v11.conjugate() * b) ** 2, 1.0)
-        p01 = min(abs(v00.conjugate() * c + v10.conjugate() * e) ** 2, 1.0)
-        p11 = min(abs(v01.conjugate() * c + v11.conjugate() * e) ** 2, 1.0)
+        factors = []
+        for (i, j), t, f in zip(planes, x[0::2], x[1::2]):
+            c, s = math.cos(t), math.sin(t)
+            ef = cmath.exp(1j * f)
+            g = [[float(r == k) for k in range(d)] for r in range(d)]
+            g[i][i] = g[j][j] = c
+            g[i][j], g[j][i] = -ef * s, s * ef.conjugate()
+            factors.append(g)
+        v = functools.reduce(matmul, factors)
+        z = matmul([[w.conjugate() for w in col] for col in zip(*v)], matmul(rows, v))
         total = 0.0
-        for p in (p00, p01, p10, p11):
+        for p in (min(abs(z_jl) ** 2, 1.0) for row in z for z_jl in row):
             if p > 0.0:
                 total -= p * math.log(p)
-        return -0.5 * total / math.log(2.0)
-
-    return neg
-
-
-def reference_neg_rate_d3(u: np.ndarray):
-    """The d = 3 objective's oracle: minus the entropy rate at the six angles, in
-    Python complex scalars.  V is the product of the three plane factors of
-    ``basis_from_angles``, and the rate sums eta(|(V^dag U V)_jl|^2) entry by
-    entry, over l, then j.
-    """
-    (u00, u01, u02), (u10, u11, u12), (u20, u21, u22) = (
-        [complex(z) for z in row] for row in u)
-    log2 = math.log2
-
-    def neg(x):
-        t0, f0, t1, f1, t2, f2 = x
-        (c0, s0), (c1, s1), (c2, s2) = ((math.cos(t), math.sin(t)) for t in (t0, t1, t2))
-        e0, e1, e2 = cmath.exp(1j * f0), cmath.exp(1j * f1), cmath.exp(1j * f2)
-        a0, a1, a2 = -e0 * s0, -e1 * s1, -e2 * s2  # the (i, j) entry of each factor
-        b0, b1, b2 = s0 / e0, s1 / e1, s2 / e2  # the (j, i) entry
-        # (G01 @ G02) @ G12, column by column
-        cols = ((c0 * c1, b0 * c1, b1),
-                (a0 * c2 + c0 * a1 * b2, c0 * c2 + b0 * a1 * b2, c1 * b2),
-                (a0 * a2 + c0 * a1 * c2, c0 * a2 + b0 * a1 * c2, c1 * c2))
-        conj = [(v0.conjugate(), v1.conjugate(), v2.conjugate()) for v0, v1, v2 in cols]
-        total = 0.0
-        for v0, v1, v2 in cols:
-            w0 = u00 * v0 + u01 * v1 + u02 * v2  # (U V)_il for this column l
-            w1 = u10 * v0 + u11 * v1 + u12 * v2
-            w2 = u20 * v0 + u21 * v1 + u22 * v2
-            for r0, r1, r2 in conj:
-                p = abs(r0 * w0 + r1 * w1 + r2 * w2) ** 2
-                if 0.0 < p < 1.0:  # eta is 0 at 0 and at 1, and p > 1 is rounding
-                    total += p * log2(p)
-        return total / 3.0
+        return -total / d / math.log(2.0)
 
     return neg
 

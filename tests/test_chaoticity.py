@@ -341,6 +341,12 @@ class TestOrderVerdicts:
                 assert one.codes.shape == one.trace_mag.shape == one.theta.shape == ()
                 assert (one.codes, one.trace_mag, one.theta) == (c, tm, th)
 
+    @pytest.mark.parametrize("dtype", [int, np.uint8, object])
+    def test_rejects_empty_orders(self, dtype):
+        for source in (LUCAS_T3, D8):
+            with pytest.raises(ValueError, match="at least one order"):
+                order_verdicts(source, np.array([], dtype=dtype))
+
     @pytest.mark.parametrize("d", [[np.nan], [np.inf], [-np.inf], [0.1, np.nan, 1.0]],
                              ids=["nan", "inf", "-inf", "nan-among-finite"])
     def test_non_finite_differences_are_rejected(self, d):

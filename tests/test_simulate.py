@@ -437,6 +437,29 @@ class TestEmpiricalEntropyRate:
         with pytest.raises(ValueError, match="integers"):
             empirical_transition_matrix(sequence, 2)
 
+    def test_transition_matrix_rejects_symbols_past_d(self):
+        with pytest.raises(ValueError, match=r"lie in \[0, d\) = \[0, 1\)"):
+            empirical_transition_matrix([0, 1, 1, 0], 1)
+
+    @pytest.mark.parametrize("d", [2.0, True, 0])
+    def test_transition_matrix_takes_d_as_a_count(self, d):
+        with pytest.raises(ValueError, match="d must be"):
+            empirical_transition_matrix([0, 1, 1, 0], d)
+
+    @pytest.mark.parametrize("d", [None, 2])
+    def test_transition_matrix_rejects_negative_symbols(self, d):
+        # -1 would count as the last row
+        with pytest.raises(ValueError, match="lie in"):
+            empirical_transition_matrix([0, -1, 1, 0], d)
+
+    @pytest.mark.parametrize("sequence", [np.array([], dtype=int), np.zeros((2, 500), dtype=int)],
+                             ids=["empty", "2-d"])
+    def test_symbols_are_a_non_empty_1d_sequence(self, sequence):
+        for call in (lambda: empirical_transition_matrix(sequence, 2),
+                     lambda: empirical_entropy_rate(sequence, 1, alphabet_size=2)):
+            with pytest.raises(ValueError, match="non-empty 1-D array"):
+                call()
+
     @pytest.mark.parametrize("dtype", [np.int8, np.int64])
     def test_rejects_negative_symbols(self, dtype):
         seq = np.tile(np.array([0, 1, -1], dtype=dtype), 400)
