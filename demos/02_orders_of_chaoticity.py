@@ -14,6 +14,7 @@ from qchaos import (
     EigenphasePair,
     ExactUnitarySpec,
     RationalPhase,
+    VERDICT_LABELS,
     build_chaotic_order,
     chaoticity_scan,
     first_nonchaotic_order,
@@ -24,11 +25,12 @@ from qchaos import (
 PI = math.pi
 
 
-def show(title, report):
+def show(title, scan):
     print(f"\n{title}")
     print("  K  theta/pi      H_K     |tr U^K|  verdict")
-    for k, theta, h, tm, verdict in zip(*report.columns().values()):
-        print(f"{k:3d}  {theta / PI:8.4f}  {h:7.4f}  {tm:8.4f}  {verdict}")
+    for block in scan:  # a scan comes as consecutive blocks of orders
+        for k, theta, h, tm, code in zip(*(column.tolist() for column in block)):
+            print(f"{k:3d}  {theta / PI:8.4f}  {h:7.4f}  {tm:8.4f}  {VERDICT_LABELS[code]}")
 
 
 show("Pauli X (phases 0, pi): chaotic at odd K only",

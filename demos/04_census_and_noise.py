@@ -16,7 +16,7 @@ import numpy as np
 
 from qchaos import (
     VERDICT_LABELS,
-    make_su2_from_psi,
+    EigenphasePair,
     monte_carlo_chaotic_fraction,
     noisy_phase_walk,
 )
@@ -34,7 +34,8 @@ assert again == monte_carlo_chaotic_fraction(10 ** 5, seed=1)
 
 
 def walk_summary(psi_over_pi, eps, steps=2000, seed=5):
-    base = make_su2_from_psi(psi_over_pi * math.pi)
+    psi = psi_over_pi * math.pi
+    base = EigenphasePair(-psi, psi)  # the SU(2) completion: phi + psi = 0
     counts = sum(np.bincount(block.codes, minlength=len(VERDICT_LABELS))
                  for block in noisy_phase_walk(base, eps, steps, seed))
     return {label: int(n) for label, n in zip(VERDICT_LABELS, counts) if n}

@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 
 _SUBMODULE = {name: module for module, names in (
     ("phases", "EigenphasePair ExactUnitarySpec RationalPhase TWO_PI UNITARY_TOL "
-               "circular_distance eigenphases_of make_su2_from_psi mod_2pi "
-               "rational_phase_order require_unitary"),
+               "eigenphases_of mod_2pi rational_phase_order require_unitary"),
     ("entropy", "EntropyResult PvmBasis basis_from_angles eta "
                 "markov_entropy_rate pvm_entropy_optimize transition_matrix"),
     ("chaoticity", "BOUNDARY_TOL ChaoticityReport IdempotencyCapError "
@@ -31,8 +30,8 @@ _SUBMODULE = {name: module for module, names in (
     ("constructions", "QuadraticRecipe build_chaotic_order quadratic_trace_sequence "
                       "source_from_json"),
     ("simulate", "CensusResult EntropyRateExperiment InsufficientDataError "
-                 "empirical_entropy_rate empirical_transition_matrix "
-                 "entropy_rate_experiment monte_carlo_chaotic_fraction noisy_phase_walk "
+                 "empirical_entropy_rate entropy_rate_experiment "
+                 "monte_carlo_chaotic_fraction noisy_phase_walk "
                  "sample_trajectory write_trajectory_outputs"),
     ("rng", "stream_generator"),
 ) for name in names.split()}

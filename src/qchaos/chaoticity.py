@@ -16,7 +16,7 @@ pairs are never declared idempotent.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -42,14 +42,8 @@ CHAOTIC, BOUNDARY, NON_CHAOTIC = range(3)
 
 
 def boundary_half_width(k):
-    """Half-width of the float-pair band around sqrt(2) at order K.
-
-    A phase in [0, 2*pi) is within half an ulp, 2*pi*2^-53, of the value it
-    stands for; K multiplies that and rounding K*phi adds as much again, so
-    d = fmod(K*phi) - fmod(K*psi) (fmod is exact) is off by 2*K*2*pi*2^-52.
-    |tr| = 2|cos(d/2)| is 1-Lipschitz in d, and the subtraction, the cosine
-    and sqrt(2) itself add at most 4 ulps (2^-52 each) near sqrt(2).
-    """
+    """Half-width of the float-pair band around sqrt(2) at order K: BOUNDARY_TOL
+    plus the rounding of |tr U^K|, derived in the tests' TestRoundingAwareBand."""
     return BOUNDARY_TOL + (2.0 * TWO_PI * k + 4.0) * 2.0 ** -52
 
 
@@ -139,37 +133,33 @@ def qubit_entropy_closed(pair: EigenphasePair) -> float:
 
 
 class ChaoticityReport(NamedTuple):
-    """Per-order columns for K = 1..K_max: theta_K, H_K, |tr U^K| and verdict codes."""
+    """One block of a scan: orders K, theta_K, H_K, |tr U^K| and verdict codes."""
 
+    k: np.ndarray
     theta: np.ndarray
     entropy_bits: np.ndarray
     trace_mag: np.ndarray
     codes: np.ndarray
 
-    def columns(self) -> dict[str, list]:
-        """The scan rows' columns as Python scalars, keyed as in a JSON row."""
-        return {"K": list(range(1, len(self.codes) + 1)), "theta": self.theta.tolist(),
-                "H": self.entropy_bits.tolist(), "trace_mag": self.trace_mag.tolist(),
-                "verdict": list(map(VERDICT_LABELS.__getitem__, self.codes.tolist()))}
 
-    def to_csv(self) -> str:
-        import csv  # only --csv writes one, so the CLI's import path skips csv and io
-        import io
-
-        cols = self.columns()
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(cols)
-        w.writerows(zip(*cols.values()))  # floats as repr
-        return buf.getvalue()
+#: Orders per block of a scan or a count: a block holds a few float arrays of this length.
+_SCAN_CHUNK = 1 << 14
 
 
-def chaoticity_scan(u, k_max: int) -> ChaoticityReport:
-    """Scan orders 1..k_max of a source, H by the array closed form over all of them;
-    exact phase reduction for an ExactUnitarySpec."""
+def _order_blocks(k_max: int) -> Iterator[np.ndarray]:
+    """Orders 1..k_max as consecutive arrays of at most _SCAN_CHUNK orders."""
+    return (np.arange(s, min(s + _SCAN_CHUNK, k_max + 1))
+            for s in range(1, k_max + 1, _SCAN_CHUNK))
+
+
+def chaoticity_scan(u, k_max: int) -> Iterator[ChaoticityReport]:
+    """Orders 1..k_max of a source as consecutive blocks of at most _SCAN_CHUNK
+    orders, H by the array closed form.  k_max is checked at the call and each
+    block computed as it is taken, so memory need not grow with k_max."""
     k_max = require_count("k_max", k_max)
-    theta, trace_mag, codes = order_verdicts(u, np.arange(1, k_max + 1))
-    return ChaoticityReport(theta, qubit_entropy_of_theta(theta), trace_mag, codes)
+    blocks = ((ks, order_verdicts(u, ks)) for ks in _order_blocks(k_max))
+    return (ChaoticityReport(ks, v.theta, qubit_entropy_of_theta(v.theta), v.trace_mag, v.codes)
+            for ks, v in blocks)
 
 
 class IdempotencyCapError(ValueError):
@@ -208,30 +198,19 @@ def projective_idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000)
 
 
 def first_nonchaotic_order(source, k_bound: int) -> int | None:
-    """Smallest K <= k_bound with a non-chaotic verdict; no unitary has one above 4.
-
-    Proof: with d = phi - psi, order K is non_chaotic iff K*d lies within pi/2
-    of 0 mod 2*pi, beyond the boundary band.  If K = 1, 2, 3 all miss that, d
-    lies in [pi/2, 3*pi/2]; 2*d confines it to [pi/2, 3*pi/4] u [5*pi/4, 3*pi/2],
-    and 3*d to pi/2 or 3*pi/2, within the band.  So d = pi/2 (mod pi), 4*d = 0
-    (mod 2*pi) and |tr U^4| = 2 to within a few band widths.  Exact specs need
-    no band.  Hence only K = 1..min(4, k_bound) of the source are evaluated,
-    and None means that k_bound < 4 and no order up to it is non-chaotic.
-    """
+    """Smallest K <= k_bound with a non-chaotic verdict.  No unitary has one above
+    4 (proved in the tests' TestFirstNonchaoticOrder), so only K = 1..min(4,
+    k_bound) are evaluated, and None means k_bound < 4 and none up to it is."""
     k_bound = require_count("order bound", k_bound)
     codes = order_verdicts(source, np.arange(1, min(4, k_bound) + 1)).codes
     hits = np.flatnonzero(codes == NON_CHAOTIC)
     return int(hits[0]) + 1 if hits.size else None
 
 
-_SCAN_CHUNK = 1 << 16
-
-
 def _chaotic_orders(source, k: int) -> int:
-    """Chaotic verdicts among orders 1..k, counted _SCAN_CHUNK orders at a time."""
-    chunks = (np.arange(s, min(s + _SCAN_CHUNK, k + 1)) for s in range(1, k + 1, _SCAN_CHUNK))
+    """Chaotic verdicts among orders 1..k, counted a block of orders at a time."""
     return sum(int(np.count_nonzero(order_verdicts(source, ks).codes == CHAOTIC))
-               for ks in chunks)
+               for ks in _order_blocks(k))
 
 
 def chaotic_order_fraction(source, k_max: int) -> float:

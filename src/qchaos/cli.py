@@ -12,14 +12,15 @@ quadratic recipe; the documents write its ``kind``, ``rationality`` and
 ``simulate`` is ``simulate.entropy_rate_experiment``, the one pipeline,
 over the basis names computational, x and optimized; with --out it writes
 PREFIX.stream block by block as it samples, then the sidecar PREFIX.json.
-``noise`` counts the verdicts of the walk's blocks as they come (and with
---full gathers their rows), so neither holds memory that grows with --steps.
-An empty --json, --csv or --out path exits 2.
-``jsontext.dumps`` writes every document, floats at 12 significant digits,
-with the scan rows and the full noise walk written from their columns.  The
-documents follow ``schemas/output.schema.json``; that schema is the output
-contract, checked by the test suite rather than on every run.  Exit codes:
-0 success, 2 validation error.
+``noise`` counts the verdicts of the walk's blocks as they come; --full then
+draws the walk again from its seed to write its rows.  ``jsontext.write``
+writes every document, floats at 12 significant digits, each table (the scan
+rows, the noise walk, and the scan's --csv) a piece of rows at a time as its
+blocks come, so no command holds memory that grows with --k-max or --steps.
+The --json and --csv files are opened before either is written, and a failed
+command removes them; an empty path exits 2.  The documents follow
+``schemas/output.schema.json``, the output contract, checked by the test
+suite rather than on every run.  Exit codes: 0 success, 2 validation error.
 
 The CLI runs OpenBLAS single-threaded unless OPENBLAS_NUM_THREADS is set:
 this module sets it to 1 before numpy loads.  ``import qchaos`` loads each
@@ -34,7 +35,9 @@ write ``--psi=-1/2``, and ``construct rational -- -1/4 1/4``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
+import functools
 import gc
 import json
 import math
@@ -53,7 +56,6 @@ import numpy as np
 from . import __version__
 from .chaoticity import (
     VERDICT_LABELS,
-    ChaoticityReport,
     chaoticity_scan,
     idempotency_order,
     projective_idempotency_order,
@@ -66,7 +68,7 @@ from .constructions import (
     source_from_json,
 )
 from .entropy import pvm_entropy_optimize
-from .jsontext import Rows, dumps
+from .jsontext import Rows, row_pieces, write
 from .phases import (
     EigenphasePair,
     ExactUnitarySpec,
@@ -149,17 +151,53 @@ def _manifest(command: str, parameters: dict, seed: int | None) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _outputs(args):
+    """The --json file (stdout for '-') and the --csv file (None without one),
+    both opened before either is written.  If the command then fails, each is
+    closed and, when a regular file, removed, so an exit 2 leaves neither."""
+    opened, done = [], False
+    try:
+        for path in (None if args.json == "-" else args.json, getattr(args, "csv", None)):
+            opened.append(path and open(path, "w"))
+        yield opened[0] or sys.stdout, opened[1]
+        done = True
+    finally:
+        for f in filter(None, opened):
+            f.close()
+            if not done and os.path.isfile(f.name):
+                os.remove(f.name)
+
+
+def _csv_written(blocks, file):
+    """The rows of column blocks a piece at a time, each also written to
+    ``file`` as CSV as it is taken: a header of its keys first, floats as repr."""
+    import csv  # only --csv writes one, so the CLI's import path skips csv
+
+    w = csv.writer(file, lineterminator="\n")
+    for i, piece in enumerate(row_pieces(blocks)):
+        if i == 0:
+            w.writerow(piece)
+        w.writerows(zip(*piece.values()))
+        yield piece
+
+
 def _emit(doc: dict, args) -> None:
-    text = dumps(doc)  # raises ValueError on NaN and infinities
-    if args.json == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.json).write_text(text)
+    """Write ``doc`` to --json as it is formatted, and with --csv its "scan"
+    rows to that file as they are; a NaN or inf raises ValueError."""
+    with _outputs(args) as (out, csv_file):
+        if csv_file is not None:
+            doc = dict(doc, scan=Rows(_csv_written(doc["scan"].blocks, csv_file)))
+        write(doc, out)
 
 
-def _write_csv(report, args) -> None:
-    if args.csv is not None:
-        Path(args.csv).write_text(report.to_csv())
+_LABELS = np.array(VERDICT_LABELS, dtype=object)  # verdict codes -> the label strings
+
+
+def _scan_rows(scan) -> Rows:
+    """The scan table, one column block per block of orders."""
+    return Rows({"K": b.k, "theta": b.theta, "H": b.entropy_bits, "trace_mag": b.trace_mag,
+                 "verdict": _LABELS[b.codes]} for b in scan)
 
 
 def _source_doc(source) -> dict:
@@ -174,7 +212,7 @@ _NO_ORDER_REASON = {"irrational_certified": "irrational_phase",
                     "unknown": "unknown_phase_rationality"}
 
 
-def _analysis_body(source, k_max: int, n_cap: int) -> tuple[dict, ChaoticityReport]:
+def _analysis_body(source, k_max: int, n_cap: int) -> dict:
     """Scan + per-order closed-form entropy + idempotency/rationality block."""
     n_cap = require_count("n_cap", n_cap)
     pair = source.pair()
@@ -187,7 +225,7 @@ def _analysis_body(source, k_max: int, n_cap: int) -> tuple[dict, ChaoticityRepo
         idem = {"order": None, "reason": _NO_ORDER_REASON[rationality],
                 "inner_denominator_lcm": None}
     projective = projective_idempotency_order(source, n_cap) if exact else None
-    report = chaoticity_scan(source, k_max)
+    scan = _scan_rows(chaoticity_scan(source, k_max))
     body = {
         "input": _source_doc(source),
         "phases": {"phi": pair.phi, "psi": pair.psi},
@@ -195,40 +233,31 @@ def _analysis_body(source, k_max: int, n_cap: int) -> tuple[dict, ChaoticityRepo
         "idempotency": idem,
         "projective_order": projective,
         "entropy_bits": qubit_entropy_closed(pair),
-        "scan": Rows(report.columns()),
+        "scan": scan,
     }
     if source.kind == "quadratic":
         body["quadratic_build"] = {"classification": source.classification,
                                    "s_t": source.s_t}
-    return body, report
+    return body
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> dict:
     source = resolve_source(args)
-    body, report = _analysis_body(source, args.k_max, args.n_cap)
-    doc = {"manifest": _manifest("analyze", {
+    body = _analysis_body(source, args.k_max, args.n_cap)
+    return {"manifest": _manifest("analyze", {
         "source": body["input"], "k_max": args.k_max, "n_cap": args.n_cap,
-    }, None)}
-    doc.update(body)
-    _emit(doc, args)
-    _write_csv(report, args)
-    return 0
+    }, None), **body}
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> dict:
     source = resolve_source(args)
-    report = chaoticity_scan(source, args.k_max)
-    doc = {
-        "manifest": _manifest("scan", {"source": _source_doc(source),
-                                       "k_max": args.k_max}, None),
-        "scan": Rows(report.columns()),
-    }
-    _emit(doc, args)
-    _write_csv(report, args)
-    return 0
+    scan = _scan_rows(chaoticity_scan(source, args.k_max))
+    return {"manifest": _manifest("scan", {"source": _source_doc(source),
+                                           "k_max": args.k_max}, None),
+            "scan": scan}
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> dict:
     construction: dict = {"kind": args.kind}
     if args.kind == "rational":
         source = ExactUnitarySpec(parse_phase(args.phase1, "phase1"),
@@ -245,30 +274,24 @@ def cmd_construct(args) -> int:
     construction["source"] = source.to_json()
     params["kind"] = args.kind
 
-    body, _ = _analysis_body(source, args.k_max, args.n_cap)
+    body = _analysis_body(source, args.k_max, args.n_cap)
     if args.kind == "quadratic":
         trace = quadratic_trace_sequence(source.a, source.b, source.t)
         construction.update(classification=source.classification, s_t=source.s_t,
                             trace_values=list(trace))
-    doc = {"manifest": _manifest("construct", params, None),
-           "construction": construction, "analysis": body}
-    _emit(doc, args)
-    return 0
+    return {"manifest": _manifest("construct", params, None),
+            "construction": construction, "analysis": body}
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> dict:
     result = monte_carlo_chaotic_fraction(args.n, args.seed, threads=args.threads)
     # thread count is a scheduling knob, not a result parameter: outputs are
     # contractually identical across --threads, so it stays out of the manifest
-    doc = {
-        "manifest": _manifest("census", {"n": args.n}, args.seed),
-        "census": result._asdict(),
-    }
-    _emit(doc, args)
-    return 0
+    return {"manifest": _manifest("census", {"n": args.n}, args.seed),
+            "census": result._asdict()}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     pair = resolve_source(args).pair()
     run = entropy_rate_experiment(pair, args.basis, args.steps, args.block_len, args.seed,
                                   args.period, args.out)
@@ -285,21 +308,13 @@ def cmd_simulate(args) -> int:
     }
     if args.out is not None:  # the stream is written by now
         write_trajectory_outputs(args.out, doc)
-    _emit(doc, args)
-    return 0
+    return doc
 
 
-def cmd_noise(args) -> int:
+def cmd_noise(args) -> dict:
     pair = resolve_source(args).pair()
-    counts = np.zeros(len(VERDICT_LABELS), dtype=np.int64)
-    walk = Rows(phi=[], psi=[], trace_mag=[], verdict=[])
-    for block in noisy_phase_walk(pair, args.epsilon, args.steps, args.seed):
-        counts += np.bincount(block.codes, minlength=len(VERDICT_LABELS))
-        if args.full:
-            walk["phi"] += block.phi.tolist()
-            walk["psi"] += block.psi.tolist()
-            walk["trace_mag"] += block.trace_mag.tolist()
-            walk["verdict"] += map(VERDICT_LABELS.__getitem__, block.codes.tolist())
+    walk = functools.partial(noisy_phase_walk, pair, args.epsilon, args.steps, args.seed)
+    counts = sum(np.bincount(b.codes, minlength=len(VERDICT_LABELS)) for b in walk())
     doc = {
         "manifest": _manifest("noise", {"phi": pair.phi, "psi": pair.psi,
                                         "epsilon": args.epsilon, "steps": args.steps},
@@ -311,13 +326,13 @@ def cmd_noise(args) -> int:
             "verdict_counts": dict(zip(VERDICT_LABELS, counts.tolist())),
         },
     }
-    if args.full:
-        doc["noise"]["walk"] = walk
-    _emit(doc, args)
-    return 0
+    if args.full:  # "verdict_counts" comes first, so the rows are of the walk drawn again
+        doc["noise"]["walk"] = Rows({"phi": b.phi, "psi": b.psi, "trace_mag": b.trace_mag,
+                                     "verdict": _LABELS[b.codes]} for b in walk())
+    return doc
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> dict:
     if not 0.0 <= args.match_tol < math.inf:  # also false for NaN
         raise ValueError(f"match-tol must be finite and >= 0, got {args.match_tol}")
     source = resolve_source(args)  # --unitary-json resolves to the matrix itself
@@ -335,14 +350,10 @@ def cmd_optimize(args) -> int:
         body["closed_form_bits"] = closed
         body["abs_diff"] = abs(result.value - closed)
         body["matches_closed_form"] = abs(result.value - closed) <= args.match_tol
-    doc = {
-        "manifest": _manifest("optimize", {"restarts": args.restarts,
-                                           "max_iters": args.max_iters,
-                                           "match_tol": args.match_tol}, args.seed),
-        "optimize": body,
-    }
-    _emit(doc, args)
-    return 0
+    return {"manifest": _manifest("optimize", {"restarts": args.restarts,
+                                               "max_iters": args.max_iters,
+                                               "match_tol": args.match_tol}, args.seed),
+            "optimize": body}
 
 
 def _path(text: str) -> str:
@@ -457,10 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     if argv is None:  # the process entry: exit then skips the collector's teardown, and
-        gc.freeze()  # loses nothing, as write_text/write_bytes are done and stdout is flushed
+        gc.freeze()  # loses nothing, as every output file is closed and stdout is flushed
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.func(args), args)  # each command builds its document
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,14 +21,8 @@ Three kinds of two-level unitaries are constructed here:
 Each source class states its own ``kind`` and ``rationality``; the exact
 kinds also give ``to_json()``, the form ``source_from_json`` reads back.
 
-The mod-2 reduction is done in exact integers.  With alpha^t =
-(A_t + B_t sqrt(D)) / 2^t, the integers A_t, B_t follow their own recurrence
-and math.isqrt gives the digits of B_t sqrt(D) exactly, so beta^t mod 2 is
-known to any number of bits without rounding; alpha^t mod 2 = 2 - (beta^t
-mod 2) because s_t is even.  Each phase is the residue rounded once to a
-float, times pi; the residue carries 64 guard bits past the float's 53, so
-the rounding is correct unless it lies within 2^-64 ulp of a rounding
-boundary.
+The mod-2 reduction is done in exact integers, each phase rounded once to a
+float; the tests' TestQuadraticPhasesExact gives the argument.
 """
 
 from __future__ import annotations

@@ -1,17 +1,36 @@
-"""The one JSON writer of qchaos documents: for string-keyed ``doc``, ``dumps(doc)``
-equals ``json.dumps(doc', indent=2, sort_keys=True, allow_nan=False) + "\\n"``,
-doc' being doc with every float rounded to 12 significant digits and every
-``Rows`` table expanded into its row objects.  A table is written from its columns:
-one %-template per row, one %.12g format per float column.  NaN and inf raise ValueError."""
+"""The one JSON writer of qchaos documents: ``write(doc, file)`` writes the text
+of ``doc`` in pieces and ``dumps(doc)`` joins them.  For string-keyed doc that is
+``json.dumps(doc', indent=2, sort_keys=True, allow_nan=False) + "\\n"``, doc'
+being doc with every float rounded to 12 significant digits and every ``Rows``
+table expanded into its rows.  A table is written _PIECE rows at a time, one
+%-template a piece, so no table, column or text is held whole.  NaN and inf
+raise ValueError."""
 
 import json
 import math
+from typing import Iterable, Iterator, NamedTuple
 
 _scalar = json.JSONEncoder(allow_nan=False).encode  # str, int, bool, None, float
+#: Rows formatted at a time: the writer holds one piece of a table as text.
+_PIECE = 1 << 10
 
 
-class Rows(dict):
-    """A JSON list of flat objects held as columns: key -> one value per row."""
+class Rows(NamedTuple):
+    """A JSON list of flat objects as column blocks (key -> one value per row, a
+    list or an array) whose rows follow one another; read once, when written."""
+
+    blocks: Iterable[dict]
+
+
+def row_pieces(blocks: Iterable[dict]) -> Iterator[dict[str, list]]:
+    """The rows of column blocks as Python values, at most _PIECE rows a piece."""
+    for block in blocks:
+        n = len(next(iter(block.values()), ()))
+        if any(len(col) != n for col in block.values()):
+            raise ValueError("the columns of a table must have equal lengths")
+        for lo in range(0, n, _PIECE):
+            piece = {k: col[lo:lo + _PIECE] for k, col in block.items()}
+            yield {k: p.tolist() if hasattr(p, "tolist") else list(p) for k, p in piece.items()}
 
 
 def _column(col: list, level: int) -> list[str]:
@@ -26,28 +45,48 @@ def _column(col: list, level: int) -> list[str]:
         return list(map({s: _scalar(s) for s in set(col)}.__getitem__, col))
     if kinds == {int}:
         return list(map(int.__repr__, col))
-    return [_value(v, level) for v in col]
+    return ["".join(_pieces(v, level)) for v in col]
 
 
-def _join(items: list[str], level: int, ends: str) -> str:
-    pad = "\n" + "  " * (level + 1)
-    return ends[0] + pad + ("," + pad).join(items) + pad[:-2] + ends[1] if items else ends
+def _rows(piece: dict[str, list], level: int) -> str:
+    """A piece of a table's rows as text, filled into one template."""
+    keys, n = sorted(piece), len(next(iter(piece.values())))
+    pad = "\n" + "  " * (level + 2)
+    row = "{" + pad + ("," + pad).join(_scalar(k).replace("%", "%%") + ": %s" for k in keys)
+    cells = [None] * (len(keys) * n)
+    for i, k in enumerate(keys):
+        cells[i::len(keys)] = _column(piece[k], level + 2)
+    return (",\n" + "  " * (level + 1)).join([row + pad[:-2] + "}"] * n) % tuple(cells)
 
 
-def _value(obj, level: int) -> str:
-    if isinstance(obj, Rows):  # one template, itself an object of %s values, per row
-        keys = sorted(obj)
-        row = _join([_scalar(k).replace("%", "%%") + ": %s" for k in keys], level + 1, "{}")
-        cells = zip(*(_column(obj[k], level + 2) for k in keys), strict=True)
-        return _join(list(map(row.__mod__, cells)), level, "[]")
-    if isinstance(obj, dict):
-        return _join([_scalar(k) + ": " + _value(v, level + 1)
-                      for k, v in sorted(obj.items())], level, "{}")
-    if isinstance(obj, (list, tuple)):
-        return _join([_value(v, level + 1) for v in obj], level, "[]")
-    return _scalar(float(f"{obj:.12g}") if isinstance(obj, float) else obj)
+def _pieces(obj, level: int) -> Iterator[str]:
+    """The text of ``obj`` in order: a container's items one by one, a table's
+    rows a piece at a time."""
+    if isinstance(obj, Rows):
+        items = ((_rows(piece, level), ()) for piece in row_pieces(obj.blocks))
+    elif isinstance(obj, dict):
+        items = ((_scalar(k) + ": ", _pieces(v, level + 1)) for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)):
+        items = (("", _pieces(v, level + 1)) for v in obj)
+    else:
+        yield _scalar(float(f"{obj:.12g}") if isinstance(obj, float) else obj)
+        return
+    pad, ends = "\n" + "  " * (level + 1), "{}" if isinstance(obj, dict) else "[]"
+    sep = ends[0] + pad
+    for head, tail in items:
+        yield sep + head
+        yield from tail
+        sep = "," + pad
+    yield pad[:-2] + ends[1] if sep[0] == "," else ends
+
+
+def write(doc, file) -> None:
+    """Write the document's text to ``file`` piece by piece, as ``dumps`` gives it;
+    a ValueError leaves the pieces before it written."""
+    file.writelines(_pieces(doc, 0))
+    file.write("\n")
 
 
 def dumps(doc) -> str:
-    """The document's text: two-space indent, sorted keys, final newline."""
-    return _value(doc, 0) + "\n"
+    """The document's text: the pieces ``write`` writes, joined."""
+    return "".join(_pieces(doc, 0)) + "\n"

@@ -29,12 +29,6 @@ def mod_2pi(x):
     return r - TWO_PI * (r >= TWO_PI)  # r + 2*pi can round up to 2*pi
 
 
-def circular_distance(x: float, y: float) -> float:
-    """Distance between two angles on the circle, in [0, pi]."""
-    d = mod_2pi(x - y)
-    return min(d, TWO_PI - d)
-
-
 @dataclass(frozen=True)
 class EigenphasePair:
     """Eigenphases (phi, psi) of a 2x2 unitary, each in [0, 2*pi); rationality unknown."""
@@ -49,13 +43,6 @@ class EigenphasePair:
 
     def pair(self) -> "EigenphasePair":
         return self  # every source kind says its float pair through pair()
-
-
-def make_su2_from_psi(psi: float) -> EigenphasePair:
-    """SU(2) pair from a single phase: phi is fixed by phi + psi = 0 mod 2*pi."""
-    psi_r = mod_2pi(psi)
-    phi = mod_2pi(TWO_PI - psi_r)
-    return EigenphasePair(phi, psi_r)
 
 
 @dataclass(frozen=True)

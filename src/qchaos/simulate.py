@@ -156,17 +156,6 @@ def sample_trajectory(unitary, basis: PvmBasis, steps: int, seed: int,
     return out
 
 
-def empirical_transition_matrix(sequence, d: int | None = None) -> np.ndarray:
-    """Row-normalized transition frequencies of a symbol sequence (test helper)."""
-    s, d = _symbols(sequence, d, "d")
-    s = s.astype(np.int64)  # a bool array would index as a mask
-    counts = np.zeros((d, d))
-    np.add.at(counts, (s[:-1], s[1:]), 1.0)
-    rows = counts.sum(axis=1, keepdims=True)
-    rows[rows == 0.0] = 1.0
-    return counts / rows
-
-
 def _window_counts(blocks: Iterable[np.ndarray], d: int, block_len: int) -> np.ndarray:
     """The window counter: counts of the (L+1)-windows of the symbols that
     ``blocks`` yields, in order, by their Horner codes (last symbol least

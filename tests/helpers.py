@@ -13,12 +13,37 @@ from fractions import Fraction
 import numpy as np
 
 from qchaos import TWO_PI, VERDICT_LABELS, EigenphasePair, order_verdicts
-from qchaos.chaoticity import CHAOTIC
-from qchaos.entropy import eta, transition_matrix
+from qchaos.chaoticity import CHAOTIC, ChaoticityReport
+from qchaos.entropy import eta, qubit_entropy_of_theta, transition_matrix
 from qchaos.jsontext import Rows
 from qchaos.phases import mod_2pi, unitary_power
 from qchaos.rng import stream_generator
-from qchaos.simulate import CENSUS_CHUNK, NoiseWalk
+from qchaos.simulate import CENSUS_CHUNK, NoiseWalk, _symbols
+
+
+def circular_distance(x: float, y: float) -> float:
+    """Distance between two angles on the circle, in [0, pi]."""
+    d = mod_2pi(x - y)
+    return min(d, TWO_PI - d)
+
+
+def make_su2_from_psi(psi: float) -> EigenphasePair:
+    """SU(2) pair from a single phase: phi is fixed by phi + psi = 0 mod 2*pi."""
+    psi_r = mod_2pi(psi)
+    phi = mod_2pi(TWO_PI - psi_r)
+    return EigenphasePair(phi, psi_r)
+
+
+def empirical_transition_matrix(sequence, d: int | None = None) -> np.ndarray:
+    """Row-normalized transition frequencies of a symbol sequence, its symbols
+    and ``d`` checked as the entropy estimator checks them."""
+    s, d = _symbols(sequence, d, "d")
+    s = s.astype(np.int64)  # a bool array would index as a mask
+    counts = np.zeros((d, d))
+    np.add.at(counts, (s[:-1], s[1:]), 1.0)
+    rows = counts.sum(axis=1, keepdims=True)
+    rows[rows == 0.0] = 1.0
+    return counts / rows
 
 
 def random_unitary(rng, d=2):
@@ -45,11 +70,13 @@ SCAN_KEYS = ["K", "theta", "H", "trace_mag", "verdict"]
 
 def round_floats(obj):
     """Every float rounded to 12 significant digits, every Rows table expanded
-    into its row objects: the document as the old per-row writer held it."""
+    into its row objects, block after block: the document as the old per-row
+    writer held it."""
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, Rows):
-        return [dict(zip(obj, map(round_floats, row))) for row in zip(*obj.values())]
+        return [dict(zip(block, map(round_floats, row))) for block in obj.blocks
+                for row in zip(*(list(col) for col in block.values()), strict=True)]
     if isinstance(obj, dict):
         return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -69,6 +96,26 @@ def reference_entropy_of_theta(th: float) -> float:
         return 1.0
     c = math.cos(0.5 * th) ** 2
     return eta(c) + eta(1.0 - c)
+
+
+def reference_scan(source, k_max: int) -> ChaoticityReport:
+    """The scan's oracle: orders 1..k_max of a source in one block, from one
+    kernel call on all of them, as the whole-array scan computed it."""
+    ks = np.arange(1, k_max + 1)
+    theta, trace_mag, codes = order_verdicts(source, ks)
+    return ChaoticityReport(ks, theta, qubit_entropy_of_theta(theta), trace_mag, codes)
+
+
+def joined_scan(blocks) -> ChaoticityReport:
+    """The blocks of a scan joined into one array per column."""
+    return ChaoticityReport(*map(np.concatenate, zip(*blocks)))
+
+
+def scan_columns(report: ChaoticityReport) -> dict[str, list]:
+    """A scan's columns as Python scalars, keyed as in a JSON row."""
+    return {"K": report.k.tolist(), "theta": report.theta.tolist(),
+            "H": report.entropy_bits.tolist(), "trace_mag": report.trace_mag.tolist(),
+            "verdict": [VERDICT_LABELS[c] for c in report.codes.tolist()]}
 
 
 def reference_scan_rows(source, k_max: int) -> list[list]:

@@ -1,8 +1,6 @@
 """Verdicts, order scans, exact idempotency, Kronecker-style order search."""
 
-import csv
 import decimal
-import io
 import math
 from fractions import Fraction
 
@@ -35,7 +33,8 @@ from qchaos import chaoticity
 from qchaos.chaoticity import BOUNDARY, CHAOTIC, NON_CHAOTIC
 from qchaos.simulate import _census_ends
 
-from helpers import power_eigenphases
+from helpers import (joined_scan, make_su2_from_psi, power_eigenphases, reference_scan,
+                     scan_columns)
 
 PI = math.pi
 
@@ -78,8 +77,6 @@ class TestFirstOrderVerdict:
         # for unimodular pairs the verdict reduces to |cos psi| <= 2^(-1/2)
         rng = np.random.default_rng(4)
         for psi in rng.uniform(0, TWO_PI, 300):
-            from qchaos import make_su2_from_psi
-
             code = order_verdicts(make_su2_from_psi(psi)).codes
             chaotic_by_cos = abs(math.cos(psi)) <= 2 ** -0.5
             if code == CHAOTIC:
@@ -125,12 +122,12 @@ class TestHigherOrderVerdict:
 
 class TestChaoticityScan:
     def test_pauli_x_scan(self):
-        cols = chaoticity_scan(PAULI_X_PHASES, 4).columns()
+        cols = scan_columns(joined_scan(chaoticity_scan(PAULI_X_PHASES, 4)))
         assert cols["verdict"] == ["chaotic", "non_chaotic", "chaotic", "non_chaotic"]
         assert cols["H"] == [1.0, 0.0, 1.0, 0.0]
 
     def test_d8_scan_exact(self):
-        report = chaoticity_scan(D8, 8)
+        report = joined_scan(chaoticity_scan(D8, 8))
         assert report.theta[7] == 0.0
         assert report.entropy_bits[7] == 0.0
         assert report.trace_mag[7] == 2.0
@@ -138,7 +135,7 @@ class TestChaoticityScan:
         assert report.entropy_bits[0] == 1.0  # boundary branch of the closed form
 
     def test_identity_scan(self):
-        report = chaoticity_scan(EigenphasePair(0.0, 0.0), 6)
+        report = joined_scan(chaoticity_scan(EigenphasePair(0.0, 0.0), 6))
         assert np.all(report.codes == NON_CHAOTIC)
         assert np.all(report.entropy_bits == 0.0)
 
@@ -174,27 +171,38 @@ class TestChaoticityScan:
         rng = np.random.default_rng(8)
         for _ in range(20):
             pair = EigenphasePair(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
-            report = chaoticity_scan(pair, 16)
+            report = joined_scan(chaoticity_scan(pair, 16))
             for theta, h, code in zip(report.theta, report.entropy_bits, report.codes):
                 assert (h == 0.0) == (theta == 0.0)
                 if code == CHAOTIC and theta >= PI / 2:
                     assert abs(h - 1.0) <= 1e-12
 
-    def test_csv_round_trip(self):
-        report = chaoticity_scan(LUCAS_T3, 10)
-        rows = list(csv.DictReader(io.StringIO(report.to_csv())))
-        assert len(rows) == 10
-        for k, theta, h, tm, verdict, row in zip(*report.columns().values(), rows):
-            assert int(row["K"]) == k
-            assert abs(float(row["theta"]) - theta) <= 1e-12
-            assert abs(float(row["H"]) - h) <= 1e-12
-            assert abs(float(row["trace_mag"]) - tm) <= 1e-12
-            assert row["verdict"] == verdict == VERDICT_LABELS[report.codes[k - 1]]
+    @pytest.mark.parametrize("source", [LUCAS_T3, D8, EigenphasePair(0.21 * PI, 1.79 * PI)],
+                             ids=["quadratic", "exact", "float"])
+    def test_blocks_are_the_whole_scan(self, source):
+        """Consecutive blocks of at most _SCAN_CHUNK orders, equal bit for bit
+        to the one-call scan of every order, on each side of a block's end."""
+        chunk = chaoticity._SCAN_CHUNK
+        for k_max in (1, 10, chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
+            blocks = list(chaoticity_scan(source, k_max))
+            assert [b.k.size for b in blocks] == [
+                min(chunk, k_max - lo) for lo in range(0, k_max, chunk)]
+            got, want = joined_scan(blocks), reference_scan(source, k_max)
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    def test_json_rows_shape(self):
-        columns = chaoticity_scan(D4, 4).columns()
-        assert columns.keys() == {"K", "theta", "H", "trace_mag", "verdict"}
-        assert all(len(col) == 4 for col in columns.values())
+    def test_the_scan_is_taken_lazily(self, monkeypatch):
+        seen = []
+
+        def spy(source, ks=1):
+            seen.append(int(np.size(ks)))
+            return order_verdicts(source, ks)
+
+        monkeypatch.setattr(chaoticity, "order_verdicts", spy)
+        scan = chaoticity_scan(D4, 10 ** 9)
+        assert seen == []
+        assert next(scan).k.tolist() == list(range(1, chaoticity._SCAN_CHUNK + 1))
+        assert seen == [chaoticity._SCAN_CHUNK]
 
 
 class TestExactThetaFraction:
@@ -277,6 +285,17 @@ class TestIdempotencyExcludesChaoticity:
 
 
 class TestFirstNonchaoticOrder:
+    """No unitary has its first non-chaotic order above 4.
+
+    Proof: with d = phi - psi, order K is non_chaotic iff K*d lies within pi/2
+    of 0 mod 2*pi, beyond the boundary band.  If K = 1, 2, 3 all miss that, d
+    lies in [pi/2, 3*pi/2]; 2*d confines it to [pi/2, 3*pi/4] u [5*pi/4, 3*pi/2],
+    and 3*d to pi/2 or 3*pi/2, within the band.  So d = pi/2 (mod pi), 4*d = 0
+    (mod 2*pi) and |tr U^4| = 2 to within a few band widths.  Exact specs need
+    no band.  Hence ``first_nonchaotic_order`` evaluates only K = 1..min(4,
+    k_bound) of the source.
+    """
+
     def test_lucas_already_nonchaotic(self):
         assert first_nonchaotic_order(LUCAS_T3, 100) == 1
 
@@ -357,8 +376,8 @@ class TestOrderVerdicts:
     @pytest.mark.parametrize("call", [
         lambda d: order_verdicts(d, [1, 2, 3]),
         lambda d: order_verdicts(d, [1]),
-        lambda d: chaoticity_scan(d, 3),
-        lambda d: chaoticity_scan(d, 1),
+        lambda d: list(chaoticity_scan(d, 3)),
+        lambda d: list(chaoticity_scan(d, 1)),
         lambda d: first_nonchaotic_order(d, 4),
         lambda d: chaotic_order_fraction(d, 70000),
     ], ids=["orders", "order-list", "scan", "scan-1", "first-nonchaotic", "fraction"])
@@ -399,6 +418,15 @@ def lucas_reference(k: int, digits: int = 60):
 
 
 class TestRoundingAwareBand:
+    """The band ``boundary_half_width(K)`` covers the rounding of |tr U^K|.
+
+    A phase in [0, 2*pi) is within half an ulp, 2*pi*2^-53, of the value it
+    stands for; K multiplies that and rounding K*phi adds as much again, so
+    d = fmod(K*phi) - fmod(K*psi) (fmod is exact) is off by 2*K*2*pi*2^-52.
+    |tr| = 2|cos(d/2)| is 1-Lipschitz in d, and the subtraction, the cosine
+    and sqrt(2) itself add at most 4 ulps (2^-52 each) near sqrt(2).
+    """
+
     @pytest.mark.parametrize("scale", [10 ** 10, 10 ** 14, 10 ** 15])
     def test_lucas_labels_never_contradict_the_exact_trace(self, scale):
         # a band that ignores K labels 27/1000 of these orders near 1e14 and
@@ -465,9 +493,9 @@ class TestOrdersByValue:
             assert exact_theta_fraction(SPEC_3_5, k) == min(d, 2 - d)
 
     def test_scan(self):
-        want = chaoticity_scan(SPEC_3_5, 100)
+        want = joined_scan(chaoticity_scan(SPEC_3_5, 100))
         for kind in _INTEGER_TYPES:
-            got = chaoticity_scan(SPEC_3_5, kind(100))
+            got = joined_scan(chaoticity_scan(SPEC_3_5, kind(100)))
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
     def test_chaotic_order_fraction(self):
@@ -543,8 +571,8 @@ class TestSourceInterface:
     @settings(max_examples=50, deadline=None)
     @given(recipe=_recipes, k_max=st.integers(1, 300))
     def test_recipe_scan_is_that_of_its_built_pair(self, recipe, k_max):
-        got = chaoticity_scan(recipe, k_max).columns()
-        want = chaoticity_scan(recipe.pair(), k_max).columns()
+        got = scan_columns(joined_scan(chaoticity_scan(recipe, k_max)))
+        want = scan_columns(joined_scan(chaoticity_scan(recipe.pair(), k_max)))
         assert repr(got) == repr(want)
 
     def test_pair_is_its_own_pair(self):
@@ -673,7 +701,7 @@ class TestPeriodicFraction:
         period = 2 * math.lcm(spec.phase1.p, spec.phase2.p)
         k_max = cycles * period + rest % period  # below, at and above multiples of 2L
         assume(k_max >= 1)
-        codes = chaoticity_scan(spec, k_max).codes
+        codes = joined_scan(chaoticity_scan(spec, k_max)).codes
         brute = int(np.count_nonzero(codes == CHAOTIC))
         assert chaotic_order_fraction(spec, k_max) == brute / k_max
 

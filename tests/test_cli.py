@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -24,6 +25,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qchaos.cli
+import qchaos.jsontext
 from qchaos.cli import _NO_ORDER_REASON, _emit, main, parse_phase
 from qchaos import (EigenphasePair, ExactUnitarySpec, QuadraticRecipe, RationalPhase, eta,
                     order_verdicts)
@@ -419,6 +422,65 @@ class TestFlags:
             _emit({"value": math.nan}, argparse.Namespace(json=str(tmp_path / "x.json")))
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("command", ["scan", "analyze"])
+    def test_unwritable_csv_path_writes_no_document(self, command, tmp_path, capsys):
+        # both outputs are opened before either is written: the document was
+        # written in full before the --csv path failed
+        code = main([command, "--psi", "1/2", "--k-max", "3", "--json", str(tmp_path / "y.json"),
+                     "--csv", str(tmp_path / "missing" / "x.csv")])
+        assert code == 2 and "No such file or directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["scan", "analyze"])
+    def test_non_finite_in_a_later_row_block_leaves_no_files(self, command, tmp_path,
+                                                             monkeypatch):
+        scan = qchaos.cli.chaoticity_scan
+
+        def poisoned(source, k_max):  # a NaN in the last row, after two written pieces
+            for block in scan(source, k_max):
+                block.entropy_bits[-1] = math.nan
+                yield block
+
+        written = []
+
+        def write(doc, file):  # the document's length at the error
+            try:
+                qchaos.jsontext.write(doc, file)
+            finally:
+                written.append(file.tell())
+
+        monkeypatch.setattr(qchaos.cli, "chaoticity_scan", poisoned)
+        monkeypatch.setattr(qchaos.cli, "write", write)
+        code = main([command, "--phi", "0.21", "--psi", "1.79", "--k-max", "3000",
+                     "--json", str(tmp_path / "y.json"), "--csv", str(tmp_path / "x.csv")])
+        assert code == 2 and written[0] > 2 * 1024 * 100  # two pieces of rows
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestBoundedMemory:
+    """Each table is written a piece of rows at a time as its blocks are
+    computed, so no command holds a whole table, column or document text.  In
+    process, each of these peaked at about 60 MB of traced memory when the
+    document was built whole."""
+
+    @pytest.mark.parametrize("args", [
+        ["scan", "--phi", "0.21", "--psi", "1.79", "--k-max", "100000", "--csv", "{csv}"],
+        ["analyze", "--phi", "3/101", "--psi", "7/997", "--global-phase", "1/2",
+         "--n-cap", "10000000000", "--k-max", "100000"],
+        ["noise", "--psi", "0.77", "--epsilon", "0.1", "--steps", "100000", "--seed", "5",
+         "--full"],
+    ], ids=["scan-csv", "analyze-exact", "noise-full"])
+    def test_long_table_peaks_below_10_mb(self, args, tmp_path):
+        args = [a.replace("{csv}", str(tmp_path / "scan.csv")) for a in args]
+        tracemalloc.start()
+        try:
+            code = main([*args, "--json", str(tmp_path / "doc.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and (tmp_path / "doc.json").stat().st_size > 10 ** 7
+        assert peak < 10 * 10 ** 6
+
 
 class TestCensus:
     def test_band_and_schema(self, tmp_path):
@@ -637,7 +699,7 @@ print(repr((code, gc.get_freeze_count())))
 #: The package's public names, in the order of its submodules.
 PUBLIC_NAMES = """
     EigenphasePair ExactUnitarySpec RationalPhase TWO_PI UNITARY_TOL
-    circular_distance eigenphases_of make_su2_from_psi mod_2pi rational_phase_order
+    eigenphases_of mod_2pi rational_phase_order
     require_unitary EntropyResult PvmBasis
     basis_from_angles eta markov_entropy_rate
     pvm_entropy_optimize transition_matrix BOUNDARY_TOL ChaoticityReport
@@ -647,7 +709,7 @@ PUBLIC_NAMES = """
     qubit_entropy_closed QuadraticRecipe build_chaotic_order quadratic_trace_sequence
     source_from_json CensusResult EntropyRateExperiment
     InsufficientDataError empirical_entropy_rate
-    empirical_transition_matrix entropy_rate_experiment monte_carlo_chaotic_fraction
+    entropy_rate_experiment monte_carlo_chaotic_fraction
     noisy_phase_walk sample_trajectory write_trajectory_outputs stream_generator
 """.split()
 
@@ -698,7 +760,7 @@ class TestImports:
 
     def test_exports_the_public_names(self):
         _, names, listed, unknown = ast.literal_eval(fresh_python("-c", EXPORTS_PROBE).stdout)
-        assert len(PUBLIC_NAMES) == 48
+        assert len(PUBLIC_NAMES) == 45
         assert names == PUBLIC_NAMES  # and each one resolved in the probe
         assert listed and not unknown
 

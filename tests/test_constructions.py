@@ -15,7 +15,6 @@ from qchaos import (
     QuadraticRecipe,
     RationalPhase,
     build_chaotic_order,
-    circular_distance,
     idempotency_order,
     order_verdicts,
     quadratic_trace_sequence,
@@ -23,7 +22,7 @@ from qchaos import (
 )
 from qchaos.chaoticity import BOUNDARY, CHAOTIC
 
-from helpers import reference_chaotic_order_prime
+from helpers import circular_distance, reference_chaotic_order_prime
 
 PI = math.pi
 
@@ -300,6 +299,17 @@ class TestQuadraticRecipe:
 
 
 class TestQuadraticPhasesExact:
+    """The phases of a recipe are its exact residues, correctly rounded.
+
+    With alpha^t = (A_t + B_t sqrt(D)) / 2^t, the integers A_t, B_t follow
+    their own recurrence and math.isqrt gives the digits of B_t sqrt(D)
+    exactly, so beta^t mod 2 is known to any number of bits without rounding;
+    alpha^t mod 2 = 2 - (beta^t mod 2) because s_t is even.  Each phase is the
+    residue rounded once to a float, times pi; the residue carries 64 guard
+    bits past the float's 53, so the rounding is correct unless it lies within
+    2^-64 ulp of a rounding boundary.
+    """
+
     @settings(max_examples=300, deadline=None)
     @given(a=st.integers(-40, -1), b=st.integers(-400, -1), t=st.integers(1, 60))
     @example(a=-1, b=-1, t=60)  # beta^60 ~ 3e-13: psi is tiny, phi just below 2 pi

@@ -1,12 +1,13 @@
 """The document emitter against the ``json.dumps`` oracle it replaces.
 
-Every CLI document and the ``simulate --out`` sidecar go through
-``qchaos.jsontext.dumps`` (via ``cli._emit``).  Its text must equal
+Every CLI document goes through ``qchaos.jsontext.write`` (via ``cli._emit``)
+and the ``simulate --out`` sidecar through ``qchaos.jsontext.dumps``, the join
+of the same pieces.  The text must equal
 ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"`` after
-rounding every float to 12 significant digits, which ``tests/helpers.py``
-keeps as ``reference_dumps``; scan and walk rows must equal the ones the old
-per-record path built, and the scan CSV the old per-record ``csv.writer``
-output.
+rounding every float to 12 significant digits and expanding every table, which
+``tests/helpers.py`` keeps as ``reference_dumps``, however a table's rows are
+split into blocks; scan and walk rows must equal the ones the old per-record
+path built, and the streamed scan CSV the old per-record ``csv.writer`` output.
 """
 
 import argparse
@@ -20,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 import qchaos.cli
 from qchaos.cli import _emit, build_parser, main, resolve_source
-from qchaos.jsontext import Rows, _column
+from qchaos import jsontext
+from qchaos.jsontext import Rows, _column, dumps, write
 
 from helpers import (SCAN_KEYS, reference_csv, reference_dumps, reference_noise_walk,
                      reference_scan_rows)
@@ -43,13 +45,23 @@ _text = st.one_of(st.text(max_size=8), st.sampled_from(
 _scalars = st.one_of(st.none(), st.booleans(), st.integers(), _floats, _text)
 
 
-def _tables(cells):
-    """Rows tables of 0, 1 or a few rows; each column is one scalar kind or mixed."""
+def _blocks(columns: dict, cuts: list) -> Rows:
+    """A table of ``columns`` given as column blocks, split where ``cuts`` say."""
+    n = len(next(iter(columns.values()), ()))
+    ends = sorted({0, n, *(c % (n + 1) for c in cuts)})
+    return Rows([{k: col[lo:hi] for k, col in columns.items()}
+                 for lo, hi in zip(ends, ends[1:])])
+
+
+def _tables(cells, sizes=(0, 1, 2, 7)):
+    """Rows tables of ``sizes`` rows in producer blocks of random sizes; each
+    column is one scalar kind or mixed, its drawn values repeated to length."""
     def of_size(n):
-        column = st.one_of(*(st.lists(kind, min_size=n, max_size=n) for kind in
-                             (_floats, st.integers(), _text, st.booleans(), cells)))
-        return st.dictionaries(_text, column, max_size=5).map(Rows)
-    return st.sampled_from([0, 1, 2, 7]).flatmap(of_size)
+        column = st.one_of(*(st.lists(kind, min_size=1, max_size=8).map(lambda xs: (xs * n)[:n])
+                             for kind in (_floats, st.integers(), _text, st.booleans(), cells)))
+        return st.builds(_blocks, st.dictionaries(_text, column, max_size=5),
+                         st.lists(st.integers(0, n), max_size=4))
+    return st.sampled_from(sizes).flatmap(of_size)
 
 
 def _documents(scalars):
@@ -82,14 +94,53 @@ class TestEmitterExamples:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_in_a_float_column_writes_nothing(self, bad, tmp_path):
         dest = tmp_path / "x.json"
-        table = Rows(theta=[0.5, bad, 1.0], K=[1, 2, 3])
+        table = Rows([{"theta": [0.5, bad, 1.0], "K": [1, 2, 3]}])
         with pytest.raises(ValueError):
             _emit({"scan": table}, argparse.Namespace(json=str(dest)))
         assert not dest.exists()
 
     def test_ragged_columns_are_rejected(self):
         with pytest.raises(ValueError):
-            emitted({"rows": Rows(a=[1, 2], b=[1])})
+            emitted({"rows": Rows([{"a": [1, 2], "b": [1]}])})
+
+
+_PIECE = jsontext._PIECE
+
+
+class TestPieces:
+    """Tables across the writer's pieces of _PIECE rows and the producer's blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(doc=st.fixed_dictionaries({
+        "head": _scalars,
+        "table": _tables(_scalars,
+                         sizes=(0, 1, _PIECE - 1, _PIECE, _PIECE + 1, 3 * _PIECE + 5)),
+        "tail": st.lists(_scalars, max_size=3)}))
+    def test_written_pieces_join_to_dumps(self, doc):
+        pieces = []
+
+        class File(io.StringIO):
+            def write(self, piece):
+                pieces.append(piece)
+                return super().write(piece)
+
+        write(doc, file := File())
+        assert file.getvalue() == "".join(pieces) == dumps(doc) == reference_dumps(doc)
+        assert len(pieces) > 1
+
+    def test_rows_are_formatted_a_piece_at_a_time(self, monkeypatch):
+        seen = []
+
+        def spy(col, level):
+            seen.append(len(col))
+            return _column(col, level)
+
+        monkeypatch.setattr(jsontext, "_column", spy)
+        table = Rows(iter([{"K": list(range(5)), "x": [0.5] * 5},
+                           {"K": list(range(3 * _PIECE + 2)), "x": [1.5] * (3 * _PIECE + 2)}]))
+        text = dumps({"t": table})
+        assert seen == [5, 5, *[_PIECE] * 6, 2, 2]
+        assert text.count('"K"') == 3 * _PIECE + 7
 
 
 def _rounded(col):
@@ -153,10 +204,10 @@ def source_args(request, tmp_path):
 
 @pytest.fixture
 def captured(monkeypatch):
-    """The documents handed to the emitter, in order."""
+    """The documents handed to the writer, in order; their tables are read
+    as they are written."""
     docs = []
-    dumps = qchaos.cli.dumps
-    monkeypatch.setattr(qchaos.cli, "dumps", lambda doc: docs.append(doc) or dumps(doc))
+    monkeypatch.setattr(qchaos.cli, "write", lambda doc, file: docs.append(doc) or write(doc, file))
     return docs
 
 
@@ -188,7 +239,7 @@ def test_full_noise_walk_is_byte_identical_to_per_step_rows(captured, tmp_path):
 @pytest.mark.parametrize("command", ["scan", "analyze"])
 @pytest.mark.parametrize("source_args", list(SOURCES), indirect=True)
 def test_csv_is_byte_identical_to_per_record_writer(command, source_args, tmp_path):
-    k_max = 2000
+    k_max = 20_000  # across the scan's blocks of orders and the writer's pieces
     dest = tmp_path / "scan.csv"
     assert main([command, *source_args, "--k-max", str(k_max), "--csv", str(dest),
                  "--json", str(tmp_path / "doc.json")]) == 0

@@ -14,9 +14,7 @@ from qchaos import (
     RationalPhase,
     TWO_PI,
     UNITARY_TOL,
-    circular_distance,
     eigenphases_of,
-    make_su2_from_psi,
     mod_2pi,
     order_verdicts,
     rational_phase_order,
@@ -24,7 +22,7 @@ from qchaos import (
 
 from qchaos.phases import unitary_power
 
-from helpers import power_eigenphases, random_unitary
+from helpers import circular_distance, make_su2_from_psi, power_eigenphases, random_unitary
 
 PI = math.pi
 

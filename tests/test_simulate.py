@@ -22,11 +22,8 @@ from qchaos import (
     RationalPhase,
     TWO_PI,
     VERDICT_LABELS,
-    circular_distance,
     empirical_entropy_rate,
-    empirical_transition_matrix,
     entropy_rate_experiment,
-    make_su2_from_psi,
     monte_carlo_chaotic_fraction,
     noisy_phase_walk,
     order_verdicts,
@@ -41,7 +38,10 @@ from qchaos.phases import unitary_power
 from qchaos.simulate import CENSUS_CHUNK
 
 from helpers import (
+    circular_distance,
+    empirical_transition_matrix,
     joined_walk,
+    make_su2_from_psi,
     random_orthonormal_basis,
     random_unitary,
     reference_census_count,
