@@ -28,6 +28,7 @@ from .phases import (
     TWO_PI,
     rational_phase_order,
     require_count,
+    require_integer,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -82,16 +83,16 @@ def order_verdicts(source, ks=1) -> OrderVerdicts:
     scalar K gives shape-() results; a non-integer K or non-finite d is rejected.
     """
     ks = np.asarray(ks)
-    if ks.dtype.kind not in "iu" and not (ks.dtype == object and all(
-            isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in ks.flat)):
+    if ks.dtype == object:
+        ks = np.array([require_integer("order", k) for k in ks.flat], object).reshape(ks.shape)
+    elif ks.dtype.kind not in "iu":
         raise ValueError(f"order must be an integer, got {ks.dtype} orders")
     if not ks.size:
         raise ValueError("orders must hold at least one order K")
     if ks.min() < 1:
         raise ValueError(f"order must be a positive integer, got {ks.min()}")
     # by value: int64, or Python ints past it, so no narrow or unsigned type wraps
-    ks = (ks.astype(np.int64, copy=False) if int(ks.max()) < 1 << 63
-          else np.array([int(k) for k in ks.flat], dtype=object).reshape(ks.shape))
+    ks = ks.astype(np.int64 if int(ks.max()) < 1 << 63 else object, copy=False)
     exact = isinstance(source, ExactUnitarySpec)
     if exact:
         t, big = _theta_units(source, ks)
@@ -102,14 +103,16 @@ def order_verdicts(source, ks=1) -> OrderVerdicts:
                              f"got shape {source.shape} and dtype {source.dtype}")
         if ks.shape or ks != 1:
             raise ValueError("an array of phase differences takes only the order K = 1")
-        d, theta = source.astype(float), None
+        d, theta = np.asarray(source, dtype=float), None
         if not np.isfinite(d).all():
             raise ValueError("phase differences must be finite")
     else:
         pair, kf = source.pair(), ks.astype(float)
         d = np.fmod(kf * pair.phi, TWO_PI) - np.fmod(kf * pair.psi, TWO_PI)
         theta = np.minimum(np.abs(d), TWO_PI - np.abs(d))
-    trace_mag = 2.0 * np.abs(np.cos(d / 2.0))
+    trace_mag = np.cos(d / 2.0, out=np.empty(np.shape(d)))  # 2|cos(d/2)| in one buffer
+    np.abs(trace_mag, out=trace_mag)
+    trace_mag *= 2.0
     if exact:  # 2t - L has the sign of sqrt(2) - |tr|
         trace_mag = np.where(t == big, 0.0, trace_mag)
         margin, w = 2 * t - big, 0

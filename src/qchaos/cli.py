@@ -68,7 +68,7 @@ from .constructions import (
     source_from_json,
 )
 from .entropy import pvm_entropy_optimize
-from .jsontext import Rows, row_pieces, write
+from .jsontext import Rows, cells, row_pieces, write
 from .phases import (
     EigenphasePair,
     ExactUnitarySpec,
@@ -170,15 +170,13 @@ def _outputs(args):
 
 
 def _csv_written(blocks, file):
-    """The rows of column blocks a piece at a time, each also written to
-    ``file`` as CSV as it is taken: a header of its keys first, floats as repr."""
-    import csv  # only --csv writes one, so the CLI's import path skips csv
-
-    w = csv.writer(file, lineterminator="\n")
+    """The rows of column blocks a piece at a time, each also written to ``file`` as
+    CSV: a header, then one %s template a piece (floats as repr; no field is quoted)."""
     for i, piece in enumerate(row_pieces(blocks)):
         if i == 0:
-            w.writerow(piece)
-        w.writerows(zip(*piece.values()))
+            file.write(",".join(piece) + "\n")
+        columns = list(piece.values())
+        file.write((",".join(["%s"] * len(columns)) + "\n") * len(columns[0]) % cells(columns))
         yield piece
 
 

@@ -31,10 +31,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .chaoticity import CHAOTIC, order_verdicts
-from .phases import EigenphasePair, ExactUnitarySpec, RationalPhase, require_count
+from .phases import EigenphasePair, ExactUnitarySpec, RationalPhase, require_count, require_integer
 
 #: Fraction bits of the exact residue: a float significand plus guard bits.
 _RESIDUE_BITS = 53 + 64
@@ -42,17 +40,11 @@ _RESIDUE_BITS = 53 + 64
 _PRIME_CAP = 10_000
 
 
-def _coefficients(a, b) -> tuple[int, int]:
-    """(a, b) by value: integers (numpy integers pass, bools do not) as ints, so
-    no fixed-width type overflows in the exact arithmetic."""
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (a, b)):
-        raise ValueError("seed coefficients must be integers")
-    return int(a), int(b)
-
-
 def quadratic_trace_sequence(a: int, b: int, t_max: int) -> tuple[int, ...]:
     """s_0..s_t_max by the exact integer recurrence s_{t+1} = -a s_t - b s_{t-1}."""
-    (a, b), t_max = _coefficients(a, b), require_count("t_max", t_max)
+    a = require_integer("seed coefficient a", a)
+    b = require_integer("seed coefficient b", b)
+    t_max = require_count("t_max", t_max)
     values = [2, -a]
     for _ in range(t_max - 1):
         values.append(-a * values[-1] - b * values[-2])
@@ -82,9 +74,8 @@ class QuadraticRecipe:
     """SU(2) pair ((alpha^t mod 2) pi, (beta^t mod 2) pi) from x^2 + a x + b.
 
     The recipe is checked and built when it is made, and raises ValueError
-    unless a and b are integers (numpy integers are taken by value, bools
-    are refused), t >= 1, a, b < 0 (so D = a^2 + 4|b| > 0),
-    D is not a perfect square (otherwise the phases are rational and the
+    unless a and b are integers, t >= 1, a, b < 0 (so D = a^2 + 4|b| > 0), D
+    is not a perfect square (otherwise the phases are rational and the
     construction loses its point) and s_t is even (otherwise the pair is not
     unimodular).  Only (a, b, t) take part in ==, hash and repr; the build
     keeps s_t, the classification ("converging_to_identity" when |beta| < 1,
@@ -104,7 +95,9 @@ class QuadraticRecipe:
     _pair: EigenphasePair = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        (a, b), t = _coefficients(self.a, self.b), require_count("t", self.t)
+        a = require_integer("seed coefficient a", self.a)
+        b = require_integer("seed coefficient b", self.b)
+        t = require_count("t", self.t)
         if a >= 0 or b >= 0:
             raise ValueError(f"seed (a={a}, b={b}) is outside the a, b < 0 regime")
         d = a * a - 4 * b

@@ -8,6 +8,7 @@ raise ValueError."""
 
 import json
 import math
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 _scalar = json.JSONEncoder(allow_nan=False).encode  # str, int, bool, None, float
@@ -48,15 +49,18 @@ def _column(col: list, level: int) -> list[str]:
     return ["".join(_pieces(v, level)) for v in col]
 
 
+def cells(columns: list[list]) -> tuple:
+    """The cells of equal-length columns row by row, for one template of the rows."""
+    return tuple(chain.from_iterable(zip(*columns)))
+
+
 def _rows(piece: dict[str, list], level: int) -> str:
     """A piece of a table's rows as text, filled into one template."""
     keys, n = sorted(piece), len(next(iter(piece.values())))
     pad = "\n" + "  " * (level + 2)
     row = "{" + pad + ("," + pad).join(_scalar(k).replace("%", "%%") + ": %s" for k in keys)
-    cells = [None] * (len(keys) * n)
-    for i, k in enumerate(keys):
-        cells[i::len(keys)] = _column(piece[k], level + 2)
-    return (",\n" + "  " * (level + 1)).join([row + pad[:-2] + "}"] * n) % tuple(cells)
+    text = [_column(piece[k], level + 2) for k in keys]
+    return (",\n" + "  " * (level + 1)).join([row + pad[:-2] + "}"] * n) % cells(text)
 
 
 def _pieces(obj, level: int) -> Iterator[str]:

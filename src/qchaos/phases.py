@@ -58,10 +58,8 @@ class RationalPhase:
     p: int = 1
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in (self.m, self.p)):
-            raise ValueError("rational phase needs integer numerator and denominator")
-        m, p = int(self.m), int(self.p)
+        m = require_integer("rational phase numerator", self.m)
+        p = require_integer("rational phase denominator", self.p)
         if p == 0:
             raise ValueError("rational phase denominator must be nonzero")
         if p < 0:
@@ -86,11 +84,16 @@ def rational_phase_order(ph: RationalPhase) -> int:
     return 2 * ph.p // math.gcd(ph.m, 2 * ph.p)
 
 
-def require_count(name: str, value) -> int:
-    """A count by value: an integer >= 1 (numpy integers pass, bools do not) as an int."""
+def require_integer(name: str, value) -> int:
+    """The one integer check: an int or a numpy integer, never a bool, as an int."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
+    return int(value)
+
+
+def require_count(name: str, value) -> int:
+    """A count by value: ``require_integer``, and >= 1."""
+    if require_integer(name, value) < 1:
         raise ValueError(f"{name} must be >= 1, got {value!r}")
     return int(value)
 

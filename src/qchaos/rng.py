@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .phases import require_integer
+
 
 def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """A Generator for the given (seed, stream) key; same key, same output.
-    Both must be integers (numpy integers pass, bools do not) in [0, 2^64),
-    so that no two keys share a stream."""
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-               for v in (seed, stream)):
-        raise ValueError("seed and stream must be integers")
-    seed, stream = int(seed), int(stream)
+    Both must be integers (``require_integer``) in [0, 2^64): no two keys share a stream."""
+    seed, stream = require_integer("seed", seed), require_integer("stream", stream)
     if not (0 <= seed < 1 << 64 and 0 <= stream < 1 << 64):
         raise ValueError(f"seed and stream must lie in [0, 2**64), got {seed} and {stream}")
     key = (seed << 64) | stream

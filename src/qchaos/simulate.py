@@ -69,19 +69,18 @@ def _symbols(sequence, d, name: str) -> tuple[np.ndarray, int]:
 
 def _qubit_block(draws: np.ndarray, t0: float, t1: float, first: int,
                  out: np.ndarray) -> None:
-    """Write the qubit outcomes of one block of draws to ``out``: ``first`` at
-    index 0, then x -> [u_i >= t_x] for u_i = draws[i], without a per-step loop."""
-    after0 = draws >= t0  # the next outcome when the last one is 0
-    after1 = draws >= t1  # ... and when it is 1
+    """Write the qubit outcomes x_0 = ``first``, x_i = [u_i >= t_{x_{i-1}}] of a
+    block of draws u to ``out``.  A step whose two candidates agree is a reset;
+    any other XORs the last outcome with the after-0 one.  With Y the running XOR
+    of the after-0 outcomes, x_i = Y_i ^ Y_{r-1} for the last reset r <= i (index 0
+    is one, Y_{-1} = 0), so the block needs no per-step loop."""
+    after0 = (draws >= t0).view(np.uint8)  # the next outcome when the last one is 0
+    after1 = (draws >= t1).view(np.uint8)  # ... and when it is 1
     after0[0] = after1[0] = first
-    const = after0 == after1
-    parity = np.bitwise_xor.accumulate((after0 > after1).view(np.uint8))
-    held = after0[const].view(np.uint8) ^ parity[const]
-    held[1:] ^= held[:-1].copy()  # as jumps: their xor-accumulate holds each value
-    jumps = np.zeros_like(parity)
-    jumps[const] = held
-    np.bitwise_xor.accumulate(jumps, out=out)
-    out ^= parity
+    resets = np.flatnonzero(after0 == after1)
+    np.bitwise_xor.accumulate(after0, out=out)
+    before = out[resets] ^ after0[resets]  # Y just before each reset
+    out ^= np.repeat(before, np.diff(resets, append=out.size))
 
 
 def _outcome_blocks(unitary, basis: PvmBasis, steps: int, seed: int,
@@ -135,10 +134,11 @@ def sample_trajectory(unitary, basis: PvmBasis, steps: int, seed: int,
     Every later one follows the chain P_{i->j} = |<phi_j|U^period|phi_i>|^2:
     the first j with u_i < cum_{x,j}, for previous outcome x.  The uniform
     u_i come from the stream keyed (seed, 0); there is no ambient randomness.
-    For a qubit each step x -> [u_i >= cum_{x,0}] is constant 0 or 1, the
-    identity or the flip, so an outcome is the last constant step's value (the
-    first outcome is one) XOR the parity of the flips since.  The array code
-    makes the per-step loop's float comparisons, so it gives the same stream.
+    For a qubit a step x -> [u_i >= cum_{x,0}] whose two candidates agree is a
+    reset (the first outcome is one), and any other XORs the last outcome with
+    the after-0 one: an outcome is the XOR of the after-0 outcomes since the
+    last reset.  The array code makes the loop's float comparisons, so it gives
+    the same stream.
 
     The result is filled from the block sampler that ``entropy_rate_experiment``
     streams: the draws are made and used in blocks of _BLOCK steps, each block

@@ -185,7 +185,7 @@ class TestQuadraticTraceSequence:
 
     def test_rejects_non_integer_coefficients(self):
         for a, b in [(-1.0, -1), (-1, True), (np.bool_(True), -1)]:
-            with pytest.raises(ValueError, match="coefficients must be integers"):
+            with pytest.raises(ValueError, match="seed coefficient [ab] must be an integer"):
                 quadratic_trace_sequence(a, b, 3)
 
 
@@ -241,7 +241,7 @@ class TestQuadraticRecipe:
 
     def test_rejects_non_integer_coefficients(self):
         for a, b in [(-1.0, -1), (-1, -1.0), (True, -1), (-1, True), (np.bool_(True), -1)]:
-            with pytest.raises(ValueError, match="coefficients must be integers"):
+            with pytest.raises(ValueError, match="seed coefficient [ab] must be an integer"):
                 QuadraticRecipe(a, b, 3)
 
     @pytest.mark.parametrize("a,b", [(np.int64(-1), -1), (-1, np.int32(-1)),

@@ -162,7 +162,7 @@ class TestRationalPhase:
         with pytest.raises(ValueError):
             RationalPhase(1, 0)
         for m, p in ((1.5, 2), (True, 2), (1, True), (np.bool_(True), 2)):
-            with pytest.raises(ValueError, match="needs integer numerator and denominator"):
+            with pytest.raises(ValueError, match="rational phase (numerator|denominator) must be an integer"):
                 RationalPhase(m, p)  # type: ignore[arg-type]
 
     def test_numpy_integers_are_their_python_values(self):

@@ -260,6 +260,28 @@ class TestSamplerMatchesPerStepLoop:
                                       period=period)
 
 
+class TestQubitKernel:
+    """``_qubit_block`` against the recurrence x_i = [u_i >= t_{x_{i-1}}] it solves."""
+
+    threshold = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(t0=threshold, t1=threshold, same=st.booleans(), first=st.integers(0, 1),
+           picks=st.lists(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                                    st.sampled_from(["t0", "t1"])),
+                          min_size=1, max_size=300))
+    def test_equals_the_recurrence(self, t0, t1, same, first, picks):
+        t1 = t0 if same else t1  # t0 == t1: every step is a reset
+        draws = np.array([{"t0": t0, "t1": t1}.get(p, p) for p in picks])
+        want, x = [first], first
+        for u in draws[1:]:
+            x = int(u >= (t0, t1)[x])
+            want.append(x)
+        out = np.empty(draws.size, dtype=np.uint8)
+        simulate._qubit_block(draws, t0, t1, first, out)
+        assert out.tolist() == want
+
+
 class TestBlocks:
     """The sampler and the estimator work in blocks of simulate._BLOCK; the
     outputs do not depend on where the blocks end."""
@@ -713,7 +735,7 @@ class TestStreamKeys:
     @pytest.mark.parametrize("seed,stream", [(True, 0), (0, False), (1.0, 0), ("1", 0)])
     def test_rejects_keys_that_are_not_integers(self, seed, stream):
         # a bool is an int, but seed=True would silently be seed 1
-        with pytest.raises(ValueError, match="seed and stream must be integers"):
+        with pytest.raises(ValueError, match="(seed|stream) must be an integer"):
             stream_generator(seed, stream)
 
     def test_numpy_integer_keys_are_their_python_values(self):
