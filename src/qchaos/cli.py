@@ -3,9 +3,9 @@
 Every command emits a JSON document with an embedded run manifest (command,
 resolved parameters, seed, version, timestamp).  Re-running a command with
 the same arguments reproduces the document bit-identically apart from the
-timestamp (census's at any --threads).  A flag is registered only on the
-commands it acts on, and a flag the source would drop exits 2: a phase beside
---spec-json or --unitary-json, or --global-phase beside an inexact phase.
+timestamp.  A flag is registered only on the commands it acts on, and a flag
+the source would drop exits 2: a phase beside --spec-json or --unitary-json,
+or --global-phase beside an inexact phase.
 ``resolve_source`` gives a float pair, an exact spec (decided exactly) or a
 quadratic recipe; the documents write its ``kind``, ``rationality`` and
 ``to_json()``, scans run on it, and other commands on ``source.pair()``.
@@ -18,7 +18,9 @@ writes every document, floats at 12 significant digits, each table (the scan
 rows, the noise walk, and the scan's --csv) a piece of rows at a time as its
 blocks come, so no command holds memory that grows with --k-max or --steps.
 The --json and --csv files are opened before either is written, and a failed
-command removes them; an empty path exits 2.  The documents follow
+command removes them; an empty path exits 2, and so do two outputs that are
+one file (--json, --csv, and PREFIX.stream and PREFIX.json of --out), before
+the command runs.  The documents follow
 ``schemas/output.schema.json``, the output contract, checked by the test
 suite rather than on every run.  Exit codes: 0 success, 2 validation error.
 
@@ -282,9 +284,7 @@ def cmd_construct(args) -> dict:
 
 
 def cmd_census(args) -> dict:
-    result = monte_carlo_chaotic_fraction(args.n, args.seed, threads=args.threads)
-    # thread count is a scheduling knob, not a result parameter: outputs are
-    # contractually identical across --threads, so it stays out of the manifest
+    result = monte_carlo_chaotic_fraction(args.n, args.seed)
     return {"manifest": _manifest("census", {"n": args.n}, args.seed),
             "census": result._asdict()}
 
@@ -352,6 +352,21 @@ def cmd_optimize(args) -> dict:
                                                "max_iters": args.max_iters,
                                                "match_tol": args.match_tol}, args.seed),
             "optimize": body}
+
+
+def _require_distinct_outputs(args) -> None:
+    """Raise ValueError if two files the command would write resolve to one file."""
+    out = getattr(args, "out", None)
+    paths = [("--json", None if args.json == "-" else args.json),
+             ("--csv", getattr(args, "csv", None))]
+    paths += [("--out", out and f"{Path(out)}{suffix}") for suffix in (".stream", ".json")]
+    seen = {}
+    for flag, path in paths:
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ValueError(f"{seen[real]} and {flag} name one file, {path}")
+            seen[real] = flag
 
 
 def _path(text: str) -> str:
@@ -428,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="uniform-psi chaotic-fraction census")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap; results are independent of this value")
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_census)
 
@@ -469,6 +482,7 @@ def main(argv=None) -> int:
         gc.freeze()  # loses nothing, as every output file is closed and stdout is flushed
     args = build_parser().parse_args(argv)
     try:
+        _require_distinct_outputs(args)
         _emit(args.func(args), args)  # each command builds its document
         return 0
     except (ValueError, OSError) as exc:

@@ -2,8 +2,9 @@
 
 Every stochastic routine in the package draws from a Philox generator keyed
 by (seed, stream): Philox is counter-based, so a stream's output is a pure
-function of its key and position.  Parallel workers own disjoint stream ids
-and results merge independently of scheduling.
+function of its key and position.  A routine that draws from several streams
+numbers them 0, 1, 2, ... under the caller's seed: the census one per chunk,
+the optimizer one per restart.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -36,7 +35,8 @@ from .jsontext import dumps
 from .phases import EigenphasePair, TWO_PI, mod_2pi, require_count, unitary_power
 from .rng import stream_generator
 
-#: Census trials per stream chunk; fixed so results are thread-count independent.
+#: Census trials per stream chunk.  Part of the census's definition: chunk c
+#: is drawn from stream (seed, c), so changing it changes every count.
 CENSUS_CHUNK = 1 << 15
 #: Steps per block of the sampler and the noise walk, and the fewest windows
 #: per bincount of the estimator.  Measured on a 2-core Linux machine: at 2^14
@@ -271,34 +271,17 @@ def _census_chunk(seed: int, chunk: int, buf: np.ndarray, ends: list[float]) -> 
     return above[0] - above[1] + above[2] - above[3]
 
 
-def monte_carlo_chaotic_fraction(n_trials: int, seed: int,
-                                 threads: int = 1) -> CensusResult:
+def monte_carlo_chaotic_fraction(n_trials: int, seed: int) -> CensusResult:
     """Draw psi uniform on [0, 2*pi), build the SU(2) pair, count chaotic verdicts.
 
-    ``boundary`` verdicts are not counted.  Trials are split into fixed chunks
-    with one counter-based stream each, so the count is identical for any
-    thread count.  Each worker draws its chunks into one buffer of its own;
-    one worker runs them inline, and a pool of at most one worker per chunk
-    and per CPU is started only for more.
+    ``boundary`` verdicts are not counted.  Chunk c holds trials
+    c*CENSUS_CHUNK onwards, drawn from stream (seed, c) into one reused buffer.
     """
     n_trials = require_count("n_trials", n_trials)
-    threads = require_count("threads", threads)
-    n_chunks = -(-n_trials // CENSUS_CHUNK)
-    workers = min(threads, n_chunks, os.cpu_count() or 1)
     ends = _census_ends()
-
-    def count(first: int) -> int:  # chunks first, first + workers, ...
-        buf = np.empty(min(CENSUS_CHUNK, n_trials))
-        return sum(_census_chunk(seed, c, buf[:min(CENSUS_CHUNK, n_trials - c * CENSUS_CHUNK)],
-                                 ends)
-                   for c in range(first, n_chunks, workers))
-
-    if workers == 1:
-        chaotic = count(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chaotic = sum(pool.map(count, range(workers)))
+    buf = np.empty(min(CENSUS_CHUNK, n_trials))
+    chaotic = sum(_census_chunk(seed, c, buf[:min(CENSUS_CHUNK, n_trials - start)], ends)
+                  for c, start in enumerate(range(0, n_trials, CENSUS_CHUNK)))
     return CensusResult(n_trials, chaotic, chaotic / n_trials,
                         3.0 * math.sqrt(0.25 / n_trials))
 

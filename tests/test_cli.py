@@ -258,13 +258,14 @@ class TestFlags:
         ["optimize", "--psi", "1/3", "--threads", "2"],
         ["simulate", "--psi", "1/2", "--steps", "100", "--threads", "2"],
         ["noise", "--psi", "1/2", "--epsilon", "0.1", "--threads", "2"],
+        ["census", "--n", "100", "--threads", "2"],
         ["optimize", "--psi", "1/3", "--global-phase", "1/4"],
         ["simulate", "--psi", "1/2", "--steps", "100", "--global-phase", "1/4"],
         ["noise", "--psi", "1/2", "--epsilon", "0.1", "--global-phase", "1/4"],
     ], ids=["analyze-precision-bits", "analyze-out", "scan-seed", "analyze-threads",
             "scan-threads", "construct-rational-threads", "construct-order-k-threads",
             "construct-quadratic-threads", "optimize-threads", "simulate-threads",
-            "noise-threads", "optimize-global-phase", "simulate-global-phase",
+            "noise-threads", "census-threads", "optimize-global-phase", "simulate-global-phase",
             "noise-global-phase"])
     def test_inapplicable_flag_is_exit_2(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -298,8 +299,6 @@ class TestFlags:
         (["optimize", "--psi", "1/3", "--match-tol", "-0.001"], "match-tol must be finite"),
         (["optimize", "--psi", "1/3", "--restarts", "0"], "restarts must be >= 1"),
         (["optimize", "--psi", "1/3", "--max-iters", "0"], "max_iters must be >= 1"),
-        (["census", "--n", "100", "--threads", "0"], "threads must be >= 1"),
-        (["census", "--n", "100", "--threads", "-3"], "threads must be >= 1"),
         (["analyze", "--phi", "1/3", "--psi", "2/3", "--global-phase", "0.25"],
          "--global-phase needs"),
         (["analyze", "--phi", "0.2", "--psi", "0.5", "--global-phase", "1/4"],
@@ -320,8 +319,7 @@ class TestFlags:
          "n_cap must be >= 1, got 0"),
     ], ids=["noise-epsilon-nan", "noise-epsilon-inf", "noise-epsilon-huge",
             "optimize-match-tol-nan", "optimize-match-tol-inf", "optimize-match-tol-negative",
-            "optimize-restarts-0", "optimize-max-iters-0", "census-threads-0",
-            "census-threads-negative", "analyze-float-global-phase",
+            "optimize-restarts-0", "optimize-max-iters-0", "analyze-float-global-phase",
             "analyze-float-phases-global-phase", "scan-float-completion-global-phase",
             "analyze-radian-global-phase", "construct-rational-float-phase",
             "construct-rational-float-global-phase", "census-seed-negative",
@@ -456,6 +454,40 @@ class TestFlags:
         assert code == 2 and written[0] > 2 * 1024 * 100  # two pieces of rows
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("args,flags", [
+        (["scan", "--psi", "1/3", "--k-max", "3", "--json", "F", "--csv", "F"], "--json and --csv"),
+        (["scan", "--psi", "1/3", "--k-max", "3", "--json", "F", "--csv", "link"],
+         "--json and --csv"),
+        (["simulate", "--psi", "1/2", "--steps", "1000", "--out", "P", "--json", "P.stream"],
+         "--json and --out"),
+        (["simulate", "--psi", "1/2", "--steps", "1000", "--out", "P", "--json", "P.json"],
+         "--json and --out"),
+        (["scan", "--psi", "1/3", "--k-max", "3", "--json", "F", "--csv", "./F"],
+         "--json and --csv"),
+    ], ids=["scan-json-csv", "scan-csv-symlink", "simulate-json-stream", "simulate-json-sidecar",
+            "scan-csv-dot-path"])
+    def test_two_outputs_in_one_file_are_exit_2(self, args, flags, tmp_path, monkeypatch,
+                                                capsys):
+        # checked before the command runs, so neither output is begun
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link").symlink_to("F")
+        assert main(args) == 2
+        assert f"{flags} name one file" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["link"]
+
+    @pytest.mark.parametrize("args,files", [
+        (["scan", "--psi", "1/3", "--k-max", "3", "--json", "-", "--csv", "F"], ["F"]),
+        (["simulate", "--psi", "1/2", "--steps", "1000", "--out", "P", "--json", "P.doc"],
+         ["P.doc", "P.json", "P.stream"]),
+    ], ids=["scan-stdout-json", "simulate-own-json"])
+    def test_distinct_outputs_are_all_written(self, args, files, tmp_path, monkeypatch,
+                                              capsys):
+        # "-" is stdout, not a file, and a --json beside PREFIX.* is its own file
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
+        assert all((tmp_path / name).stat().st_size > 0 for name in files)
+
 
 class TestBoundedMemory:
     """Each table is written a piece of rows at a time as its blocks are
@@ -487,13 +519,6 @@ class TestCensus:
         code, doc = run_cli(["census", "--n", "100000", "--seed", "1"], tmp_path)
         assert code == 0
         assert 0.4953 <= doc["census"]["fraction"] <= 0.5047
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        _, a = run_cli(["census", "--n", "100000", "--seed", "5", "--threads", "1"],
-                       tmp_path, "a.json")
-        _, b = run_cli(["census", "--n", "100000", "--seed", "5", "--threads", "4"],
-                       tmp_path, "b.json")
-        assert stripped(a) == stripped(b)
 
 
 class TestSimulate:

@@ -2,7 +2,6 @@
 
 import bisect
 import cmath
-import concurrent.futures
 import math
 import os
 import subprocess
@@ -533,11 +532,6 @@ class TestCensus:
         assert (monte_carlo_chaotic_fraction(50000, seed=8)
                 == monte_carlo_chaotic_fraction(50000, seed=8))
 
-    def test_thread_count_invariance(self):
-        a = monte_carlo_chaotic_fraction(10 ** 5, seed=2, threads=1)
-        b = monte_carlo_chaotic_fraction(10 ** 5, seed=2, threads=4)
-        assert a == b
-
     def test_band_scales_with_n(self):
         for n in (10 ** 3, 10 ** 4, 10 ** 5):
             res = monte_carlo_chaotic_fraction(n, seed=6)
@@ -558,15 +552,27 @@ class TestCensus:
             monte_carlo_chaotic_fraction(0, seed=0)
 
     @pytest.mark.parametrize("kw", [{"n_trials": 100.0}, {"n_trials": "100"},
-                                    {"threads": 2.0}, {"threads": None}, {"n_trials": True}])
+                                    {"n_trials": True}])
     def test_rejects_non_integer_counts(self, kw):
         args = {"n_trials": 100, "seed": 1, **kw}
         field = next(iter(kw))
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             monte_carlo_chaotic_fraction(**args)
 
+    @pytest.mark.parametrize("seed", [1.0, None])
+    def test_rejects_non_integer_seeds(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            monte_carlo_chaotic_fraction(100, seed)
+
+    @pytest.mark.parametrize("n, seed, want", [
+        (10 ** 5, 1, 50134), (2 * 10 ** 7, 1087608058291172413, 10000961), (12345, 7, 6211),
+        (1, 3, 0), (98305, 2, 49312)])
+    def test_counts_are_pinned(self, n, seed, want):
+        # chunk c is stream (seed, c), so a change of chunking changes these counts
+        assert monte_carlo_chaotic_fraction(n, seed).chaotic_count == want
+
     def test_accepts_numpy_integer_counts(self):
-        assert (monte_carlo_chaotic_fraction(np.int64(1000), seed=1, threads=np.int32(2))
+        assert (monte_carlo_chaotic_fraction(np.int64(1000), seed=1)
                 == monte_carlo_chaotic_fraction(1000, seed=1))
 
     def test_unsigned_counts_are_taken_by_value(self):
@@ -579,33 +585,13 @@ class TestCensus:
         assert out.stdout.strip() == "[True, True, True]"
 
 
-class _RecordingPool:
-    """Stands in for ThreadPoolExecutor: records max_workers, maps in the
-    calling thread and starts no thread."""
-
-    workers: list = []
-
-    def __init__(self, max_workers):
-        self.workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 class TestCensusMatchesPerChunkKernel:
     @pytest.mark.parametrize("n", [1, CENSUS_CHUNK - 1, CENSUS_CHUNK, CENSUS_CHUNK + 1,
                                    3 * CENSUS_CHUNK + 17])
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2 ** 64 - 1])
     def test_count_equals_the_kernel_count(self, n, seed):
         want = reference_census_count(n, seed)
-        for threads in (1, 3):
-            assert monte_carlo_chaotic_fraction(n, seed, threads).chaotic_count == want
+        assert monte_carlo_chaotic_fraction(n, seed).chaotic_count == want
 
     @pytest.mark.parametrize("seed", [0, 3, 2 ** 64 - 1])
     def test_scaled_draws_are_twice_the_uniform_psi(self, seed):
@@ -613,23 +599,6 @@ class TestCensusMatchesPerChunkKernel:
         d = stream_generator(seed, 2).random(CENSUS_CHUNK) * (2.0 * TWO_PI)
         psis = stream_generator(seed, 2).uniform(0.0, TWO_PI, CENSUS_CHUNK)
         assert d.tobytes() == (2.0 * psis).tobytes()
-
-    @pytest.mark.parametrize("threads, n, cpus, want", [
-        (100_000, 3 * CENSUS_CHUNK + 1, 8, 4),
-        (100_000, 10 * CENSUS_CHUNK, 8, 8),
-        (100_000, 10 * CENSUS_CHUNK, None, 1),
-        (100_000, 1, 8, 1),
-        (1, 10 * CENSUS_CHUNK, 8, 1),
-        (2, 10 * CENSUS_CHUNK, 8, 2),
-    ])
-    def test_workers_are_capped_by_chunks_and_cpus(self, monkeypatch, threads, n, cpus, want):
-        # one worker runs the chunks inline and starts no pool
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(_RecordingPool, "workers", [])
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        res = monte_carlo_chaotic_fraction(n, seed=5, threads=threads)
-        assert _RecordingPool.workers == ([want] if want > 1 else [])
-        assert res.chaotic_count == reference_census_count(n, 5)
 
     def test_one_worker_imports_no_pool(self, tmp_path):
         probe = ("import sys, qchaos.cli; qchaos.cli.main(sys.argv[1:]); "
