@@ -32,7 +32,7 @@ _SUBMODULE = {name: module for module, names in (
     ("simulate", "CensusResult EntropyRateExperiment InsufficientDataError "
                  "empirical_entropy_rate entropy_rate_experiment "
                  "monte_carlo_chaotic_fraction noisy_phase_walk "
-                 "sample_trajectory write_trajectory_outputs"),
+                 "sample_trajectory"),
     ("rng", "stream_generator"),
 ) for name in names.split()}
 

@@ -10,17 +10,19 @@ or --global-phase beside an inexact phase.
 quadratic recipe; the documents write its ``kind``, ``rationality`` and
 ``to_json()``, scans run on it, and other commands on ``source.pair()``.
 ``simulate`` is ``simulate.entropy_rate_experiment``, the one pipeline,
-over the basis names computational, x and optimized; with --out it writes
-PREFIX.stream block by block as it samples, then the sidecar PREFIX.json.
+over the basis names computational, x and optimized (fitted to U^period);
+with --out it writes PREFIX.stream block by block as it samples, and its
+document also to PREFIX.json.
 ``noise`` counts the verdicts of the walk's blocks as they come; --full then
 draws the walk again from its seed to write its rows.  ``jsontext.write``
 writes every document, floats at 12 significant digits, each table (the scan
 rows, the noise walk, and the scan's --csv) a piece of rows at a time as its
 blocks come, so no command holds memory that grows with --k-max or --steps.
-The --json and --csv files are opened before either is written, and a failed
-command removes them; an empty path exits 2, and so do two outputs that are
-one file (--json, --csv, and PREFIX.stream and PREFIX.json of --out), before
-the command runs.  The documents follow
+``_outputs`` owns every file a command writes (--json, --csv, and
+PREFIX.stream and PREFIX.json of --out): it opens them all before the command
+runs, and a failed command, its argument checks included, removes them; an
+empty path exits 2, and so do two outputs that are one file, before any is
+opened.  The documents follow
 ``schemas/output.schema.json``, the output contract, checked by the test
 suite rather than on every run.  Exit codes: 0 success, 2 validation error.
 
@@ -87,7 +89,6 @@ from .simulate import (
     entropy_rate_experiment,
     monte_carlo_chaotic_fraction,
     noisy_phase_walk,
-    write_trajectory_outputs,
 )
 
 
@@ -155,14 +156,28 @@ def _manifest(command: str, parameters: dict, seed: int | None) -> dict:
 
 @contextlib.contextmanager
 def _outputs(args):
-    """The --json file (stdout for '-') and the --csv file (None without one),
-    both opened before either is written.  If the command then fails, each is
-    closed and, when a regular file, removed, so an exit 2 leaves neither."""
+    """Every file the command writes, opened before it runs: the --json file
+    (stdout for '-'), the --csv file, and PREFIX.stream and PREFIX.json of
+    --out, each None when not asked for.  Two that resolve to one file raise
+    ValueError before any is opened.  If the command then fails, each is closed
+    and, when a regular file, removed, so an exit 2 leaves none of them."""
+    out = getattr(args, "out", None)
+    wanted = [("--json", None if args.json == "-" else args.json, "w"),
+              ("--csv", getattr(args, "csv", None), "w"),
+              ("--out", out and f"{Path(out)}.stream", "wb"),
+              ("--out", out and f"{Path(out)}.json", "w")]
+    seen = {}
+    for flag, path, _ in wanted:
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ValueError(f"{seen[real]} and {flag} name one file, {path}")
+            seen[real] = flag
     opened, done = [], False
     try:
-        for path in (None if args.json == "-" else args.json, getattr(args, "csv", None)):
-            opened.append(path and open(path, "w"))
-        yield opened[0] or sys.stdout, opened[1]
+        for _, path, mode in wanted:
+            opened.append(path and open(path, mode))
+        yield opened[0] or sys.stdout, *opened[1:]
         done = True
     finally:
         for f in filter(None, opened):
@@ -182,13 +197,14 @@ def _csv_written(blocks, file):
         yield piece
 
 
-def _emit(doc: dict, args) -> None:
-    """Write ``doc`` to --json as it is formatted, and with --csv its "scan"
-    rows to that file as they are; a NaN or inf raises ValueError."""
-    with _outputs(args) as (out, csv_file):
-        if csv_file is not None:
-            doc = dict(doc, scan=Rows(_csv_written(doc["scan"].blocks, csv_file)))
-        write(doc, out)
+def _emit(doc: dict, out, csv_file=None, sidecar=None) -> None:
+    """Write ``doc`` to ``out`` (--json) and to ``sidecar`` (PREFIX.json) as it
+    is formatted, and with ``csv_file`` (--csv) its "scan" rows to that file as
+    they are; a NaN or inf raises ValueError."""
+    if csv_file is not None:
+        doc = dict(doc, scan=Rows(_csv_written(doc["scan"].blocks, csv_file)))
+    for file in filter(None, (out, sidecar)):
+        write(doc, file)
 
 
 _LABELS = np.array(VERDICT_LABELS, dtype=object)  # verdict codes -> the label strings
@@ -292,11 +308,11 @@ def cmd_census(args) -> dict:
 def cmd_simulate(args) -> dict:
     pair = resolve_source(args).pair()
     run = entropy_rate_experiment(pair, args.basis, args.steps, args.block_len, args.seed,
-                                  args.period, args.out)
+                                  args.period, args.stream)
     config_doc = {"phi": pair.phi, "psi": pair.psi, "basis": args.basis,
                   "steps": args.steps, "period": args.period,
                   "block_len": args.block_len, "initial": "maximally_mixed"}
-    doc = {
+    return {
         "manifest": _manifest("simulate", config_doc, args.seed),
         "config": config_doc,
         "seed": args.seed,
@@ -304,9 +320,6 @@ def cmd_simulate(args) -> dict:
         "predicted_rate": run.predicted,
         "abs_diff": run.abs_diff,
     }
-    if args.out is not None:  # the stream is written by now
-        write_trajectory_outputs(args.out, doc)
-    return doc
 
 
 def cmd_noise(args) -> dict:
@@ -352,21 +365,6 @@ def cmd_optimize(args) -> dict:
                                                "max_iters": args.max_iters,
                                                "match_tol": args.match_tol}, args.seed),
             "optimize": body}
-
-
-def _require_distinct_outputs(args) -> None:
-    """Raise ValueError if two files the command would write resolve to one file."""
-    out = getattr(args, "out", None)
-    paths = [("--json", None if args.json == "-" else args.json),
-             ("--csv", getattr(args, "csv", None))]
-    paths += [("--out", out and f"{Path(out)}{suffix}") for suffix in (".stream", ".json")]
-    seen = {}
-    for flag, path in paths:
-        if path:
-            real = os.path.realpath(path)
-            if real in seen:
-                raise ValueError(f"{seen[real]} and {flag} name one file, {path}")
-            seen[real] = flag
 
 
 def _path(text: str) -> str:
@@ -482,8 +480,9 @@ def main(argv=None) -> int:
         gc.freeze()  # loses nothing, as every output file is closed and stdout is flushed
     args = build_parser().parse_args(argv)
     try:
-        _require_distinct_outputs(args)
-        _emit(args.func(args), args)  # each command builds its document
+        with _outputs(args) as (out, csv_file, stream, sidecar):
+            args.stream = stream  # simulate --out samples into it as it runs
+            _emit(args.func(args), out, csv_file, sidecar)  # each command builds its document
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,9 @@
 """The one JSON writer of qchaos documents: ``write(doc, file)`` writes the text
-of ``doc`` in pieces and ``dumps(doc)`` joins them.  For string-keyed doc that is
-``json.dumps(doc', indent=2, sort_keys=True, allow_nan=False) + "\\n"``, doc'
-being doc with every float rounded to 12 significant digits and every ``Rows``
-table expanded into its rows.  A table is written _PIECE rows at a time, one
-%-template a piece, so no table, column or text is held whole.  NaN and inf
-raise ValueError."""
+of ``doc`` in pieces.  For string-keyed doc that is ``json.dumps(doc', indent=2,
+sort_keys=True, allow_nan=False) + "\\n"``, doc' being doc with every float
+rounded to 12 significant digits and every ``Rows`` table expanded into its
+rows.  A table is written _PIECE rows at a time, one %-template a piece, so no
+table, column or text is held whole.  NaN and inf raise ValueError."""
 
 import json
 import math
@@ -85,12 +84,7 @@ def _pieces(obj, level: int) -> Iterator[str]:
 
 
 def write(doc, file) -> None:
-    """Write the document's text to ``file`` piece by piece, as ``dumps`` gives it;
-    a ValueError leaves the pieces before it written."""
+    """Write the document's text to ``file`` piece by piece; a ValueError leaves
+    the pieces before it written."""
     file.writelines(_pieces(doc, 0))
     file.write("\n")
-
-
-def dumps(doc) -> str:
-    """The document's text: the pieces ``write`` writes, joined."""
-    return "".join(_pieces(doc, 0)) + "\n"

@@ -6,32 +6,31 @@ samples such trajectories reproducibly from counter-based streams keyed by the
 caller's seed (a qubit's with array code, larger d step by step), estimates
 entropy rates with a plug-in conditional block estimator (the one pipeline of
 basis, samples, estimate and prediction is ``entropy_rate_experiment``, with
-the bases "computational", "x" and "optimized"), runs the uniform-phase
-chaoticity census, and applies the phase-noise model that perturbs (phi, psi)
-to (phi + lambda, psi - lambda).  Every stochastic command runs in memory that
-does not grow with its length: there is one block sampler, one window counter
-and one noise-block kernel, each working in blocks of _BLOCK steps.
-``entropy_rate_experiment`` samples each block once, writes it to the stream
-file and counts its windows, carrying the last L symbols into the next block;
-``noisy_phase_walk`` yields the walk block by block.  ``sample_trajectory``
-and ``empirical_entropy_rate`` fill from and call the same kernels.  Every
-routine takes plain arguments, and ``stream_generator`` is the one check of a
-seed.  The noise walk takes its verdicts from ``chaoticity.order_verdicts``;
-so does the census: its chaotic draws form two intervals, whose four ends it
-finds once per call by bisecting that kernel, and it counts the draws in them."""
+the bases "computational", "x" and "optimized", the last fitted to U^K), runs
+the uniform-phase chaoticity census, and applies the phase-noise model that
+perturbs (phi, psi) to (phi + lambda, psi - lambda).  Every stochastic command
+runs in memory that does not grow with its length: there is one block sampler,
+one window counter and one noise-block kernel, each working in blocks of
+_BLOCK steps.  ``entropy_rate_experiment`` samples each block once, writes it
+to the open stream file it is given and counts its windows, carrying the last
+L symbols into the next block; ``noisy_phase_walk`` yields the walk block by
+block.  ``sample_trajectory`` and ``empirical_entropy_rate`` fill from and call
+the same kernels.  Every routine takes plain arguments, and
+``stream_generator`` is the one check of a seed.  The noise walk takes its
+verdicts from ``chaoticity.order_verdicts``; so does the census: its chaotic
+draws form two intervals, whose four ends it finds once per call by bisecting
+that kernel, and it counts the draws in them."""
 
 from __future__ import annotations
 
 import bisect
 import math
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .chaoticity import CHAOTIC, order_verdicts
 from .entropy import PvmBasis, markov_entropy_rate, pvm_entropy_optimize, transition_matrix
-from .jsontext import dumps
 from .phases import EigenphasePair, TWO_PI, mod_2pi, require_count, unitary_power
 from .rng import stream_generator
 
@@ -83,13 +82,13 @@ def _qubit_block(draws: np.ndarray, t0: float, t1: float, first: int,
     out ^= np.repeat(before, np.diff(resets, append=out.size))
 
 
-def _outcome_blocks(unitary, basis: PvmBasis, steps: int, seed: int,
-                    period: int) -> Iterator[np.ndarray]:
-    """The block sampler: the outcomes of ``sample_trajectory``, in blocks of at
-    most _BLOCK steps, for counts its callers have taken by value.  The other
-    arguments are checked and the stream made here, at the call; each block is
-    a view of one buffer that the next block overwrites."""
-    u_eff = unitary_power(unitary, period)
+def _outcome_blocks(u_eff: np.ndarray, basis: PvmBasis, steps: int,
+                    seed: int) -> Iterator[np.ndarray]:
+    """The block sampler: the outcomes of ``sample_trajectory`` for the matrix
+    ``u_eff`` of U^period, in blocks of at most _BLOCK steps, for a count its
+    callers have taken by value.  The other arguments are checked and the
+    stream made here, at the call; each block is a view of one buffer that the
+    next block overwrites."""
     d = u_eff.shape[0]
     if d != basis.d:
         raise ValueError(f"unitary dimension {d} != basis dimension {basis.d}")
@@ -147,7 +146,7 @@ def sample_trajectory(unitary, basis: PvmBasis, steps: int, seed: int,
     of the result, memory does not grow with ``steps``.
     """
     steps, period = require_count("steps", steps), require_count("period", period)
-    blocks = _outcome_blocks(unitary, basis, steps, seed, period)
+    blocks = _outcome_blocks(unitary_power(unitary, period), basis, steps, seed)
     out = np.empty(steps, dtype=np.uint8)
     lo = 0
     for block in blocks:
@@ -326,8 +325,9 @@ def _noise_blocks(gen: np.random.Generator, base: EigenphasePair, half: float,
         yield NoiseWalk(phi, psi, verdicts.trace_mag, verdicts.codes)
 
 
-#: The measurement bases by name, each built from U and the seed: the
-#: optimized one is the PVM entropy maximizer's, with restarts keyed by the seed.
+#: The measurement bases by name, each built from the measured map U^period and
+#: the seed: the optimized one is the PVM entropy maximizer's for that map, with
+#: restarts keyed by the seed.
 _BASIS_CHOICES = {
     "computational": lambda u, seed: PvmBasis.computational(),
     "x": lambda u, seed: PvmBasis.x_basis(),
@@ -349,12 +349,14 @@ def entropy_rate_experiment(pair: EigenphasePair, basis: str, steps: int, block_
     """The measured dynamics of a pair: choose the basis, sample, estimate, predict.
 
     ``basis`` names a key of _BASIS_CHOICES: "computational", "x" (the |+>, |->
-    basis against the eigenframe) or "optimized".  The outcomes are those of
+    basis against the eigenframe) or "optimized", the basis that maximizes the
+    PVM entropy of U^period, the map measured, so its prediction is the
+    order-period entropy.  The outcomes are those of
     ``sample_trajectory(pair, basis, steps, seed, period)``, from the stream
     keyed (seed, 0), and the estimate is ``empirical_entropy_rate`` of them
     with L = block_len; the prediction is the Markov entropy rate of the exact
     transition matrix of U^period.  Each block of outcomes is sampled once,
-    written to OUT.stream when ``out``, a path prefix, is given (one byte per
+    written to ``out``, an open binary file, when it is given (one byte per
     outcome), and passed to the window counter, so a run holds no memory that
     grows with ``steps``.  The outcomes are not returned: ``sample_trajectory``
     with the same arguments gives them again.
@@ -363,11 +365,12 @@ def entropy_rate_experiment(pair: EigenphasePair, basis: str, steps: int, block_
     block_len = require_count("block length", block_len)
     if basis not in _BASIS_CHOICES:
         raise ValueError(f"basis must be one of {', '.join(_BASIS_CHOICES)}, got {basis!r}")
-    pvm = _BASIS_CHOICES[basis](unitary_power(pair), seed)
-    blocks = _outcome_blocks(pair, pvm, steps, seed, period)
-    predicted = markov_entropy_rate(transition_matrix(unitary_power(pair, period), pvm))
+    u_eff = unitary_power(pair, period)
+    pvm = _BASIS_CHOICES[basis](u_eff, seed)
+    blocks = _outcome_blocks(u_eff, pvm, steps, seed)
+    predicted = markov_entropy_rate(transition_matrix(u_eff, pvm))
     if out is not None:
-        blocks = _written(blocks, _trajectory_path(out, ".stream"))
+        blocks = _written(blocks, out)
     if steps < _min_symbols(2, block_len):
         for _ in blocks:  # sampled and written, but too few to estimate
             pass
@@ -376,24 +379,8 @@ def entropy_rate_experiment(pair: EigenphasePair, basis: str, steps: int, block_
     return EntropyRateExperiment(empirical, predicted, abs(empirical - predicted))
 
 
-def _trajectory_path(prefix, suffix: str) -> Path:
-    """PREFIX + suffix, the suffix appended to the whole prefix, in a made directory."""
-    prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    return prefix.with_name(prefix.name + suffix)
-
-
-def _written(blocks: Iterator[np.ndarray], path: Path) -> Iterator[np.ndarray]:
-    """The blocks, each written to ``path`` as it is taken."""
-    with path.open("wb") as stream:
-        for block in blocks:
-            stream.write(block)
-            yield block
-
-
-def write_trajectory_outputs(prefix, sidecar: dict) -> Path:
-    """Write a run's JSON sidecar to PREFIX.json, beside the PREFIX.stream that
-    ``entropy_rate_experiment(..., out=PREFIX)`` wrote."""
-    json_path = _trajectory_path(prefix, ".json")
-    json_path.write_text(dumps(sidecar))
-    return json_path
+def _written(blocks: Iterator[np.ndarray], file) -> Iterator[np.ndarray]:
+    """The blocks, each written to the binary ``file`` as it is taken."""
+    for block in blocks:
+        file.write(block)
+        yield block

@@ -27,7 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import qchaos.cli
 import qchaos.jsontext
-from qchaos.cli import _NO_ORDER_REASON, _emit, main, parse_phase
+from qchaos.cli import _NO_ORDER_REASON, _emit, _outputs, main, parse_phase
 from qchaos import (EigenphasePair, ExactUnitarySpec, QuadraticRecipe, RationalPhase, eta,
                     order_verdicts)
 
@@ -417,8 +417,19 @@ class TestFlags:
 
     def test_non_finite_float_is_never_dumped(self, tmp_path):
         with pytest.raises(ValueError):
-            _emit({"value": math.nan}, argparse.Namespace(json=str(tmp_path / "x.json")))
+            with _outputs(argparse.Namespace(json=str(tmp_path / "x.json"))) as files:
+                _emit({"value": math.nan}, *files[:2])
         assert not (tmp_path / "x.json").exists()
+
+    def test_failed_argument_check_removes_an_existing_json_file(self, tmp_path, capsys):
+        # every output is opened before the command runs, so one that was
+        # there before is truncated, then removed with the rest
+        dest = tmp_path / "out.json"
+        dest.write_text("an older document\n")
+        code, doc = run_cli(["census", "--n", "0", "--seed", "1"], tmp_path)
+        assert code == 2 and doc is None
+        assert "n_trials must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["scan", "analyze"])
     def test_unwritable_csv_path_writes_no_document(self, command, tmp_path, capsys):
@@ -543,14 +554,42 @@ class TestSimulate:
         assert sidecar["config"]["steps"] == 64
 
     @pytest.mark.parametrize("bad", [["--steps", "0"], ["--seed", "-1"], ["--period", "0"],
-                                     ["--block-len", "0"]], ids=lambda a: a[0][2:])
+                                     ["--block-len", "0"], ["--out", "missing/run"]],
+                             ids=lambda a: a[0][2:])
     def test_failed_run_writes_no_files(self, bad, tmp_path):
-        # the stream file is made only once the run's checks have passed
-        args = {"--steps": "100", "--seed": "1", "--period": "1", "--block-len": "4"}
+        # every output is opened before the run's checks and removed when they
+        # fail; a missing directory of --out is not made
+        args = {"--steps": "100", "--seed": "1", "--period": "1", "--block-len": "4",
+                "--out": "run"}
         args.update([bad])
-        code, doc = run_cli(["simulate", "--psi", "1/2", *(x for kv in args.items() for x in kv),
-                             "--out", str(tmp_path / "sub" / "run")], tmp_path)
+        args["--out"] = str(tmp_path / args["--out"])
+        code, doc = run_cli(["simulate", "--psi", "1/2", *(x for kv in args.items() for x in kv)],
+                            tmp_path)
         assert code == 2 and doc is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_json_removes_the_stream_and_sidecar(self, tmp_path, monkeypatch,
+                                                            capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--psi", "1/2", "--steps", "100", "--out", "Q",
+                     "--json", "nodir/x.json"]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_estimator_failure_after_written_blocks_leaves_no_files(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        written = []
+
+        def fail(counts, d):  # the stream's blocks are all written by now
+            written.append((tmp_path / "run.stream").stat().st_size)
+            raise ValueError("estimator failed")
+
+        monkeypatch.setattr("qchaos.simulate._rate_of_counts", fail)
+        code, doc = run_cli(["simulate", "--psi", "0.3", "--steps", "40000", "--seed", "1",
+                             "--out", str(tmp_path / "run")], tmp_path)
+        assert code == 2 and doc is None
+        assert capsys.readouterr().err == "error: estimator failed\n"
+        assert written[0] > 0
         assert list(tmp_path.iterdir()) == []
 
     def test_dotted_prefixes_keep_their_whole_name(self, tmp_path):
@@ -585,14 +624,15 @@ class TestSimulate:
          (0.0, 1.60171325191e-16, 1.60171325191e-16)),
         ("--psi 0.3", "x", "672712665b47988c",
          (0.454596669048, 0.454538851472, 5.78175767431e-05)),
-        ("--psi 0.3", "optimized", "c977b8764b9c1f8b",
-         (0.380692693772, 0.376833661538, 0.00385903223453)),
+        ("--psi 0.3", "optimized", "672712665b47988c",
+         (0.454596669048, 0.454538851472, 5.7817576743e-05)),
     ], ids=["pair-computational", "pair-x", "pair-optimized", "completion-computational",
             "completion-x", "completion-optimized"])
     def test_every_basis_at_period_three(self, source, basis, stream, rates, tmp_path):
         """Outcomes (a sha256 prefix of the stream) and the three rates, pinned
-        for each basis with the optimized basis seeded by --seed; the source
-        --psi 0.3 has theta >= pi/2, where the optimized basis is not x."""
+        for each basis with the optimized basis seeded by --seed and fitted to
+        U^3; the source --psi 0.3 has theta >= pi/2, where the optimized basis
+        of U is not x, but U^3 has theta_3 < pi/2, where it is."""
         code, doc = run_cli(["simulate", *source.split(), "--basis", basis, "--steps", "20000",
                              "--seed", "5", "--block-len", "4", "--period", "3",
                              "--out", str(tmp_path / "run")], tmp_path)
@@ -735,7 +775,7 @@ PUBLIC_NAMES = """
     source_from_json CensusResult EntropyRateExperiment
     InsufficientDataError empirical_entropy_rate
     entropy_rate_experiment monte_carlo_chaotic_fraction
-    noisy_phase_walk sample_trajectory write_trajectory_outputs stream_generator
+    noisy_phase_walk sample_trajectory stream_generator
 """.split()
 
 EXPORTS_PROBE = """
@@ -785,7 +825,7 @@ class TestImports:
 
     def test_exports_the_public_names(self):
         _, names, listed, unknown = ast.literal_eval(fresh_python("-c", EXPORTS_PROBE).stdout)
-        assert len(PUBLIC_NAMES) == 45
+        assert len(PUBLIC_NAMES) == 44
         assert names == PUBLIC_NAMES  # and each one resolved in the probe
         assert listed and not unknown
 

@@ -1,8 +1,7 @@
 """The document emitter against the ``json.dumps`` oracle it replaces.
 
-Every CLI document goes through ``qchaos.jsontext.write`` (via ``cli._emit``)
-and the ``simulate --out`` sidecar through ``qchaos.jsontext.dumps``, the join
-of the same pieces.  The text must equal
+Every CLI document goes through ``qchaos.jsontext.write`` (via ``cli._emit``),
+to --json and to the ``simulate --out`` sidecar alike.  The text must equal
 ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"`` after
 rounding every float to 12 significant digits and expanding every table, which
 ``tests/helpers.py`` keeps as ``reference_dumps``, however a table's rows are
@@ -11,7 +10,6 @@ path built, and the streamed scan CSV the old per-record ``csv.writer`` output.
 """
 
 import argparse
-import contextlib
 import io
 import json
 import math
@@ -20,9 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qchaos.cli
-from qchaos.cli import _emit, build_parser, main, resolve_source
+from qchaos.cli import _emit, _outputs, build_parser, main, resolve_source
 from qchaos import jsontext
-from qchaos.jsontext import Rows, _column, dumps, write
+from qchaos.jsontext import Rows, _column, write
 
 from helpers import (SCAN_KEYS, reference_csv, reference_dumps, reference_noise_walk,
                      reference_scan_rows)
@@ -30,8 +28,7 @@ from helpers import (SCAN_KEYS, reference_csv, reference_dumps, reference_noise_
 
 def emitted(doc) -> str:
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        _emit(doc, argparse.Namespace(json="-"))
+    _emit(doc, buf)
     return buf.getvalue()
 
 
@@ -96,7 +93,8 @@ class TestEmitterExamples:
         dest = tmp_path / "x.json"
         table = Rows([{"theta": [0.5, bad, 1.0], "K": [1, 2, 3]}])
         with pytest.raises(ValueError):
-            _emit({"scan": table}, argparse.Namespace(json=str(dest)))
+            with _outputs(argparse.Namespace(json=str(dest))) as files:
+                _emit({"scan": table}, *files[:2])
         assert not dest.exists()
 
     def test_ragged_columns_are_rejected(self):
@@ -125,7 +123,7 @@ class TestPieces:
                 return super().write(piece)
 
         write(doc, file := File())
-        assert file.getvalue() == "".join(pieces) == dumps(doc) == reference_dumps(doc)
+        assert file.getvalue() == "".join(pieces) == reference_dumps(doc)
         assert len(pieces) > 1
 
     def test_rows_are_formatted_a_piece_at_a_time(self, monkeypatch):
@@ -138,7 +136,7 @@ class TestPieces:
         monkeypatch.setattr(jsontext, "_column", spy)
         table = Rows(iter([{"K": list(range(5)), "x": [0.5] * 5},
                            {"K": list(range(3 * _PIECE + 2)), "x": [1.5] * (3 * _PIECE + 2)}]))
-        text = dumps({"t": table})
+        text = emitted({"t": table})
         assert seen == [5, 5, *[_PIECE] * 6, 2, 2]
         assert text.count('"K"') == 3 * _PIECE + 7
 

@@ -2,6 +2,7 @@
 
 import bisect
 import cmath
+import io
 import math
 import os
 import subprocess
@@ -31,6 +32,7 @@ from qchaos import (
     transition_matrix,
 )
 from qchaos.chaoticity import CHAOTIC
+from qchaos.entropy import qubit_entropy_of_theta
 
 from qchaos import simulate
 from qchaos.phases import unitary_power
@@ -330,7 +332,8 @@ class TestBlocks:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            run = entropy_rate_experiment(pair, "x", steps, 8, seed=5, out=tmp_path / "run")
+            with open(tmp_path / "run.stream", "wb") as out:
+                run = entropy_rate_experiment(pair, "x", steps, 8, seed=5, out=out)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -386,13 +389,13 @@ class TestStreamedRun:
         *[(8, n) for n in (25600, 2 * B + 7, 2 * B + 8, 2 * B + 9, 3 * B)],
         *[(16, 50 * 2 ** 17 + 16 + k) for k in (-1, 0, 1)],
     ])
-    def test_stream_and_rate_equal_the_whole_array_calls(self, block_len, steps, tmp_path):
+    def test_stream_and_rate_equal_the_whole_array_calls(self, block_len, steps):
         assert 2 ** 17 > self.B  # so L = 16 counts more windows per bincount than B
         pair = EigenphasePair(0.7, 2.3)
         run = entropy_rate_experiment(pair, "x", steps, block_len, seed=11,
-                                      out=tmp_path / "run")
+                                      out=(out := io.BytesIO()))
         whole = sample_trajectory(pair, PvmBasis.x_basis(), steps, seed=11)
-        assert (tmp_path / "run.stream").read_bytes() == whole.tobytes()
+        assert out.getvalue() == whole.tobytes()
         rate = empirical_entropy_rate(whole, block_len, alphabet_size=2)
         assert run.empirical == rate
         assert run.abs_diff == abs(rate - run.predicted)
@@ -403,15 +406,14 @@ class TestStreamedRun:
            basis=st.sampled_from(["computational", "x"]), block_len=st.integers(1, 3),
            period=st.integers(1, 3), steps=st.integers(1, 3000),
            seed=st.integers(0, 2 ** 64 - 1))
-    def test_any_split(self, block, phi, psi, basis, block_len, period, steps, seed,
-                       tmp_path_factory):
-        pair, out = EigenphasePair(phi, psi), tmp_path_factory.mktemp("run") / "run"
+    def test_any_split(self, block, phi, psi, basis, block_len, period, steps, seed):
+        pair, out = EigenphasePair(phi, psi), io.BytesIO()
         pvm = PvmBasis.x_basis() if basis == "x" else PvmBasis.computational()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_BLOCK", block)
             run = entropy_rate_experiment(pair, basis, steps, block_len, seed, period, out=out)
         whole = reference_trajectory(pair, pvm, steps, seed, period)
-        assert out.with_name("run.stream").read_bytes() == whole.tobytes()
+        assert out.getvalue() == whole.tobytes()
         if steps >= 100 * 2 ** block_len:
             assert run.empirical == reference_entropy_rate(whole, block_len, 2)
         else:
@@ -743,9 +745,11 @@ class TestEntropyRateExperiment:
         # at theta = pi the x-basis chain is deterministic alternation; the
         # 1-bit maximum needs the suitably chosen (optimized) basis instead
         pair = EigenphasePair(0.0, PI)
-        res = entropy_rate_experiment(pair, "x", 10 ** 5, 6, seed=37)
+        res = entropy_rate_experiment(pair, "x", 10 ** 5, 6, seed=37, out=(out := io.BytesIO()))
         assert res.predicted == pytest.approx(0.0, abs=1e-12)
         assert res.empirical == 0.0
+        raw = np.frombuffer(out.getvalue(), dtype=np.uint8)
+        assert raw.size == 10 ** 5 and np.array_equal(raw, (raw[0] + np.arange(raw.size)) % 2)
 
     def test_theta_pi_optimized_basis(self):
         pair = EigenphasePair(0.0, PI)
@@ -765,6 +769,27 @@ class TestEntropyRateExperiment:
         assert res.predicted == pytest.approx(0.8112781244591328, abs=1e-6)
         assert res.abs_diff < 0.02
 
+    @settings(max_examples=50, deadline=None)
+    @given(phi=st.floats(0.0, TWO_PI), psi=st.floats(0.0, TWO_PI), period=st.integers(1, 8),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_optimized_basis_is_fitted_to_the_measured_power(self, phi, psi, period, seed):
+        """The optimized basis maximizes the entropy of U^period, the map the run
+        measures, so it predicts the order-period closed form H(theta_P)."""
+        pair = EigenphasePair(phi, psi)
+        res = entropy_rate_experiment(pair, "optimized", 1, 1, seed, period)
+        want = qubit_entropy_of_theta(order_verdicts(pair, period).theta)
+        assert abs(res.predicted - want) < 1e-12
+
+    def test_optimized_basis_at_a_chaotic_second_order(self):
+        # --psi 0.3: U^2 is chaotic, yet U's own optimal basis predicted 0.892
+        # bits at period 2
+        psi = 0.3 * PI
+        pair = EigenphasePair(TWO_PI - psi, psi)
+        assert order_verdicts(pair, 2).codes == CHAOTIC
+        res = entropy_rate_experiment(pair, "optimized", 20000, 4, seed=5, period=2)
+        assert res.predicted == pytest.approx(1.0, abs=1e-12)
+        assert res.abs_diff < 0.01
+
     def test_numpy_integer_arguments_are_taken_by_value(self):
         pair = EigenphasePair(0.3, 1.7)
         want = entropy_rate_experiment(pair, "x", 100000, 8, seed=1, period=3)
@@ -780,33 +805,18 @@ class TestEntropyRateExperiment:
             entropy_rate_experiment(EigenphasePair(0.0, PI), basis, 1000, 2, seed=0)
 
     @pytest.mark.parametrize("basis", ["computational", "x", "optimized"])
-    def test_short_run_has_no_estimate(self, basis, tmp_path):
+    def test_short_run_has_no_estimate(self, basis):
         """Below 100 * 2^L steps the outcomes are sampled and written and the
         rate predicted, but there is no block estimate and so no difference."""
-        pair = EigenphasePair(0.3, 2.1)
+        pair, short_out, full_out = EigenphasePair(0.3, 2.1), io.BytesIO(), io.BytesIO()
         short = entropy_rate_experiment(pair, basis, 100 * 2 ** 4 - 1, 4, seed=3, period=2,
-                                        out=tmp_path / "short")
+                                        out=short_out)
         full = entropy_rate_experiment(pair, basis, 100 * 2 ** 4, 4, seed=3, period=2,
-                                       out=tmp_path / "full")
+                                       out=full_out)
         assert short.empirical is None and short.abs_diff is None
         assert short.predicted == full.predicted
-        stream = (tmp_path / "full.stream").read_bytes()
+        stream = full_out.getvalue()
         assert len(stream) == 100 * 2 ** 4
-        assert (tmp_path / "short.stream").read_bytes() == stream[:-1]
+        assert short_out.getvalue() == stream[:-1]
         assert full.abs_diff == abs(full.empirical - full.predicted)
 
-
-class TestWriteTrajectoryOutputs:
-    def test_stream_and_sidecar(self, tmp_path):
-        from qchaos import write_trajectory_outputs
-
-        run = entropy_rate_experiment(EigenphasePair(0.0, PI), "x", 64, 8, seed=1,
-                                      out=tmp_path / "run")
-        json_path = write_trajectory_outputs(tmp_path / "run", {"seed": 1, "note": "test"})
-        raw = (tmp_path / "run.stream").read_bytes()
-        assert len(raw) == 64 and run.empirical is None
-        assert raw[1:4] in (bytes([0, 1, 0]), bytes([1, 0, 1]))  # theta = pi: x-basis swap
-        import json
-
-        assert json_path == tmp_path / "run.json"
-        assert json.loads(json_path.read_text())["seed"] == 1
