@@ -50,7 +50,7 @@ import sys
 from pathlib import Path
 
 # qchaos's only BLAS/LAPACK calls (transition_matrix, matrix_power, the Gram
-# and unitarity checks, basis_from_angles, eigvalsh) are on d <= 3 matrices,
+# and unitarity checks, eigvalsh) are on d <= 3 matrices,
 # where OpenBLAS's worker threads get no work and only spin until they time
 # out; this must run before numpy loads, and a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -117,12 +117,16 @@ def resolve_source(args):
     given = [n for n in ("spec_json", "unitary_json", "phi", "psi", "global_phase")
              if getattr(args, n, None) is not None]
     if given and given[0].endswith("_json"):
+        flags = [f"--{n.replace('_', '-')}" for n in given]
         if len(given) > 1:
-            flags = [f"--{n.replace('_', '-')}" for n in given]
             raise ValueError(f"{flags[0]} cannot be combined with {', '.join(flags[1:])}")
-        if given == ["spec_json"]:
-            return source_from_json(Path(args.spec_json).read_text())
-        rows = json.loads(Path(args.unitary_json).read_text())
+        path = getattr(args, given[0])
+        try:
+            if given == ["spec_json"]:
+                return source_from_json(Path(path).read_text())
+            rows = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{flags[0]} {path}: {exc}") from None
         if not (isinstance(rows, list) and all(
                 isinstance(row, list) and len(row) == len(rows) and all(
                     isinstance(z, list) and len(z) == 2 and all(type(x) in (int, float) for x in z)
@@ -251,7 +255,11 @@ def _analysis_body(source, k_max: int, n_cap: int) -> dict:
         "entropy_bits": qubit_entropy_closed(pair),
         "scan": scan,
     }
-    if source.kind == "quadratic":
+    if source.kind == "quadratic":  # Python >= 3.10.7 limits the digits of int text
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and abs(source.s_t) >= 10 ** limit:
+            raise ValueError(f"s_t at t={source.t} has more than {limit} digits, Python's "
+                             "limit for an integer written as text")
         body["quadratic_build"] = {"classification": source.classification,
                                    "s_t": source.s_t}
     return body

@@ -107,7 +107,7 @@ class QuadraticRecipe:
                 "are rational; a non-idempotent construction requires an irrational root")
         s_t = quadratic_trace_sequence(a, b, t)[t]
         if s_t % 2 != 0:
-            raise ValueError(f"s_{t} = {s_t} is odd; the pair would not be unimodular")
+            raise ValueError(f"s_t is odd at t={t}; the pair would not be unimodular")
 
         big_a, big_b = 1, 0  # 2^t alpha^t = A_t + B_t sqrt(D), 2^t beta^t = A_t - B_t sqrt(D)
         for _ in range(t):

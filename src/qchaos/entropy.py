@@ -18,12 +18,12 @@ For general small d the maximum is estimated by multi-start derivative-free
 ascent over a plane-rotation parametrization of the basis, every start
 advanced in lock-step as arrays under one objective for d = 2 and d = 3
 (``pvm_entropy_optimize``, whose restart count, iteration cap and seed are
-plain arguments).
+plain arguments).  ``_bases`` forms the basis from the angles for the
+objective and for ``basis_from_angles`` alike.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -45,18 +45,20 @@ ETA_CLAMP = 1e-12
 _LOG2 = math.log(2.0)
 
 
-def eta(x: float) -> float:
-    """Entropy summand -x * log2(x), with eta(0) = 0.
+def eta(x):
+    """Entropy summand -x * log2(x), eta(0) = 0, of a number (a float) or of each
+    entry of an array, with libm's log (np.log rounds differently on some inputs).
 
     Accepts x in [0, 1]; values within ETA_CLAMP outside are clamped, since
-    squared moduli of unit vectors can overshoot by rounding.
-    """
-    if x < -ETA_CLAMP or x > 1.0 + ETA_CLAMP:
-        raise ValueError(f"eta argument must lie in [0, 1], got {x!r}")
-    x = min(max(x, 0.0), 1.0)
-    if x == 0.0:
-        return 0.0
-    return -x * math.log(x) / _LOG2
+    squared moduli of unit vectors can overshoot by rounding."""
+    a = np.asarray(x, dtype=float)
+    bad = (a < -ETA_CLAMP) | (a > 1.0 + ETA_CLAMP)
+    if bad.any():
+        raise ValueError(f"eta argument must lie in [0, 1], got {float(a[bad][0])!r}")
+    a = np.clip(a, 0.0, 1.0)
+    out, live = np.zeros(a.shape), a != 0.0
+    out[live] = -a[live] * np.fromiter(map(math.log, a[live].tolist()), float) / _LOG2
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -100,15 +102,12 @@ class EntropyResult(NamedTuple):
 
 def qubit_entropy_of_theta(theta: np.ndarray) -> np.ndarray:
     """Closed-form qubit PVM entropy in bits per eigenphase distance theta, bit for bit
-    1 or eta(c) + eta(1 - c), c = cos(theta/2) ** 2: cos, the square and log are
-    libm's value by value, since np.log and x * x round differently on some inputs."""
+    1 or eta(c) + eta(1 - c), c = cos(theta/2) ** 2: cos and the square are libm's
+    value by value, since x * x rounds differently on some inputs."""
     low = theta < math.pi / 2.0
     c = np.fromiter(map(pow, map(math.cos, (0.5 * theta[low]).tolist()), repeat(2.0)), float)
-    p = np.stack([c, 1.0 - c])
-    terms, pos = np.zeros_like(p), p > 0.0  # eta(0) = 0
-    terms[pos] = -p[pos] * np.fromiter(map(math.log, p[pos].tolist()), float) / _LOG2
     h = np.ones(theta.shape)
-    h[low] = terms[0] + terms[1]
+    h[low] = eta(c) + eta(1.0 - c)
     return h
 
 
@@ -137,38 +136,11 @@ def markov_entropy_rate(p) -> float:
     if entries.min() < -ETA_CLAMP:
         raise ValueError("transition probabilities must be nonnegative")
     d = entries.shape[0]
-    return min(sum(map(eta, entries.ravel().tolist())) / d, math.log2(d))
+    return min(sum(eta(entries.ravel()).tolist()) / d, math.log2(d))
 
 
 # Plane pairs acted on by successive Givens-with-phase factors, per dimension.
 _PLANES = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
-
-
-def basis_from_angles(d: int, angles) -> PvmBasis:
-    """Basis from the plane-rotation parametrization used by the optimizer.
-
-    Each plane (i, j) contributes a rotation angle t and a phase f; the
-    product of the d(d-1)/2 factors spans every basis up to per-column phases,
-    which the entropy rate cannot see.
-    """
-    if d not in _PLANES:
-        raise ValueError(f"unsupported dimension {d}; only d in (2, 3)")
-    angles = np.asarray(angles, dtype=float)
-    if angles.size != d * (d - 1):
-        raise ValueError(f"expected {d * (d - 1)} angles for d={d}, got {angles.size}")
-    v = np.eye(d, dtype=complex)
-    for (i, j), (t, f) in zip(_PLANES[d], angles.reshape(-1, 2)):
-        g = np.eye(d, dtype=complex)
-        ct, st = math.cos(t), math.sin(t)
-        ef = cmath.exp(1j * f)
-        g[i, i] = ct
-        g[i, j] = -ef * st
-        g[j, i] = st / ef
-        g[j, j] = ct
-        v = v @ g
-    return PvmBasis(v)
-
-
 #: Signs of b.imag in a product a b, and of a conjugate, on the stacked [re/im] axis.
 _SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1, 1, 1)
 _CONJ = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
@@ -184,33 +156,49 @@ def _matmul(a, b):
     return reduce(np.add, (a * b[0] + a[::-1] * (b[1] * _SIGNS)).swapaxes(0, 1))
 
 
-def _neg_rates(u: np.ndarray):
-    """The objective ``_nelder_mead`` minimizes for U: minus the rate at each
-    row of an (m, d(d-1)) array of angles (t, f), one pair per plane.
-
-    V is the product (G01 @ G02) @ G12 of the factors of ``_PLANES[d]``, each
-    the identity but for [[c, a], [b, c]] in its plane, with c = cos t,
-    a = -e_f sin t and b = sin t conj(e_f).  With p_jl = min(|(V^dag U V)_jl|^2, 1),
-    minus the rate is -(0 - sum p_jl ln p_jl) / d / ln 2, summed over (j, l)
-    in order.  The complex arithmetic is written out in real arithmetic in
-    the order CPython's complex type evaluates it, abs and ** 2 are libm's
-    hypot and pow (np.hypot, np.float_power), and log is math.log, so every
-    row's value is bit for bit that of the formula in Python complex scalars.
-    """
-    d = u.shape[0]
+def _bases(d: int, x: np.ndarray) -> np.ndarray:
+    """V = (G01 @ G02) @ G12 at each row of an (m, d(d-1)) array of angles (t, f),
+    one pair per plane, stacked as [real/imaginary, row, col, m]: each factor is the
+    identity but for [[c, a], [b, c]] in its plane, c = cos t, a = -e_f sin t and
+    b = sin t conj(e_f), and ``_matmul`` multiplies them in CPython's complex order."""
     planes, (i, j), diag = np.arange(d * (d - 1) // 2), np.array(_PLANES[d]).T, np.arange(d)
+    c, s = np.cos(x[:, 0::2].T), np.sin(x[:, 0::2].T)
+    ec, es = np.cos(x[:, 1::2].T), np.sin(x[:, 1::2].T)  # e_f = exp(i f)
+    br, bi = s * ec, -(s * es)  # b = s conj(e_f), and a = -e_f s = (-br, bi)
+    g = np.zeros((len(planes), 2, d, d, len(x)))  # the factors, at [plane, ., row, col]
+    g[:, 0, diag, diag] = 1.0
+    g[planes, 0, i, i] = g[planes, 0, j, j] = c
+    g[planes, 0, i, j], g[planes, 1, i, j] = -br, bi
+    g[planes, 0, j, i], g[planes, 1, j, i] = br, bi
+    return reduce(_matmul, g)
+
+
+def basis_from_angles(d: int, angles) -> PvmBasis:
+    """The basis ``_bases`` forms from the optimizer's angles, the very matrix the
+    objective rates.  Each plane (i, j) contributes a rotation angle t and a phase
+    f; the product spans every basis up to per-column phases, which the rate
+    cannot see."""
+    if d not in _PLANES:
+        raise ValueError(f"unsupported dimension {d}; only d in (2, 3)")
+    angles = np.asarray(angles, dtype=float)
+    if angles.size != d * (d - 1):
+        raise ValueError(f"expected {d * (d - 1)} angles for d={d}, got {angles.size}")
+    v = np.moveaxis(_bases(d, angles.reshape(1, -1))[..., 0], 0, -1)  # [row, col, re/im]
+    return PvmBasis(v.copy().view(complex)[..., 0])
+
+
+def _neg_rates(u: np.ndarray):
+    """The objective ``_nelder_mead`` minimizes for U: minus the rate at each row
+    of an (m, d(d-1)) array of angles.  With V from ``_bases`` and
+    p_jl = min(|(V^dag U V)_jl|^2, 1), it is -(0 - sum p_jl ln p_jl) / d / ln 2,
+    summed over (j, l) in order.  The complex arithmetic is in CPython's order,
+    abs and ** 2 are libm's hypot and pow (np.hypot, np.float_power), and log is
+    math.log, so each row is bit for bit the formula in Python complex scalars."""
+    d = u.shape[0]
     uu = np.array([u.real, u.imag])[..., None]
 
     def neg(x):
-        c, s = np.cos(x[:, 0::2].T), np.sin(x[:, 0::2].T)
-        ec, es = np.cos(x[:, 1::2].T), np.sin(x[:, 1::2].T)  # e_f = exp(i f)
-        br, bi = s * ec, -(s * es)  # b = s conj(e_f), and a = -e_f s = (-br, bi)
-        g = np.zeros((len(planes), 2, d, d, len(x)))  # the factors, at [plane, ., row, col]
-        g[:, 0, diag, diag] = 1.0
-        g[planes, 0, i, i] = g[planes, 0, j, j] = c
-        g[planes, 0, i, j], g[planes, 1, i, j] = -br, bi
-        g[planes, 0, j, i], g[planes, 1, j, i] = br, bi
-        v = reduce(_matmul, g)
+        v = _bases(d, x)
         z = _matmul(v.swapaxes(1, 2) * _CONJ, _matmul(uu, v))
         p = np.minimum(np.float_power(np.hypot(*z), 2.0), 1.0).reshape(d * d, -1)
         # ln 1 = 0 stands in at p = 0, where p ln p is 0

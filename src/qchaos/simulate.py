@@ -203,7 +203,7 @@ def _rate_of_counts(counts: np.ndarray, d: int) -> float:
     """H_{L+1} - H_L from the (L+1)-window counts, clamped at 0."""
     def block_entropy(c: np.ndarray) -> float:
         n = c[c > 0].astype(float)
-        total = n.sum()
+        total = float(n.sum())
         return math.log2(total) - float((n * np.log2(n)).sum()) / total
 
     h_hi = block_entropy(counts)

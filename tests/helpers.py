@@ -1,7 +1,6 @@
 """Shared test utilities."""
 
 import bisect
-import cmath
 import csv
 import functools
 import io
@@ -185,32 +184,44 @@ def joined_walk(blocks) -> NoiseWalk:
     return NoiseWalk(*map(np.concatenate, zip(*blocks)))
 
 
+def _complex_matmul(a, b):
+    """a @ b for lists of rows of Python complex scalars, each entry summed in order."""
+    return [[functools.reduce(operator.add, map(operator.mul, row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def reference_basis(d: int, x) -> list[list[complex]]:
+    """The optimizer's V at the d(d-1) angles (t, f), one pair per plane, in
+    Python complex scalars: the product (G01 @ G02) @ G12 of the plane factors,
+    each the identity but for [[c, a], [b, c]] in its plane, with c = cos t,
+    a = -e_f s, b = s conj(e_f) and s = sin t.  a and b scale each part of
+    e_f = cos f + i sin f by the real s, which is how Python 3.14 multiplies
+    a float and a complex; earlier versions make s the complex s + 0i first,
+    and signed zeros can differ.  At d = 2, V is the one factor itself:
+    (cos t, s conj(e_f)) and (-e_f s, cos t) are its columns."""
+    planes = {2: [(0, 1)], 3: [(0, 1), (0, 2), (1, 2)]}[d]
+    factors = []
+    for (i, j), t, f in zip(planes, x[0::2], x[1::2]):
+        c, s = math.cos(t), math.sin(t)
+        ec, es = math.cos(f), math.sin(f)
+        g = [[float(r == k) for k in range(d)] for r in range(d)]
+        g[i][i] = g[j][j] = c
+        g[i][j], g[j][i] = complex(-ec * s, -es * s), complex(s * ec, s * -es)
+        factors.append(g)
+    return functools.reduce(_complex_matmul, factors)
+
+
 def reference_neg_rate(u: np.ndarray):
     """The objective's oracle: minus the entropy rate at the d(d-1) angles, in
-    Python complex scalars.  V is the product (G01 @ G02) @ G12 of the plane
-    factors [[c, a], [b, c]] of ``basis_from_angles`` but with b = s conj(e_f),
-    and p_jl = min(|(V^dag U V)_jl|^2, 1) is summed over (j, l) in that order.
-    At d = 2, V is the one factor itself: (cos t, s conj(e_f)) and
-    (-e_f s, cos t) are its columns."""
+    Python complex scalars.  With V = ``reference_basis(d, x)``,
+    p_jl = min(|(V^dag U V)_jl|^2, 1) is summed over (j, l) in that order."""
     d = u.shape[0]
     rows = [[complex(z) for z in row] for row in u]
-    planes = {2: [(0, 1)], 3: [(0, 1), (0, 2), (1, 2)]}[d]
-
-    def matmul(a, b):
-        return [[functools.reduce(operator.add, map(operator.mul, row, col)) for col in zip(*b)]
-                for row in a]
 
     def neg(x):
-        factors = []
-        for (i, j), t, f in zip(planes, x[0::2], x[1::2]):
-            c, s = math.cos(t), math.sin(t)
-            ef = cmath.exp(1j * f)
-            g = [[float(r == k) for k in range(d)] for r in range(d)]
-            g[i][i] = g[j][j] = c
-            g[i][j], g[j][i] = -ef * s, s * ef.conjugate()
-            factors.append(g)
-        v = functools.reduce(matmul, factors)
-        z = matmul([[w.conjugate() for w in col] for col in zip(*v)], matmul(rows, v))
+        v = reference_basis(d, x)
+        z = _complex_matmul([[w.conjugate() for w in col] for col in zip(*v)],
+                            _complex_matmul(rows, v))
         total = 0.0
         for p in (min(abs(z_jl) ** 2, 1.0) for row in z for z_jl in row):
             if p > 0.0:

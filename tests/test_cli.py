@@ -49,6 +49,17 @@ def run_cli(args, tmp_path, name="out.json"):
     return code, doc
 
 
+@pytest.fixture
+def int_text_limit():
+    """Python's default limit of 4300 digits on an int written as text, for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python writes integers of any length as text")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
 def stripped(doc):
     """Document with the volatile timestamp removed, as canonical bytes."""
     doc = json.loads(json.dumps(doc))
@@ -208,6 +219,37 @@ class TestConstruct:
         assert code == 2 and doc is None
         assert "odd" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["construct", "analyze"])
+    def test_integer_past_the_text_limit_is_exit_2(self, command, tmp_path, capsys,
+                                                   int_text_limit):
+        """s_t of t = 21000 has 4389 digits: the command names t and the limit,
+        and leaves no file."""
+        (tmp_path / "src.json").write_text('{"kind": "quadratic", "a": -1, "b": -1, "t": 21000}')
+        args = {"construct": ["construct", "quadratic", "--a=-1", "--b=-1", "--t", "21000"],
+                "analyze": ["analyze", "--spec-json", str(tmp_path / "src.json")]}[command]
+        code, doc = run_cli([*args, "--k-max", "1"], tmp_path)
+        assert code == 2 and doc is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["src.json"]
+        err = capsys.readouterr().err
+        assert "t=21000" in err and f"{int_text_limit} digits" in err and "set_int" not in err
+
+    def test_odd_sum_past_the_text_limit_names_t(self, tmp_path, capsys, int_text_limit):
+        code, _ = run_cli(["construct", "quadratic", "--a=-1", "--b=-1", "--t", "20602"],
+                          tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: s_t is odd at t=20602; the pair would not be unimodular\n")
+
+    def test_without_a_text_limit_s_t_is_written(self, tmp_path, monkeypatch, int_text_limit):
+        """A Python without sys.get_int_max_str_digits (before 3.10.7) has no limit."""
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        sys.set_int_max_str_digits(0)
+        (tmp_path / "src.json").write_text('{"kind": "quadratic", "a": -1, "b": -1, "t": 21000}')
+        code, doc = run_cli(["analyze", "--spec-json", str(tmp_path / "src.json"), "--k-max",
+                             "1"], tmp_path)
+        assert code == 0
+        assert doc["quadratic_build"]["s_t"] == QuadraticRecipe(-1, -1, 21000).s_t
+
     def test_quadratic_is_built_once(self, tmp_path, monkeypatch):
         calls = []
         build = QuadraticRecipe.__post_init__
@@ -344,7 +386,10 @@ class TestFlags:
          "rational source field 'm1' must be an integer, got '1'"),
         ("analyze", "--spec-json", '{"kind": "rational", "m1": 1, "p1": 4, "m2": 5, "p2": 4, '
          '"g_m": null}', "rational source field 'g_m' must be an integer, got None"),
-        ("scan", "--spec-json", '{"kind": "quadratic", "a": -1, "b": -1, "t": 3', "Expecting"),
+        ("scan", "--spec-json", '{"kind": "quadratic", "a": -1, "b": -1, "t": 3',
+         "error: --spec-json PATH: Expecting"),
+        ("optimize", "--unitary-json", "[[[1, 0], [0, 0]], [[0, 0], [1,",
+         "error: --unitary-json PATH: Expecting"),
         ("optimize", "--unitary-json", "[[[1, 0], [0, 0]], [[0]]]", "d x d nested list"),
         ("optimize", "--unitary-json", "[[[1, 0], [0, 0]]]", "d x d nested list"),
         ("optimize", "--unitary-json", '[[[1, 0], [0, 0]], [[0, 0], ["1", 0]]]',
@@ -353,15 +398,18 @@ class TestFlags:
         ("optimize", "--unitary-json", "[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]",
          "matrix is not unitary: residual nan"),
     ], ids=["spec-missing-key", "spec-list", "spec-string", "spec-float-t", "spec-bool-t",
-            "spec-string-field", "spec-null-field", "spec-truncated", "unitary-ragged",
-            "unitary-not-square", "unitary-string-entry", "unitary-object", "unitary-nan"])
+            "spec-string-field", "spec-null-field", "spec-truncated", "unitary-truncated",
+            "unitary-ragged", "unitary-not-square", "unitary-string-entry", "unitary-object",
+            "unitary-nan"])
     def test_malformed_source_file_is_exit_2(self, command, flag, text, message, tmp_path,
                                              capsys):
+        """A syntax error names the flag and the file (PATH in ``message``)."""
         (tmp_path / "source.json").write_text(text)
         code, doc = run_cli([command, flag, str(tmp_path / "source.json")], tmp_path)
         assert code == 2 and doc is None
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ")
+        assert message.replace("PATH", str(tmp_path / "source.json")) in err
 
     @settings(max_examples=150, deadline=None)
     @given(doc=st.recursive(
@@ -625,7 +673,7 @@ class TestSimulate:
         ("--psi 0.3", "x", "672712665b47988c",
          (0.454596669048, 0.454538851472, 5.78175767431e-05)),
         ("--psi 0.3", "optimized", "672712665b47988c",
-         (0.454596669048, 0.454538851472, 5.7817576743e-05)),
+         (0.454596669048, 0.454538851472, 5.78175767431e-05)),
     ], ids=["pair-computational", "pair-x", "pair-optimized", "completion-computational",
             "completion-x", "completion-optimized"])
     def test_every_basis_at_period_three(self, source, basis, stream, rates, tmp_path):

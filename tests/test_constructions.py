@@ -230,6 +230,11 @@ class TestQuadraticRecipe:
         with pytest.raises(ValueError, match="odd"):
             QuadraticRecipe(-1, -1, 4)  # s_4 = 7
 
+    def test_odd_sum_message_names_t_not_the_sum(self):
+        # s_20602 has 4306 digits, past the default limit of int text
+        with pytest.raises(ValueError, match=r"^s_t is odd at t=20602; the pair would not"):
+            QuadraticRecipe(-1, -1, 20602)
+
     def test_rejects_square_discriminant(self):
         with pytest.raises(ValueError, match="square"):
             QuadraticRecipe(-1, -2, 3)  # D = 9

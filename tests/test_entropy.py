@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from qchaos.rng import stream_generator
 from helpers import (
     random_orthonormal_basis,
     random_unitary,
+    reference_basis,
     reference_entropy_of_theta,
     reference_neg_rate,
 )
@@ -59,12 +61,23 @@ class TestEta:
     def test_clamps_rounding_noise(self):
         assert eta(-1e-13) == 0.0
         assert eta(1.0 + 1e-13) == 0.0
+        assert eta(np.array([-1e-13, 1.0 + 1e-13])).tolist() == [0.0, 0.0]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             eta(-1e-6)
         with pytest.raises(ValueError):
             eta(1.001)
+        with pytest.raises(ValueError, match="got 1.001"):
+            eta(np.array([0.5, 1.001]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(st.floats(0.0, 1.0), max_size=40))
+    @example(xs=[0.0, 5e-324, 0.25, 0.5, 1.0])
+    def test_array_equals_the_scalar_formula(self, xs):
+        got = eta(np.array(xs, dtype=float)).tolist()
+        want = [0.0 if x == 0.0 else -x * math.log(x) / math.log(2) for x in xs]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_concavity_on_grid(self):
         xs = np.linspace(0.0, 1.0, 101)
@@ -280,7 +293,6 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_optimal_basis_achieves_reported_value(self, d):
-        # the objective forms b = s conj(e_f), the reported basis s / e_f
         u = random_unitary(np.random.default_rng(13), d)
         res = pvm_entropy_optimize(u, restarts=8)
         achieved = markov_entropy_rate(transition_matrix(u, res.optimal_basis))
@@ -371,34 +383,35 @@ class TestNelderMead:
 
 # float.hex of each case's value, and a sha256 prefix of the float.hex strings
 # of its basis entries, from the scalar Nelder-Mead that ran one restart at a
-# time; the lock-step batch must reproduce them bit for bit.  The d = 3 bases
-# belong to the objective's rounding of b = s conj(e_f): another rounding of b
-# ends some restarts at other optima of the same value.
+# time; the lock-step batch must reproduce them bit for bit.  The basis is the
+# V the objective rated at the best angles, entry for entry: another rounding
+# of V hashes differently, and another rounding inside the objective ends some
+# d = 3 restarts at other optima of the same value.
 PINNED_OPTIMA = {
-    "d2-golden-r1": ("0x1.9f5fd8a9063e6p-1", "8e8b6e73a1059c86"),
-    "d2-golden-r8": ("0x1.9f5fd8a9063e6p-1", "8e8b6e73a1059c86"),
-    "d2-golden-r256": ("0x1.9f5fd8a9063e7p-1", "4d5d7432a739940b"),
-    "d2-identity-r1": ("0x1.71547652b82fdp-51", "2e60b6770b1d4942"),
-    "d2-identity-r8": ("0x1.14ff58be0a23dp-50", "f2eb116987bfae3a"),
-    "d2-identity-r256": ("0x1.71547652b82fbp-50", "c55c85a2b7b64822"),
-    "d2-diag-1-m1-r1": ("0x1.0000000000000p+0", "ca89ccc8c45d1221"),
-    "d2-diag-1-m1-r8": ("0x1.0000000000000p+0", "ca89ccc8c45d1221"),
-    "d2-diag-1-m1-r256": ("0x1.0000000000000p+0", "8316ff2f780f7145"),
-    "d2-haar2-r1": ("0x1.eb95d9c6878a4p-1", "acff4c0fe136b446"),
-    "d2-haar2-r8": ("0x1.eb95d9c6878a4p-1", "acff4c0fe136b446"),
-    "d2-haar2-r256": ("0x1.eb95d9c6878a4p-1", "acff4c0fe136b446"),
+    "d2-golden-r1": ("0x1.9f5fd8a9063e6p-1", "33347d155ef97138"),
+    "d2-golden-r8": ("0x1.9f5fd8a9063e6p-1", "33347d155ef97138"),
+    "d2-golden-r256": ("0x1.9f5fd8a9063e7p-1", "7186c331aea1c431"),
+    "d2-identity-r1": ("0x1.71547652b82fdp-51", "ff81e80fb2754413"),
+    "d2-identity-r8": ("0x1.14ff58be0a23dp-50", "08233f31ad18a2b6"),
+    "d2-identity-r256": ("0x1.71547652b82fbp-50", "922b286c1e7a1b9e"),
+    "d2-diag-1-m1-r1": ("0x1.0000000000000p+0", "1224b5b5024017b2"),
+    "d2-diag-1-m1-r8": ("0x1.0000000000000p+0", "1224b5b5024017b2"),
+    "d2-diag-1-m1-r256": ("0x1.0000000000000p+0", "ac150026c74bba83"),
+    "d2-haar2-r1": ("0x1.eb95d9c6878a4p-1", "a95abc19264ff637"),
+    "d2-haar2-r8": ("0x1.eb95d9c6878a4p-1", "a95abc19264ff637"),
+    "d2-haar2-r256": ("0x1.eb95d9c6878a4p-1", "a95abc19264ff637"),
     "d2-haar17-r1": ("0x1.0000000000000p+0", "a53629e576c1ac8f"),
     "d2-haar17-r8": ("0x1.0000000000000p+0", "a53629e576c1ac8f"),
-    "d2-haar17-r256": ("0x1.0000000000000p+0", "4aa887e366136121"),
+    "d2-haar17-r256": ("0x1.0000000000000p+0", "1b291f2ba1d19ddf"),
     "d2-haar36-r1": ("0x1.c78fc4078442bp-1", "ba65023d68698050"),
     "d2-haar36-r8": ("0x1.c78fc4078442bp-1", "ba65023d68698050"),
-    "d2-haar36-r256": ("0x1.c78fc4078442cp-1", "a1950fe38cb99adf"),
-    "d3-haar3-48x300": ("0x1.95c01a39fbd68p+0", "8651f63d21e4143f"),
-    "d3-haar3-32x2000": ("0x1.95c01a39fbd68p+0", "9d9b3f02789f77ab"),
-    "d3-haar17-48x300": ("0x1.95c01a39fbd68p+0", "663e3748df69c73a"),
-    "d3-haar17-32x2000": ("0x1.95c01a39fbd68p+0", "663e3748df69c73a"),
-    "d3-haar29-48x300": ("0x1.95c01a39fbd68p+0", "798a21f1b1beb7af"),
-    "d3-haar29-32x2000": ("0x1.95c01a39fbd68p+0", "a95822be05c940d8"),
+    "d2-haar36-r256": ("0x1.c78fc4078442cp-1", "c2922151e72dd2b9"),
+    "d3-haar3-48x300": ("0x1.95c01a39fbd68p+0", "5dfb9abf40dc1de1"),
+    "d3-haar3-32x2000": ("0x1.95c01a39fbd68p+0", "31561a5994e6d851"),
+    "d3-haar17-48x300": ("0x1.95c01a39fbd68p+0", "5bfcd79637530b51"),
+    "d3-haar17-32x2000": ("0x1.95c01a39fbd68p+0", "5bfcd79637530b51"),
+    "d3-haar29-48x300": ("0x1.95c01a39fbd68p+0", "67aea318bb82c018"),
+    "d3-haar29-32x2000": ("0x1.95c01a39fbd68p+0", "5ab5ad724a81a3c4"),
 }
 
 
@@ -484,3 +497,52 @@ class TestObjective:
         got = _neg_rates(u)(x)
         want = np.array(list(map(reference_neg_rate(u), x.tolist())))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestBasisFromAngles:
+    """The reported basis is the V the objective rates, bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_is_the_rated_v(self, d, data):
+        x = data.draw(st.lists(ANGLES, min_size=d * (d - 1), max_size=d * (d - 1)))
+        got = basis_from_angles(d, x).vectors
+        want = np.array(reference_basis(d, x))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def scalar_eta(x: float) -> float:
+    """-x * log2(x) one Python float at a time, clamped into [0, 1] first."""
+    x = min(max(x, 0.0), 1.0)
+    return 0.0 if x == 0.0 else -x * math.log(x) / math.log(2.0)
+
+
+class TestOneEtaKernel:
+    """The closed form and the chain rate, both on ``eta``, against the
+    formulas each once wrote out for itself, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(thetas=st.lists(st.floats(0.0, PI), max_size=40))
+    @example(thetas=[0.0, 5e-324, 1e-8, math.nextafter(PI / 2, 0.0), PI / 2, PI])
+    def test_closed_form(self, thetas):
+        theta = np.array(thetas, dtype=float)
+        low = theta < PI / 2
+        c = np.fromiter(map(pow, map(math.cos, (0.5 * theta[low]).tolist()), repeat(2.0)), float)
+        p = np.stack([c, 1.0 - c])
+        terms, pos = np.zeros_like(p), p > 0.0
+        terms[pos] = -p[pos] * np.fromiter(map(math.log, p[pos].tolist()), float) / math.log(2.0)
+        want = np.ones(theta.shape)
+        want[low] = terms[0] + terms[1]
+        assert np.array_equal(qubit_entropy_of_theta(theta).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), computational=st.booleans())
+    def test_chain_rate(self, d, data, seed, computational):
+        u = data.draw(UNITARIES[d])
+        basis = (PvmBasis.computational(d) if computational else
+                 PvmBasis(random_orthonormal_basis(np.random.default_rng(seed), d)))
+        p = transition_matrix(u, basis)
+        want = min(sum(map(scalar_eta, p.ravel().tolist())) / d, math.log2(d))
+        assert markov_entropy_rate(p).hex() == want.hex()

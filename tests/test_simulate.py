@@ -790,6 +790,10 @@ class TestEntropyRateExperiment:
         assert res.predicted == pytest.approx(1.0, abs=1e-12)
         assert res.abs_diff < 0.01
 
+    def test_rates_are_python_floats(self):
+        res = entropy_rate_experiment(EigenphasePair(0.3, 2.1), "x", 30000, 4, 1)
+        assert [type(v) for v in res] == [float, float, float]
+
     def test_numpy_integer_arguments_are_taken_by_value(self):
         pair = EigenphasePair(0.3, 1.7)
         want = entropy_rate_experiment(pair, "x", 100000, 8, seed=1, period=3)
