@@ -16,6 +16,7 @@ from qchaos import (
     RationalPhase,
     VERDICT_LABELS,
     build_chaotic_order,
+    chaotic_order_fraction,
     chaoticity_scan,
     first_nonchaotic_order,
     idempotency_order,
@@ -53,6 +54,16 @@ for name, spec in [("D4", d4), ("D8", d8)]:
           f"projective order {projective_idempotency_order(spec)}, "
           f"lcm of inner denominators {math.lcm(spec.phase1.p, spec.phase2.p)}")
     show(f"{name} scan", chaoticity_scan(spec, order))
+
+# An exact spec's verdict at order K depends only on e = K*A mod 2L, for the
+# phase difference A*pi/L, so its chaotic orders are counted by floor sums
+# without evaluating any order: here all of them up to K = 10^18, with 2L
+# near 1.4 * 10^10.
+p = 10 ** 9 + 7
+slow = ExactUnitarySpec(RationalPhase(3, p), RationalPhase(1, 7))
+print(f"\nphases (3 pi/{p}, pi/7): chaotic at a fraction")
+for n in (10 ** 6, 10 ** 18):
+    print(f"  {chaotic_order_fraction(slow, n)!r} of orders K = 1..{n}")
 
 # Idempotency of order n forces H_K = 0 at every multiple of n: U^n = I has
 # trace magnitude exactly 2, the scans above show it landing on 2.0 exactly.

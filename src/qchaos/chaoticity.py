@@ -2,10 +2,11 @@
 
 A qubit unitary is chaotic (its PVM entropy attains the 1-bit maximum) exactly
 when |tr U| <= sqrt(2); chaoticity to order K is the same test on U^K.  Every
-verdict comes from one kernel, ``order_verdicts``: rational specs are decided
-exactly from integers (``boundary`` only at |tr| = sqrt(2) exactly), float
-pairs within ``boundary_half_width(K)`` of sqrt(2) are ``boundary``, and
-``boundary`` never counts as chaotic.
+verdict comes from one kernel, ``order_verdicts``: float pairs within
+``boundary_half_width(K)`` of sqrt(2) are ``boundary``, which never counts as
+chaotic, and rational specs are decided exactly from one integer residue
+(``_residue``; ``boundary`` only at |tr| = sqrt(2) exactly), which also counts
+their chaotic orders, by floor sums in O(log L) steps at any k_max.
 
 Idempotency (U^n = I, strictly, global phase included) is decidable only for
 exact rational phases: ``idempotency_order`` returns n as an int, as
@@ -24,7 +25,6 @@ from .entropy import qubit_entropy_of_theta
 from .phases import (
     EigenphasePair,
     ExactUnitarySpec,
-    RationalPhase,
     TWO_PI,
     rational_phase_order,
     require_count,
@@ -57,18 +57,12 @@ class OrderVerdicts(NamedTuple):
     codes: np.ndarray
 
 
-def _theta_units(spec: ExactUnitarySpec, ks: np.ndarray) -> tuple[np.ndarray, int]:
-    """(t, L) with theta_K = t*pi/L, L = lcm(p1, p2), from residues mod 2L.
-
-    Both phases are integers a_i mod 2L in units of pi/L; (K mod 2L)*a_i stays
-    below 2^62 when 2L <= 2^31, and is taken in Python integers otherwise.
-    """
+def _residue(spec: ExactUnitarySpec) -> tuple[int, int]:
+    """(A, 2L), 0 <= A < 2L: the phase difference is A*pi/L, L = lcm(p1, p2), so
+    theta_K = pi*min(e, 2L - e)/L with e = K*A mod 2L."""
     big = math.lcm(spec.phase1.p, spec.phase2.p)
-    two = 2 * big
-    r = (ks if two <= 1 << 31 else ks.astype(object)) % two
-    d = np.abs(r * (spec.phase1.m * (big // spec.phase1.p)) % two
-               - r * (spec.phase2.m * (big // spec.phase2.p)) % two)
-    return np.minimum(d, two - d), big
+    return (spec.phase1.m * (big // spec.phase1.p)
+            - spec.phase2.m * (big // spec.phase2.p)) % (2 * big), 2 * big
 
 
 def order_verdicts(source, ks=1) -> OrderVerdicts:
@@ -94,8 +88,10 @@ def order_verdicts(source, ks=1) -> OrderVerdicts:
     # by value: int64, or Python ints past it, so no narrow or unsigned type wraps
     ks = ks.astype(np.int64 if int(ks.max()) < 1 << 63 else object, copy=False)
     exact = isinstance(source, ExactUnitarySpec)
-    if exact:
-        t, big = _theta_units(source, ks)
+    if exact:  # (K mod 2L)*A stays below 2^62 when 2L <= 2^31, else Python ints
+        a, two = _residue(source)
+        e = (ks if two <= 1 << 31 else ks.astype(object)) % two * a % two
+        t, big = np.minimum(e, two - e), two // 2
         d = theta = np.asarray(t / big, dtype=float) * math.pi
     elif isinstance(source, np.ndarray):
         if source.ndim != 1 or source.dtype.kind not in "fiu":
@@ -125,9 +121,9 @@ def order_verdicts(source, ks=1) -> OrderVerdicts:
 def exact_theta_fraction(spec: ExactUnitarySpec, k: int) -> Fraction:
     """theta/pi of the k-th power of an exact spec, as an exact Fraction in [0, 1]."""
     from fractions import Fraction  # only callers of this function need fractions
-
-    t, big = _theta_units(spec, np.array([require_count("order", k)], dtype=object))
-    return Fraction(int(t[0]), big)
+    a, two = _residue(spec)
+    e = require_count("order", k) % two * a % two
+    return Fraction(min(e, two - e), two // 2)
 
 
 def qubit_entropy_closed(pair: EigenphasePair) -> float:
@@ -194,7 +190,8 @@ def idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000) -> int:
 def projective_idempotency_order(spec: ExactUnitarySpec, n_cap: int = 1_000_000) -> int:
     """Smallest n with U^n proportional to the identity (global phase ignored)."""
     n_cap = require_count("n_cap", n_cap)
-    order = rational_phase_order(spec.phase1 + RationalPhase(-spec.phase2.m, spec.phase2.p))
+    a, two = _residue(spec)
+    order = two // math.gcd(a, two)
     if order > n_cap:
         raise IdempotencyCapError(order, n_cap)
     return order
@@ -210,22 +207,26 @@ def first_nonchaotic_order(source, k_bound: int) -> int | None:
     return int(hits[0]) + 1 if hits.size else None
 
 
-def _chaotic_orders(source, k: int) -> int:
-    """Chaotic verdicts among orders 1..k, counted a block of orders at a time."""
-    return sum(int(np.count_nonzero(order_verdicts(source, ks).codes == CHAOTIC))
-               for ks in _order_blocks(k))
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i<n} floor((a*i + b)/m), n, a, b >= 0, m >= 1, by reciprocity (Concrete Math. 3.5)."""
+    total = 0
+    while n:  # a new n > 0 needs a % m > 0, so the new m is never 0
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        (n, b), m, a = divmod(a % m * n + b % m, m), a % m, m
+    return total
 
 
 def chaotic_order_fraction(source, k_max: int) -> float:
-    """Fraction of orders K in 1..k_max of a source with a chaotic (not
-    boundary) verdict.
+    """Fraction of orders K in 1..k_max with a chaotic (not boundary) verdict.
 
-    An ExactUnitarySpec's verdicts depend on K mod 2L only (L = lcm(p1, p2)),
-    so its orders are counted over one period and over the remainder.
-    """
+    For an exact spec floor((K*A + 2L - c)/2L) - floor(K*A/2L) is 1 iff e = K*A mod 2L
+    is >= c (``_residue``), so two floor sums count the chaotic lo <= e < hi."""
     k_max = require_count("order bound", k_max)
-    period = k_max
     if isinstance(source, ExactUnitarySpec):
-        period = min(k_max, 2 * math.lcm(source.phase1.p, source.phase2.p))
-    cycles, rest = divmod(k_max, period)
-    return (cycles * _chaotic_orders(source, period) + _chaotic_orders(source, rest)) / k_max
+        a, two = _residue(source)
+        lo, hi = two // 4 + 1, (3 * two // 2 + 1) // 2  # floor(L/2) + 1, ceil(3L/2)
+        count = _floor_sum(k_max, two, a, a + two - lo) - _floor_sum(k_max, two, a, a + two - hi)
+    else:
+        count = sum(int(np.count_nonzero(order_verdicts(source, ks).codes == CHAOTIC))
+                    for ks in _order_blocks(k_max))
+    return count / k_max

@@ -105,13 +105,12 @@ class QuadraticRecipe:
             raise ValueError(
                 f"discriminant {d} is a perfect square, so the phases "
                 "are rational; a non-idempotent construction requires an irrational root")
-        s_t = quadratic_trace_sequence(a, b, t)[t]
-        if s_t % 2 != 0:
-            raise ValueError(f"s_t is odd at t={t}; the pair would not be unimodular")
-
         big_a, big_b = 1, 0  # 2^t alpha^t = A_t + B_t sqrt(D), 2^t beta^t = A_t - B_t sqrt(D)
         for _ in range(t):
             big_a, big_b = -a * big_a + big_b * d, big_a - a * big_b
+        s_t = big_a >> (t - 1)  # alpha^t + beta^t = 2 A_t / 2^t
+        if s_t % 2 != 0:
+            raise ValueError(f"s_t is odd at t={t}; the pair would not be unimodular")
         beta = (-a - math.sqrt(d)) / 2.0
         # a tiny |beta^t| needs t log2(1/|beta|) extra bits to keep 53 significant ones
         n = _RESIDUE_BITS + (math.ceil(-t * math.log2(abs(beta))) if abs(beta) < 1.0 else 0)

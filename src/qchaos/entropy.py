@@ -52,7 +52,7 @@ def eta(x):
     Accepts x in [0, 1]; values within ETA_CLAMP outside are clamped, since
     squared moduli of unit vectors can overshoot by rounding."""
     a = np.asarray(x, dtype=float)
-    bad = (a < -ETA_CLAMP) | (a > 1.0 + ETA_CLAMP)
+    bad = ~((a >= -ETA_CLAMP) & (a <= 1.0 + ETA_CLAMP))  # NaN fails both
     if bad.any():
         raise ValueError(f"eta argument must lie in [0, 1], got {float(a[bad][0])!r}")
     a = np.clip(a, 0.0, 1.0)

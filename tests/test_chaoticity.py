@@ -688,33 +688,48 @@ class TestCensusEnds:
         assert (e0 <= u < e1 or e2 <= u < e3) == _census_chaotic([k])[0]
 
 
-_small_rational = st.builds(RationalPhase, st.integers(-100, 100), st.integers(1, 24))
-_small_specs = st.builds(ExactUnitarySpec, _small_rational, _small_rational, _small_rational)
+_oracle_rational = st.builds(RationalPhase, st.integers(-400, 400), st.integers(1, 200))
+_oracle_specs = st.builds(ExactUnitarySpec, _oracle_rational, _oracle_rational, _rational)
 
 
 class TestPeriodicFraction:
-    """An exact spec's fraction is counted over one period 2L and the rest."""
+    """An exact spec's chaotic orders are counted by floor sums on its residue."""
 
     @settings(max_examples=200, deadline=None)
-    @given(spec=_small_specs, cycles=st.integers(0, 4), rest=st.integers(0, 1200))
+    @given(spec=_oracle_specs, cycles=st.integers(0, 3), rest=st.integers(0, 10 ** 6))
     def test_equals_the_brute_force_count(self, spec, cycles, rest):
         period = 2 * math.lcm(spec.phase1.p, spec.phase2.p)
         k_max = cycles * period + rest % period  # below, at and above multiples of 2L
         assume(k_max >= 1)
-        codes = joined_scan(chaoticity_scan(spec, k_max)).codes
+        codes = order_verdicts(spec, np.arange(1, k_max + 1)).codes
         brute = int(np.count_nonzero(codes == CHAOTIC))
         assert chaotic_order_fraction(spec, k_max) == brute / k_max
 
-    def test_counts_a_period_once(self, monkeypatch):
+    def test_makes_no_kernel_call(self, monkeypatch):
         spec = ExactUnitarySpec(RationalPhase(1, 3), RationalPhase(2, 5))  # 2L = 30
         ks = np.arange(1, 10 ** 6 + 1)
         want = np.count_nonzero(order_verdicts(spec, ks).codes == CHAOTIC) / ks.size
         seen = []
-
-        def spy(source, ks=1):
-            seen.append(int(np.size(ks)))
-            return order_verdicts(source, ks)
-
-        monkeypatch.setattr(chaoticity, "order_verdicts", spy)
+        monkeypatch.setattr(chaoticity, "order_verdicts", lambda *args: seen.append(args))
         assert chaotic_order_fraction(spec, 10 ** 6) == want
-        assert sum(seen) == 30 + 10 ** 6 % 30
+        # phase difference pi/L, L = p: e = K mod 2L, chaotic iff L/2 < e < 3L/2,
+        # which is L orders of each period and those of the rest past L/2
+        p, k_max = 10 ** 9 + 7, 10 ** 18
+        cycles, rest = divmod(k_max, 2 * p)
+        count = cycles * p + max(0, min(rest, (3 * p - 1) // 2) - (p + 1) // 2 + 1)
+        assert chaotic_order_fraction(ExactUnitarySpec(RationalPhase(1, p), RationalPhase(0)),
+                                      k_max) == count / k_max
+        assert seen == []
+
+    @settings(max_examples=500, deadline=None)
+    @given(n=st.integers(0, 60), m=st.integers(1, 60), a=st.integers(0, 200),
+           b=st.integers(0, 200))
+    def test_floor_sum_is_the_direct_sum(self, n, m, a, b):
+        assert chaoticity._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_specs)
+    def test_projective_order_is_the_first_zero_theta(self, spec):
+        n = projective_idempotency_order(spec, n_cap=10 ** 9)
+        assert exact_theta_fraction(spec, n) == 0
+        assert all(exact_theta_fraction(spec, j) != 0 for j in range(1, n))

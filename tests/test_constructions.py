@@ -235,6 +235,21 @@ class TestQuadraticRecipe:
         with pytest.raises(ValueError, match=r"^s_t is odd at t=20602; the pair would not"):
             QuadraticRecipe(-1, -1, 20602)
 
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.integers(-40, -1), b=st.integers(-400, -1), t=st.integers(1, 200))
+    def test_s_t_is_the_trace_sequence(self, a, b, t):
+        """The build's s_t = A_t / 2^(t-1) is the recurrence's s_t, and an odd
+        one is rejected with the message that names t."""
+        d = a * a - 4 * b
+        assume(math.isqrt(d) ** 2 != d)
+        s_t = quadratic_trace_sequence(a, b, t)[t]
+        if s_t % 2:
+            with pytest.raises(ValueError, match=rf"^s_t is odd at t={t}; the pair would "
+                                                 "not be unimodular$"):
+                QuadraticRecipe(a, b, t)
+        else:
+            assert QuadraticRecipe(a, b, t).s_t == s_t
+
     def test_rejects_square_discriminant(self):
         with pytest.raises(ValueError, match="square"):
             QuadraticRecipe(-1, -2, 3)  # D = 9

@@ -71,6 +71,12 @@ class TestEta:
         with pytest.raises(ValueError, match="got 1.001"):
             eta(np.array([0.5, 1.001]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="got nan"):
+            eta(math.nan)
+        with pytest.raises(ValueError, match="got nan"):
+            eta(np.array([0.5, math.nan]))
+
     @settings(max_examples=300, deadline=None)
     @given(xs=st.lists(st.floats(0.0, 1.0), max_size=40))
     @example(xs=[0.0, 5e-324, 0.25, 0.5, 1.0])
